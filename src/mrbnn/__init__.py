@@ -1,7 +1,5 @@
 """Simulator and design-space-exploration toolkit for a noncoherent
 microring-resonator binarized-neural-network accelerator."""
 
-from ._kernels import BACKEND, USING_NUMBA
-
 __version__ = "0.1.0"
-__all__ = ["BACKEND", "USING_NUMBA", "__version__"]
+__all__ = ["__version__"]

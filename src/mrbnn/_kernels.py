@@ -1,41 +1,23 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels, vectorized with numpy.
 
-The same operations exist in two flavours:
-
-* ``*_numpy`` -- vectorized pure-numpy implementations (always available),
-* numba ``@njit`` loop implementations compiled at import time.
-
-Backend selection is driven by the ``MRBNN_BACKEND`` environment variable:
-``numba`` (default) uses the JIT kernels, ``numpy`` forces the fallback.
-If numba cannot be imported the fallback is selected silently.
-
-All kernels are deterministic: no fastmath, no parallel reductions, fixed
-accumulation order inside the loop versions.
+All kernels are deterministic: results depend only on the inputs.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
-    "USING_NUMBA",
     "all_pass_transmission",
-    "all_pass_transmission_numpy",
     "channel_noise_powers",
-    "channel_noise_powers_numpy",
     "noisy_fc_forward",
-    "noisy_fc_forward_numpy",
 ]
 
+BACKEND = "numpy"
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations (reference semantics for both backends)
-# ---------------------------------------------------------------------------
 
-def all_pass_transmission_numpy(cos_phi, r, a):
+def all_pass_transmission(cos_phi, r, a):
     """Through-port power transmission of an all-pass ring.
 
     T = (a^2 - 2*r*a*cos(phi) + r^2) / (1 - 2*r*a*cos(phi) + (r*a)^2)
@@ -50,7 +32,7 @@ def all_pass_transmission_numpy(cos_phi, r, a):
     return out if arr.ndim else float(out)
 
 
-def channel_noise_powers_numpy(lambdas_nm, q_factor, input_powers):
+def channel_noise_powers(lambdas_nm, q_factor, input_powers):
     """Per-channel inter-channel crosstalk noise power.
 
     noise[i] = sum_{j != i} phi(i, j) * P_in[j]
@@ -66,7 +48,7 @@ def channel_noise_powers_numpy(lambdas_nm, q_factor, input_powers):
     return phi @ p
 
 
-def noisy_fc_forward_numpy(acts, w_pos, w_neg, rho_act, rho_wp, rho_wn):
+def noisy_fc_forward(acts, w_pos, w_neg, rho_act, rho_wp, rho_wn):
     """FPV-perturbed fully connected forward pass (dual-rail weights).
 
     acts:             [n_samples, n_in] imprinted activation values in [0, 1]
@@ -83,97 +65,3 @@ def noisy_fc_forward_numpy(acts, w_pos, w_neg, rho_act, rho_wp, rho_wn):
     rail = (np.clip(w_pos * rho_wp, 0.0, 1.0)
             - np.clip(w_neg * rho_wn, 0.0, 1.0))
     return np.sum(a_eff * rail[None, :, :], axis=2)
-
-
-# ---------------------------------------------------------------------------
-# numba loop kernels
-# ---------------------------------------------------------------------------
-
-_env = os.environ.get("MRBNN_BACKEND", "numba").strip().lower()
-USING_NUMBA = False
-
-if _env not in ("numpy",):
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _all_pass_nb(cos_phi, r, a):
-            out = np.empty_like(cos_phi)
-            ra = r * a
-            for i in range(cos_phi.size):
-                c = cos_phi.flat[i]
-                out.flat[i] = (a * a - 2.0 * ra * c + r * r) / \
-                              (1.0 - 2.0 * ra * c + ra * ra)
-            return out
-
-        @njit(cache=True)
-        def _channel_noise_nb(lam, q_factor, p):
-            n = lam.size
-            out = np.zeros(n)
-            for i in range(n):
-                d2 = (lam[i] / (2.0 * q_factor)) ** 2
-                acc = 0.0
-                for j in range(n):
-                    if j != i:
-                        det = lam[i] - lam[j]
-                        acc += d2 / (det * det + d2) * p[j]
-                out[i] = acc
-            return out
-
-        @njit(cache=True)
-        def _noisy_fc_nb(acts, w_pos, w_neg, rho_act, rho_wp, rho_wn):
-            n_s, n_in = acts.shape
-            n_out = w_pos.shape[0]
-            out = np.zeros((n_s, n_out))
-            rail = np.empty((n_out, n_in))
-            for o in range(n_out):
-                for k in range(n_in):
-                    wp = w_pos[o, k] * rho_wp[o, k]
-                    wn = w_neg[o, k] * rho_wn[o, k]
-                    wp = min(max(wp, 0.0), 1.0)
-                    wn = min(max(wn, 0.0), 1.0)
-                    rail[o, k] = wp - wn
-            for s in range(n_s):
-                for o in range(n_out):
-                    acc = 0.0
-                    for k in range(n_in):
-                        ae = acts[s, k] * rho_act[o, k]
-                        ae = min(max(ae, 0.0), 1.0)
-                        acc += ae * rail[o, k]
-                    out[s, o] = acc
-            return out
-
-        USING_NUMBA = True
-    except ImportError:
-        USING_NUMBA = False
-
-BACKEND = "numba" if USING_NUMBA else "numpy"
-
-
-def _as_c(x):
-    return np.ascontiguousarray(x, dtype=np.float64)
-
-
-if USING_NUMBA:
-
-    def all_pass_transmission(cos_phi, r, a):
-        arr = np.asarray(cos_phi, dtype=np.float64)
-        if arr.ndim == 0:
-            c = float(arr)
-            ra = r * a
-            return (a * a - 2.0 * ra * c + r * r) / \
-                   (1.0 - 2.0 * ra * c + ra * ra)
-        return _all_pass_nb(np.ascontiguousarray(arr), float(r), float(a))
-
-    def channel_noise_powers(lambdas_nm, q_factor, input_powers):
-        return _channel_noise_nb(_as_c(lambdas_nm), float(q_factor),
-                                 _as_c(input_powers))
-
-    def noisy_fc_forward(acts, w_pos, w_neg, rho_act, rho_wp, rho_wn):
-        return _noisy_fc_nb(_as_c(acts), _as_c(w_pos), _as_c(w_neg),
-                            _as_c(rho_act), _as_c(rho_wp), _as_c(rho_wn))
-
-else:
-    all_pass_transmission = all_pass_transmission_numpy
-    channel_noise_powers = channel_noise_powers_numpy
-    noisy_fc_forward = noisy_fc_forward_numpy

@@ -1,6 +1,7 @@
 """Partially binarized neural networks: representation, quantization,
 desk-scale straight-through-estimator training, batch-norm folding, and the
-exact floating-point reference forward pass.
+layer walker (``forward``) behind both the exact floating-point reference
+forward pass and the photonic one of ``simulator.noisy_inference``.
 
 Weights of binarized layers are stored at full precision ("shadow" weights)
 and enter every computation through sign(); sign(0) = +1 by convention.
@@ -169,14 +170,17 @@ def quantize_activation(v, bits: int, lo: float = 0.0, hi: float = 1.0):
     return float(q) if np.ndim(v) == 0 else q
 
 
+def _c_fold(bn: Layer) -> np.ndarray:
+    return bn.bn_gamma / np.sqrt(bn.bn_var + bn.bn_epsilon)
+
+
 def bn_fold(layer_weights: np.ndarray, bn: Layer) -> FoldedLayer:
     """C_fold = gamma / sqrt(var + eps), one constant per output channel."""
     if bn.kind != LayerKind.BATCH_NORM:
         raise DomainError("bn_fold needs a batch-norm layer")
-    denom = bn.bn_var + bn.bn_epsilon
-    if np.any(denom <= 0):
+    if np.any(bn.bn_var + bn.bn_epsilon <= 0):
         raise DomainError("var + eps must be positive")
-    c_fold = bn.bn_gamma / np.sqrt(denom)
+    c_fold = _c_fold(bn)
     w = np.asarray(layer_weights)
     if w.ndim >= 1 and c_fold.ndim == 1 and w.shape[0] != c_fold.size:
         raise DomainError(
@@ -222,10 +226,83 @@ def _apply_pool(x: np.ndarray, window: int, mode: str) -> np.ndarray:
     raise DomainError(f"unknown pool mode {mode!r}")
 
 
-def _apply_scale(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    if a.ndim == 4:  # [n, c, h, w] conv activations, per-channel scale
-        return a * scale[None, :, None, None]
-    return a * scale[None, :]
+def _per_channel(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Broadcast a per-channel vector against [n, c] or [n, c, h, w]."""
+    return v[:, None, None] if a.ndim == 4 else v
+
+
+def exact_dot(li: int, layer: Layer, v: np.ndarray) -> np.ndarray:
+    """Exact dot products of ``v`` [..., in] with the layer's weight rows."""
+    w = layer.effective_weights()
+    return v @ w.reshape(w.shape[0], -1).T
+
+
+def _conv(li: int, layer: Layer, a: np.ndarray, dot) -> np.ndarray:
+    oc, ic, kh, kw = layer.weights.shape
+    if a.ndim != 4 or a.shape[1] != ic:
+        raise DomainError("conv input must be [n, in_c, h, w]")
+    cols, oh, ow = im2col(a, kh, kw, layer.stride)
+    return dot(li, layer, cols).transpose(0, 2, 1).reshape(a.shape[0], oc,
+                                                           oh, ow)
+
+
+def forward(model: QuantModel, a: np.ndarray, dot,
+            folded: bool = False) -> np.ndarray:
+    """Walk the layers of ``model`` over the batch ``a``; return the logits.
+
+    ``dot(li, layer, v)`` computes the dot products of weighted layer ``li``:
+    ``v`` is [n, in] for FC layers and the im2col patches [n, positions,
+    depth] for conv layers, and the result is [..., out]. Everything else
+    (batch norm, nonlinearities, quantization, pooling) runs exactly here.
+    When ``folded`` is True, batch-norm layers are folded: mean/bias are
+    dropped and C_fold multiplies the activations after the following
+    nonlinearity.
+    """
+    pending_fold = None
+
+    def flush_fold(val):
+        nonlocal pending_fold
+        if pending_fold is not None:
+            val = val * _per_channel(pending_fold, val)
+            pending_fold = None
+        return val
+
+    for li, layer in enumerate(model.layers):
+        if layer.kind == LayerKind.FULLY_CONNECTED:
+            a = flush_fold(a)
+            if a.ndim > 2:
+                a = a.reshape(a.shape[0], -1)
+            if a.shape[1] != layer.weights.shape[1]:
+                raise DomainError(f"FC expects {layer.weights.shape[1]} "
+                                  f"features, got {a.shape[1]}")
+            a = dot(li, layer, a)
+        elif layer.kind == LayerKind.CONV2D:
+            a = _conv(li, layer, flush_fold(a), dot)
+        elif layer.kind == LayerKind.BATCH_NORM:
+            if folded:
+                pending_fold = _c_fold(layer)
+            else:
+                a = ((a - _per_channel(layer.bn_mean, a))
+                     * _per_channel(_c_fold(layer), a)
+                     + _per_channel(layer.bn_beta, a))
+        elif layer.kind == LayerKind.ACTIVATION:
+            if layer.activation == "relu":
+                a = np.maximum(a, 0.0)
+            elif layer.activation != "identity":
+                raise DomainError(f"unknown activation {layer.activation!r}")
+            a = flush_fold(a)
+            if layer.quantize:
+                a = quantize_activation(a, model.activation_bits,
+                                        *layer.act_range)
+        elif layer.kind == LayerKind.POOL:
+            a = flush_fold(a)
+            if a.ndim != 4:
+                raise DomainError("pool input must be [n, c, h, w]")
+            a = _apply_pool(a, layer.pool_window, layer.pool_mode)
+        else:  # pragma: no cover
+            raise DomainError(f"unhandled layer kind {layer.kind}")
+    a = flush_fold(a)
+    return a.reshape(a.shape[0], -1)
 
 
 def reference_inference(model: QuantModel, x, folded: bool = False):
@@ -249,66 +326,7 @@ def reference_inference(model: QuantModel, x, folded: bool = False):
     squeeze = a.ndim in (1, 3)
     if squeeze:
         a = a[None, ...]
-    pending_fold = None
-
-    def flush_fold(val):
-        nonlocal pending_fold
-        if pending_fold is not None:
-            val = _apply_scale(val, pending_fold)
-            pending_fold = None
-        return val
-
-    for layer in model.layers:
-        if layer.kind == LayerKind.FULLY_CONNECTED:
-            a = flush_fold(a)
-            if a.ndim > 2:
-                a = a.reshape(a.shape[0], -1)
-            w = layer.effective_weights()
-            if a.shape[1] != w.shape[1]:
-                raise DomainError(
-                    f"FC expects {w.shape[1]} features, got {a.shape[1]}")
-            a = a @ w.T
-        elif layer.kind == LayerKind.CONV2D:
-            a = flush_fold(a)
-            k = layer.effective_weights()
-            oc, ic, kh, kw = k.shape
-            if a.ndim != 4 or a.shape[1] != ic:
-                raise DomainError("conv input must be [n, in_c, h, w]")
-            cols, oh, ow = im2col(a, kh, kw, layer.stride)
-            out = cols @ k.reshape(oc, -1).T        # [n, positions, oc]
-            a = out.transpose(0, 2, 1).reshape(a.shape[0], oc, oh, ow)
-        elif layer.kind == LayerKind.BATCH_NORM:
-            if folded:
-                pending_fold = layer.bn_gamma / np.sqrt(layer.bn_var
-                                                        + layer.bn_epsilon)
-            else:
-                scale = layer.bn_gamma / np.sqrt(layer.bn_var + layer.bn_epsilon)
-                if a.ndim == 4:
-                    a = (a - layer.bn_mean[None, :, None, None]) \
-                        * scale[None, :, None, None] \
-                        + layer.bn_beta[None, :, None, None]
-                else:
-                    a = (a - layer.bn_mean[None, :]) * scale[None, :] \
-                        + layer.bn_beta[None, :]
-        elif layer.kind == LayerKind.ACTIVATION:
-            if layer.activation == "relu":
-                a = np.maximum(a, 0.0)
-            elif layer.activation != "identity":
-                raise DomainError(f"unknown activation {layer.activation!r}")
-            a = flush_fold(a)
-            if layer.quantize:
-                a = quantize_activation(a, model.activation_bits,
-                                        *layer.act_range)
-        elif layer.kind == LayerKind.POOL:
-            a = flush_fold(a)
-            if a.ndim != 4:
-                raise DomainError("pool input must be [n, c, h, w]")
-            a = _apply_pool(a, layer.pool_window, layer.pool_mode)
-        else:  # pragma: no cover
-            raise DomainError(f"unhandled layer kind {layer.kind}")
-    logits = flush_fold(a)
-    if logits.ndim > 2:
-        logits = logits.reshape(logits.shape[0], -1)
+    logits = forward(model, a, exact_dot, folded)
     classes = np.argmax(logits, axis=1)
     if squeeze:
         return logits[0], int(classes[0])

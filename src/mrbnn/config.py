@@ -35,7 +35,7 @@ import yaml
 from .dse import SweepSpec
 from .errors import ConfigError
 from .mapping import AcceleratorConfig, ModelStructure
-from .photonics import FpvStatistics, GeometrySurrogate, MrDesign, RingClass
+from .photonics import FpvStatistics, MrDesign, RingClass
 from .simulator import (AreaConstants, DeviceEntry, DevicePowerTable,
                         LossBudget, PipelineDelays, SimulationEnvironment)
 from .tuning import TuningParams
@@ -95,8 +95,6 @@ class FpvPopulationConfig:
 
     slopes_nm_per_nm: tuple[float, float, float] = (
         4.060864967165168, 8.0, 10.0)
-    target_sigma_nm: float = 24.417
-    target_mean_nm: float = -0.1461
 
 
 @dataclass(frozen=True)
@@ -213,16 +211,6 @@ class ExperimentConfig:
     tuning_fraction: float = 0.8
 
 
-@dataclass(frozen=True)
-class SurrogateConfig:
-    """Analytic geometry -> resonance surrogate (eigenmode-solver stand-in)."""
-
-    lambda0_nm: float = 1550.0
-    base_nm: tuple[float, float, float] = (400.0, 220.0, 5000.0)
-    linear_nm_per_nm: tuple[float, float, float] = (0.06, 0.18, 0.09)
-    quadratic_nm_per_nm2: tuple[float, float, float] = (-1e-4, 0.0, 0.0)
-
-
 _DEFAULT_WORKLOAD = (
     WorkloadModelConfig("net60k", (59508, 1064, 70)),
     WorkloadModelConfig("net552k", (550000, 2300, 62)),
@@ -247,8 +235,6 @@ class ToolkitConfig:
     workload: tuple[WorkloadModelConfig, ...] = _DEFAULT_WORKLOAD
     training: TrainingConfig = TrainingConfig()
     experiment: ExperimentConfig = ExperimentConfig()
-    surrogate: SurrogateConfig = SurrogateConfig()
-    output_dir: str = "out"
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +429,7 @@ def build_environment(cfg: ToolkitConfig) -> SimulationEnvironment:
             photodetector=DeviceEntry(p.photodetector.power_mw,
                                       p.photodetector.latency_ns),
             dac=DeviceEntry(p.dac.power_mw, p.dac.latency_ns),
-            adc=DeviceEntry(p.adc.power_mw, p.adc.latency_ns),
-            eo_tune_latency_ns=cfg.tuning.eo_latency_ns),
+            adc=DeviceEntry(p.adc.power_mw, p.adc.latency_ns)),
         tuning_params=build_tuning_params(cfg),
         delays=PipelineDelays(
             local_buffer_ns=clock_ns, vector_distribution_ns=clock_ns,
@@ -493,10 +478,3 @@ def population_design(cfg: ToolkitConfig) -> MrDesign:
     mb = build_design(cfg.device_classes.multi_bit, RingClass.MULTI_BIT)
     return replace(mb,
                    sensitivity_slopes=cfg.fpv_population.slopes_nm_per_nm)
-
-
-def geometry_surrogate(cfg: ToolkitConfig) -> GeometrySurrogate:
-    s = cfg.surrogate
-    return GeometrySurrogate(lambda0_nm=s.lambda0_nm, base_nm=s.base_nm,
-                             linear=s.linear_nm_per_nm,
-                             quadratic=s.quadratic_nm_per_nm2)

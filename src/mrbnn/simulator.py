@@ -23,10 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels, photonics, tuning
-from .bnn import LayerKind, QuantModel, quantize_activation
+from .bnn import LayerKind, QuantModel, exact_dot, forward
+# Nothing here calls quantize_activation (bnn.forward does), but
+# bench/spans.py traces it at this binding.
+from .bnn import quantize_activation  # noqa: F401
 from .errors import DomainError
-from .mapping import (AcceleratorConfig, ModelStructure, WorkPlan,
-                      build_comb, build_work_plan)
+from .mapping import (AcceleratorConfig, ModelStructure, build_comb,
+                      build_work_plan)
 from .photonics import FpvStatistics, MrDesign, RingClass
 
 
@@ -79,7 +82,6 @@ class DevicePowerTable:
     photodetector: DeviceEntry = DeviceEntry(2.8, 0.0058)
     dac: DeviceEntry = DeviceEntry(59.7, 0.33)      # 4-bit DAC
     adc: DeviceEntry = DeviceEntry(62.0, 24.0)
-    eo_tune_latency_ns: float = 20.0
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,11 @@ class PipelineDelays:
     ecu_buffer_params: int = 100_000
     t_del_ns: float | None = None   # None: one full optical path latency
 
-    def resolve_t_del(self, power: DevicePowerTable) -> float:
+    def resolve_t_del(self, power: DevicePowerTable,
+                      tuning_params: tuning.TuningParams) -> float:
         if self.t_del_ns is not None:
             return self.t_del_ns
-        return (power.dac.latency_ns + power.eo_tune_latency_ns
+        return (power.dac.latency_ns + tuning_params.eo_latency_ns
                 + power.photodetector.latency_ns + power.tia.latency_ns
                 + power.vcsel.latency_ns + power.adc.latency_ns)
 
@@ -260,7 +263,7 @@ def pipeline_time(model, cfg: AcceleratorConfig,
     buffered = min(params, env.delays.ecu_buffer_params)
     buffered_steps = math.ceil(buffered / per_step) if buffered else 0
     delta_t = env.delays.local_buffer_ns + env.delays.vector_distribution_ns
-    t_del = env.delays.resolve_t_del(env.power)
+    t_del = env.delays.resolve_t_del(env.power, env.tuning_params)
     total = (t_del + delta_t * steps
              + env.delays.ecu_buffering_ns * buffered_steps)
     return PipelineTiming(total, steps, buffered_steps, delta_t, t_del)
@@ -350,40 +353,28 @@ def tuning_power_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
                         tuning_fraction: float) -> tuple[float, float]:
     """(eo_mw, to_mw) to correct ``tuning_fraction`` of every MR's shift.
 
-    EO corrections are summed per MR; TO remainders are solved collectively
-    (TED) bank by bank. All banks share one layout spacing, so a single
-    factorized crosstalk matrix per bank size is reused.
+    Each ring population is budgeted bank by bank through
+    ``tuning.bank_tuning_budget``: EO corrections are summed per MR, TO
+    remainders are solved collectively (TED).
     """
-    params = env.tuning_params
     eo_total = 0.0
     to_total = 0.0
     populations = [
-        (chip_map.act_delta_nm, cfg.arm_activation_mrs,
-         _params_for(env, RingClass.MULTI_BIT)),
+        (chip_map.act_delta_nm, cfg.arm_activation_mrs, RingClass.MULTI_BIT),
         (chip_map.weight_pos_delta_nm, cfg.arm_weight_mrs,
-         _params_for(env, RingClass.SINGLE_BIT)),
+         RingClass.SINGLE_BIT),
         (chip_map.weight_neg_delta_nm, cfg.arm_weight_mrs,
-         _params_for(env, RingClass.SINGLE_BIT)),
-        (chip_map.broadband_delta_nm, cfg.n_b,
-         _params_for(env, RingClass.BROADBAND)),
+         RingClass.SINGLE_BIT),
+        (chip_map.broadband_delta_nm, cfg.n_b, RingClass.BROADBAND),
     ]
-    for deltas, bank_size, p in populations:
+    for deltas, bank_size, ring_class in populations:
         if deltas.size == 0:
             continue
-        folded = np.abs(deltas) % p.fsr_nm
-        folded = np.minimum(folded, p.fsr_nm - folded)
-        corrected = tuning_fraction * folded
-        eo = np.minimum(corrected, p.eo_max_shift_nm)
-        to = corrected - eo
-        eo_total += float(np.sum(eo)) * p.eo_power_uw_per_nm * 1e-3
-        if not np.any(to > 0):
-            continue
-        banks = to.reshape(-1, bank_size)
-        k = tuning.thermal_crosstalk_matrix(
-            tuning.uniform_positions_um(bank_size, cfg.mr_pitch_um),
-            p.crosstalk_eta, p.crosstalk_decay_um)
-        s = np.linalg.solve(k, banks.T)
-        to_total += float(np.sum(np.abs(s))) / p.heater_efficiency_nm_per_mw
+        budget = tuning.bank_tuning_budget(
+            deltas.reshape(-1, bank_size), tuning_fraction, cfg.mr_pitch_um,
+            _params_for(env, ring_class))
+        eo_total += budget.eo_power_mw
+        to_total += budget.to_power_mw
     return eo_total, to_total
 
 
@@ -407,10 +398,7 @@ class PhotonicMapping:
     beyond the row length).
     """
 
-    plan: WorkPlan
-    layer_indices: tuple[int, ...]
     mr_index: dict[int, np.ndarray]
-    c_fold: dict[int, np.ndarray]
     comb: tuple[float, ...]
 
 
@@ -421,24 +409,17 @@ def build_photonic_mapping(model: QuantModel,
     slots = cfg.arm_activation_mrs
     comb = build_comb(slots, cfg.channel_spacing_nm,
                       cfg.center_wavelength_nm, cfg.passband_nm)
-    shapes = {}
-    for li, layer in enumerate(model.layers):
-        if layer.kind == LayerKind.FULLY_CONNECTED:
-            shapes[li] = layer.weights.shape
-        elif layer.kind == LayerKind.CONV2D:
-            w = layer.weights
-            shapes[li] = (w.shape[0], int(np.prod(w.shape[1:])))
-    mr_index = {li: np.full(shape, -1, dtype=np.int64)
-                for li, shape in shapes.items()}
-    c_fold = {li: np.ones(shape[0]) for li, shape in shapes.items()}
+    mr_index = {li: np.full((layer.weights.shape[0],
+                             layer.weights[0].size), -1, dtype=np.int64)
+                for li, layer in enumerate(model.layers)
+                if layer.kind in (LayerKind.FULLY_CONNECTED,
+                                  LayerKind.CONV2D)}
     for s in plan.slices:
-        idx = mr_index[s.layer_index]
         flat_arm = s.vdp_id * cfg.n_wg + s.arm_id
         ks = np.arange(s.weights.size)
-        idx[s.output_index, s.offset + ks] = flat_arm * slots + (ks % slots)
-        c_fold[s.layer_index][s.output_index] = s.c_fold
-    layer_ids = tuple(sorted(shapes))
-    return PhotonicMapping(plan, layer_ids, mr_index, c_fold, comb)
+        mr_index[s.layer_index][s.output_index, s.offset + ks] = \
+            flat_arm * slots + (ks % slots)
+    return PhotonicMapping(mr_index, comb)
 
 
 def _perturbation_ratios(design: MrDesign, comb: Sequence[float],
@@ -467,10 +448,12 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
 
     Binarized layers run optically: activations and dual-rail weight
     occupancies are scaled by their MR's transmission ratio and clamped to
-    [0, 1]; per-arm partial sums are scaled by the broadband C_fold gain.
-    Non-binarized layers, nonlinearities, quantization and pooling run
-    exactly in the ECU. ``tuning_fraction`` = 1 reproduces the reference
-    forward pass (ratios are identically 1).
+    [0, 1]. Batch norm is always folded: the broadband C_fold gain scales
+    the partial sums after the following nonlinearity. Non-binarized layers,
+    nonlinearities, quantization and pooling run exactly in the ECU, through
+    the same layer walk as ``bnn.reference_inference``. ``tuning_fraction``
+    = 1 reproduces the folded reference forward pass (ratios are identically
+    1).
     """
     if not (0.0 <= tuning_fraction <= 1.0):
         raise DomainError("tuning_fraction must be in [0, 1]")
@@ -491,107 +474,31 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
                                   chip_map.weight_neg_delta_nm, slots,
                                   residual)
 
+    def photonic_dot(li, layer, v):
+        if not layer.binarized:
+            return exact_dot(li, layer, v)
+        w = layer.effective_weights()
+        w = w.reshape(w.shape[0], -1)
+        idx = mapping.mr_index[li]
+        pad = idx < 0
+        ratios = []
+        for rho in (rho_act, rho_wp, rho_wn):
+            r = rho[np.maximum(idx, 0)]
+            r[pad] = 1.0
+            ratios.append(r)
+        out = _kernels.noisy_fc_forward(
+            v.reshape(-1, v.shape[-1]), (w > 0).astype(np.float64),
+            (w < 0).astype(np.float64), *ratios)
+        return out.reshape(*v.shape[:-1], -1)
+
     a = np.asarray(x, dtype=np.float64)
     if a.ndim == 1:
         a = a[None, :]
-    pending_fold = None
-
-    def flush_fold(val):
-        nonlocal pending_fold
-        if pending_fold is not None:
-            val = _scale_channels(val, pending_fold)
-            pending_fold = None
-        return val
-
-    for li, layer in enumerate(model.layers):
-        if layer.kind == LayerKind.FULLY_CONNECTED:
-            a = flush_fold(a)
-            if a.ndim > 2:
-                a = a.reshape(a.shape[0], -1)
-            if layer.binarized:
-                a = _noisy_fc(a, layer, mapping, li, rho_act, rho_wp, rho_wn)
-            else:
-                a = a @ layer.effective_weights().T
-            pending_fold = mapping.c_fold[li]
-        elif layer.kind == LayerKind.CONV2D:
-            a = flush_fold(a)
-            if layer.binarized:
-                a = _noisy_conv(a, layer, mapping, li, rho_act, rho_wp,
-                                rho_wn)
-            else:
-                from .bnn import im2col
-                k = layer.effective_weights()
-                cols, oh, ow = im2col(a, k.shape[2], k.shape[3], layer.stride)
-                out = cols @ k.reshape(k.shape[0], -1).T
-                a = out.transpose(0, 2, 1).reshape(a.shape[0], k.shape[0],
-                                                   oh, ow)
-            pending_fold = mapping.c_fold[li]
-        elif layer.kind == LayerKind.BATCH_NORM:
-            # The photonic path always folds; C_fold rides on the plan and
-            # is applied after the next nonlinearity.
-            continue
-        elif layer.kind == LayerKind.ACTIVATION:
-            if layer.activation == "relu":
-                a = np.maximum(a, 0.0)
-            a = flush_fold(a)
-            if layer.quantize:
-                a = quantize_activation(a, model.activation_bits,
-                                        *layer.act_range)
-        elif layer.kind == LayerKind.POOL:
-            from .bnn import _apply_pool
-            a = flush_fold(a)
-            a = _apply_pool(a, layer.pool_window, layer.pool_mode)
-    a = flush_fold(a)
-    logits = a.reshape(a.shape[0], -1)
+    logits = forward(model, a, photonic_dot, folded=True)
     predictions = np.argmax(logits, axis=1)
     acc = float(np.mean(predictions == np.asarray(y))) if y is not None \
         else float("nan")
     return NoisyInferenceResult(acc, logits, predictions)
-
-
-def _scale_channels(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    if a.ndim == 4:
-        return a * scale[None, :, None, None]
-    return a * scale[None, :]
-
-
-def _gather_ratios(mapping: PhotonicMapping, li: int, rho_act, rho_wp,
-                   rho_wn):
-    idx = mapping.mr_index[li]
-    safe = np.maximum(idx, 0)
-    ra = rho_act[safe]
-    rp = rho_wp[safe]
-    rn = rho_wn[safe]
-    mask = idx < 0
-    ra[mask] = 1.0
-    rp[mask] = 1.0
-    rn[mask] = 1.0
-    return ra, rp, rn
-
-
-def _rails(weights_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (weights_eff > 0).astype(np.float64), \
-           (weights_eff < 0).astype(np.float64)
-
-
-def _noisy_fc(a, layer, mapping, li, rho_act, rho_wp, rho_wn):
-    w_eff = layer.effective_weights()
-    wp, wn = _rails(w_eff)
-    ra, rp, rn = _gather_ratios(mapping, li, rho_act, rho_wp, rho_wn)
-    return _kernels.noisy_fc_forward(a, wp, wn, ra, rp, rn)
-
-
-def _noisy_conv(a, layer, mapping, li, rho_act, rho_wp, rho_wn):
-    from .bnn import im2col
-    k = layer.effective_weights()
-    oc, ic, kh, kw = k.shape
-    cols, oh, ow = im2col(a, kh, kw, layer.stride)
-    n, pos, depth = cols.shape
-    wp, wn = _rails(k.reshape(oc, -1))
-    ra, rp, rn = _gather_ratios(mapping, li, rho_act, rho_wp, rho_wn)
-    flat = _kernels.noisy_fc_forward(cols.reshape(n * pos, depth), wp, wn,
-                                     ra, rp, rn)
-    return flat.reshape(n, pos, oc).transpose(0, 2, 1).reshape(n, oc, oh, ow)
 
 
 def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
@@ -624,7 +531,7 @@ def required_bandwidth_gb_s(cfg: AcceleratorConfig,
     one fresh activation word per DAC; binary weights ride on switch
     settings loaded alongside and are not charged.
     """
-    t_del = env.delays.resolve_t_del(env.power)
+    t_del = env.delays.resolve_t_del(env.power, env.tuning_params)
     bits_per_window = cfg.dacs_per_vdp * cfg.n_vdp * activation_bits
     return bits_per_window / t_del / 8.0   # bits/ns -> GB/s
 

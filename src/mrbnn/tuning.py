@@ -80,7 +80,6 @@ class BankBudget:
     eo_power_mw: float
     to_power_mw: float
     worst_latency_ns: float
-    to_reduction_fraction: float
 
 
 def fold_to_nearest_resonance(delta_lambda_nm: float, fsr_nm: float) -> float:
@@ -182,36 +181,35 @@ def ted_tuning_power(target_shifts_nm: Sequence[float], spacings_um,
     return TedResult(p_naive, p_ted, reduction)
 
 
-def bank_tuning_budget(delta_lambdas_nm: Sequence[float],
-                       tuning_fraction: float, spacing_um: float,
-                       params: TuningParams) -> BankBudget:
-    """Aggregate correction power for one MR bank.
+def bank_tuning_budget(delta_lambdas_nm, tuning_fraction: float,
+                       spacing_um: float, params: TuningParams) -> BankBudget:
+    """Aggregate correction power of one MR bank or of [n_banks, bank_size].
 
     Each MR corrects ``tuning_fraction`` of its (nearest-resonance folded)
-    FPV shift; EO portions are summed directly, TO portions are tuned
-    collectively through the TED solve.
+    FPV shift; EO covers up to ``eo_max_shift_nm`` and is summed directly,
+    the TO remainders of each bank are tuned collectively through the TED
+    solve. All banks share one uniform layout, hence one crosstalk matrix.
+    Powers are totals over all banks; the latency is the worst bank's.
     """
     if not (0.0 <= tuning_fraction <= 1.0):
         raise DomainError("tuning_fraction must be in [0, 1]")
-    deltas = np.asarray(delta_lambdas_nm, dtype=np.float64)
-    folded = np.array([fold_to_nearest_resonance(d, params.fsr_nm)
-                       for d in deltas])
+    deltas = np.atleast_2d(np.asarray(delta_lambdas_nm, dtype=np.float64))
+    folded = np.abs(deltas) % params.fsr_nm
+    folded = np.minimum(folded, params.fsr_nm - folded)
     corrected = tuning_fraction * folded
-    splits = [hybrid_split(c, params) for c in corrected]
-    eo_power = sum(s.eo_shift_nm for s in splits) * params.eo_power_uw_per_nm * 1e-3
-    to_targets = np.array([s.to_shift_nm for s in splits])
-    if np.any(to_targets > 0):
-        positions = uniform_positions_um(len(splits), spacing_um)
-        ted = ted_tuning_power(to_targets, positions, params)
-        to_power = ted.p_ted_mw
-        to_reduction = ted.reduction_fraction
-        latency = params.to_latency_ns
-    else:
-        to_power = 0.0
-        to_reduction = 0.0
-        latency = params.eo_latency_ns
-    return BankBudget(eo_power + to_power, eo_power, to_power, latency,
-                      to_reduction)
+    eo = np.minimum(corrected, params.eo_max_shift_nm)
+    to = corrected - eo
+    eo_power = float(np.sum(eo)) * params.eo_power_uw_per_nm * 1e-3
+    if not np.any(to > 0):
+        return BankBudget(eo_power, eo_power, 0.0, params.eo_latency_ns)
+    k = thermal_crosstalk_matrix(
+        uniform_positions_um(deltas.shape[1], spacing_um),
+        params.crosstalk_eta, params.crosstalk_decay_um)
+    _check_dominance(k)
+    s = np.linalg.solve(k, to.T)
+    to_power = float(np.sum(np.abs(s))) / params.heater_efficiency_nm_per_mw
+    return BankBudget(eo_power + to_power, eo_power, to_power,
+                      params.to_latency_ns)
 
 
 def ted_spacing_sweep(spacings_um: Sequence[float], n_mrs: int,

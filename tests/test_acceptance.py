@@ -19,17 +19,6 @@ from mrbnn.tuning import (TuningParams, ted_tuning_power,
                           uniform_positions_um)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # pay one-time JIT compilation outside the timed sections
-    _kernels.all_pass_transmission(np.array([0.5]), 0.9, 0.95)
-    _kernels.channel_noise_powers(np.array([1550.0, 1551.0]), 5000.0,
-                                  np.ones(2))
-    _kernels.noisy_fc_forward(np.ones((1, 1)), np.ones((1, 1)),
-                              np.zeros((1, 1)), np.ones((1, 1)),
-                              np.ones((1, 1)), np.ones((1, 1)))
-
-
 def report(n, elapsed, budget, detail):
     print(f"CRITERION {n}: PASS ({elapsed:.2f}s < {budget:.0f}s) {detail}")
 

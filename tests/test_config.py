@@ -4,8 +4,8 @@ import yaml
 from mrbnn import config
 from mrbnn.config import (ToolkitConfig, arch_config, build_designs,
                           build_environment, config_from_dict,
-                          config_to_dict, dump_config, geometry_surrogate,
-                          load_config, population_design, sweep_spec,
+                          config_to_dict, dump_config, load_config,
+                          population_design, sweep_spec,
                           workload_structures)
 from mrbnn.errors import ConfigError
 from mrbnn.photonics import RingClass, fwhm_and_q
@@ -47,10 +47,6 @@ class TestDefaults:
         d = population_design(toolkit_config)
         assert d.sensitivity_slopes == \
             toolkit_config.fpv_population.slopes_nm_per_nm
-
-    def test_surrogate(self, toolkit_config):
-        surr = geometry_surrogate(toolkit_config)
-        assert surr(400.0, 220.0, 5000.0) == pytest.approx(surr.lambda0_nm)
 
     def test_sweep_spec(self, toolkit_config):
         spec = sweep_spec(toolkit_config)

@@ -8,13 +8,15 @@ rng = np.random.Generator(np.random.PCG64(71))
 
 
 class TestBackendEquivalence:
-    """The numba kernels and the numpy fallback must agree tightly."""
+    """The vectorized kernels must agree tightly with scalar loop forms."""
 
     def test_all_pass(self):
         cos_phi = np.cos(rng.uniform(0, 2 * np.pi, 5000))
-        a = _kernels.all_pass_transmission(cos_phi, 0.96, 0.99)
-        b = _kernels.all_pass_transmission_numpy(cos_phi, 0.96, 0.99)
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
+        got = _kernels.all_pass_transmission(cos_phi, 0.96, 0.99)
+        ra = 0.96 * 0.99
+        expected = [(0.99**2 - 2 * ra * c + 0.96**2)
+                    / (1 - 2 * ra * c + ra**2) for c in cos_phi]
+        assert np.allclose(got, expected, rtol=1e-13, atol=1e-15)
 
     def test_all_pass_scalar(self):
         got = _kernels.all_pass_transmission(1.0, 0.5, 0.5)
@@ -24,11 +26,16 @@ class TestBackendEquivalence:
     def test_channel_noise(self):
         lams = 1550.0 + np.arange(15) - 7.0
         p = rng.uniform(0.1, 1.0, 15)
-        a = _kernels.channel_noise_powers(lams, 5425.0, p)
-        b = _kernels.channel_noise_powers_numpy(lams, 5425.0, p)
-        assert np.allclose(a, b, rtol=1e-13)
+        got = _kernels.channel_noise_powers(lams, 5425.0, p)
+        expected = np.zeros(15)
+        for i in range(15):
+            d2 = (lams[i] / (2 * 5425.0)) ** 2
+            expected[i] = sum(d2 / ((lams[i] - lams[j]) ** 2 + d2) * p[j]
+                              for j in range(15) if j != i)
+        assert np.allclose(got, expected, rtol=1e-13)
 
     def test_noisy_fc(self):
+        # row by row: one clipped GEMV per output
         n, o, k = 13, 7, 9
         acts = rng.uniform(0, 1, (n, k))
         w = np.sign(rng.normal(size=(o, k)))
@@ -37,9 +44,11 @@ class TestBackendEquivalence:
         ra = rng.uniform(0.8, 3.0, (o, k))
         rp = rng.uniform(0.8, 3.0, (o, k))
         rn = rng.uniform(0.8, 3.0, (o, k))
-        a = _kernels.noisy_fc_forward(acts, wp, wn, ra, rp, rn)
-        b = _kernels.noisy_fc_forward_numpy(acts, wp, wn, ra, rp, rn)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, rp, rn)
+        rail = np.clip(wp * rp, 0, 1) - np.clip(wn * rn, 0, 1)
+        expected = np.stack([np.clip(acts * ra[j], 0, 1) @ rail[j]
+                             for j in range(o)], axis=1)
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
 class TestNoisyFcSemantics:
@@ -90,5 +99,4 @@ class TestDeterminism:
         assert a.tobytes() == b.tobytes()
 
     def test_backend_flag_consistent(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-        assert _kernels.USING_NUMBA == (_kernels.BACKEND == "numba")
+        assert _kernels.BACKEND == "numpy"

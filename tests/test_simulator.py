@@ -120,7 +120,7 @@ class TestPipeline:
     def test_t_del_is_full_path(self, env, eo_cfg):
         t = pipeline_time(ModelStructure("m", (10,)), eo_cfg, env)
         p = env.power
-        expected = (p.dac.latency_ns + p.eo_tune_latency_ns
+        expected = (p.dac.latency_ns + env.tuning_params.eo_latency_ns
                     + p.photodetector.latency_ns + p.tia.latency_ns
                     + p.vcsel.latency_ns + p.adc.latency_ns)
         assert t.t_del_ns == pytest.approx(expected, rel=1e-12)
@@ -296,17 +296,47 @@ class TestNoisyInference:
         x = rng.uniform(0, 1, size=(10, 8))
         ref, _ = reference_inference(model, x, folded=True)
         res = noisy_inference(model, x, None, eo_cfg, env, 1.0, seed=0)
-        assert np.allclose(res.logits, ref, atol=1e-9)
+        assert np.array_equal(res.logits, ref)
 
-    def test_conv_noisy_path(self, env, eo_cfg):
+    @pytest.mark.parametrize(
+        "case", ["single-conv", "conv-bn-act-pool", "unbinarized-conv"])
+    def test_conv_noisy_path(self, env, eo_cfg, case):
         rng = np.random.Generator(np.random.PCG64(43))
-        model = QuantModel((
-            bnn.conv_layer(rng.normal(size=(2, 1, 2, 2)), binarized=True),
-            activation_layer(),))
-        x = rng.uniform(0, 1, size=(4, 1, 5, 5))
-        ref, _ = reference_inference(model, x)
+        if case == "single-conv":
+            model = QuantModel((
+                bnn.conv_layer(rng.normal(size=(2, 1, 2, 2)), binarized=True),
+                activation_layer(),))
+            x = rng.uniform(0, 1, size=(4, 1, 5, 5))
+        else:
+            # the first block of the conv-sim benchmark model
+            model = QuantModel((
+                bnn.conv_layer(rng.normal(size=(16, 3, 3, 3)),
+                               binarized=case == "conv-bn-act-pool"),
+                bnn.batch_norm_layer(rng.uniform(0.5, 1.5, 16),
+                                     rng.normal(0.0, 0.1, 16),
+                                     rng.normal(0.0, 0.1, 16),
+                                     rng.uniform(0.5, 1.5, 16)),
+                activation_layer(), bnn.pool_layer(2),
+                fc_layer(rng.normal(size=(10, 16 * 4 * 4)),
+                         binarized=False)))
+            x = rng.uniform(0, 1, size=(3, 3, 10, 10))
+        ref, _ = reference_inference(model, x, folded=True)
         res = noisy_inference(model, x, None, eo_cfg, env, 1.0, seed=0)
-        assert np.allclose(res.logits, ref, atol=1e-9)
+        assert np.array_equal(res.logits, ref)
+
+    def test_errors_match_reference(self, env, eo_cfg):
+        rng = np.random.Generator(np.random.PCG64(53))
+        w = rng.normal(size=(4, 6))
+        x = rng.uniform(0, 1, size=(2, 6))
+        bad_act = QuantModel((fc_layer(w), activation_layer("tanh")))
+        bad_width = QuantModel((fc_layer(w),))
+        for model, inputs in ((bad_act, x), (bad_width, x[:, :5])):
+            with pytest.raises(DomainError) as ref_err:
+                reference_inference(model, inputs)
+            with pytest.raises(DomainError) as noisy_err:
+                noisy_inference(model, inputs, None, eo_cfg, env, 1.0,
+                                seed=0)
+            assert str(noisy_err.value) == str(ref_err.value)
 
 
 class TestAccuracySweep:

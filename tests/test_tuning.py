@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mrbnn.errors import DomainError, IllConditionedLayoutError
-from mrbnn.tuning import (BankBudget, TuningParams, bank_tuning_budget,
+from mrbnn.tuning import (TuningParams, bank_tuning_budget,
                           fold_to_nearest_resonance, hybrid_split,
                           ted_spacing_sweep, ted_tuning_power,
                           thermal_crosstalk_matrix, uniform_positions_um)
@@ -160,37 +160,83 @@ class TestTed:
 
 class TestBankBudget:
     def test_zero_fraction_zero_power(self, params):
-        b = bank_tuning_budget([1.0, 2.0, 3.0], 0.0, 5.0, params)
+        banks = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        b = bank_tuning_budget(banks, 0.0, 5.0, params)
         assert b.total_power_mw == 0.0
 
     def test_monotone_in_fraction(self, params):
-        deltas = [0.4, 1.2, 2.5, 0.9]
-        budgets = [bank_tuning_budget(deltas, f, 5.0, params).total_power_mw
+        banks = np.array([[0.4, 1.2, 2.5, 0.9], [3.0, 0.1, 1.7, 2.2]])
+        budgets = [bank_tuning_budget(banks, f, 5.0, params).total_power_mw
                    for f in (0.2, 0.5, 0.8, 1.0)]
         assert all(b1 <= b2 + 1e-12 for b1, b2 in zip(budgets, budgets[1:]))
         assert budgets[1] < budgets[3]
 
     def test_eo_only_arithmetic(self, params):
-        b = bank_tuning_budget([1.0] * 10, 0.8, 5.0, params)
+        b = bank_tuning_budget(np.ones((3, 10)), 0.8, 5.0, params)
         assert b.to_power_mw == 0.0
-        # 10 MRs * 0.8 nm * 4 uW/nm = 32 uW
-        assert b.total_power_mw == pytest.approx(0.032, rel=1e-12)
+        # 3 banks * 10 MRs * 0.8 nm * 4 uW/nm = 96 uW
+        assert b.total_power_mw == pytest.approx(0.096, rel=1e-12)
         assert b.worst_latency_ns == params.eo_latency_ns
 
     def test_to_engages_latency(self, params):
-        b = bank_tuning_budget([5.0] * 4, 1.0, 5.0, params)
+        # one all-EO bank and one bank that needs heaters
+        b = bank_tuning_budget(np.array([[0.5] * 4, [5.0] * 4]), 1.0, 5.0,
+                               params)
         assert b.to_power_mw > 0
         assert b.worst_latency_ns == params.to_latency_ns
 
     def test_folding_applied(self, params):
-        near = bank_tuning_budget([0.5], 1.0, 5.0, params).total_power_mw
-        wrapped = bank_tuning_budget([params.fsr_nm - 0.5], 1.0, 5.0,
-                                     params).total_power_mw
+        near = bank_tuning_budget([[0.5, 3.0]], 1.0, 5.0,
+                                  params).total_power_mw
+        wrapped = bank_tuning_budget(
+            [[params.fsr_nm - 0.5, -(2 * params.fsr_nm + 3.0)]], 1.0, 5.0,
+            params).total_power_mw
         assert wrapped == pytest.approx(near, rel=1e-9)
+
+    def test_single_bank_is_one_row(self, params):
+        deltas = [0.4, 1.2, 2.5, 0.9]
+        assert bank_tuning_budget(deltas, 0.8, 5.0, params) \
+            == bank_tuning_budget([deltas], 0.8, 5.0, params)
 
     def test_bad_fraction(self, params):
         with pytest.raises(DomainError):
-            bank_tuning_budget([1.0], 1.5, 5.0, params)
+            bank_tuning_budget([[1.0]], 1.5, 5.0, params)
+
+    def test_dense_layout_rejected(self):
+        dense = TuningParams(crosstalk_eta=0.5, crosstalk_decay_um=50.0)
+        with pytest.raises(IllConditionedLayoutError):
+            bank_tuning_budget(np.full((2, 10), 5.0), 1.0, 5.0, dense)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scalar_oracles(self, params, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n_banks, size = 7, 9
+        banks = rng.normal(0.0, 12.0, (n_banks, size))
+        banks[0] = rng.uniform(-0.9, 0.9, size)                   # all EO
+        banks[1] += rng.choice([-2.0, 1.0, 3.0], size) * params.fsr_nm
+        fraction = rng.uniform(0.3, 1.0)
+        spacing = 5.0
+        eo_nm = 0.0
+        to_mw = 0.0
+        for bank in banks:
+            splits = [hybrid_split(
+                fraction * fold_to_nearest_resonance(d, params.fsr_nm),
+                params) for d in bank]
+            eo_nm += sum(s.eo_shift_nm for s in splits)
+            to = np.array([s.to_shift_nm for s in splits])
+            if np.any(to > 0):
+                to_mw += ted_tuning_power(
+                    to, uniform_positions_um(size, spacing),
+                    params).p_ted_mw
+        eo_mw = eo_nm * params.eo_power_uw_per_nm * 1e-3
+        b = bank_tuning_budget(banks, fraction, spacing, params)
+        assert b.eo_power_mw == pytest.approx(eo_mw, rel=1e-12)
+        assert b.to_power_mw == pytest.approx(to_mw, rel=1e-12)
+        assert b.total_power_mw == pytest.approx(eo_mw + to_mw, rel=1e-12)
+        assert b.worst_latency_ns == params.to_latency_ns
+        all_eo = bank_tuning_budget(banks[:1], fraction, spacing, params)
+        assert all_eo.to_power_mw == 0.0
+        assert all_eo.worst_latency_ns == params.eo_latency_ns
 
 
 class TestSpacingSweep:
