@@ -118,7 +118,8 @@ def cmd_fpv_sweep(args, cfg: cfgmod.ToolkitConfig) -> int:
     data = _dataset(cfg)
     fractions = (_parse_fractions(args.fractions) if args.fractions
                  else list(cfg.experiment.tuning_fractions))
-    n_maps = args.seeds if args.seeds else cfg.experiment.n_fpv_maps
+    n_maps = (args.seeds if args.seeds is not None
+              else cfg.experiment.n_fpv_maps)
     rows = simulator.fpv_accuracy_sweep(
         model, data.x_test, data.y_test, arch, env, fractions, n_maps,
         cfg.experiment.map_seed)

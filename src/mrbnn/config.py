@@ -5,6 +5,17 @@ the defaults; unknown keys are rejected, physical quantities carry their
 unit in the key name, and a round trip through ``config_to_dict`` /
 ``config_from_dict`` reproduces an equal value.
 
+Where the simulator runs on a dataclass of the same shape, that runtime
+class is the schema node itself: ``fpv`` is ``FpvStatistics``, ``tuning``
+``TuningParams``, ``loss`` ``LossBudget``, ``power_table``
+``DevicePowerTable``, ``area`` ``AreaConstants`` and ``accelerator``
+``AcceleratorConfig``. Their ``__post_init__`` value checks therefore run
+while the config loads, and a failed check is reported as a ``ConfigError``
+naming the section. A field marked ``metadata={"derived": True}`` (the
+tuning FSR, set from each ring's design) is not a config key. The other
+sections are config-only nodes, because their runtime counterparts have a
+different shape.
+
 Calibration notes baked into the defaults:
 
 * multi-bit ring coupling (r = 0.9615186232399865 with a = 0.99) places the
@@ -26,6 +37,7 @@ Calibration notes baked into the defaults:
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 from dataclasses import dataclass, replace
@@ -33,11 +45,11 @@ from dataclasses import dataclass, replace
 import yaml
 
 from .dse import SweepSpec
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .mapping import AcceleratorConfig, ModelStructure
 from .photonics import FpvStatistics, MrDesign, RingClass
-from .simulator import (AreaConstants, DeviceEntry, DevicePowerTable,
-                        LossBudget, PipelineDelays, SimulationEnvironment)
+from .simulator import (AreaConstants, DevicePowerTable, LossBudget,
+                        PipelineDelays, SimulationEnvironment)
 from .tuning import TuningParams
 
 
@@ -83,13 +95,6 @@ class DeviceClassesConfig:
 
 
 @dataclass(frozen=True)
-class FpvConfig:
-    mean_nm: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    sigma_nm: tuple[float, float, float] = (4.9, 1.5, 0.75)
-    seed: int = 1234
-
-
-@dataclass(frozen=True)
 class FpvPopulationConfig:
     """Slope calibration reproducing the reported wafer shift population."""
 
@@ -98,70 +103,18 @@ class FpvPopulationConfig:
 
 
 @dataclass(frozen=True)
-class TuningConfig:
-    eo_power_uw_per_nm: float = 4.0
-    eo_max_shift_nm: float = 1.0
-    eo_latency_ns: float = 20.0
-    to_power_mw_per_fsr: float = 27.5
-    to_latency_us: float = 4.0
-    crosstalk_eta: float = 0.0946
-    crosstalk_decay_um: float = 16.6
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    propagation_db_per_cm: float = 1.0
-    splitter_db: float = 0.13
-    combiner_db: float = 0.9
-    mr_through_db: float = 0.02
-    mr_modulation_db: float = 0.72
-    eo_tuning_db_per_cm: float = 6.0
-    to_tuning_db_per_cm: float = 1.0
-    broadband_insertion_db: float = 4.71
-    detector_sensitivity_dbm: float = -20.0
-
-
-@dataclass(frozen=True)
-class DeviceEntryConfig:
-    power_mw: float
-    latency_ns: float
-
-
-@dataclass(frozen=True)
-class PowerTableConfig:
-    vcsel: DeviceEntryConfig = DeviceEntryConfig(0.66, 10.0)
-    tia: DeviceEntryConfig = DeviceEntryConfig(7.2, 0.15)
-    photodetector: DeviceEntryConfig = DeviceEntryConfig(2.8, 0.0058)
-    dac: DeviceEntryConfig = DeviceEntryConfig(59.7, 0.33)
-    adc: DeviceEntryConfig = DeviceEntryConfig(62.0, 24.0)
-
-
-@dataclass(frozen=True)
 class DelaysConfig:
     clock_ghz: float = 2.5
     ecu_buffer_params: int = 100_000
     t_del_ns: float | None = None   # None: one full optical path latency
 
-
-@dataclass(frozen=True)
-class AreaConfig:
-    vdp_overhead_mm2: float = 0.002
-    dac_block_mm2: float = 0.011
-    adc_block_mm2: float = 0.00285
-    global_overhead_mm2: float = 0.1
-
-
-@dataclass(frozen=True)
-class ArchConfig:
-    n_a: int = 10
-    n_vdp: int = 50
-    n_wg: int = 10
-    n_b: int = 1
-    mrs_per_bank_max: int = 15
-    channel_spacing_nm: float = 1.0
-    center_wavelength_nm: float = 1550.0
-    mr_pitch_um: float = 5.0
-    passband_nm: float = 20.0
+    def __post_init__(self):
+        if not self.clock_ghz > 0:
+            raise DomainError("clock_ghz must be > 0")
+        if self.ecu_buffer_params < 0:
+            raise DomainError("ecu_buffer_params must be >= 0")
+        if self.t_del_ns is not None and self.t_del_ns < 0:
+            raise DomainError("t_del_ns must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -210,6 +163,13 @@ class ExperimentConfig:
     map_seed: int = 100
     tuning_fraction: float = 0.8
 
+    def __post_init__(self):
+        if self.n_fpv_maps < 1:
+            raise DomainError("n_fpv_maps must be >= 1")
+        if not all(0.0 <= f <= 1.0
+                   for f in (*self.tuning_fractions, self.tuning_fraction)):
+            raise DomainError("tuning fractions must be in [0, 1]")
+
 
 _DEFAULT_WORKLOAD = (
     WorkloadModelConfig("net60k", (59508, 1064, 70)),
@@ -222,14 +182,17 @@ _DEFAULT_WORKLOAD = (
 @dataclass(frozen=True)
 class ToolkitConfig:
     device_classes: DeviceClassesConfig = DeviceClassesConfig()
-    fpv: FpvConfig = FpvConfig()
+    fpv: FpvStatistics = FpvStatistics(seed=1234)
     fpv_population: FpvPopulationConfig = FpvPopulationConfig()
-    tuning: TuningConfig = TuningConfig()
-    loss: LossConfig = LossConfig()
-    power_table: PowerTableConfig = PowerTableConfig()
+    # The FSR is bound to a ring's design by build_tuning_params (and per
+    # ring class in the simulator); an infinite placeholder keeps the
+    # eo_max_shift_nm < FSR check from running against a default ring.
+    tuning: TuningParams = TuningParams(fsr_nm=math.inf)
+    loss: LossBudget = LossBudget()
+    power_table: DevicePowerTable = DevicePowerTable()
     delays: DelaysConfig = DelaysConfig()
-    area: AreaConfig = AreaConfig()
-    accelerator: ArchConfig = ArchConfig()
+    area: AreaConstants = AreaConstants()
+    accelerator: AcceleratorConfig = AcceleratorConfig(10, 50, 10)
     arch_presets: ArchPresetsConfig = ArchPresetsConfig()
     sweep: SweepConfig = SweepConfig()
     workload: tuple[WorkloadModelConfig, ...] = _DEFAULT_WORKLOAD
@@ -254,7 +217,7 @@ def _coerce(tp, value, path: str):
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected a mapping")
-        return _construct(tp, value, path)
+        return _build(tp, value, path)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list")
@@ -284,49 +247,47 @@ def _coerce(tp, value, path: str):
     raise ConfigError(f"{path}: unsupported config type {tp!r}")
 
 
-def _construct(cls, data: dict, path: str):
-    """Build a dataclass from a complete mapping (used for list entries)."""
+def _fields(cls) -> list[dataclasses.Field]:
+    """The config keys of a node: its fields, less the derived ones."""
+    return [f for f in dataclasses.fields(cls)
+            if not f.metadata.get("derived")]
+
+
+def _build(cls, data: dict, path: str, base=None):
+    """Build node ``cls`` from a mapping, overlaid on ``base`` when given.
+
+    Without a base (list entries) every field lacking a default is required.
+    The node's own value checks fail as config errors.
+    """
     hints = typing.get_type_hints(cls)
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(fields))
+    fields = _fields(cls)
+    where = path or cls.__name__
+    unknown = sorted(set(data) - {f.name for f in fields})
     if unknown:
-        raise ConfigError(f"{path or cls.__name__}: unknown keys {unknown}")
-    missing = [n for n, f in fields.items()
-               if n not in data and f.default is dataclasses.MISSING
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    missing = [f.name for f in fields if base is None and f.name not in data
+               and f.default is dataclasses.MISSING
                and f.default_factory is dataclasses.MISSING]
     if missing:
-        raise ConfigError(f"{path or cls.__name__}: missing keys {missing}")
-    kwargs = {n: _coerce(hints[n], v, f"{path}.{n}" if path else n)
-              for n, v in data.items()}
-    return cls(**kwargs)
-
-
-def _merge_into(instance, data: dict, path: str):
-    """Overlay a partial mapping onto a default dataclass instance."""
-    cls = type(instance)
-    hints = typing.get_type_hints(cls)
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
-    if unknown:
-        raise ConfigError(f"{path or cls.__name__}: unknown keys {unknown}")
+        raise ConfigError(f"{where}: missing keys {missing}")
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        current = getattr(instance, f.name)
-        sub_path = f"{path}.{f.name}" if path else f.name
+    for name, value in data.items():
+        sub_path = f"{path}.{name}" if path else name
+        current = getattr(base, name, None)
         if dataclasses.is_dataclass(current) and isinstance(value, dict):
-            kwargs[f.name] = _merge_into(current, value, sub_path)
+            kwargs[name] = _build(type(current), value, sub_path, current)
         else:
-            kwargs[f.name] = _coerce(hints[f.name], value, sub_path)
-    return replace(instance, **kwargs) if kwargs else instance
+            kwargs[name] = _coerce(hints[name], value, sub_path)
+    try:
+        return cls(**kwargs) if base is None else replace(base, **kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _plain(value):
     if dataclasses.is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
+                for f in _fields(type(value))}
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     return value
@@ -337,7 +298,7 @@ def config_from_dict(data: dict) -> ToolkitConfig:
         return ToolkitConfig()
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    return _merge_into(ToolkitConfig(), data, "")
+    return _build(ToolkitConfig, data, "", ToolkitConfig())
 
 
 def config_to_dict(cfg: ToolkitConfig) -> dict:
@@ -394,70 +355,32 @@ def build_designs(cfg: ToolkitConfig) -> dict[RingClass, MrDesign]:
             for rc, name in _CLASS_FIELD.items()}
 
 
-def build_tuning_params(cfg: ToolkitConfig,
-                        fsr_nm: float | None = None) -> TuningParams:
-    t = cfg.tuning
+def build_tuning_params(cfg: ToolkitConfig) -> TuningParams:
+    """The tuning rates bound to the multi-bit ring's FSR."""
     mb = build_design(cfg.device_classes.multi_bit, RingClass.MULTI_BIT)
-    return TuningParams(
-        eo_power_uw_per_nm=t.eo_power_uw_per_nm,
-        eo_max_shift_nm=t.eo_max_shift_nm, eo_latency_ns=t.eo_latency_ns,
-        to_power_mw_per_fsr=t.to_power_mw_per_fsr,
-        to_latency_us=t.to_latency_us,
-        fsr_nm=fsr_nm if fsr_nm is not None else mb.fsr_nm,
-        crosstalk_eta=t.crosstalk_eta,
-        crosstalk_decay_um=t.crosstalk_decay_um)
+    return replace(cfg.tuning, fsr_nm=mb.fsr_nm)
 
 
 def build_environment(cfg: ToolkitConfig) -> SimulationEnvironment:
-    p = cfg.power_table
     clock_ns = 1.0 / cfg.delays.clock_ghz
     return SimulationEnvironment(
-        designs=build_designs(cfg),
-        loss=LossBudget(
-            propagation_db_per_cm=cfg.loss.propagation_db_per_cm,
-            splitter_db=cfg.loss.splitter_db,
-            combiner_db=cfg.loss.combiner_db,
-            mr_through_db=cfg.loss.mr_through_db,
-            mr_modulation_db=cfg.loss.mr_modulation_db,
-            eo_tuning_db_per_cm=cfg.loss.eo_tuning_db_per_cm,
-            to_tuning_db_per_cm=cfg.loss.to_tuning_db_per_cm,
-            broadband_insertion_db=cfg.loss.broadband_insertion_db,
-            detector_sensitivity_dbm=cfg.loss.detector_sensitivity_dbm),
-        power=DevicePowerTable(
-            vcsel=DeviceEntry(p.vcsel.power_mw, p.vcsel.latency_ns),
-            tia=DeviceEntry(p.tia.power_mw, p.tia.latency_ns),
-            photodetector=DeviceEntry(p.photodetector.power_mw,
-                                      p.photodetector.latency_ns),
-            dac=DeviceEntry(p.dac.power_mw, p.dac.latency_ns),
-            adc=DeviceEntry(p.adc.power_mw, p.adc.latency_ns)),
+        designs=build_designs(cfg), loss=cfg.loss, power=cfg.power_table,
         tuning_params=build_tuning_params(cfg),
         delays=PipelineDelays(
             local_buffer_ns=clock_ns, vector_distribution_ns=clock_ns,
             ecu_buffering_ns=clock_ns,
             ecu_buffer_params=cfg.delays.ecu_buffer_params,
             t_del_ns=cfg.delays.t_del_ns),
-        fpv=FpvStatistics(mean_nm=cfg.fpv.mean_nm, sigma_nm=cfg.fpv.sigma_nm,
-                          seed=cfg.fpv.seed),
-        area=AreaConstants(
-            vdp_overhead_mm2=cfg.area.vdp_overhead_mm2,
-            dac_block_mm2=cfg.area.dac_block_mm2,
-            adc_block_mm2=cfg.area.adc_block_mm2,
-            global_overhead_mm2=cfg.area.global_overhead_mm2))
+        fpv=cfg.fpv, area=cfg.area)
 
 
 def arch_config(cfg: ToolkitConfig, preset: str = "default") -> AcceleratorConfig:
-    a = cfg.accelerator
-    triple = (a.n_a, a.n_vdp, a.n_wg)
-    if preset != "default":
-        if not hasattr(cfg.arch_presets, preset):
-            raise ConfigError(f"unknown architecture preset {preset!r}")
-        triple = getattr(cfg.arch_presets, preset)
-    return AcceleratorConfig(
-        n_a=triple[0], n_vdp=triple[1], n_wg=triple[2], n_b=a.n_b,
-        mrs_per_bank_max=a.mrs_per_bank_max,
-        channel_spacing_nm=a.channel_spacing_nm,
-        center_wavelength_nm=a.center_wavelength_nm,
-        mr_pitch_um=a.mr_pitch_um, passband_nm=a.passband_nm)
+    if preset == "default":
+        return cfg.accelerator
+    if preset not in {f.name for f in _fields(ArchPresetsConfig)}:
+        raise ConfigError(f"unknown architecture preset {preset!r}")
+    n_a, n_vdp, n_wg = getattr(cfg.arch_presets, preset)
+    return replace(cfg.accelerator, n_a=n_a, n_vdp=n_vdp, n_wg=n_wg)
 
 
 def sweep_spec(cfg: ToolkitConfig) -> SweepSpec:

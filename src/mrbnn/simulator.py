@@ -50,9 +50,6 @@ class LossBudget:
     to_tuning_db_per_cm: float = 1.0
     broadband_insertion_db: float = 4.71   # 4.35 + 0.36 filter elements
     detector_sensitivity_dbm: float = -20.0
-    # intrinsic 1:2 power division charged per split stage when sizing the
-    # laser (kept apart from the excess splitter loss above)
-    fanout_db_per_stage: float = 10.0 * math.log10(2.0)
 
     def __post_init__(self):
         for name in ("propagation_db_per_cm", "splitter_db", "combiner_db",
@@ -211,7 +208,8 @@ def loss_accounting(cfg: AcceleratorConfig, env: SimulationEnvironment) -> PathL
     modulating, the EO/TO tuned ring segments, the broadband filter, the arm
     combiner, and the waveguide itself; the comb additionally traverses one
     excess-loss splitter per 1:2 fan-out stage. The intrinsic 1:2 power
-    division of those stages is reported separately as ``fanout_db``.
+    division of those stages, 10*log10(2) dB each, is reported separately
+    as ``fanout_db``.
     """
     mrs = cfg.mrs_per_arm
     length_cm = mrs * cfg.mr_pitch_um * 1e-4
@@ -225,7 +223,7 @@ def loss_accounting(cfg: AcceleratorConfig, env: SimulationEnvironment) -> PathL
         env.loss, length_cm=length_cm, splitters=stages, combiners=1,
         through_mrs=mrs, modulators=1, tuning_segment_cm=tuned_cm,
         broadband_mrs=cfg.n_b)
-    return PathLoss(arm_db, stages * env.loss.fanout_db_per_stage)
+    return PathLoss(arm_db, stages * (10.0 * math.log10(2.0)))
 
 
 def laser_power(n_lambda: int, total_loss_db: float,
@@ -372,17 +370,11 @@ def tuning_power_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
             continue
         budget = tuning.bank_tuning_budget(
             deltas.reshape(-1, bank_size), tuning_fraction, cfg.mr_pitch_um,
-            _params_for(env, ring_class))
+            replace(env.tuning_params,
+                    fsr_nm=env.designs[ring_class].fsr_nm))
         eo_total += budget.eo_power_mw
         to_total += budget.to_power_mw
     return eo_total, to_total
-
-
-def _params_for(env: SimulationEnvironment,
-                ring_class: RingClass) -> tuning.TuningParams:
-    design = env.designs[ring_class]
-    return replace(env.tuning_params, fsr_nm=design.fsr_nm,
-                   heater_efficiency_nm_per_mw=None)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +498,8 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
                        fractions: Sequence[float], n_maps: int,
                        base_seed: int) -> list[tuple[float, float, float]]:
     """(fraction, mean accuracy, std accuracy) over seeded FPV maps."""
+    if n_maps < 1:
+        raise DomainError("n_maps must be >= 1")
     mapping = build_photonic_mapping(model, cfg)
     maps = [chip_fpv_map(cfg, env, base_seed + i) for i in range(n_maps)]
     rows = []

@@ -13,7 +13,7 @@ pre-folded to the nearest resonance (<= FSR/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,24 +33,25 @@ class TuningParams:
     eo_latency_ns: float = 20.0
     to_power_mw_per_fsr: float = 27.5
     to_latency_us: float = 4.0
-    fsr_nm: float = _DEFAULT_FSR_NM
+    # set from the tuned ring's design, never from a config file
+    fsr_nm: float = field(default=_DEFAULT_FSR_NM, metadata={"derived": True})
     crosstalk_eta: float = 0.0946
     crosstalk_decay_um: float = 16.6
-    heater_efficiency_nm_per_mw: float | None = None
 
     def __post_init__(self):
         for name in ("eo_power_uw_per_nm", "eo_max_shift_nm", "eo_latency_ns",
-                     "to_power_mw_per_fsr", "to_latency_us", "fsr_nm",
-                     "crosstalk_eta", "crosstalk_decay_um"):
+                     "to_latency_us", "crosstalk_eta", "crosstalk_decay_um"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0")
+        for name in ("to_power_mw_per_fsr", "fsr_nm"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"{name} must be > 0")
         if not self.eo_max_shift_nm < self.fsr_nm:
             raise DomainError("eo_max_shift_nm must be smaller than the FSR")
-        if self.heater_efficiency_nm_per_mw is None:
-            object.__setattr__(self, "heater_efficiency_nm_per_mw",
-                               self.fsr_nm / self.to_power_mw_per_fsr)
-        if self.heater_efficiency_nm_per_mw <= 0:
-            raise DomainError("heater efficiency must be positive")
+
+    @property
+    def heater_efficiency_nm_per_mw(self) -> float:
+        return self.fsr_nm / self.to_power_mw_per_fsr
 
     @property
     def to_latency_ns(self) -> float:

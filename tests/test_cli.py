@@ -247,6 +247,29 @@ class TestConfigHandling:
              "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("command, config_text, flags", [
+        ("ted-sweep", "tuning:\n  to_power_mw_per_fsr: 0\n", []),
+        ("ted-sweep", "accelerator:\n  n_a: 0\n", []),
+        ("simulate", "loss:\n  splitter_db: -1\n", []),
+        ("simulate", "delays:\n  clock_ghz: 0\n", []),
+        ("fpv-sweep", "experiment:\n  n_fpv_maps: 0\n", []),
+        ("fpv-sweep", "", ["--seeds", "0"]),
+    ], ids=["to-power-0", "n-a-0", "splitter-negative", "clock-0",
+            "n-fpv-maps-0", "seeds-0"])
+    def test_bad_value_exit_2(self, command, config_text, flags, tmp_path,
+                              capsys, model_path):
+        p = tmp_path / "c.yaml"
+        p.write_text(config_text)
+        out = tmp_path / "out.txt"
+        argv = [command, "--config", str(p), "--out", str(out), *flags]
+        if command != "ted-sweep":
+            argv += ["--model", model_path]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("error[") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_passband_violation_exit_4(self, tmp_path, capsys, model_path):
         p = tmp_path / "c.yaml"
         p.write_text("accelerator:\n  n_a: 21\n  n_wg: 1\n")

@@ -3,11 +3,11 @@ import yaml
 
 from mrbnn import config
 from mrbnn.config import (ToolkitConfig, arch_config, build_designs,
-                          build_environment, config_from_dict,
-                          config_to_dict, dump_config, load_config,
-                          population_design, sweep_spec,
+                          build_environment, build_tuning_params,
+                          config_from_dict, config_to_dict, dump_config,
+                          load_config, population_design, sweep_spec,
                           workload_structures)
-from mrbnn.errors import ConfigError
+from mrbnn.errors import ConfigError, DomainError
 from mrbnn.photonics import RingClass, fwhm_and_q
 
 
@@ -36,6 +36,13 @@ class TestDefaults:
         assert (po.n_a, po.n_vdp, po.n_wg) == (50, 200, 10)
         with pytest.raises(ConfigError):
             arch_config(toolkit_config, "turbo")
+        with pytest.raises(ConfigError):
+            arch_config(toolkit_config, "__doc__")
+
+    def test_preset_keeps_layout_constants(self):
+        cfg = config_from_dict({"accelerator": {"mr_pitch_um": 7.0}})
+        assert arch_config(cfg) is cfg.accelerator
+        assert arch_config(cfg, "po").mr_pitch_um == 7.0
 
     def test_workload(self, toolkit_config):
         structures = workload_structures(toolkit_config)
@@ -52,6 +59,92 @@ class TestDefaults:
         spec = sweep_spec(toolkit_config)
         assert (10, 50, 10) in spec.grid()
         assert (50, 200, 10) in spec.grid()
+
+
+class TestSchema:
+    """The runtime dataclasses are the schema nodes of these sections."""
+
+    @pytest.mark.parametrize("section, keys", [
+        ("fpv", ("mean_nm", "sigma_nm", "seed")),
+        ("tuning", ("eo_power_uw_per_nm", "eo_max_shift_nm", "eo_latency_ns",
+                    "to_power_mw_per_fsr", "to_latency_us", "crosstalk_eta",
+                    "crosstalk_decay_um")),
+        ("loss", ("propagation_db_per_cm", "splitter_db", "combiner_db",
+                  "mr_through_db", "mr_modulation_db", "eo_tuning_db_per_cm",
+                  "to_tuning_db_per_cm", "broadband_insertion_db",
+                  "detector_sensitivity_dbm")),
+        ("power_table", ("vcsel", "tia", "photodetector", "dac", "adc")),
+        ("area", ("vdp_overhead_mm2", "dac_block_mm2", "adc_block_mm2",
+                  "global_overhead_mm2")),
+        ("accelerator", ("n_a", "n_vdp", "n_wg", "n_b", "mrs_per_bank_max",
+                         "channel_spacing_nm", "center_wavelength_nm",
+                         "mr_pitch_um", "passband_nm")),
+    ])
+    def test_section_keys(self, section, keys):
+        assert tuple(config_to_dict(ToolkitConfig())[section]) == keys
+
+    def test_power_table_entry_keys(self):
+        for entry in config_to_dict(ToolkitConfig())["power_table"].values():
+            assert tuple(entry) == ("power_mw", "latency_ns")
+
+    @pytest.mark.parametrize("section, key", [
+        ("tuning", "fsr_nm"),
+        ("tuning", "heater_efficiency_nm_per_mw"),
+        ("loss", "fanout_db_per_stage"),
+    ])
+    def test_derived_values_are_not_keys(self, section, key):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            config_from_dict({section: {key: 1.0}})
+
+    def test_tuning_fsr_follows_multi_bit_radius(self):
+        cfg = config_from_dict(
+            {"device_classes": {"multi_bit": {"radius_um": 6.0}}})
+        fsr = build_designs(cfg)[RingClass.MULTI_BIT].fsr_nm
+        params = build_tuning_params(cfg)
+        assert params.fsr_nm == fsr
+        assert fsr < build_tuning_params(ToolkitConfig()).fsr_nm
+        assert params.heater_efficiency_nm_per_mw == \
+            fsr / params.to_power_mw_per_fsr
+
+    def test_eo_range_checked_against_configured_ring(self):
+        # 20 nm exceeds the FSR of the default 5 um ring but not of a 2 um one
+        cfg = config_from_dict({
+            "device_classes": {"multi_bit": {"radius_um": 2.0}},
+            "tuning": {"eo_max_shift_nm": 20.0}})
+        assert build_environment(cfg).tuning_params.eo_max_shift_nm == 20.0
+        wide = config_from_dict({"tuning": {"eo_max_shift_nm": 20.0}})
+        with pytest.raises(DomainError, match="FSR"):
+            build_tuning_params(wide)
+
+    def test_environment_uses_config_nodes(self, toolkit_config):
+        env = build_environment(toolkit_config)
+        assert env.loss is toolkit_config.loss
+        assert env.power is toolkit_config.power_table
+        assert env.fpv is toolkit_config.fpv
+        assert env.area is toolkit_config.area
+
+    @pytest.mark.parametrize("key, value", [
+        ("fpv.sigma_nm", [1.0, -1.0, 1.0]),
+        ("tuning.to_power_mw_per_fsr", 0),
+        ("tuning.crosstalk_eta", -0.1),
+        ("loss.splitter_db", -1),
+        ("power_table.dac.power_mw", -1),
+        ("accelerator.n_a", 0),
+        ("accelerator.mr_pitch_um", 0),
+        ("delays.clock_ghz", 0),
+        ("delays.ecu_buffer_params", -1),
+        ("delays.t_del_ns", -1.0),
+        ("experiment.n_fpv_maps", 0),
+        ("experiment.tuning_fractions", [0.5, 1.5]),
+        ("experiment.tuning_fraction", -0.1),
+    ])
+    def test_bad_values_rejected_at_load(self, key, value):
+        data = value
+        for part in reversed(key.split(".")):
+            data = {part: data}
+        section = key.split(".")[0]
+        with pytest.raises(ConfigError, match=f"^{section}[.:]"):
+            config_from_dict(data)
 
 
 class TestRoundTrip:

@@ -350,6 +350,11 @@ class TestAccuracySweep:
         assert rows[0][1] == pytest.approx(ref, abs=1e-12)
         assert rows[0][2] == pytest.approx(0.0, abs=1e-12)
 
+    def test_needs_one_map(self, env, eo_cfg, toy_model, toy_data):
+        with pytest.raises(DomainError, match="n_maps"):
+            fpv_accuracy_sweep(toy_model, toy_data.x_test, toy_data.y_test,
+                               eo_cfg, env, [1.0], n_maps=0, base_seed=50)
+
 
 class TestSimReport:
     def test_breakdown_mismatch_rejected(self):

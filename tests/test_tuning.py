@@ -26,6 +26,14 @@ class TestHybridSplit:
         assert s.power_mw == pytest.approx(0.004, rel=1e-12)  # 4 uW
         assert s.latency_ns == p.eo_latency_ns
 
+    def test_heater_efficiency_follows_fsr(self, params):
+        from dataclasses import replace
+        p = replace(params, fsr_nm=40.0)
+        assert p.heater_efficiency_nm_per_mw == 40.0 / p.to_power_mw_per_fsr
+        for bad in ({"fsr_nm": 0.0}, {"to_power_mw_per_fsr": 0.0}):
+            with pytest.raises(DomainError):
+                replace(params, **bad)
+
     def test_hybrid_rates(self):
         p = TuningParams(eo_max_shift_nm=2.0, fsr_nm=10.0)
         s = hybrid_split(3.0, p)
@@ -100,8 +108,7 @@ class TestTed:
 
     def test_no_crosstalk_no_reduction(self, params):
         from dataclasses import replace
-        p0 = replace(params, crosstalk_eta=0.0,
-                     heater_efficiency_nm_per_mw=None)
+        p0 = replace(params, crosstalk_eta=0.0)
         t = np.array([1.0, 2.0, 0.5, 1.5])
         res = ted_tuning_power(t, uniform_positions_um(4, 5.0), p0)
         assert res.p_ted_mw == pytest.approx(res.p_naive_mw, rel=1e-9)
@@ -146,8 +153,7 @@ class TestTed:
 
     def test_non_dominant_rejected(self, params):
         from dataclasses import replace
-        dense = replace(params, crosstalk_eta=0.45, crosstalk_decay_um=1e6,
-                        heater_efficiency_nm_per_mw=None)
+        dense = replace(params, crosstalk_eta=0.45, crosstalk_decay_um=1e6)
         with pytest.raises(IllConditionedLayoutError):
             ted_tuning_power(np.ones(10), uniform_positions_um(10, 5.0),
                              dense)
