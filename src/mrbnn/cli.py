@@ -54,7 +54,9 @@ def _parse_fractions(text: str) -> list[float]:
         vals = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad fractions list {text!r}") from exc
-    if not vals or any(not 0.0 <= v <= 1.0 for v in vals):
+    if not vals:
+        raise ConfigError("fractions list is empty")
+    if any(not 0.0 <= v <= 1.0 for v in vals):
         raise ConfigError("fractions must be in [0, 1]")
     return vals
 
@@ -116,7 +118,8 @@ def cmd_fpv_sweep(args, cfg: cfgmod.ToolkitConfig) -> int:
     env = cfgmod.build_environment(cfg)
     arch = cfgmod.arch_config(cfg, args.arch)
     data = _dataset(cfg)
-    fractions = (_parse_fractions(args.fractions) if args.fractions
+    fractions = (_parse_fractions(args.fractions)
+                 if args.fractions is not None
                  else list(cfg.experiment.tuning_fractions))
     n_maps = (args.seeds if args.seeds is not None
               else cfg.experiment.n_fpv_maps)

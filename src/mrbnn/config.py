@@ -154,6 +154,20 @@ class TrainingConfig:
     model_seed: int = 7
     dataset_seed: int = 11
 
+    def __post_init__(self):
+        for name in ("n_features", "n_classes", "n_train", "n_test",
+                     "activation_bits"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise DomainError("hidden_sizes must all be >= 1")
+        if self.cluster_std < 0:
+            raise DomainError("cluster_std must be >= 0")
+        if not self.learning_rate > 0:
+            raise DomainError("learning_rate must be > 0")
+        if self.epochs < 0:
+            raise DomainError("epochs must be >= 0")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, PhysicalConstraintError
 from .mapping import AcceleratorConfig, ModelStructure
-from .simulator import SimulationEnvironment, power_and_epb
+from .simulator import SimulationEnvironment, chip_budget, power_and_epb
 from .textio import render_csv
 
 
@@ -119,9 +119,10 @@ def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
         cfg = replace(base_cfg, n_a=n_a, n_vdp=n_vdp, n_wg=n_wg, n_b=spec.n_b)
         try:
             cfg.validate()
-            reports = [power_and_epb(m, cfg, env,
-                                     tuning_fraction=spec.tuning_fraction,
-                                     seed=seed)
+            # one chip map, tuning solve and power budget per
+            # configuration, shared by every workload model
+            budget = chip_budget(cfg, env, spec.tuning_fraction, seed)
+            reports = [power_and_epb(m, cfg, env, budget=budget)
                        for m in workload]
         except PhysicalConstraintError as exc:
             errors.append((key, str(exc)))

@@ -132,16 +132,6 @@ class MrDesign:
 
 
 @dataclass(frozen=True)
-class FpvSample:
-    """One sampled geometry deviation and its resonance shift [nm]."""
-
-    dw_nm: float
-    dt_nm: float
-    dR_nm: float
-    delta_lambda_nm: float
-
-
-@dataclass(frozen=True)
 class FpvStatistics:
     """Gaussian FPV statistics: per-dimension mean and standard deviation."""
 
@@ -156,15 +146,16 @@ class FpvStatistics:
 
 @dataclass(frozen=True)
 class FpvMap:
-    """A population of FPV samples (design-major order) plus summary stats."""
+    """A population of FPV samples (design-major order) plus summary stats.
 
-    samples: tuple[FpvSample, ...]
+    ``deviations_nm`` is ``[n, 3]`` (dw, dt, dR) and ``delta_lambdas_nm``
+    the ``[n]`` resonance shifts they cause.
+    """
+
+    deviations_nm: np.ndarray
+    delta_lambdas_nm: np.ndarray
     delta_mean_nm: float
     delta_std_nm: float
-
-    @property
-    def delta_lambdas_nm(self) -> np.ndarray:
-        return np.array([s.delta_lambda_nm for s in self.samples])
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +353,4 @@ def sample_fpv_map(designs: Sequence[MrDesign], stats: FpvStatistics,
     slopes = np.repeat(np.array([d.sensitivity_slopes for d in designs]),
                        count, axis=0)
     deltas = np.sum(slopes * devs, axis=1)
-    samples = tuple(
-        FpvSample(float(devs[i, 0]), float(devs[i, 1]), float(devs[i, 2]),
-                  float(deltas[i]))
-        for i in range(n))
-    return FpvMap(samples, float(np.mean(deltas)), float(np.std(deltas)))
-
-
-def shifted_resonance(design: MrDesign, sample: FpvSample,
-                      residual_fraction: float) -> float:
-    """Resonance after tuning: lambda_MR + residual_fraction * dlambda."""
-    return (design.resonant_wavelength_nm
-            + residual_fraction * sample.delta_lambda_nm)
+    return FpvMap(devs, deltas, float(np.mean(deltas)), float(np.std(deltas)))

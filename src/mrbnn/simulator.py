@@ -109,6 +109,12 @@ class AreaConstants:
     adc_block_mm2: float = 0.00285
     global_overhead_mm2: float = 0.1
 
+    def __post_init__(self):
+        for name in ("vdp_overhead_mm2", "dac_block_mm2", "adc_block_mm2",
+                     "global_overhead_mm2"):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must be >= 0")
+
 
 @dataclass(frozen=True)
 class SimulationEnvironment:
@@ -385,13 +391,16 @@ def tuning_power_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
 class PhotonicMapping:
     """Per-layer MR index matrices derived from the work plan.
 
-    For each weighted layer an [out, in] integer matrix holds the flat MR id
-    that carries each weight/activation element; -1 marks padding (elements
-    beyond the row length).
+    ``mr_ids`` holds, sorted, the flat MR ids the plan uses and
+    ``lambda_nm`` the comb wavelength each of them carries. For each
+    weighted layer an [out, in] integer matrix holds, for each
+    weight/activation element, the position in ``mr_ids`` of the MR that
+    carries it; -1 marks padding (elements beyond the row length).
     """
 
     mr_index: dict[int, np.ndarray]
-    comb: tuple[float, ...]
+    mr_ids: np.ndarray
+    lambda_nm: np.ndarray
 
 
 def build_photonic_mapping(model: QuantModel,
@@ -411,14 +420,23 @@ def build_photonic_mapping(model: QuantModel,
         ks = np.arange(s.weights.size)
         mr_index[s.layer_index][s.output_index, s.offset + ks] = \
             flat_arm * slots + (ks % slots)
-    return PhotonicMapping(mr_index, comb)
+    used = np.zeros(cfg.n_vdp * cfg.n_wg * slots, dtype=bool)
+    for idx in mr_index.values():
+        used[idx[idx >= 0]] = True
+    ids = np.flatnonzero(used)
+    # flat id -> position in ids; the appended -1 keeps padding at -1
+    position = np.append(np.cumsum(used) - 1, -1)
+    return PhotonicMapping({li: position[idx] for li, idx in mr_index.items()},
+                           ids, np.asarray(comb)[ids % slots])
 
 
-def _perturbation_ratios(design: MrDesign, comb: Sequence[float],
-                         deltas_nm: np.ndarray, slots: int,
+def _perturbation_ratios(design: MrDesign, lam: np.ndarray,
+                         deltas_nm: np.ndarray,
                          residual: float) -> np.ndarray:
-    """rho = T(lambda_s; lambda_s + residual*delta) / T(lambda_s; lambda_s)."""
-    lam = np.asarray(comb)[np.arange(deltas_nm.size) % slots]
+    """rho = T(lambda_s; lambda_s + residual*delta) / T(lambda_s; lambda_s).
+
+    ``lam`` and ``deltas_nm`` give each MR's signal wavelength and FPV shift.
+    """
     base = photonics.transmission(design, lam, lam)
     shifted = photonics.transmission(design, lam, lam + residual * deltas_nm)
     return np.asarray(shifted) / np.asarray(base)
@@ -454,17 +472,16 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
     if chip_map is None:
         chip_map = chip_fpv_map(cfg, env, seed)
     residual = 1.0 - tuning_fraction
-    slots = cfg.arm_activation_mrs
     mb = env.designs[RingClass.MULTI_BIT]
     sb = env.designs[RingClass.SINGLE_BIT]
-    rho_act = _perturbation_ratios(mb, mapping.comb, chip_map.act_delta_nm,
-                                   slots, residual)
-    rho_wp = _perturbation_ratios(sb, mapping.comb,
-                                  chip_map.weight_pos_delta_nm, slots,
-                                  residual)
-    rho_wn = _perturbation_ratios(sb, mapping.comb,
-                                  chip_map.weight_neg_delta_nm, slots,
-                                  residual)
+    ids = mapping.mr_ids
+    # Ratios of the used MRs only; a trailing 1.0 serves the padding
+    # elements, whose index is -1.
+    rhos = [np.append(_perturbation_ratios(design, mapping.lambda_nm,
+                                           deltas[ids], residual), 1.0)
+            for design, deltas in ((mb, chip_map.act_delta_nm),
+                                   (sb, chip_map.weight_pos_delta_nm),
+                                   (sb, chip_map.weight_neg_delta_nm))]
 
     def photonic_dot(li, layer, v):
         if not layer.binarized:
@@ -472,15 +489,9 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
         w = layer.effective_weights()
         w = w.reshape(w.shape[0], -1)
         idx = mapping.mr_index[li]
-        pad = idx < 0
-        ratios = []
-        for rho in (rho_act, rho_wp, rho_wn):
-            r = rho[np.maximum(idx, 0)]
-            r[pad] = 1.0
-            ratios.append(r)
         out = _kernels.noisy_fc_forward(
             v.reshape(-1, v.shape[-1]), (w > 0).astype(np.float64),
-            (w < 0).astype(np.float64), *ratios)
+            (w < 0).astype(np.float64), *(rho[idx] for rho in rhos))
         return out.reshape(*v.shape[:-1], -1)
 
     a = np.asarray(x, dtype=np.float64)
@@ -530,21 +541,30 @@ def required_bandwidth_gb_s(cfg: AcceleratorConfig,
     return bits_per_window / t_del / 8.0   # bits/ns -> GB/s
 
 
-def power_and_epb(model, cfg: AcceleratorConfig, env: SimulationEnvironment,
-                  tuning_fraction: float = 0.8, seed: int = 0,
-                  noisy_accuracy: float | None = None,
-                  chip_map: ChipFpvMap | None = None) -> SimReport:
-    """Full power/performance report for a model on a configuration.
+@dataclass(frozen=True)
+class ChipBudget:
+    """The model-independent part of a report for one configuration.
 
-    ``model`` may be a QuantModel or a ModelStructure; only parameter counts
-    and bit widths are needed.
+    The chip map, the loss and laser budget, the device power breakdown
+    (tuning included) and the area depend on the configuration, the
+    environment, the tuning fraction and the map seed, never on the model,
+    so a sweep computes them once per configuration.
     """
+
+    cfg: AcceleratorConfig
+    chip_map: ChipFpvMap
+    loss: PathLoss
+    laser: LaserPower
+    power_breakdown_mw: dict[str, float]
+    area_mm2: float
+
+
+def chip_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
+                tuning_fraction: float = 0.8, seed: int = 0,
+                chip_map: ChipFpvMap | None = None) -> ChipBudget:
+    """Power and area of ``cfg`` with ``tuning_fraction`` of every MR's FPV
+    shift corrected; the map is drawn from ``seed`` unless given."""
     cfg.validate()
-    if isinstance(model, QuantModel):
-        structure = ModelStructure.from_model(model)
-    else:
-        structure = model
-    timing = pipeline_time(structure, cfg, env)
     loss = loss_accounting(cfg, env)
     laser = laser_power(cfg.n_lambda, loss.total_db,
                         env.loss.detector_sensitivity_dbm)
@@ -563,13 +583,39 @@ def power_and_epb(model, cfg: AcceleratorConfig, env: SimulationEnvironment,
         "tia": (cfg.n_wg + 1) * cfg.n_vdp * p.tia.power_mw,
         "vcsel": arms * p.vcsel.power_mw,
     }
-    total = sum(breakdown.values())
+    return ChipBudget(cfg, chip_map, loss, laser, breakdown,
+                      area_estimate(cfg, env))
+
+
+def power_and_epb(model, cfg: AcceleratorConfig, env: SimulationEnvironment,
+                  tuning_fraction: float = 0.8, seed: int = 0,
+                  noisy_accuracy: float | None = None,
+                  chip_map: ChipFpvMap | None = None,
+                  budget: ChipBudget | None = None) -> SimReport:
+    """Full power/performance report for a model on a configuration.
+
+    ``model`` may be a QuantModel or a ModelStructure; only parameter counts
+    and bit widths are needed. A ``budget`` from ``chip_budget`` on the same
+    ``cfg`` takes the place of ``tuning_fraction``, ``seed`` and
+    ``chip_map``.
+    """
+    if budget is None:
+        budget = chip_budget(cfg, env, tuning_fraction, seed, chip_map)
+    elif budget.cfg != cfg:
+        raise DomainError("budget was computed for another configuration")
+    if isinstance(model, QuantModel):
+        structure = ModelStructure.from_model(model)
+    else:
+        structure = model
+    timing = pipeline_time(structure, cfg, env)
+    total = sum(budget.power_breakdown_mw.values())
     bits = structure.total_bits
     epb = total * timing.total_ns / bits if bits else None
     fps = 1e9 / timing.total_ns
     return SimReport(
-        fps=fps, total_power_mw=total, power_breakdown_mw=breakdown,
-        epb_pj_per_bit=epb, area_mm2=area_estimate(cfg, env),
+        fps=fps, total_power_mw=total,
+        power_breakdown_mw=dict(budget.power_breakdown_mw),
+        epb_pj_per_bit=epb, area_mm2=budget.area_mm2,
         inference_time_ns=timing.total_ns, noisy_accuracy=noisy_accuracy,
         required_bandwidth_gb_s=required_bandwidth_gb_s(
             cfg, env, structure.activation_bits))

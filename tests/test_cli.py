@@ -254,15 +254,21 @@ class TestConfigHandling:
         ("simulate", "delays:\n  clock_ghz: 0\n", []),
         ("fpv-sweep", "experiment:\n  n_fpv_maps: 0\n", []),
         ("fpv-sweep", "", ["--seeds", "0"]),
+        ("train-toy", "training:\n  n_test: 0\n", []),
+        ("train-toy", "training:\n  epochs: -3\n", []),
+        ("simulate", "area:\n  vdp_overhead_mm2: -5\n", []),
+        ("fpv-sweep", "", ["--fractions", ""]),
     ], ids=["to-power-0", "n-a-0", "splitter-negative", "clock-0",
-            "n-fpv-maps-0", "seeds-0"])
+            "n-fpv-maps-0", "seeds-0", "n-test-0", "epochs-negative",
+            "area-negative", "fractions-empty"])
     def test_bad_value_exit_2(self, command, config_text, flags, tmp_path,
                               capsys, model_path):
         p = tmp_path / "c.yaml"
         p.write_text(config_text)
         out = tmp_path / "out.txt"
-        argv = [command, "--config", str(p), "--out", str(out), *flags]
-        if command != "ted-sweep":
+        out_flag = "--out-model" if command == "train-toy" else "--out"
+        argv = [command, "--config", str(p), out_flag, str(out), *flags]
+        if command in ("fpv-sweep", "simulate"):
             argv += ["--model", model_path]
         code, _, err = run_cli(argv, capsys)
         assert code == 2

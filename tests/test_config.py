@@ -137,6 +137,12 @@ class TestSchema:
         ("experiment.n_fpv_maps", 0),
         ("experiment.tuning_fractions", [0.5, 1.5]),
         ("experiment.tuning_fraction", -0.1),
+        ("area.vdp_overhead_mm2", -5),
+        ("area.global_overhead_mm2", -0.1),
+        ("training.n_test", 0),
+        ("training.epochs", -3),
+        ("training.learning_rate", 0),
+        ("training.hidden_sizes", [32, 0]),
     ])
     def test_bad_values_rejected_at_load(self, key, value):
         data = value

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mrbnn import config
 from mrbnn.dse import (ParetoResult, SweepPoint, SweepSpec, dominates,
                        parse_scatter_csv, pareto_front, run_sweep,
                        scatter_export, summary_dict)
+from mrbnn.simulator import power_and_epb
 from mrbnn.errors import DomainError
 from mrbnn.mapping import ModelStructure
 
@@ -107,6 +110,22 @@ class TestRunSweep:
         again = run_sweep(spec, config.arch_config(toolkit_config), env,
                           workload, seed=0)
         assert scatter_export(again) == scatter_export(small_result)
+
+    def test_matches_per_model_reports(self, toolkit_config, env,
+                                       small_result):
+        # one budget per configuration gives exactly what a separate
+        # report per model, each drawing its own chip map, gives
+        workload = config.workload_structures(toolkit_config)
+        base = config.arch_config(toolkit_config)
+        for p in small_result.points:
+            cfg = replace(base, n_a=p.n_a, n_vdp=p.n_vdp, n_wg=p.n_wg, n_b=1)
+            reports = [power_and_epb(m, cfg, env, tuning_fraction=0.8,
+                                     seed=0) for m in workload]
+            assert p.fps == float(np.mean([r.fps for r in reports]))
+            assert p.epb_pj_per_bit == float(
+                np.mean([r.epb_pj_per_bit for r in reports]))
+            assert all(r.total_power_mw == p.power_mw for r in reports)
+            assert all(r.area_mm2 == p.area_mm2 for r in reports)
 
     def test_empty_workload_rejected(self, toolkit_config, env):
         with pytest.raises(DomainError):

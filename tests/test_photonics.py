@@ -6,11 +6,10 @@ import pytest
 
 from mrbnn import photonics
 from mrbnn.errors import DegenerateResonatorError, DomainError
-from mrbnn.photonics import (FpvSample, FpvStatistics, GeometrySurrogate,
-                             MrDesign, RingClass, channel_resolution,
-                             crosstalk_phi, delta_lambda_of, fwhm_and_q,
-                             sample_fpv_map, sensitivity_slope,
-                             shifted_resonance, transmission,
+from mrbnn.photonics import (FpvStatistics, GeometrySurrogate, MrDesign,
+                             RingClass, channel_resolution, crosstalk_phi,
+                             delta_lambda_of, fwhm_and_q, sample_fpv_map,
+                             sensitivity_slope, transmission,
                              transmission_from_phase)
 
 
@@ -301,20 +300,20 @@ class TestFpvSampling:
         stats = FpvStatistics(seed=5)
         n = 20000
         fmap = sample_fpv_map([multibit], stats, n)
-        dw = np.array([s.dw_nm for s in fmap.samples])
-        dt = np.array([s.dt_nm for s in fmap.samples])
-        dr = np.array([s.dR_nm for s in fmap.samples])
-        for vals, sigma in ((dw, 4.9), (dt, 1.5), (dr, 0.75)):
+        assert fmap.deviations_nm.shape == (n, 3)
+        for vals, sigma in zip(fmap.deviations_nm.T, (4.9, 1.5, 0.75)):
             assert abs(np.mean(vals)) <= 3 * sigma / math.sqrt(n)
             assert abs(np.std(vals) - sigma) <= 3 * sigma / math.sqrt(n)
 
-    def test_sample_invariant(self, multibit):
-        stats = FpvStatistics(seed=9)
-        fmap = sample_fpv_map([multibit], stats, 50)
-        for s in fmap.samples:
-            assert s.delta_lambda_nm == pytest.approx(
-                delta_lambda_of(multibit, s.dw_nm, s.dt_nm, s.dR_nm),
-                abs=1e-9)
+    def test_sample_invariant(self, designs):
+        # two designs: rows are design-major, each with its own slopes
+        pair = [designs[RingClass.MULTI_BIT], designs[RingClass.BROADBAND]]
+        fmap = sample_fpv_map(pair, FpvStatistics(seed=9), 50)
+        slopes = np.repeat([d.sensitivity_slopes for d in pair], 50, axis=0)
+        assert fmap.delta_lambdas_nm.shape == (100,)
+        for dev, delta, s in zip(fmap.deviations_nm,
+                                 fmap.delta_lambdas_nm, slopes):
+            assert delta == pytest.approx(dev @ s, rel=1e-12, abs=1e-12)
 
     def test_population_calibration(self, toolkit_config):
         from mrbnn.config import population_design
@@ -329,24 +328,6 @@ class TestFpvSampling:
             sample_fpv_map([multibit], FpvStatistics(), 0)
         with pytest.raises(DomainError):
             sample_fpv_map([], FpvStatistics(), 5)
-
-
-class TestShiftedResonance:
-    def test_zero_residual(self, multibit):
-        s = FpvSample(1.0, 1.0, 1.0, 5.0)
-        assert shifted_resonance(multibit, s, 0.0) \
-            == multibit.resonant_wavelength_nm
-
-    def test_full_residual(self, multibit):
-        s = FpvSample(0.0, 0.0, 0.0, 0.5)
-        assert shifted_resonance(multibit, s, 1.0) \
-            == multibit.resonant_wavelength_nm + 0.5
-
-    def test_partial_tuning(self, multibit):
-        s = FpvSample(0.0, 0.0, 0.0, 7.15)
-        got = shifted_resonance(multibit, s, 0.2)
-        assert got == pytest.approx(multibit.resonant_wavelength_nm + 1.43,
-                                    rel=1e-12)
 
 
 class TestMrDesign:

@@ -4,14 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mrbnn import bnn, config, simulator
+from mrbnn import bnn, config, photonics, simulator
 from mrbnn.bnn import (QuantModel, activation_layer, fc_layer,
                        quantize_activation, reference_inference)
 from mrbnn.errors import DomainError
-from mrbnn.mapping import AcceleratorConfig, ModelStructure
+from mrbnn.mapping import AcceleratorConfig, ModelStructure, build_comb
 from mrbnn.photonics import RingClass
-from mrbnn.simulator import (ChipFpvMap, LossBudget, area_estimate,
-                             area_from_counts, build_photonic_mapping,
+from mrbnn.simulator import (ChipFpvMap, LossBudget, _perturbation_ratios,
+                             area_estimate, area_from_counts,
+                             build_photonic_mapping, chip_budget,
                              chip_fpv_map, fpv_accuracy_sweep, laser_power,
                              loss_accounting, mr_footprint_um2,
                              noisy_inference, path_loss_db, pipeline_time,
@@ -223,6 +224,86 @@ class TestPowerAndEpb:
         rep = power_and_epb(toy_model, eo_cfg, env)
         assert rep.fps > 0
         assert rep.noisy_accuracy is None
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.8])
+    def test_budget_matches_chip_map_path(self, env, eo_cfg, toy_model,
+                                          fraction):
+        m = chip_fpv_map(eo_cfg, env, 5)
+        budget = chip_budget(eo_cfg, env, fraction, chip_map=m)
+        assert budget.chip_map is m
+        for model in (toy_model, ModelStructure("m", (60642, 1000))):
+            got = power_and_epb(model, eo_cfg, env, noisy_accuracy=0.5,
+                                budget=budget)
+            want = power_and_epb(model, eo_cfg, env, tuning_fraction=fraction,
+                                 noisy_accuracy=0.5, chip_map=m)
+            assert got.to_dict() == want.to_dict()
+            assert list(got.power_breakdown_mw) \
+                == list(want.power_breakdown_mw)
+
+    def test_budget_of_other_config_rejected(self, env, eo_cfg, po_cfg):
+        budget = chip_budget(po_cfg, env)
+        with pytest.raises(DomainError, match="another configuration"):
+            power_and_epb(ModelStructure("m", (1000,)), eo_cfg, env,
+                          budget=budget)
+
+
+class TestPerturbationRatios:
+    @pytest.fixture
+    def lam(self, eo_cfg):
+        comb = build_comb(eo_cfg.arm_activation_mrs,
+                          eo_cfg.channel_spacing_nm,
+                          eo_cfg.center_wavelength_nm, eo_cfg.passband_nm)
+        return np.asarray(comb)[np.arange(40) % len(comb)]
+
+    def test_zero_residual(self, multibit, lam):
+        deltas = np.linspace(-30.0, 30.0, lam.size)
+        rho = _perturbation_ratios(multibit, lam, deltas, 0.0)
+        assert np.all(rho == 1.0)
+
+    @staticmethod
+    def check_residual(design, lam, residual):
+        deltas = np.linspace(-30.0, 30.0, lam.size)
+        rho = _perturbation_ratios(design, lam, deltas, residual)
+        for l, d, r in zip(lam, deltas, rho):
+            want = (photonics.transmission(design, l, l + residual * d)
+                    / photonics.transmission(design, l, l))
+            assert r == pytest.approx(want, rel=1e-12)
+
+    def test_full_residual(self, multibit, lam):
+        self.check_residual(multibit, lam, 1.0)
+
+    def test_partial_tuning(self, multibit, lam):
+        self.check_residual(multibit, lam, 0.2)
+
+    def test_used_ids_equal_full_population(self, env, eo_cfg, toy_model):
+        # ratios of the mapped MRs alone equal the same elements of the
+        # full-population ratios bit for bit
+        mapping = build_photonic_mapping(toy_model, eo_cfg)
+        m = chip_fpv_map(eo_cfg, env, 2)
+        slots = eo_cfg.arm_activation_mrs
+        comb = build_comb(slots, eo_cfg.channel_spacing_nm,
+                          eo_cfg.center_wavelength_nm, eo_cfg.passband_nm)
+        n = m.act_delta_nm.size
+        full = _perturbation_ratios(
+            env.designs[RingClass.MULTI_BIT],
+            np.asarray(comb)[np.arange(n) % slots], m.act_delta_nm, 0.7)
+        used = _perturbation_ratios(
+            env.designs[RingClass.MULTI_BIT], mapping.lambda_nm,
+            m.act_delta_nm[mapping.mr_ids], 0.7)
+        assert np.array_equal(used, full[mapping.mr_ids])
+
+
+class TestPhotonicMapping:
+    def test_compact_indices(self, eo_cfg, toy_model):
+        mapping = build_photonic_mapping(toy_model, eo_cfg)
+        ids = mapping.mr_ids
+        assert np.all(np.diff(ids) > 0)
+        assert mapping.lambda_nm.shape == ids.shape
+        seen = np.concatenate([idx[idx >= 0]
+                               for idx in mapping.mr_index.values()])
+        assert np.array_equal(np.unique(seen), np.arange(ids.size))
+        for idx in mapping.mr_index.values():
+            assert idx.min() >= -1
 
 
 class TestNoisyInference:
