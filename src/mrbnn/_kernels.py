@@ -48,20 +48,18 @@ def channel_noise_powers(lambdas_nm, q_factor, input_powers):
     return phi @ p
 
 
-def noisy_fc_forward(acts, w_pos, w_neg, rho_act, rho_wp, rho_wn):
+def noisy_fc_forward(acts, w_pos, w_neg, rho_act):
     """FPV-perturbed fully connected forward pass (dual-rail weights).
 
-    acts:             [n_samples, n_in] imprinted activation values in [0, 1]
-    w_pos / w_neg:    [n_out, n_in] rail occupancies in {0, 1}
-    rho_act/wp/wn:    [n_out, n_in] per-MR transmission perturbation ratios
+    acts:          [n_samples, n_in] imprinted activation values in [0, 1]
+    w_pos / w_neg: [n_out, n_in] rail occupancies in {0, 1}
+    rho_act:       [n_out, n_in] per-MR activation perturbation ratios
 
     out[s, o] = sum_k clip(acts[s,k] * rho_act[o,k])
-                      * (clip(w_pos[o,k] * rho_wp[o,k])
-                         - clip(w_neg[o,k] * rho_wn[o,k]))
+                      * (w_pos[o,k] - w_neg[o,k])
 
-    where clip(.) clamps to [0, 1].
+    where clip(.) clamps to [0, 1]. The rails carry no ratio: weight-ring
+    ratios are >= 1, so clip(w * rho) is w for w in {0, 1}.
     """
     a_eff = np.clip(acts[:, None, :] * rho_act[None, :, :], 0.0, 1.0)
-    rail = (np.clip(w_pos * rho_wp, 0.0, 1.0)
-            - np.clip(w_neg * rho_wn, 0.0, 1.0))
-    return np.sum(a_eff * rail[None, :, :], axis=2)
+    return np.sum(a_eff * (w_pos - w_neg)[None, :, :], axis=2)

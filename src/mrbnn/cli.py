@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -49,15 +50,16 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_fractions(text: str) -> list[float]:
+def _parse_list(text: str, what: str, valid, rule: str) -> list[float]:
+    """Comma-separated numbers, at least one, each satisfying ``valid``."""
     try:
         vals = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"bad fractions list {text!r}") from exc
+        raise ConfigError(f"bad {what} list {text!r}") from exc
     if not vals:
-        raise ConfigError("fractions list is empty")
-    if any(not 0.0 <= v <= 1.0 for v in vals):
-        raise ConfigError("fractions must be in [0, 1]")
+        raise ConfigError(f"{what} list is empty")
+    if not all(valid(v) for v in vals):
+        raise ConfigError(f"{what} must be {rule}")
     return vals
 
 
@@ -106,7 +108,10 @@ def cmd_device_report(args, cfg: cfgmod.ToolkitConfig) -> int:
 
 def cmd_ted_sweep(args, cfg: cfgmod.ToolkitConfig) -> int:
     params = cfgmod.build_tuning_params(cfg)
-    spacings = [float(s) for s in args.spacings.split(",")]
+    spacings = _parse_list(args.spacings, "spacings",
+                           lambda v: 0.0 < v < math.inf, "finite and > 0")
+    if args.mrs < 1:
+        raise ConfigError("--mrs must be >= 1")
     rows = tuning.ted_spacing_sweep(spacings, args.mrs, args.target, params)
     _write_text(args.out, render_csv(
         ["spacing_um", "p_naive_mw", "p_ted_mw", "reduction"], rows))
@@ -118,7 +123,8 @@ def cmd_fpv_sweep(args, cfg: cfgmod.ToolkitConfig) -> int:
     env = cfgmod.build_environment(cfg)
     arch = cfgmod.arch_config(cfg, args.arch)
     data = _dataset(cfg)
-    fractions = (_parse_fractions(args.fractions)
+    fractions = (_parse_list(args.fractions, "fractions",
+                             lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
                  if args.fractions is not None
                  else list(cfg.experiment.tuning_fractions))
     n_maps = (args.seeds if args.seeds is not None

@@ -139,6 +139,12 @@ class WorkloadModelConfig:
     name: str
     layer_parameter_counts: tuple[int, ...]
 
+    def __post_init__(self):
+        if not self.layer_parameter_counts or any(
+                c < 1 for c in self.layer_parameter_counts):
+            raise DomainError("layer_parameter_counts must be a non-empty "
+                              "list of counts >= 1")
+
 
 @dataclass(frozen=True)
 class TrainingConfig:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,15 +46,6 @@ class AcceleratorConfig:
             raise DomainError("spacing and pitch must be positive")
 
     # -- throughput-side quantities (pipeline equations) --
-
-    @property
-    def n_w(self) -> int:
-        """Weight MR count mirrors the activation count (N_W = N_A)."""
-        return self.n_a
-
-    @property
-    def vector_size_per_vdp(self) -> int:
-        return self.n_wg * self.n_a
 
     @property
     def weights_per_vdp_step(self) -> int:
@@ -204,24 +194,27 @@ def decompose_conv(kernel, activations, granularity: int,
 # work plan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScheduledSlice:
-    """One weight sub-vector scheduled on (vdp, arm) at a step."""
-
-    layer_index: int
-    output_index: int          # flattened output element (FC row / out chan)
-    chunk_index: int           # position of this slice within its vector
-    offset: int                # start offset within the flattened vector
-    weights: np.ndarray
-    vdp_id: int
-    arm_id: int
-    step_index: int
-    c_fold: float = 1.0
+SLICE_DTYPE = np.dtype([
+    ("layer", np.int64),     # index of the weighted layer in the model
+    ("output", np.int64),    # flattened output element (FC row / out chan)
+    ("chunk", np.int64),     # position of this slice within its vector
+    ("offset", np.int64),    # start offset within the flattened vector
+    ("length", np.int64),
+    ("vdp", np.int64),
+    ("arm", np.int64),
+    ("step", np.int64),
+    ("c_fold", np.float64),
+])
 
 
 @dataclass(frozen=True)
 class WorkPlan:
-    slices: tuple[ScheduledSlice, ...]
+    """Every weight sub-vector scheduled on (vdp, arm) at a step.
+
+    ``slices`` has one ``SLICE_DTYPE`` row per slice, in schedule order.
+    """
+
+    slices: np.ndarray
     steps_per_layer: tuple[int, ...]
     cfg: AcceleratorConfig
 
@@ -230,20 +223,14 @@ class WorkPlan:
         return sum(self.steps_per_layer)
 
     def dump(self) -> str:
+        cols = [self.slices[name].tolist() for name in
+                ("layer", "output", "chunk", "vdp", "arm", "step", "length",
+                 "c_fold")]
         lines = ["layer output chunk vdp arm step len c_fold"]
-        for s in self.slices:
-            lines.append(f"{s.layer_index} {s.output_index} {s.chunk_index} "
-                         f"{s.vdp_id} {s.arm_id} {s.step_index} "
-                         f"{s.weights.size} {s.c_fold:.9g}")
+        lines += [f"{li} {out} {chunk} {vdp} {arm} {step} {n} {c_fold:.9g}"
+                  for li, out, chunk, vdp, arm, step, n, c_fold
+                  in zip(*cols)]
         return "\n".join(lines) + "\n"
-
-
-def _layer_weight_vectors(layer) -> np.ndarray:
-    """Per-output-element weight vectors: FC rows or flattened kernels."""
-    w = layer.weights
-    if layer.kind == LayerKind.FULLY_CONNECTED:
-        return w
-    return w.reshape(w.shape[0], -1)
 
 
 def _fold_constants(model: QuantModel) -> dict[int, np.ndarray]:
@@ -272,29 +259,29 @@ def build_work_plan(model: QuantModel, cfg: AcceleratorConfig) -> WorkPlan:
     """
     slots_per_step = cfg.n_vdp * cfg.n_wg
     folds = _fold_constants(model)
-    slices: list[ScheduledSlice] = []
+    parts = [np.zeros(0, SLICE_DTYPE)]
     steps: list[int] = []
     for li, layer in enumerate(model.layers):
         if layer.kind not in (LayerKind.FULLY_CONNECTED, LayerKind.CONV2D):
             continue
-        vectors = _layer_weight_vectors(layer)
-        k = 0
-        for out_idx in range(vectors.shape[0]):
-            vec = vectors[out_idx]
-            c_fold = 1.0
-            if li in folds:
-                c_fold = float(np.atleast_1d(folds[li])[out_idx])
-            for ci, start in enumerate(range(0, vec.size, cfg.n_a)):
-                chunk = vec[start:start + cfg.n_a]
-                slot = k % slots_per_step
-                slices.append(ScheduledSlice(
-                    layer_index=li, output_index=out_idx, chunk_index=ci,
-                    offset=start, weights=chunk,
-                    vdp_id=slot // cfg.n_wg, arm_id=slot % cfg.n_wg,
-                    step_index=k // slots_per_step, c_fold=c_fold))
-                k += 1
-        steps.append(math.ceil(k / slots_per_step) if k else 0)
-    return WorkPlan(tuple(slices), tuple(steps), cfg)
+        rows, size = layer.weights.shape[0], layer.weights[0].size
+        chunks_per_row = math.ceil(size / cfg.n_a)
+        k = np.arange(rows * chunks_per_row)
+        slot = k % slots_per_step
+        part = np.zeros(k.size, SLICE_DTYPE)
+        part["layer"] = li
+        part["output"] = k // chunks_per_row
+        part["chunk"] = k % chunks_per_row
+        part["offset"] = part["chunk"] * cfg.n_a
+        part["length"] = np.minimum(cfg.n_a, size - part["offset"])
+        part["vdp"] = slot // cfg.n_wg
+        part["arm"] = slot % cfg.n_wg
+        part["step"] = k // slots_per_step
+        part["c_fold"] = (np.atleast_1d(folds[li])[part["output"]]
+                          if li in folds else 1.0)
+        parts.append(part)
+        steps.append(math.ceil(k.size / slots_per_step))
+    return WorkPlan(np.concatenate(parts), tuple(steps), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +299,6 @@ def build_comb(count: int, spacing_nm: float, center_nm: float,
             f"{passband_nm} nm passband")
     return tuple(center_nm + (i - (count - 1) / 2.0) * spacing_nm
                  for i in range(count))
-
-
-def wavelength_assignment(cfg: AcceleratorConfig) -> dict[int, tuple[float, ...]]:
-    """Identical comb on every arm (wavelength reuse across arms/VDPs)."""
-    comb = build_comb(cfg.arm_activation_mrs, cfg.channel_spacing_nm,
-                      cfg.center_wavelength_nm, cfg.passband_nm)
-    if cfg.arm_activation_mrs > cfg.mrs_per_bank_max:
-        raise PhysicalConstraintError(
-            f"{cfg.arm_activation_mrs} MRs per bank exceeds the "
-            f"{cfg.mrs_per_bank_max}-MR limit")
-    return {arm: comb for arm in range(cfg.n_wg)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,13 @@ rail of a dual-rail binary weight) is perturbed multiplicatively by the
 transmission ratio T(lambda_s; lambda') / T(lambda_s; lambda_MR) of the MR it
 is imprinted on, where lambda' is the FPV-shifted resonance after tuning
 corrects a fraction of the shift. The result is clamped back to [0, 1].
-With full tuning the ratio is exactly 1 and the photonic pass reproduces the
-reference forward pass. Layers that are not binarized are executed in the
-electronic control unit and see no optical noise.
+The nominal transmission is taken on resonance, the through-port minimum,
+so the ratio is never below 1: a rail in {0, 1} comes back unchanged, and
+weight-ring FPV costs tuning power but never changes a result. Only the
+activation rings' ratios are computed. With full tuning the ratio is
+exactly 1 and the photonic pass reproduces the reference forward pass.
+Layers that are not binarized are executed in the electronic control unit
+and see no optical noise.
 """
 
 from __future__ import annotations
@@ -395,7 +399,7 @@ class PhotonicMapping:
     ``lambda_nm`` the comb wavelength each of them carries. For each
     weighted layer an [out, in] integer matrix holds, for each
     weight/activation element, the position in ``mr_ids`` of the MR that
-    carries it; -1 marks padding (elements beyond the row length).
+    carries it.
     """
 
     mr_index: dict[int, np.ndarray]
@@ -405,27 +409,33 @@ class PhotonicMapping:
 
 def build_photonic_mapping(model: QuantModel,
                            cfg: AcceleratorConfig) -> PhotonicMapping:
+    """Place every weight/activation element on an MR of its slice's arm.
+
+    Element ``col`` of a row sits in that row's slice ``col // n_a``, at
+    position ``col % n_a`` of the slice, on activation MR
+    ``(col % n_a) % slots`` of the arm the plan gave the slice.
+    """
     cfg.validate()
     plan = build_work_plan(model, cfg)
     slots = cfg.arm_activation_mrs
     comb = build_comb(slots, cfg.channel_spacing_nm,
                       cfg.center_wavelength_nm, cfg.passband_nm)
-    mr_index = {li: np.full((layer.weights.shape[0],
-                             layer.weights[0].size), -1, dtype=np.int64)
-                for li, layer in enumerate(model.layers)
-                if layer.kind in (LayerKind.FULLY_CONNECTED,
-                                  LayerKind.CONV2D)}
-    for s in plan.slices:
-        flat_arm = s.vdp_id * cfg.n_wg + s.arm_id
-        ks = np.arange(s.weights.size)
-        mr_index[s.layer_index][s.output_index, s.offset + ks] = \
-            flat_arm * slots + (ks % slots)
+    # flat arm id (vdp * n_wg + arm) of every slice, in schedule order
+    slice_arm = plan.slices["vdp"] * cfg.n_wg + plan.slices["arm"]
+    mr_index = {}
+    for li, layer in enumerate(model.layers):
+        if layer.kind not in (LayerKind.FULLY_CONNECTED, LayerKind.CONV2D):
+            continue
+        rows = layer.weights.shape[0]
+        col = np.arange(layer.weights[0].size)
+        arm = slice_arm[plan.slices["layer"] == li].reshape(rows, -1)
+        mr_index[li] = (arm[:, col // cfg.n_a] * slots
+                        + (col % cfg.n_a) % slots)
     used = np.zeros(cfg.n_vdp * cfg.n_wg * slots, dtype=bool)
     for idx in mr_index.values():
-        used[idx[idx >= 0]] = True
+        used[idx] = True
     ids = np.flatnonzero(used)
-    # flat id -> position in ids; the appended -1 keeps padding at -1
-    position = np.append(np.cumsum(used) - 1, -1)
+    position = np.cumsum(used) - 1     # flat MR id -> position in ids
     return PhotonicMapping({li: position[idx] for li, idx in mr_index.items()},
                            ids, np.asarray(comb)[ids % slots])
 
@@ -456,14 +466,14 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
                     chip_map: ChipFpvMap | None = None) -> NoisyInferenceResult:
     """Forward pass through the FPV-perturbed photonic array.
 
-    Binarized layers run optically: activations and dual-rail weight
-    occupancies are scaled by their MR's transmission ratio and clamped to
-    [0, 1]. Batch norm is always folded: the broadband C_fold gain scales
-    the partial sums after the following nonlinearity. Non-binarized layers,
-    nonlinearities, quantization and pooling run exactly in the ECU, through
-    the same layer walk as ``bnn.reference_inference``. ``tuning_fraction``
-    = 1 reproduces the folded reference forward pass (ratios are identically
-    1).
+    Binarized layers run optically: activations are scaled by their MR's
+    transmission ratio and clamped to [0, 1]; the {0, 1} dual-rail weights
+    pass unchanged (see the module docstring). Batch norm is always folded:
+    the broadband C_fold gain scales the partial sums after the following
+    nonlinearity. Non-binarized layers, nonlinearities, quantization and
+    pooling run exactly in the ECU, through the same layer walk as
+    ``bnn.reference_inference``. ``tuning_fraction`` = 1 reproduces the
+    folded reference forward pass (ratios are identically 1).
     """
     if not (0.0 <= tuning_fraction <= 1.0):
         raise DomainError("tuning_fraction must be in [0, 1]")
@@ -471,27 +481,19 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
         mapping = build_photonic_mapping(model, cfg)
     if chip_map is None:
         chip_map = chip_fpv_map(cfg, env, seed)
-    residual = 1.0 - tuning_fraction
-    mb = env.designs[RingClass.MULTI_BIT]
-    sb = env.designs[RingClass.SINGLE_BIT]
-    ids = mapping.mr_ids
-    # Ratios of the used MRs only; a trailing 1.0 serves the padding
-    # elements, whose index is -1.
-    rhos = [np.append(_perturbation_ratios(design, mapping.lambda_nm,
-                                           deltas[ids], residual), 1.0)
-            for design, deltas in ((mb, chip_map.act_delta_nm),
-                                   (sb, chip_map.weight_pos_delta_nm),
-                                   (sb, chip_map.weight_neg_delta_nm))]
+    # ratios of the activation MRs the mapping uses
+    rho_act = _perturbation_ratios(
+        env.designs[RingClass.MULTI_BIT], mapping.lambda_nm,
+        chip_map.act_delta_nm[mapping.mr_ids], 1.0 - tuning_fraction)
 
     def photonic_dot(li, layer, v):
         if not layer.binarized:
             return exact_dot(li, layer, v)
         w = layer.effective_weights()
         w = w.reshape(w.shape[0], -1)
-        idx = mapping.mr_index[li]
         out = _kernels.noisy_fc_forward(
             v.reshape(-1, v.shape[-1]), (w > 0).astype(np.float64),
-            (w < 0).astype(np.float64), *(rho[idx] for rho in rhos))
+            (w < 0).astype(np.float64), rho_act[mapping.mr_index[li]])
         return out.reshape(*v.shape[:-1], -1)
 
     a = np.asarray(x, dtype=np.float64)
@@ -512,14 +514,16 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
     if n_maps < 1:
         raise DomainError("n_maps must be >= 1")
     mapping = build_photonic_mapping(model, cfg)
-    maps = [chip_fpv_map(cfg, env, base_seed + i) for i in range(n_maps)]
-    rows = []
-    for f in fractions:
-        accs = [noisy_inference(model, x, y, cfg, env, f, 0,
-                                mapping=mapping, chip_map=m).accuracy
-                for m in maps]
-        rows.append((float(f), float(np.mean(accs)), float(np.std(accs))))
-    return rows
+    # maps outside fractions, so one chip map is alive at a time
+    accs = [[] for _ in fractions]
+    for i in range(n_maps):
+        chip_map = chip_fpv_map(cfg, env, base_seed + i)
+        for f, per_map in zip(fractions, accs):
+            per_map.append(noisy_inference(model, x, y, cfg, env, f, 0,
+                                           mapping=mapping,
+                                           chip_map=chip_map).accuracy)
+    return [(float(f), float(np.mean(a)), float(np.std(a)))
+            for f, a in zip(fractions, accs)]
 
 
 # ---------------------------------------------------------------------------

@@ -258,9 +258,19 @@ class TestConfigHandling:
         ("train-toy", "training:\n  epochs: -3\n", []),
         ("simulate", "area:\n  vdp_overhead_mm2: -5\n", []),
         ("fpv-sweep", "", ["--fractions", ""]),
+        ("dse", "workload:\n  - name: x\n    layer_parameter_counts: [-5]\n",
+         []),
+        ("dse", "workload:\n  - name: x\n    layer_parameter_counts: []\n",
+         []),
+        ("ted-sweep", "", ["--spacings", "x"]),
+        ("ted-sweep", "", ["--spacings", ""]),
+        ("ted-sweep", "", ["--spacings", "0"]),
+        ("ted-sweep", "", ["--mrs", "-2"]),
     ], ids=["to-power-0", "n-a-0", "splitter-negative", "clock-0",
             "n-fpv-maps-0", "seeds-0", "n-test-0", "epochs-negative",
-            "area-negative", "fractions-empty"])
+            "area-negative", "fractions-empty", "workload-count-negative",
+            "workload-counts-empty", "spacings-not-number", "spacings-empty",
+            "spacings-0", "mrs-negative"])
     def test_bad_value_exit_2(self, command, config_text, flags, tmp_path,
                               capsys, model_path):
         p = tmp_path / "c.yaml"

@@ -5,8 +5,7 @@ from mrbnn import bnn
 from mrbnn.bnn import QuantModel, activation_layer, conv_layer, fc_layer
 from mrbnn.errors import DomainError, PhysicalConstraintError
 from mrbnn.mapping import (AcceleratorConfig, ModelStructure, build_comb,
-                           build_work_plan, decompose_conv, decompose_fc,
-                           wavelength_assignment)
+                           build_work_plan, decompose_conv, decompose_fc)
 
 
 def direct_conv(kernel, x, stride=1):
@@ -124,6 +123,22 @@ class TestDecomposeFc:
             assert np.allclose(rebuilt, w @ a, atol=1e-9)
 
 
+DUMP_LITERAL = """\
+layer output chunk vdp arm step len c_fold
+0 0 0 0 0 0 4 0.577350269
+0 0 1 0 1 0 1 0.577350269
+0 1 0 0 2 0 4 0.5
+0 1 1 1 0 0 1 0.5
+3 0 0 0 0 0 2 1
+3 1 0 0 1 0 2 1
+3 2 0 0 2 0 2 1
+3 3 0 1 0 0 2 1
+3 4 0 1 1 0 2 1
+3 5 0 1 2 0 2 1
+3 6 0 0 0 1 2 1
+"""
+
+
 class TestWorkPlan:
     def small_cfg(self, **kw):
         base = dict(n_a=4, n_vdp=2, n_wg=3, mr_pitch_um=5.0)
@@ -139,7 +154,7 @@ class TestWorkPlan:
 
     def test_empty_model(self):
         plan = build_work_plan(QuantModel(()), self.small_cfg())
-        assert plan.slices == ()
+        assert len(plan.slices) == 0
         assert plan.total_steps == 0
 
     def test_every_weight_exactly_once(self):
@@ -148,29 +163,27 @@ class TestWorkPlan:
             fc_layer(rng.normal(size=(5, 7))), activation_layer(),
             fc_layer(rng.normal(size=(3, 5)), binarized=False)))
         cfg = self.small_cfg()
-        plan = build_work_plan(model, cfg)
-        assert sum(s.weights.size for s in plan.slices) \
-            == model.parameter_count
-        # reassemble both layers from slices
+        s = build_work_plan(model, cfg).slices
+        assert s["length"].sum() == model.parameter_count
+        assert np.array_equal(s["offset"], s["chunk"] * cfg.n_a)
+        # count how often each weight of each layer is covered
         for li, layer in enumerate(model.layers):
             if layer.weights is None:
                 continue
-            rebuilt = np.full(layer.weights.shape, np.nan)
-            for s in plan.slices:
-                if s.layer_index != li:
-                    continue
-                rebuilt[s.output_index,
-                        s.offset:s.offset + s.weights.size] = s.weights
-            assert np.array_equal(rebuilt, layer.weights)
+            covered = np.zeros(layer.weights.shape, dtype=int)
+            for row in s[s["layer"] == li]:
+                covered[row["output"],
+                        row["offset"]:row["offset"] + row["length"]] += 1
+            assert np.all(covered == 1)
 
     def test_slice_length_cap_and_round_robin(self):
         cfg = self.small_cfg()
         model = QuantModel((fc_layer(np.ones((4, 10))),))
-        plan = build_work_plan(model, cfg)
-        assert all(s.weights.size <= cfg.n_a for s in plan.slices)
-        slots = [(s.vdp_id, s.arm_id) for s in plan.slices[:6]]
+        s = build_work_plan(model, cfg).slices
+        assert np.all(s["length"] <= cfg.n_a)
+        slots = list(zip(s["vdp"][:6].tolist(), s["arm"][:6].tolist()))
         assert slots == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-        assert plan.slices[6].step_index == 1
+        assert s["step"][6] == 1
 
     def test_steps_non_increasing_in_resources(self):
         model = QuantModel((fc_layer(np.ones((16, 16))),))
@@ -190,11 +203,9 @@ class TestWorkPlan:
             bnn.batch_norm_layer(gamma, np.zeros(2), np.zeros(2), var,
                                  epsilon=1.0),
             activation_layer()))
-        plan = build_work_plan(model, self.small_cfg())
+        s = build_work_plan(model, self.small_cfg()).slices
         expected = gamma / np.sqrt(var + 1.0)
-        for s in plan.slices:
-            assert s.c_fold == pytest.approx(expected[s.output_index],
-                                             rel=1e-12)
+        assert np.allclose(s["c_fold"], expected[s["output"]], rtol=1e-12)
 
     def test_dump_is_textual(self):
         model = QuantModel((fc_layer(np.ones((2, 3))),))
@@ -202,12 +213,21 @@ class TestWorkPlan:
         assert text.startswith("layer output chunk vdp arm step len c_fold")
         assert len(text.strip().split("\n")) == 3
 
+    def test_dump_literal(self):
+        # two weighted layers, the first folded with a batch norm; the
+        # second spills into a second step
+        model = QuantModel((
+            fc_layer(np.ones((2, 5))),
+            bnn.batch_norm_layer([1.0, 0.5], np.zeros(2), np.zeros(2),
+                                 [2.0, 0.0], epsilon=1.0),
+            activation_layer(),
+            fc_layer(np.ones((7, 2)), binarized=False)))
+        assert build_work_plan(model, self.small_cfg()).dump() == DUMP_LITERAL
+
 
 class TestAcceleratorConfig:
     def test_basic_counts(self):
         cfg = AcceleratorConfig(n_a=10, n_vdp=50, n_wg=10)
-        assert cfg.n_w == 10
-        assert cfg.vector_size_per_vdp == 100
         assert cfg.weights_per_vdp_step == 100
         assert cfg.arm_activation_mrs == 10
         assert cfg.mrs_per_arm == 21
@@ -230,13 +250,16 @@ class TestAcceleratorConfig:
 
 
 class TestWavelengths:
+    @staticmethod
+    def comb(cfg):
+        return build_comb(cfg.n_lambda, cfg.channel_spacing_nm,
+                          cfg.center_wavelength_nm, cfg.passband_nm)
+
     def test_reuse_across_arms(self):
+        # one comb serves every arm: N_lambda = N_A, not N_A * N_WG
         cfg = AcceleratorConfig(n_a=10, n_vdp=3, n_wg=10)
-        assign = wavelength_assignment(cfg)
-        assert len(assign) == 10
-        combs = {v for v in assign.values()}
-        assert len(combs) == 1               # identical comb everywhere
-        assert len(assign[0]) == 10          # N_lambda = N_A, not N_A*N_WG
+        assert cfg.n_lambda == cfg.arm_activation_mrs == 10
+        assert len(set(self.comb(cfg))) == 10
 
     def test_comb_fits_passband(self):
         comb = build_comb(15, 1.0, 1550.0, 20.0)
@@ -247,7 +270,9 @@ class TestWavelengths:
             build_comb(21, 1.0, 1550.0, 20.0)
         cfg = AcceleratorConfig(n_a=21, n_vdp=1, n_wg=1)
         with pytest.raises(PhysicalConstraintError):
-            wavelength_assignment(cfg)
+            cfg.validate()
+        with pytest.raises(PhysicalConstraintError):
+            self.comb(cfg)
 
     def test_spacing_violation(self):
         with pytest.raises(PhysicalConstraintError):
@@ -257,9 +282,9 @@ class TestWavelengths:
         for n_a in (1, 5, 10, 15):
             for n_wg in (1, 4, 10):
                 cfg = AcceleratorConfig(n_a=n_a, n_vdp=2, n_wg=n_wg)
-                assign = wavelength_assignment(cfg)
-                unique = {lam for comb in assign.values() for lam in comb}
-                assert len(unique) == n_a
+                cfg.validate()
+                assert cfg.n_lambda == n_a
+                assert len(set(self.comb(cfg))) == n_a
 
 
 class TestModelStructure:

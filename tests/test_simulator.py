@@ -8,7 +8,8 @@ from mrbnn import bnn, config, photonics, simulator
 from mrbnn.bnn import (QuantModel, activation_layer, fc_layer,
                        quantize_activation, reference_inference)
 from mrbnn.errors import DomainError
-from mrbnn.mapping import AcceleratorConfig, ModelStructure, build_comb
+from mrbnn.mapping import (AcceleratorConfig, ModelStructure, build_comb,
+                           build_work_plan)
 from mrbnn.photonics import RingClass
 from mrbnn.simulator import (ChipFpvMap, LossBudget, _perturbation_ratios,
                              area_estimate, area_from_counts,
@@ -269,6 +270,21 @@ class TestPerturbationRatios:
                     / photonics.transmission(design, l, l))
             assert r == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("ring_class", [RingClass.MULTI_BIT,
+                                            RingClass.SINGLE_BIT])
+    def test_never_below_one(self, designs, ring_class):
+        # the nominal transmission is the through-port minimum, so no
+        # shift lowers it; tiny shifts probe the rounding near resonance
+        rng = np.random.Generator(np.random.PCG64(13))
+        lam = rng.uniform(1540.0, 1560.0, 30000)
+        deltas = np.concatenate([rng.normal(0.0, 30.0, 10000),
+                                 rng.normal(0.0, 1e-3, 10000),
+                                 rng.uniform(-3e-7, 3e-7, 10000)])
+        for residual in (0.05, 0.5, 1.0):
+            rho = _perturbation_ratios(designs[ring_class], lam, deltas,
+                                       residual)
+            assert np.all(rho >= 1.0)
+
     def test_full_residual(self, multibit, lam):
         self.check_residual(multibit, lam, 1.0)
 
@@ -293,17 +309,68 @@ class TestPerturbationRatios:
         assert np.array_equal(used, full[mapping.mr_ids])
 
 
+def looped_mapping(model, cfg):
+    """Scalar oracle: walk the plan slice by slice and element by element.
+
+    Returns the per-layer [out, in] positions into the sorted used MR ids,
+    and those ids.
+    """
+    plan = build_work_plan(model, cfg)
+    slots = cfg.arm_activation_mrs
+    flat = {li: np.full((layer.weights.shape[0], layer.weights[0].size), -1)
+            for li, layer in enumerate(model.layers)
+            if layer.weights is not None}
+    for s in plan.slices:
+        arm = int(s["vdp"]) * cfg.n_wg + int(s["arm"])
+        for k in range(int(s["length"])):
+            flat[int(s["layer"])][s["output"], s["offset"] + k] = \
+                arm * slots + k % slots
+    ids = sorted({int(v) for idx in flat.values() for v in idx.ravel()})
+    position = {mr: i for i, mr in enumerate(ids)}
+    index = {li: np.array([[position[int(v)] for v in row] for row in idx])
+             for li, idx in flat.items()}
+    return index, np.array(ids)
+
+
+def small_conv_model():
+    rng = np.random.Generator(np.random.PCG64(31))
+    return QuantModel((
+        bnn.conv_layer(rng.normal(size=(6, 3, 3, 3))), activation_layer(),
+        bnn.pool_layer(2),
+        bnn.conv_layer(rng.normal(size=(4, 6, 2, 2))), activation_layer(),
+        fc_layer(rng.normal(size=(5, 16)))))
+
+
 class TestPhotonicMapping:
     def test_compact_indices(self, eo_cfg, toy_model):
         mapping = build_photonic_mapping(toy_model, eo_cfg)
         ids = mapping.mr_ids
         assert np.all(np.diff(ids) > 0)
         assert mapping.lambda_nm.shape == ids.shape
-        seen = np.concatenate([idx[idx >= 0]
+        seen = np.concatenate([idx.ravel()
                                for idx in mapping.mr_index.values()])
         assert np.array_equal(np.unique(seen), np.arange(ids.size))
-        for idx in mapping.mr_index.values():
-            assert idx.min() >= -1
+
+    # "n_a=25": 3 MRs per arm, which do not divide a 25-element slice
+    @pytest.mark.parametrize("arch", ["default", "eo", "po", "n_a=25"])
+    @pytest.mark.parametrize("kind", ["fc", "conv"])
+    def test_matches_looped_oracle(self, toolkit_config, toy_model, arch,
+                                   kind):
+        cfg = (AcceleratorConfig(n_a=25, n_vdp=4, n_wg=10)
+               if arch == "n_a=25" else config.arch_config(toolkit_config,
+                                                           arch))
+        model = toy_model if kind == "fc" else small_conv_model()
+        mapping = build_photonic_mapping(model, cfg)
+        want_index, want_ids = looped_mapping(model, cfg)
+        assert np.array_equal(mapping.mr_ids, want_ids)
+        assert mapping.mr_index.keys() == want_index.keys()
+        for li, idx in want_index.items():
+            assert np.array_equal(mapping.mr_index[li], idx)
+        comb = build_comb(cfg.arm_activation_mrs, cfg.channel_spacing_nm,
+                          cfg.center_wavelength_nm, cfg.passband_nm)
+        assert np.array_equal(
+            mapping.lambda_nm,
+            [comb[i % cfg.arm_activation_mrs] for i in want_ids])
 
 
 class TestNoisyInference:
