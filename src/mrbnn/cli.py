@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,8 @@ def cmd_ted_sweep(args, cfg: cfgmod.ToolkitConfig) -> int:
                            lambda v: 0.0 < v < math.inf, "finite and > 0")
     if args.mrs < 1:
         raise ConfigError("--mrs must be >= 1")
+    if not 0.0 <= args.target < math.inf:
+        raise ConfigError("--target must be finite and >= 0")
     rows = tuning.ted_spacing_sweep(spacings, args.mrs, args.target, params)
     _write_text(args.out, render_csv(
         ["spacing_um", "p_naive_mw", "p_ted_mw", "reduction"], rows))
@@ -176,7 +179,7 @@ def cmd_dse(args, cfg: cfgmod.ToolkitConfig) -> int:
     base = cfgmod.arch_config(cfg)
     spec = cfgmod.sweep_spec(cfg)
     workload = cfgmod.workload_structures(cfg)
-    result = dsemod.run_sweep(spec, base, env, workload, seed=cfg.sweep.seed)
+    result = dsemod.run_sweep(spec, base, env, workload, seed=spec.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(str(out_dir / "scatter.csv"), dsemod.scatter_export(result))
@@ -188,13 +191,17 @@ def cmd_dse(args, cfg: cfgmod.ToolkitConfig) -> int:
 
 def cmd_train_toy(args, cfg: cfgmod.ToolkitConfig) -> int:
     t = cfg.training
+    if args.learning_rate is not None:
+        try:
+            t = replace(t, learning_rate=args.learning_rate)
+        except DomainError as exc:
+            raise ConfigError(f"--learning-rate: {exc}") from exc
     data = _dataset(cfg, args.dataset_seed)
     sizes = [t.n_features, *t.hidden_sizes, t.n_classes]
     model = bnn.make_mlp(sizes, seed=t.model_seed,
                          activation_bits=t.activation_bits)
-    lr = t.learning_rate if args.learning_rate is None else args.learning_rate
     trained, losses = bnn.ste_train(model, data.x_train, data.y_train,
-                                    epochs=t.epochs, lr=lr,
+                                    epochs=t.epochs, lr=t.learning_rate,
                                     seed=t.model_seed)
     train_acc = bnn.accuracy(trained, data.x_train, data.y_train)
     test_acc = bnn.accuracy(trained, data.x_test, data.y_test)
@@ -202,7 +209,7 @@ def cmd_train_toy(args, cfg: cfgmod.ToolkitConfig) -> int:
         "train_accuracy": round(train_acc, 6),
         "test_accuracy": round(test_acc, 6),
         "epochs": t.epochs,
-        "learning_rate": lr,
+        "learning_rate": t.learning_rate,
         "final_loss": round(losses[-1], 9) if losses else None,
         "dataset_seed": (t.dataset_seed if args.dataset_seed is None
                          else args.dataset_seed),

@@ -5,16 +5,21 @@ the defaults; unknown keys are rejected, physical quantities carry their
 unit in the key name, and a round trip through ``config_to_dict`` /
 ``config_from_dict`` reproduces an equal value.
 
-Where the simulator runs on a dataclass of the same shape, that runtime
-class is the schema node itself: ``fpv`` is ``FpvStatistics``, ``tuning``
-``TuningParams``, ``loss`` ``LossBudget``, ``power_table``
-``DevicePowerTable``, ``area`` ``AreaConstants`` and ``accelerator``
-``AcceleratorConfig``. Their ``__post_init__`` value checks therefore run
+Where the simulator runs on a dataclass, that runtime class is the schema
+node itself: each ``device_classes`` entry is an ``MrDesign``, ``fpv`` is
+``FpvStatistics``, ``tuning`` ``TuningParams``, ``loss`` ``LossBudget``,
+``power_table`` ``DevicePowerTable``, ``delays`` ``PipelineDelays``,
+``area`` ``AreaConstants``, ``accelerator`` ``AcceleratorConfig`` and
+``sweep`` ``SweepSpec``. Their ``__post_init__`` value checks therefore run
 while the config loads, and a failed check is reported as a ``ConfigError``
-naming the section. A field marked ``metadata={"derived": True}`` (the
-tuning FSR, set from each ring's design) is not a config key. The other
-sections are config-only nodes, because their runtime counterparts have a
-different shape.
+naming the section. A field marked ``metadata={"derived": True}`` is not a
+config key: the tuning FSR is set from each ring's design, and the sweep's
+``n_b`` from the accelerator. The remaining sections (``fpv_population``,
+``arch_presets``, ``workload``, ``training``, ``experiment``) have no
+runtime counterpart and are config-only nodes.
+
+A ring stores no quality factor: Q follows from r and a (see
+``photonics.fwhm_and_q``).
 
 Calibration notes baked into the defaults:
 
@@ -54,43 +59,21 @@ from .tuning import TuningParams
 
 
 @dataclass(frozen=True)
-class DeviceClassConfig:
-    radius_um: float
-    waveguide_width_nm: float
-    ring_width_nm: float
-    thickness_nm: float
-    resonant_wavelength_nm: float
-    q_factor: float
-    self_coupling_r: float
-    amplitude_a: float
-    group_index_ng: float
-    effective_index_neff: float
-    attenuation_alpha_per_cm: float
-    slopes_nm_per_nm: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
 class DeviceClassesConfig:
-    multi_bit: DeviceClassConfig = DeviceClassConfig(
-        radius_um=5.0, waveguide_width_nm=400.0, ring_width_nm=760.0,
-        thickness_nm=220.0, resonant_wavelength_nm=1550.0, q_factor=5425.0,
+    multi_bit: MrDesign = MrDesign(
+        radius_um=5.0, resonant_wavelength_nm=1550.0,
         self_coupling_r=0.9615186232399865, amplitude_a=0.99,
         group_index_ng=4.2, effective_index_neff=2.4,
-        attenuation_alpha_per_cm=6.4,
         slopes_nm_per_nm=(0.06, 0.18, 0.09))
-    single_bit: DeviceClassConfig = DeviceClassConfig(
-        radius_um=1.5, waveguide_width_nm=450.0, ring_width_nm=450.0,
-        thickness_nm=220.0, resonant_wavelength_nm=1550.0, q_factor=25000.0,
+    single_bit: MrDesign = MrDesign(
+        radius_um=1.5, resonant_wavelength_nm=1550.0,
         self_coupling_r=0.9977937258173164, amplitude_a=0.999,
         group_index_ng=4.2, effective_index_neff=2.4,
-        attenuation_alpha_per_cm=2.1,
         slopes_nm_per_nm=(1.2, 1.0, 0.6))
-    broadband: DeviceClassConfig = DeviceClassConfig(
-        radius_um=2.0, waveguide_width_nm=450.0, ring_width_nm=450.0,
-        thickness_nm=220.0, resonant_wavelength_nm=1550.0, q_factor=274.0,
+    broadband: MrDesign = MrDesign(
+        radius_um=2.0, resonant_wavelength_nm=1550.0,
         self_coupling_r=0.6855654600401045,   # sqrt(1 - 0.53)
         amplitude_a=0.99, group_index_ng=4.2, effective_index_neff=2.4,
-        attenuation_alpha_per_cm=25.0,
         slopes_nm_per_nm=(0.05, 0.05, 0.05))
 
 
@@ -103,35 +86,11 @@ class FpvPopulationConfig:
 
 
 @dataclass(frozen=True)
-class DelaysConfig:
-    clock_ghz: float = 2.5
-    ecu_buffer_params: int = 100_000
-    t_del_ns: float | None = None   # None: one full optical path latency
-
-    def __post_init__(self):
-        if not self.clock_ghz > 0:
-            raise DomainError("clock_ghz must be > 0")
-        if self.ecu_buffer_params < 0:
-            raise DomainError("ecu_buffer_params must be >= 0")
-        if self.t_del_ns is not None and self.t_del_ns < 0:
-            raise DomainError("t_del_ns must be >= 0")
-
-
-@dataclass(frozen=True)
 class ArchPresetsConfig:
     """(N_A, N_VDP, N_WG) presets: energy- and performance-optimized."""
 
     eo: tuple[int, int, int] = (10, 50, 10)
     po: tuple[int, int, int] = (50, 200, 10)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    n_a_values: tuple[int, ...] = (5, 10, 15, 25, 50)
-    n_vdp_values: tuple[int, ...] = (25, 50, 100, 200)
-    n_wg_values: tuple[int, ...] = (5, 10)
-    tuning_fraction: float = 0.8
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -169,8 +128,8 @@ class TrainingConfig:
             raise DomainError("hidden_sizes must all be >= 1")
         if self.cluster_std < 0:
             raise DomainError("cluster_std must be >= 0")
-        if not self.learning_rate > 0:
-            raise DomainError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise DomainError("learning_rate must be finite and > 0")
         if self.epochs < 0:
             raise DomainError("epochs must be >= 0")
 
@@ -210,11 +169,11 @@ class ToolkitConfig:
     tuning: TuningParams = TuningParams(fsr_nm=math.inf)
     loss: LossBudget = LossBudget()
     power_table: DevicePowerTable = DevicePowerTable()
-    delays: DelaysConfig = DelaysConfig()
+    delays: PipelineDelays = PipelineDelays()
     area: AreaConstants = AreaConstants()
     accelerator: AcceleratorConfig = AcceleratorConfig(10, 50, 10)
     arch_presets: ArchPresetsConfig = ArchPresetsConfig()
-    sweep: SweepConfig = SweepConfig()
+    sweep: SweepSpec = SweepSpec()
     workload: tuple[WorkloadModelConfig, ...] = _DEFAULT_WORKLOAD
     training: TrainingConfig = TrainingConfig()
     experiment: ExperimentConfig = ExperimentConfig()
@@ -348,49 +307,19 @@ def dump_config(cfg: ToolkitConfig) -> str:
 # constructing runtime objects
 # ---------------------------------------------------------------------------
 
-_CLASS_FIELD = {
-    RingClass.MULTI_BIT: "multi_bit",
-    RingClass.SINGLE_BIT: "single_bit",
-    RingClass.BROADBAND: "broadband",
-}
-
-
-def build_design(dc: DeviceClassConfig, ring_class: RingClass) -> MrDesign:
-    kappa = (1.0 - dc.self_coupling_r ** 2) ** 0.5
-    return MrDesign(
-        ring_class=ring_class, radius_um=dc.radius_um,
-        waveguide_width_nm=dc.waveguide_width_nm,
-        ring_width_nm=dc.ring_width_nm, thickness_nm=dc.thickness_nm,
-        resonant_wavelength_nm=dc.resonant_wavelength_nm,
-        q_factor=dc.q_factor, self_coupling_r=dc.self_coupling_r,
-        cross_coupling_kappa=kappa, amplitude_a=dc.amplitude_a,
-        group_index_ng=dc.group_index_ng,
-        effective_index_neff=dc.effective_index_neff,
-        attenuation_alpha_per_cm=dc.attenuation_alpha_per_cm,
-        sensitivity_slopes=dc.slopes_nm_per_nm)
-
-
 def build_designs(cfg: ToolkitConfig) -> dict[RingClass, MrDesign]:
-    return {rc: build_design(getattr(cfg.device_classes, name), rc)
-            for rc, name in _CLASS_FIELD.items()}
+    return {rc: getattr(cfg.device_classes, rc.value) for rc in RingClass}
 
 
 def build_tuning_params(cfg: ToolkitConfig) -> TuningParams:
     """The tuning rates bound to the multi-bit ring's FSR."""
-    mb = build_design(cfg.device_classes.multi_bit, RingClass.MULTI_BIT)
-    return replace(cfg.tuning, fsr_nm=mb.fsr_nm)
+    return replace(cfg.tuning, fsr_nm=cfg.device_classes.multi_bit.fsr_nm)
 
 
 def build_environment(cfg: ToolkitConfig) -> SimulationEnvironment:
-    clock_ns = 1.0 / cfg.delays.clock_ghz
     return SimulationEnvironment(
         designs=build_designs(cfg), loss=cfg.loss, power=cfg.power_table,
-        tuning_params=build_tuning_params(cfg),
-        delays=PipelineDelays(
-            local_buffer_ns=clock_ns, vector_distribution_ns=clock_ns,
-            ecu_buffering_ns=clock_ns,
-            ecu_buffer_params=cfg.delays.ecu_buffer_params,
-            t_del_ns=cfg.delays.t_del_ns),
+        tuning_params=build_tuning_params(cfg), delays=cfg.delays,
         fpv=cfg.fpv, area=cfg.area)
 
 
@@ -404,10 +333,7 @@ def arch_config(cfg: ToolkitConfig, preset: str = "default") -> AcceleratorConfi
 
 
 def sweep_spec(cfg: ToolkitConfig) -> SweepSpec:
-    s = cfg.sweep
-    return SweepSpec(n_a_values=s.n_a_values, n_vdp_values=s.n_vdp_values,
-                     n_wg_values=s.n_wg_values, n_b=cfg.accelerator.n_b,
-                     tuning_fraction=s.tuning_fraction)
+    return replace(cfg.sweep, n_b=cfg.accelerator.n_b)
 
 
 def workload_structures(cfg: ToolkitConfig) -> list[ModelStructure]:
@@ -418,6 +344,5 @@ def workload_structures(cfg: ToolkitConfig) -> list[ModelStructure]:
 
 def population_design(cfg: ToolkitConfig) -> MrDesign:
     """Multi-bit design carrying the wafer-population slope calibration."""
-    mb = build_design(cfg.device_classes.multi_bit, RingClass.MULTI_BIT)
-    return replace(mb,
-                   sensitivity_slopes=cfg.fpv_population.slopes_nm_per_nm)
+    return replace(cfg.device_classes.multi_bit,
+                   slopes_nm_per_nm=cfg.fpv_population.slopes_nm_per_nm)

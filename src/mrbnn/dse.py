@@ -9,7 +9,7 @@ then lower area, then lexicographic configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,17 +22,25 @@ from .textio import render_csv
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """The (N_A, N_VDP, N_WG) grid; the config node of ``sweep``.
+
+    ``n_b`` is not a config key: it is taken from the accelerator.
+    """
+
     n_a_values: tuple[int, ...] = (5, 10, 15, 25, 50)
     n_vdp_values: tuple[int, ...] = (25, 50, 100, 200)
     n_wg_values: tuple[int, ...] = (5, 10)
-    n_b: int = 1
+    n_b: int = field(default=1, metadata={"derived": True})
     tuning_fraction: float = 0.8
+    seed: int = 0
 
     def __post_init__(self):
         for name in ("n_a_values", "n_vdp_values", "n_wg_values"):
             vals = getattr(self, name)
             if not vals or any(v < 1 for v in vals):
                 raise DomainError(f"{name} must be non-empty, all >= 1")
+        if not 0.0 <= self.tuning_fraction <= 1.0:
+            raise DomainError("tuning_fraction must be in [0, 1]")
 
     def grid(self) -> list[tuple[int, int, int]]:
         return sorted((a, v, w) for a in self.n_a_values

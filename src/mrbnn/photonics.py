@@ -56,60 +56,47 @@ class RingClass(Enum):
 class MrDesign:
     """Geometry and coupling parameters of one microring class.
 
+    A design is the config node of one ``device_classes`` entry. It stores
+    only what the device math reads: the quality factor follows from r and
+    a (``fwhm_and_q``), and the coupler is taken to be lossless, so the
+    cross-coupling is kappa = sqrt(1 - r^2).
+
     Parameters
     ----------
-    ring_class : RingClass
     radius_um : float
         Ring radius [um].
-    waveguide_width_nm, ring_width_nm, thickness_nm : float
-        Nominal critical dimensions [nm].
     resonant_wavelength_nm : float
         Design resonance lambda_MR [nm].
-    q_factor : float
-        Nominal quality factor (informational; `fwhm_and_q` recomputes the
-        value implied by r and a).
-    self_coupling_r, cross_coupling_kappa : float
-        Lossless coupler coefficients, |kappa|^2 + |r|^2 = 1.
+    self_coupling_r : float
+        Self-coupling coefficient of the lossless coupler, 0 < r < 1.
     amplitude_a : float
         Single-pass amplitude transmission, 0 < a <= 1.
     group_index_ng, effective_index_neff : float
         Group and effective indices of the circulating mode.
-    attenuation_alpha_per_cm : float
-        Power attenuation coefficient [1/cm] (informational).
-    sensitivity_slopes : (float, float, float)
+    slopes_nm_per_nm : (float, float, float)
         |dlambda/dw|, |dlambda/dt|, |dlambda/dR| in nm/nm.
     """
 
-    ring_class: RingClass
     radius_um: float
-    waveguide_width_nm: float
-    ring_width_nm: float
-    thickness_nm: float
     resonant_wavelength_nm: float
-    q_factor: float
     self_coupling_r: float
-    cross_coupling_kappa: float
     amplitude_a: float
     group_index_ng: float
     effective_index_neff: float
-    attenuation_alpha_per_cm: float
-    sensitivity_slopes: tuple[float, float, float]
+    slopes_nm_per_nm: tuple[float, float, float]
 
     def __post_init__(self):
-        if not (self.radius_um > 0):
-            raise DomainError(f"radius must be positive, got {self.radius_um}")
+        for name in ("radius_um", "resonant_wavelength_nm", "group_index_ng",
+                     "effective_index_neff"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise DomainError(f"{name} must be finite and > 0, "
+                                  f"got {value}")
         if not (0 < self.amplitude_a <= 1):
             raise DomainError(f"amplitude a must be in (0, 1], got {self.amplitude_a}")
-        if not (self.q_factor > 0):
-            raise DomainError(f"q_factor must be positive, got {self.q_factor}")
         if not (0 < self.self_coupling_r < 1):
             raise DomainError(f"self-coupling r must be in (0, 1), got {self.self_coupling_r}")
-        gap = abs(self.self_coupling_r ** 2 + self.cross_coupling_kappa ** 2 - 1.0)
-        if gap > 1e-9:
-            raise DomainError(
-                "lossless coupler requires kappa^2 + r^2 = 1 "
-                f"(off by {gap:.3e})")
-        if any(s < 0 for s in self.sensitivity_slopes):
+        if not all(s >= 0 for s in self.slopes_nm_per_nm):
             raise DomainError("sensitivity slopes are magnitudes, must be >= 0")
 
     @property
@@ -329,7 +316,7 @@ def sensitivity_slope(shift_fn: Callable[[float, float, float], float],
 def delta_lambda_of(design: MrDesign, dw_nm: float, dt_nm: float,
                     dR_nm: float) -> float:
     """Resonance shift for given signed geometry deviations [nm]."""
-    s_w, s_t, s_r = design.sensitivity_slopes
+    s_w, s_t, s_r = design.slopes_nm_per_nm
     return s_w * dw_nm + s_t * dt_nm + s_r * dR_nm
 
 
@@ -350,7 +337,7 @@ def sample_fpv_map(designs: Sequence[MrDesign], stats: FpvStatistics,
     n = len(designs) * count
     devs = rng.normal(loc=np.asarray(stats.mean_nm),
                       scale=np.asarray(stats.sigma_nm), size=(n, 3))
-    slopes = np.repeat(np.array([d.sensitivity_slopes for d in designs]),
+    slopes = np.repeat(np.array([d.slopes_nm_per_nm for d in designs]),
                        count, axis=0)
     deltas = np.sum(slopes * devs, axis=1)
     return FpvMap(devs, deltas, float(np.mean(deltas)), float(np.std(deltas)))

@@ -87,13 +87,24 @@ class DevicePowerTable:
 
 @dataclass(frozen=True)
 class PipelineDelays:
-    """ECU-side delays; defaults are one clock at 2.5 GHz each."""
+    """ECU-side delays. The local buffer, the vector distribution and the
+    ECU buffering each take one clock cycle."""
 
-    local_buffer_ns: float = 0.4
-    vector_distribution_ns: float = 0.4
-    ecu_buffering_ns: float = 0.4
+    clock_ghz: float = 2.5
     ecu_buffer_params: int = 100_000
     t_del_ns: float | None = None   # None: one full optical path latency
+
+    def __post_init__(self):
+        if not self.clock_ghz > 0:
+            raise DomainError("clock_ghz must be > 0")
+        if self.ecu_buffer_params < 0:
+            raise DomainError("ecu_buffer_params must be >= 0")
+        if self.t_del_ns is not None and self.t_del_ns < 0:
+            raise DomainError("t_del_ns must be >= 0")
+
+    @property
+    def cycle_ns(self) -> float:
+        return 1.0 / self.clock_ghz
 
     def resolve_t_del(self, power: DevicePowerTable,
                       tuning_params: tuning.TuningParams) -> float:
@@ -270,10 +281,10 @@ def pipeline_time(model, cfg: AcceleratorConfig,
     steps = math.ceil(params / per_step) if params else 0
     buffered = min(params, env.delays.ecu_buffer_params)
     buffered_steps = math.ceil(buffered / per_step) if buffered else 0
-    delta_t = env.delays.local_buffer_ns + env.delays.vector_distribution_ns
+    cycle = env.delays.cycle_ns
+    delta_t = cycle + cycle
     t_del = env.delays.resolve_t_del(env.power, env.tuning_params)
-    total = (t_del + delta_t * steps
-             + env.delays.ecu_buffering_ns * buffered_steps)
+    total = t_del + delta_t * steps + cycle * buffered_steps
     return PipelineTiming(total, steps, buffered_steps, delta_t, t_del)
 
 

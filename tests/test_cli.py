@@ -64,19 +64,6 @@ class TestTrainToy:
         assert meta["train_accuracy"] >= 0.95
         assert model.weighted_layers()
 
-    def test_zero_lr_keeps_init(self, tmp_path, capsys):
-        out = tmp_path / "frozen.mrbnn"
-        code, stdout, _ = run_cli(
-            ["train-toy", "--learning-rate", "0", "--out-model", str(out)],
-            capsys)
-        assert code == 0
-        model, _ = modelio.load_model(str(out))
-        init = bnn.make_mlp([8, 32, 3], seed=7)
-        for got, want in zip(model.weighted_layers(),
-                             init.weighted_layers()):
-            assert np.allclose(got.weights,
-                               want.weights.astype(np.float32), atol=0)
-
     def test_deterministic(self, tmp_path, capsys):
         outs = []
         for name in ("a", "b"):
@@ -266,11 +253,16 @@ class TestConfigHandling:
         ("ted-sweep", "", ["--spacings", ""]),
         ("ted-sweep", "", ["--spacings", "0"]),
         ("ted-sweep", "", ["--mrs", "-2"]),
+        ("device-report", "device_classes:\n  multi_bit:\n"
+         "    group_index_ng: 0\n", ["--class", "MultiBit"]),
+        ("ted-sweep", "", ["--target", "nan"]),
+        ("train-toy", "", ["--learning-rate", "0"]),
     ], ids=["to-power-0", "n-a-0", "splitter-negative", "clock-0",
             "n-fpv-maps-0", "seeds-0", "n-test-0", "epochs-negative",
             "area-negative", "fractions-empty", "workload-count-negative",
             "workload-counts-empty", "spacings-not-number", "spacings-empty",
-            "spacings-0", "mrs-negative"])
+            "spacings-0", "mrs-negative", "ring-ng-0", "target-nan",
+            "learning-rate-0"])
     def test_bad_value_exit_2(self, command, config_text, flags, tmp_path,
                               capsys, model_path):
         p = tmp_path / "c.yaml"
@@ -285,6 +277,38 @@ class TestConfigHandling:
         assert err.startswith("error[") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("config_text, argv", [
+        ("device_classes:\n  broadband:\n    group_index_ng: -4.2\n",
+         ["device-report", "--class", "Broadband"]),
+        ("device_classes:\n  multi_bit:\n    effective_index_neff: 0\n",
+         ["device-report", "--class", "MultiBit"]),
+        ("device_classes:\n  single_bit:\n    radius_um: -1\n",
+         ["train-toy"]),
+        ("sweep:\n  tuning_fraction: 1.5\n", ["dse"]),
+        ("", ["ted-sweep", "--target", "inf"]),
+        ("", ["ted-sweep", "--target", "-1"]),
+        ("", ["train-toy", "--learning-rate", "-0.1"]),
+        ("", ["train-toy", "--learning-rate", "nan"]),
+    ])
+    def test_boundary_checks_are_config_errors(self, config_text, argv,
+                                               tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text(config_text)
+        out = tmp_path / "out.txt"
+        out_flag = "--out-model" if argv[0] == "train-toy" else "--out"
+        code, _, err = run_cli([*argv, "--config", str(p), out_flag,
+                                str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error[config]:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_zero_target_allowed(self, tmp_path, capsys):
+        out = tmp_path / "ted.csv"
+        code, _, _ = run_cli(["ted-sweep", "--spacings", "5",
+                              "--target", "0", "--out", str(out)], capsys)
+        assert code == 0
+        assert out.read_text().split("\n")[1].startswith("5.00000000,")
 
     def test_passband_violation_exit_4(self, tmp_path, capsys, model_path):
         p = tmp_path / "c.yaml"

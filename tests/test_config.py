@@ -24,11 +24,6 @@ class TestDefaults:
         assert abs(q_mb - 5000) / 5000 <= 0.10
         assert q_sb == pytest.approx(25000, rel=1e-6)
 
-    def test_coupler_invariant_satisfied(self, designs):
-        for d in designs.values():
-            assert abs(d.self_coupling_r**2 + d.cross_coupling_kappa**2
-                       - 1.0) < 1e-9
-
     def test_presets(self, toolkit_config):
         eo = arch_config(toolkit_config, "eo")
         po = arch_config(toolkit_config, "po")
@@ -52,13 +47,22 @@ class TestDefaults:
 
     def test_population_design(self, toolkit_config):
         d = population_design(toolkit_config)
-        assert d.sensitivity_slopes == \
+        assert d.slopes_nm_per_nm == \
             toolkit_config.fpv_population.slopes_nm_per_nm
+        assert d.radius_um == toolkit_config.device_classes.multi_bit.radius_um
 
     def test_sweep_spec(self, toolkit_config):
         spec = sweep_spec(toolkit_config)
         assert (10, 50, 10) in spec.grid()
         assert (50, 200, 10) in spec.grid()
+        cfg = config_from_dict({"accelerator": {"n_b": 3},
+                                "sweep": {"seed": 5}})
+        assert (sweep_spec(cfg).n_b, sweep_spec(cfg).seed) == (3, 5)
+
+    def test_designs_are_config_nodes(self, toolkit_config):
+        designs = build_designs(toolkit_config)
+        for rc, design in designs.items():
+            assert design is getattr(toolkit_config.device_classes, rc.value)
 
 
 class TestSchema:
@@ -79,9 +83,19 @@ class TestSchema:
         ("accelerator", ("n_a", "n_vdp", "n_wg", "n_b", "mrs_per_bank_max",
                          "channel_spacing_nm", "center_wavelength_nm",
                          "mr_pitch_um", "passband_nm")),
+        ("delays", ("clock_ghz", "ecu_buffer_params", "t_del_ns")),
+        ("sweep", ("n_a_values", "n_vdp_values", "n_wg_values",
+                   "tuning_fraction", "seed")),
+        ("device_classes.multi_bit", (
+            "radius_um", "resonant_wavelength_nm", "self_coupling_r",
+            "amplitude_a", "group_index_ng", "effective_index_neff",
+            "slopes_nm_per_nm")),
     ])
     def test_section_keys(self, section, keys):
-        assert tuple(config_to_dict(ToolkitConfig())[section]) == keys
+        node = config_to_dict(ToolkitConfig())
+        for part in section.split("."):
+            node = node[part]
+        assert tuple(node) == keys
 
     def test_power_table_entry_keys(self):
         for entry in config_to_dict(ToolkitConfig())["power_table"].values():
@@ -91,10 +105,19 @@ class TestSchema:
         ("tuning", "fsr_nm"),
         ("tuning", "heater_efficiency_nm_per_mw"),
         ("loss", "fanout_db_per_stage"),
+        ("device_classes.multi_bit", "q_factor"),
+        ("device_classes.multi_bit", "attenuation_alpha_per_cm"),
+        ("device_classes.multi_bit", "cross_coupling_kappa"),
+        ("device_classes.multi_bit", "thickness_nm"),
+        ("delays", "local_buffer_ns"),
+        ("sweep", "n_b"),
     ])
     def test_derived_values_are_not_keys(self, section, key):
+        data = {key: 1.0}
+        for part in reversed(section.split(".")):
+            data = {part: data}
         with pytest.raises(ConfigError, match="unknown keys"):
-            config_from_dict({section: {key: 1.0}})
+            config_from_dict(data)
 
     def test_tuning_fsr_follows_multi_bit_radius(self):
         cfg = config_from_dict(
@@ -119,6 +142,7 @@ class TestSchema:
     def test_environment_uses_config_nodes(self, toolkit_config):
         env = build_environment(toolkit_config)
         assert env.loss is toolkit_config.loss
+        assert env.delays is toolkit_config.delays
         assert env.power is toolkit_config.power_table
         assert env.fpv is toolkit_config.fpv
         assert env.area is toolkit_config.area
@@ -143,6 +167,11 @@ class TestSchema:
         ("training.epochs", -3),
         ("training.learning_rate", 0),
         ("training.hidden_sizes", [32, 0]),
+        ("device_classes.multi_bit.group_index_ng", 0),
+        ("device_classes.multi_bit.effective_index_neff", 0),
+        ("device_classes.multi_bit.radius_um", -1),
+        ("sweep.n_a_values", []),
+        ("sweep.tuning_fraction", 1.5),
     ])
     def test_bad_values_rejected_at_load(self, key, value):
         data = value
@@ -181,7 +210,8 @@ class TestOverlay:
         cfg = config_from_dict(
             {"device_classes": {"multi_bit": {"radius_um": 6.0}}})
         assert cfg.device_classes.multi_bit.radius_um == 6.0
-        assert cfg.device_classes.multi_bit.q_factor == 5425.0
+        assert cfg.device_classes.multi_bit.self_coupling_r == \
+            ToolkitConfig().device_classes.multi_bit.self_coupling_r
         assert cfg.device_classes.single_bit.radius_um == 1.5
 
     def test_workload_replacement(self):

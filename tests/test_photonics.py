@@ -278,7 +278,7 @@ class TestFpvSampling:
 
     def test_shift_arithmetic(self, multibit):
         from dataclasses import replace
-        d = replace(multibit, sensitivity_slopes=(1.0, 1.0, 1.0))
+        d = replace(multibit, slopes_nm_per_nm=(1.0, 1.0, 1.0))
         assert delta_lambda_of(d, 4.9, 1.5, 0.75) == pytest.approx(
             7.15, rel=1e-12)
 
@@ -309,7 +309,7 @@ class TestFpvSampling:
         # two designs: rows are design-major, each with its own slopes
         pair = [designs[RingClass.MULTI_BIT], designs[RingClass.BROADBAND]]
         fmap = sample_fpv_map(pair, FpvStatistics(seed=9), 50)
-        slopes = np.repeat([d.sensitivity_slopes for d in pair], 50, axis=0)
+        slopes = np.repeat([d.slopes_nm_per_nm for d in pair], 50, axis=0)
         assert fmap.delta_lambdas_nm.shape == (100,)
         for dev, delta, s in zip(fmap.deviations_nm,
                                  fmap.delta_lambdas_nm, slopes):
@@ -331,11 +331,6 @@ class TestFpvSampling:
 
 
 class TestMrDesign:
-    def test_coupler_invariant_enforced(self, multibit):
-        from dataclasses import replace
-        with pytest.raises(DomainError):
-            replace(multibit, cross_coupling_kappa=0.5)
-
     def test_round_trip_length_derived(self, multibit):
         assert multibit.circumference_nm == pytest.approx(
             2 * math.pi * multibit.radius_um * 1000.0, rel=1e-12)
@@ -346,5 +341,8 @@ class TestMrDesign:
             replace(multibit, radius_um=-1.0)
         with pytest.raises(DomainError):
             replace(multibit, amplitude_a=1.5)
-        with pytest.raises(DomainError):
-            replace(multibit, q_factor=0.0)
+        for name in ("resonant_wavelength_nm", "group_index_ng",
+                     "effective_index_neff"):
+            for bad in (0.0, -4.2, math.nan, math.inf):
+                with pytest.raises(DomainError, match=name):
+                    replace(multibit, **{name: bad})
