@@ -1,7 +1,8 @@
 """Partially binarized neural networks: representation, quantization,
 desk-scale straight-through-estimator training, batch-norm folding, and the
-layer walker (``forward``) behind both the exact floating-point reference
-forward pass and the photonic one of ``simulator.noisy_inference``.
+layer walker (``forward``) behind the exact floating-point reference forward
+pass, the trainer's forward pass and the photonic one of
+``simulator.noisy_inference``.
 
 Weights of binarized layers are stored at full precision ("shadow" weights)
 and enter every computation through sign(); sign(0) = +1 by convention.
@@ -203,14 +204,9 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, in
     ow = (w - kw) // stride + 1
     if oh <= 0 or ow <= 0:
         raise DomainError("kernel larger than input")
-    cols = np.empty((n, oh * ow, c * kh * kw), dtype=x.dtype)
-    pos = 0
-    for iy in range(oh):
-        for ix in range(ow):
-            patch = x[:, :, iy * stride:iy * stride + kh,
-                      ix * stride:ix * stride + kw]
-            cols[:, pos, :] = patch.reshape(n, -1)
-            pos += 1
+    win = np.lib.stride_tricks.sliding_window_view(
+        x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, c * kh * kw)
     return cols, oh, ow
 
 
@@ -337,30 +333,6 @@ def reference_inference(model: QuantModel, x, folded: bool = False):
 # STE training (desk scale, FC only)
 # ---------------------------------------------------------------------------
 
-def _forward_fc(model: QuantModel, x: np.ndarray):
-    """Forward pass for the trainer, keeping intermediates."""
-    fcs = [l for l in model.layers if l.kind == LayerKind.FULLY_CONNECTED]
-    acts = [l for l in model.layers if l.kind == LayerKind.ACTIVATION]
-    a = x
-    cache = []
-    for i, layer in enumerate(fcs):
-        w_eff = layer.effective_weights()
-        z = a @ w_eff.T
-        last = i == len(fcs) - 1
-        if last:
-            cache.append((a, z, None, w_eff))
-            a = z
-        else:
-            act = acts[i] if i < len(acts) else activation_layer()
-            h = np.maximum(z, 0.0)
-            if act.quantize:
-                h = quantize_activation(h, model.activation_bits,
-                                        *act.act_range)
-            cache.append((a, z, act, w_eff))
-            a = h
-    return a, cache
-
-
 def _loss_and_grad(out, y, kind):
     n = out.shape[0]
     if kind == "xent":
@@ -378,6 +350,39 @@ def _loss_and_grad(out, y, kind):
     raise DomainError(f"unknown loss {kind!r}")
 
 
+def _ste_step(model: QuantModel, x: np.ndarray, y: np.ndarray, loss: str,
+              tape: dict) -> tuple[float, dict[int, np.ndarray]]:
+    """Loss and STE gradients {layer index: d loss / d shadow weights}.
+
+    The forward pass is ``forward`` with exact dot products; ``tape`` records
+    each FC layer's input and output. The caller keeps one tape across
+    epochs: releasing these arrays after every step and faulting them in
+    again made toy-MLP training about twice as slow. Backward, a ReLU masks
+    where the FC output feeding it was <= 0; identity, the quantizer and
+    sign() pass the gradient straight through. Any other layer order is
+    rejected rather than differentiated differently from ``forward``.
+    """
+    def dot(li, layer, v):
+        tape[li] = (v, exact_dot(li, layer, v))
+        return tape[li][1]
+
+    loss_val, g = _loss_and_grad(forward(model, x, dot), y, loss)
+    grads = {}
+    for li in reversed(range(len(model.layers))):
+        layer = model.layers[li]
+        if layer.kind == LayerKind.FULLY_CONNECTED:
+            grads[li] = g.T @ tape[li][0]
+            if li:      # layer 0 has no weights upstream
+                g = g @ layer.effective_weights()
+        elif (layer.kind != LayerKind.ACTIVATION or li == 0
+              or model.layers[li - 1].kind != LayerKind.FULLY_CONNECTED):
+            raise DomainError("STE training supports FC layers, each "
+                              "optionally followed by one activation")
+        elif layer.activation == "relu":
+            g = g * (tape[li - 1][1] > 0.0)
+    return loss_val, grads
+
+
 def ste_train(model: QuantModel, x, y, epochs: int, lr: float,
               seed: int = 0, loss: str = "xent"):
     """Train the FC shadow weights with SGD and the straight-through estimator.
@@ -385,7 +390,8 @@ def ste_train(model: QuantModel, x, y, epochs: int, lr: float,
     Forward and backward passes use sign(W) for binarized layers; the
     gradient of sign (and of the activation quantizer) is bypassed as the
     identity, and the full-precision shadow weights receive the update.
-    Full-batch, deterministic for a given seed.
+    Full-batch with no randomness, so the result depends only on the
+    arguments; ``seed`` is accepted and not read.
 
     Returns (trained QuantModel, per-epoch loss list).
     """
@@ -393,47 +399,24 @@ def ste_train(model: QuantModel, x, y, epochs: int, lr: float,
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DomainError("dataset shapes do not match")
-    for layer in model.layers:
-        if layer.kind not in (LayerKind.FULLY_CONNECTED, LayerKind.ACTIVATION):
-            raise DomainError("ste_train supports FC and activation layers only")
-    layers = [replace(l, weights=l.weights.copy())
-              if l.kind == LayerKind.FULLY_CONNECTED else l
-              for l in model.layers]
-    model = replace(model, layers=tuple(layers))
-    fcs = [l for l in model.layers if l.kind == LayerKind.FULLY_CONNECTED]
-
+    model = replace(model, layers=tuple(
+        replace(l, weights=l.weights.copy()) if l.weights is not None else l
+        for l in model.layers))
     losses = []
+    tape: dict = {}
     for _ in range(max(epochs, 0)):
-        out, cache = _forward_fc(model, x)
-        loss_val, g = _loss_and_grad(out, y, loss)
+        loss_val, grads = _ste_step(model, x, y, loss, tape)
         losses.append(loss_val)
-        if lr == 0.0:
-            continue
-        for i in reversed(range(len(fcs))):
-            a_in, z, act, w_eff = cache[i]
-            if act is not None:        # STE: quantizer grad = identity
-                g = g * (z > 0.0)      # relu mask
-            grad_w = g.T @ a_in
-            g = g @ w_eff
-            shadow = fcs[i].weights
-            shadow -= lr * grad_w
+        for li, grad in grads.items():
+            model.layers[li].weights[...] -= lr * grad
     return model, losses
 
 
 def ste_gradient(model: QuantModel, x, y, loss: str = "xent"):
     """STE gradients w.r.t. each FC layer's shadow weights (no update)."""
-    x = np.asarray(x, dtype=np.float64)
-    out, cache = _forward_fc(model, x)
-    _, g = _loss_and_grad(out, np.asarray(y), loss)
-    fcs = [l for l in model.layers if l.kind == LayerKind.FULLY_CONNECTED]
-    grads = [None] * len(fcs)
-    for i in reversed(range(len(fcs))):
-        a_in, z, act, w_eff = cache[i]
-        if act is not None:
-            g = g * (z > 0.0)
-        grads[i] = g.T @ a_in
-        g = g @ w_eff
-    return grads
+    _, grads = _ste_step(model, np.asarray(x, dtype=np.float64),
+                         np.asarray(y), loss, {})
+    return [grads[li] for li in sorted(grads)]
 
 
 def accuracy(model: QuantModel, x, y, folded: bool = False) -> float:

@@ -64,11 +64,20 @@ def _parse_list(text: str, what: str, valid, rule: str) -> list[float]:
     return vals
 
 
-def _dataset(cfg: cfgmod.ToolkitConfig, seed: int | None = None):
-    t = cfg.training
+def _override(node, field: str, value, flag: str):
+    """``node`` with ``field`` set to the value of ``flag`` when it was
+    given; the node's own checks reject a bad value as a config error."""
+    if value is None:
+        return node
+    try:
+        return replace(node, **{field: value})
+    except DomainError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
+def _dataset(t: cfgmod.TrainingConfig):
     return bnn.make_blobs(t.n_train, t.n_test, t.n_features, t.n_classes,
-                          t.cluster_std,
-                          t.dataset_seed if seed is None else seed)
+                          t.cluster_std, t.dataset_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -122,32 +131,32 @@ def cmd_ted_sweep(args, cfg: cfgmod.ToolkitConfig) -> int:
 
 
 def cmd_fpv_sweep(args, cfg: cfgmod.ToolkitConfig) -> int:
+    exp = _override(cfg.experiment, "n_fpv_maps", args.seeds, "--seeds")
     model, _meta = modelio.load_model(args.model)
     env = cfgmod.build_environment(cfg)
     arch = cfgmod.arch_config(cfg, args.arch)
-    data = _dataset(cfg)
+    data = _dataset(cfg.training)
     fractions = (_parse_list(args.fractions, "fractions",
                              lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
                  if args.fractions is not None
-                 else list(cfg.experiment.tuning_fractions))
-    n_maps = (args.seeds if args.seeds is not None
-              else cfg.experiment.n_fpv_maps)
+                 else list(exp.tuning_fractions))
     rows = simulator.fpv_accuracy_sweep(
-        model, data.x_test, data.y_test, arch, env, fractions, n_maps,
-        cfg.experiment.map_seed)
+        model, data.x_test, data.y_test, arch, env, fractions,
+        exp.n_fpv_maps, exp.map_seed)
     _write_text(args.out, render_csv(
         ["tuning_fraction", "mean_accuracy", "std_accuracy"], rows))
     return EXIT_OK
 
 
 def cmd_simulate(args, cfg: cfgmod.ToolkitConfig) -> int:
+    fraction = _override(cfg.experiment, "tuning_fraction",
+                         args.tuning_fraction,
+                         "--tuning-fraction").tuning_fraction
     model, _meta = modelio.load_model(args.model)
     env = cfgmod.build_environment(cfg)
     arch = cfgmod.arch_config(cfg, args.arch)
     arch.validate()
-    data = _dataset(cfg)
-    fraction = (args.tuning_fraction if args.tuning_fraction is not None
-                else cfg.experiment.tuning_fraction)
+    data = _dataset(cfg.training)
     chip_map = simulator.chip_fpv_map(arch, env, cfg.experiment.map_seed)
     noisy = simulator.noisy_inference(model, data.x_test, data.y_test, arch,
                                       env, fraction, cfg.experiment.map_seed,
@@ -190,19 +199,15 @@ def cmd_dse(args, cfg: cfgmod.ToolkitConfig) -> int:
 
 
 def cmd_train_toy(args, cfg: cfgmod.ToolkitConfig) -> int:
-    t = cfg.training
-    if args.learning_rate is not None:
-        try:
-            t = replace(t, learning_rate=args.learning_rate)
-        except DomainError as exc:
-            raise ConfigError(f"--learning-rate: {exc}") from exc
-    data = _dataset(cfg, args.dataset_seed)
+    t = _override(cfg.training, "learning_rate", args.learning_rate,
+                  "--learning-rate")
+    t = _override(t, "dataset_seed", args.dataset_seed, "--dataset-seed")
+    data = _dataset(t)
     sizes = [t.n_features, *t.hidden_sizes, t.n_classes]
     model = bnn.make_mlp(sizes, seed=t.model_seed,
                          activation_bits=t.activation_bits)
     trained, losses = bnn.ste_train(model, data.x_train, data.y_train,
-                                    epochs=t.epochs, lr=t.learning_rate,
-                                    seed=t.model_seed)
+                                    epochs=t.epochs, lr=t.learning_rate)
     train_acc = bnn.accuracy(trained, data.x_train, data.y_train)
     test_acc = bnn.accuracy(trained, data.x_test, data.y_test)
     metadata = {
@@ -211,8 +216,7 @@ def cmd_train_toy(args, cfg: cfgmod.ToolkitConfig) -> int:
         "epochs": t.epochs,
         "learning_rate": t.learning_rate,
         "final_loss": round(losses[-1], 9) if losses else None,
-        "dataset_seed": (t.dataset_seed if args.dataset_seed is None
-                         else args.dataset_seed),
+        "dataset_seed": t.dataset_seed,
         "layer_sizes": sizes,
     }
     modelio.save_model(trained, args.out_model, metadata)

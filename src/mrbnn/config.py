@@ -132,6 +132,9 @@ class TrainingConfig:
             raise DomainError("learning_rate must be finite and > 0")
         if self.epochs < 0:
             raise DomainError("epochs must be >= 0")
+        for name in ("model_seed", "dataset_seed"):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,8 @@ class ExperimentConfig:
         if not all(0.0 <= f <= 1.0
                    for f in (*self.tuning_fractions, self.tuning_fraction)):
             raise DomainError("tuning fractions must be in [0, 1]")
+        if self.map_seed < 0:
+            raise DomainError("map_seed must be >= 0")
 
 
 _DEFAULT_WORKLOAD = (

@@ -41,6 +41,8 @@ class SweepSpec:
                 raise DomainError(f"{name} must be non-empty, all >= 1")
         if not 0.0 <= self.tuning_fraction <= 1.0:
             raise DomainError("tuning_fraction must be in [0, 1]")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
 
     def grid(self) -> list[tuple[int, int, int]]:
         return sorted((a, v, w) for a in self.n_a_values

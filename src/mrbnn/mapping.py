@@ -2,7 +2,9 @@
 
 Every output element of a layer is a dot product; dot products are split
 into sub-vectors of at most ``n_a`` elements, summed by per-arm
-photodetectors and then across arms. Work-plan slices are assigned
+photodetectors and then across arms. The work plan (``build_work_plan``) is
+the one slicing rule: ``decompose_fc`` and ``decompose_conv`` cut their
+vectors at its ``offset`` column. Work-plan slices are assigned
 round-robin over (VDP unit, arm); the same wavelength comb is reused by
 every arm, so the unique wavelength count equals the per-arm activation MR
 count, independent of the number of arms and VDP units.
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnn import LayerKind, QuantModel, bn_fold
+from .bnn import (Layer, LayerKind, QuantModel, bn_fold, conv_layer, fc_layer,
+                  im2col)
 from .errors import DomainError, PhysicalConstraintError
 
 
@@ -131,24 +134,30 @@ class DotDecomposition:
         return total
 
 
-def _split(vec: np.ndarray, granularity: int) -> tuple[np.ndarray, ...]:
-    return tuple(vec[i:i + granularity]
-                 for i in range(0, vec.size, granularity))
+def _decompose(layer: Layer, vectors: np.ndarray, grid: tuple[int, ...],
+               granularity: int) -> list[DotDecomposition]:
+    """Pair every weight row of ``layer`` with every activation vector (one
+    per point of ``grid``), both split at the slice bounds the work plan
+    gives the layer at n_a = ``granularity``."""
+    if granularity < 1:
+        raise DomainError("granularity must be >= 1")
+    plan = build_work_plan(QuantModel((layer,)),
+                           AcceleratorConfig(granularity, 1, 1))
+    cuts = plan.slices["offset"][plan.slices["output"] == 0][1:]
+    rows = layer.weights.reshape(layer.weights.shape[0], -1)
+    return [DotDecomposition((r, *pos), tuple(np.split(row, cuts)),
+                             tuple(np.split(vec, cuts)))
+            for r, row in enumerate(rows)
+            for pos, vec in zip(np.ndindex(*grid), vectors)]
 
 
 def decompose_fc(weights, activations, granularity: int) -> list[DotDecomposition]:
     """Split a matrix-vector product into per-row sub-vector dot products."""
     w = np.asarray(weights, dtype=np.float64)
     a = np.asarray(activations, dtype=np.float64)
-    if granularity < 1:
-        raise DomainError("granularity must be >= 1")
     if w.ndim != 2 or a.ndim != 1 or w.shape[1] != a.size:
         raise DomainError("weights must be [out, in] matching activations")
-    out = []
-    for row in range(w.shape[0]):
-        out.append(DotDecomposition(
-            (row,), _split(w[row], granularity), _split(a, granularity)))
-    return out
+    return _decompose(fc_layer(w, binarized=False), a[None], (), granularity)
 
 
 def decompose_conv(kernel, activations, granularity: int,
@@ -157,12 +166,10 @@ def decompose_conv(kernel, activations, granularity: int,
 
     ``kernel`` is [kh, kw] or [out_c, in_c, kh, kw]; ``activations`` is the
     matching [h, w] or [in_c, h, w] input. Each output element (oc, oy, ox)
-    becomes one decomposed dot product over the flattened patch.
+    becomes one decomposed dot product over its ``bnn.im2col`` patch.
     """
     k = np.asarray(kernel, dtype=np.float64)
     x = np.asarray(activations, dtype=np.float64)
-    if granularity < 1:
-        raise DomainError("granularity must be >= 1")
     if k.ndim == 2:
         k = k[None, None]
     if x.ndim == 2:
@@ -171,23 +178,9 @@ def decompose_conv(kernel, activations, granularity: int,
         raise DomainError("kernel/activation ranks or channels do not match")
     if k.size == 0:
         raise DomainError("kernel must not be empty")
-    oc, ic, kh, kw = k.shape
-    _, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    if oh <= 0 or ow <= 0:
-        raise DomainError("kernel larger than input")
-    out = []
-    for c in range(oc):
-        kvec = k[c].reshape(-1)
-        for oy in range(oh):
-            for ox in range(ow):
-                patch = x[:, oy * stride:oy * stride + kh,
-                          ox * stride:ox * stride + kw].reshape(-1)
-                out.append(DotDecomposition(
-                    (c, oy, ox), _split(kvec, granularity),
-                    _split(patch, granularity)))
-    return out
+    cols, oh, ow = im2col(x[None], k.shape[2], k.shape[3], stride)
+    return _decompose(conv_layer(k, stride, binarized=False), cols[0],
+                      (oh, ow), granularity)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,8 @@ class FpvStatistics:
     def __post_init__(self):
         if any(s < 0 for s in self.sigma_nm):
             raise DomainError("sigma components must be >= 0")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -133,8 +133,8 @@ class TestReferenceInference:
 
     def test_conv_matches_brute_force(self):
         rng = np.random.Generator(np.random.PCG64(5))
-        for stride in (1, 2):
-            k = binarize(rng.normal(size=(3, 2, 3, 3)))
+        for stride, (kh, kw) in ((1, (3, 3)), (2, (3, 3)), (3, (2, 3))):
+            k = binarize(rng.normal(size=(3, 2, kh, kw)))
             x = rng.uniform(0, 1, size=(2, 8, 8))
             model = QuantModel((conv_layer(k, stride=stride,
                                            binarized=False),))
@@ -142,6 +142,11 @@ class TestReferenceInference:
             assert np.allclose(logits,
                                brute_conv2d(x, k, stride).reshape(-1),
                                atol=1e-12)
+            cols, oh, ow = bnn.im2col(x[None], kh, kw, stride)
+            patches = [x[:, oy * stride:oy * stride + kh,
+                         ox * stride:ox * stride + kw].reshape(-1)
+                       for oy in range(oh) for ox in range(ow)]
+            assert np.array_equal(cols[0], patches)
 
     def test_pool_modes(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
@@ -321,6 +326,93 @@ class TestSteGradient:
             rel = np.abs(grads[layer_idx] - num) \
                 / np.maximum(np.abs(num), 1e-8)
             assert np.max(rel) < 1e-4
+
+
+def ordered_model(order: str, quantize: bool) -> QuantModel:
+    """A 3 -> 4 -> 2 net from a layer order such as "fc relu fc"; the first
+    FC layer is binarized, the others full precision."""
+    rng = np.random.Generator(np.random.PCG64(31))
+    widths = iter((3, 4, 2))
+    n_in = next(widths)
+    layers = []
+    for name in order.split():
+        if name == "fc":
+            n_out = next(widths)
+            layers.append(fc_layer(rng.normal(size=(n_out, n_in)),
+                                   binarized=not layers))
+            n_in = n_out
+        else:
+            layers.append(activation_layer(name, quantize=quantize))
+    return QuantModel(tuple(layers))
+
+
+def order_data():
+    rng = np.random.Generator(np.random.PCG64(32))
+    return rng.uniform(0.1, 1.0, size=(8, 3)), rng.uniform(-1, 1, (8, 2))
+
+
+TRAINABLE_ORDERS = {"toy-mlp": "fc relu fc", "fc-fc": "fc fc",
+                    "fc-identity-fc": "fc identity fc",
+                    "fc-relu-fc-relu": "fc relu fc relu"}
+
+
+class TestTrainerRunsInferenceWalk:
+    @pytest.mark.parametrize("order", TRAINABLE_ORDERS.values(),
+                             ids=TRAINABLE_ORDERS.keys())
+    def test_training_forward_is_reference_inference(self, order,
+                                                     monkeypatch):
+        # the [0, 1] quantizer clamps like a ReLU, so an identity activation
+        # only differs from a ReLU when unquantized
+        x, y = order_data()
+        seen = []
+        loss_and_grad = bnn._loss_and_grad
+        monkeypatch.setattr(bnn, "_loss_and_grad", lambda out, *rest: (
+            seen.append(out) or loss_and_grad(out, *rest)))
+        for quantize in (True, False):
+            model = ordered_model(order, quantize)
+            ste_gradient(model, x, y, loss="mse")
+            logits, _ = reference_inference(model, x)
+            assert np.array_equal(seen.pop(), logits)
+
+    @pytest.mark.parametrize("order", TRAINABLE_ORDERS.values(),
+                             ids=TRAINABLE_ORDERS.keys())
+    def test_gradient_matches_central_differences(self, order):
+        # surrogate: sign replaced by the identity at the binarization
+        # point, activations unquantized, as in acceptance criterion 8
+        model = ordered_model(order, quantize=False)
+        x, y = order_data()
+        grads = ste_gradient(model, x, y, loss="mse")
+        base = [l.effective_weights() for l in model.weighted_layers()]
+
+        def loss_at(weights):
+            it = iter(weights)
+            m = QuantModel(tuple(
+                fc_layer(next(it), binarized=False)
+                if l.kind == LayerKind.FULLY_CONNECTED else l
+                for l in model.layers))
+            out, _ = reference_inference(m, x)
+            return 0.5 * np.mean(np.sum((out - y) ** 2, axis=1))
+
+        eps = 1e-6
+        for k, w in enumerate(base):
+            num = np.zeros_like(w)
+            for idx in np.ndindex(w.shape):
+                hi = [b.copy() for b in base]
+                lo = [b.copy() for b in base]
+                hi[k][idx] += eps
+                lo[k][idx] -= eps
+                num[idx] = (loss_at(hi) - loss_at(lo)) / (2 * eps)
+            rel = np.abs(grads[k] - num) / np.maximum(np.abs(num), 1e-8)
+            assert np.max(rel) < 1e-4
+
+    @pytest.mark.parametrize("order", ["fc relu relu fc", "relu fc relu fc"])
+    def test_undifferentiable_order_rejected(self, order):
+        model = ordered_model(order, quantize=True)
+        x, y = order_data()
+        with pytest.raises(DomainError):
+            ste_gradient(model, x, y, loss="mse")
+        with pytest.raises(DomainError):
+            ste_train(model, x, y, epochs=1, lr=0.1, loss="mse")
 
 
 class TestBlobs:

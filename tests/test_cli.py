@@ -257,12 +257,14 @@ class TestConfigHandling:
          "    group_index_ng: 0\n", ["--class", "MultiBit"]),
         ("ted-sweep", "", ["--target", "nan"]),
         ("train-toy", "", ["--learning-rate", "0"]),
+        ("simulate", "", ["--tuning-fraction", "1.5"]),
+        ("simulate", "", ["--tuning-fraction", "nan"]),
     ], ids=["to-power-0", "n-a-0", "splitter-negative", "clock-0",
             "n-fpv-maps-0", "seeds-0", "n-test-0", "epochs-negative",
             "area-negative", "fractions-empty", "workload-count-negative",
             "workload-counts-empty", "spacings-not-number", "spacings-empty",
             "spacings-0", "mrs-negative", "ring-ng-0", "target-nan",
-            "learning-rate-0"])
+            "learning-rate-0", "tuning-fraction-1.5", "tuning-fraction-nan"])
     def test_bad_value_exit_2(self, command, config_text, flags, tmp_path,
                               capsys, model_path):
         p = tmp_path / "c.yaml"
@@ -290,13 +292,24 @@ class TestConfigHandling:
         ("", ["ted-sweep", "--target", "-1"]),
         ("", ["train-toy", "--learning-rate", "-0.1"]),
         ("", ["train-toy", "--learning-rate", "nan"]),
+        ("", ["simulate", "--tuning-fraction", "1.5"]),
+        ("", ["simulate", "--tuning-fraction", "nan"]),
+        ("training:\n  dataset_seed: -1\n", ["train-toy"]),
+        ("training:\n  model_seed: -1\n", ["train-toy"]),
+        ("experiment:\n  map_seed: -1\n", ["simulate"]),
+        ("sweep:\n  seed: -1\n", ["dse"]),
+        ("fpv:\n  seed: -1\n", ["simulate"]),
+        ("", ["train-toy", "--dataset-seed", "-1"]),
+        ("", ["fpv-sweep", "--seeds", "-3"]),
     ])
     def test_boundary_checks_are_config_errors(self, config_text, argv,
-                                               tmp_path, capsys):
+                                               tmp_path, capsys, model_path):
         p = tmp_path / "c.yaml"
         p.write_text(config_text)
         out = tmp_path / "out.txt"
         out_flag = "--out-model" if argv[0] == "train-toy" else "--out"
+        if argv[0] in ("fpv-sweep", "simulate"):
+            argv = [*argv, "--model", model_path]
         code, _, err = run_cli([*argv, "--config", str(p), out_flag,
                                 str(out)], capsys)
         assert code == 2

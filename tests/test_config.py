@@ -172,6 +172,11 @@ class TestSchema:
         ("device_classes.multi_bit.radius_um", -1),
         ("sweep.n_a_values", []),
         ("sweep.tuning_fraction", 1.5),
+        ("training.dataset_seed", -1),
+        ("training.model_seed", -1),
+        ("experiment.map_seed", -1),
+        ("sweep.seed", -1),
+        ("fpv.seed", -1),
     ])
     def test_bad_values_rejected_at_load(self, key, value):
         data = value
