@@ -11,6 +11,10 @@ activation bit width after each nonlinearity. Batch-norm folding replaces the
 BN layer by the per-channel constant C_fold = gamma / sqrt(var + eps) applied
 AFTER the following nonlinearity; with a ReLU nonlinearity and positive gains
 this is exactly equivalent to the explicit zero-mean, zero-bias BN layer.
+Consecutive BN layers multiply their gains, and ``QuantModel.fold_gains``
+gives the product each weighted layer's outputs carry. A BN layer after a
+weighted layer must have that layer's output-channel count; ``QuantModel``
+checks this when a model is built (and so when one is loaded).
 """
 
 from __future__ import annotations
@@ -57,9 +61,16 @@ class Layer:
                 raise DomainError("batch-norm variance must be >= 0")
             if self.bn_epsilon <= 0:
                 raise DomainError("batch-norm epsilon must be > 0")
-        if self.kind in (LayerKind.CONV2D, LayerKind.FULLY_CONNECTED):
-            if self.weights is None:
-                raise DomainError(f"{self.kind.value} layer needs weights")
+        if self.weighted:
+            rank = 4 if self.kind == LayerKind.CONV2D else 2
+            if np.ndim(self.weights) != rank:
+                raise DomainError(
+                    f"{self.kind.value} weights must have {rank} axes")
+
+    @property
+    def weighted(self) -> bool:
+        """FC and conv layers carry weights and run on the VDP array."""
+        return self.kind in (LayerKind.FULLY_CONNECTED, LayerKind.CONV2D)
 
     def effective_weights(self) -> np.ndarray:
         """Weights seen by inference: sign(shadow) when binarized."""
@@ -77,11 +88,9 @@ def fc_layer(weights, binarized=True) -> Layer:
 
 
 def conv_layer(kernel, stride=1, binarized=True) -> Layer:
-    k = np.asarray(kernel, dtype=np.float64)
-    if k.ndim != 4:
-        raise DomainError("conv kernel must be [out_c, in_c, kh, kw]")
-    return Layer(LayerKind.CONV2D, weights=k, binarized=binarized,
-                 stride=stride)
+    return Layer(LayerKind.CONV2D,
+                 weights=np.asarray(kernel, dtype=np.float64),
+                 binarized=binarized, stride=stride)
 
 
 def batch_norm_layer(gamma, beta, mean, var, epsilon=1e-5) -> Layer:
@@ -115,6 +124,7 @@ class QuantModel:
         if self.activation_bits < 1:
             raise DomainError("activation_bits must be >= 1")
         prev_out = None
+        channels = None     # output channels of the last weighted layer
         for layer in self.layers:
             if layer.kind == LayerKind.FULLY_CONNECTED:
                 out_d, in_d = layer.weights.shape
@@ -124,22 +134,35 @@ class QuantModel:
                 prev_out = out_d
             elif layer.kind == LayerKind.CONV2D:
                 prev_out = None  # spatial dims unknown until inference
+            if layer.weighted:
+                channels = layer.weights.shape[0]
+            elif layer.kind == LayerKind.BATCH_NORM and channels is not None:
+                shapes = {np.shape(v) for v in (layer.bn_gamma, layer.bn_beta,
+                                                layer.bn_mean, layer.bn_var)}
+                if shapes != {(channels,)}:
+                    raise DomainError(
+                        f"channel mismatch: {channels} weighted-layer outputs "
+                        f"vs BN vectors of shape {sorted(shapes)}")
 
     @property
     def parameter_count(self) -> int:
         return sum(l.parameter_count for l in self.layers)
 
     def weighted_layers(self) -> list[Layer]:
-        return [l for l in self.layers
-                if l.kind in (LayerKind.FULLY_CONNECTED, LayerKind.CONV2D)]
+        return [l for l in self.layers if l.weighted]
 
-
-@dataclass(frozen=True)
-class FoldedLayer:
-    """Per-output-channel folding constant replacing an explicit BN layer."""
-
-    c_fold: np.ndarray
-    base: Layer
+    def fold_gains(self) -> dict[int, np.ndarray]:
+        """Weighted-layer index -> product of the C_fold of the BN layers
+        between that layer and the next weighted one (layers with none are
+        left out)."""
+        gains = {}
+        owner = None
+        for li, layer in enumerate(self.layers):
+            if layer.weighted:
+                owner = li
+            elif layer.kind == LayerKind.BATCH_NORM and owner is not None:
+                gains[owner] = gains.get(owner, 1.0) * _c_fold(layer)
+        return gains
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +196,6 @@ def quantize_activation(v, bits: int, lo: float = 0.0, hi: float = 1.0):
 
 def _c_fold(bn: Layer) -> np.ndarray:
     return bn.bn_gamma / np.sqrt(bn.bn_var + bn.bn_epsilon)
-
-
-def bn_fold(layer_weights: np.ndarray, bn: Layer) -> FoldedLayer:
-    """C_fold = gamma / sqrt(var + eps), one constant per output channel."""
-    if bn.kind != LayerKind.BATCH_NORM:
-        raise DomainError("bn_fold needs a batch-norm layer")
-    if np.any(bn.bn_var + bn.bn_epsilon <= 0):
-        raise DomainError("var + eps must be positive")
-    c_fold = _c_fold(bn)
-    w = np.asarray(layer_weights)
-    if w.ndim >= 1 and c_fold.ndim == 1 and w.shape[0] != c_fold.size:
-        raise DomainError(
-            f"channel mismatch: weights {w.shape[0]} vs BN {c_fold.size}")
-    return FoldedLayer(c_fold, bn)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +261,8 @@ def forward(model: QuantModel, a: np.ndarray, dot,
     (batch norm, nonlinearities, quantization, pooling) runs exactly here.
     When ``folded`` is True, batch-norm layers are folded: mean/bias are
     dropped and C_fold multiplies the activations after the following
-    nonlinearity.
+    nonlinearity; the gains of BN layers with no nonlinearity, pooling or
+    weighted layer between them multiply.
     """
     pending_fold = None
 
@@ -276,7 +286,8 @@ def forward(model: QuantModel, a: np.ndarray, dot,
             a = _conv(li, layer, flush_fold(a), dot)
         elif layer.kind == LayerKind.BATCH_NORM:
             if folded:
-                pending_fold = _c_fold(layer)
+                pending_fold = _c_fold(layer) * (
+                    1.0 if pending_fold is None else pending_fold)
             else:
                 a = ((a - _per_channel(layer.bn_mean, a))
                      * _per_channel(_c_fold(layer), a)
@@ -301,6 +312,13 @@ def forward(model: QuantModel, a: np.ndarray, dot,
     return a.reshape(a.shape[0], -1)
 
 
+def as_batch(x) -> tuple[np.ndarray, bool]:
+    """``x`` as a float64 batch, and whether it was one unbatched sample."""
+    a = np.asarray(x, dtype=np.float64)
+    single = a.ndim in (1, 3)
+    return (a[None] if single else a), single
+
+
 def reference_inference(model: QuantModel, x, folded: bool = False):
     """Exact floating-point forward pass.
 
@@ -318,13 +336,10 @@ def reference_inference(model: QuantModel, x, folded: bool = False):
     -------
     (logits, classes) : logits [n, out] and argmax class indices [n].
     """
-    a = np.asarray(x, dtype=np.float64)
-    squeeze = a.ndim in (1, 3)
-    if squeeze:
-        a = a[None, ...]
+    a, single = as_batch(x)
     logits = forward(model, a, exact_dot, folded)
     classes = np.argmax(logits, axis=1)
-    if squeeze:
+    if single:
         return logits[0], int(classes[0])
     return logits, classes
 

@@ -13,8 +13,10 @@ node itself: each ``device_classes`` entry is an ``MrDesign``, ``fpv`` is
 ``sweep`` ``SweepSpec``. Their ``__post_init__`` value checks therefore run
 while the config loads, and a failed check is reported as a ``ConfigError``
 naming the section. A field marked ``metadata={"derived": True}`` is not a
-config key: the tuning FSR is set from each ring's design, and the sweep's
-``n_b`` from the accelerator. The remaining sections (``fpv_population``,
+config key: the tuning FSR is set from each ring's design, the sweep's
+``n_b`` from the accelerator, and ``fpv.seed`` keeps its default, because
+the commands seed their chip maps from ``experiment.map_seed`` and
+``sweep.seed``. The remaining sections (``fpv_population``,
 ``arch_presets``, ``workload``, ``training``, ``experiment``) have no
 runtime counterpart and are config-only nodes.
 

@@ -82,10 +82,6 @@ class ParetoResult:
                 return p
         raise KeyError(key)
 
-    @property
-    def pareto_points(self) -> list[SweepPoint]:
-        return [p for p in self.points if p.pareto]
-
 
 def dominates(p: SweepPoint, q: SweepPoint) -> bool:
     """p dominates q under (FPS max, power min, area min)."""

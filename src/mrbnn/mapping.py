@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnn import (Layer, LayerKind, QuantModel, bn_fold, conv_layer, fc_layer,
-                  im2col)
+from .bnn import Layer, QuantModel, conv_layer, fc_layer, im2col
 from .errors import DomainError, PhysicalConstraintError
 
 
@@ -226,36 +225,21 @@ class WorkPlan:
         return "\n".join(lines) + "\n"
 
 
-def _fold_constants(model: QuantModel) -> dict[int, np.ndarray]:
-    """c_fold per weighted-layer index, taken from the following BN layer."""
-    folds = {}
-    layers = model.layers
-    for i, layer in enumerate(layers):
-        if layer.kind not in (LayerKind.FULLY_CONNECTED, LayerKind.CONV2D):
-            continue
-        for nxt in layers[i + 1:]:
-            if nxt.kind == LayerKind.BATCH_NORM:
-                folds[i] = bn_fold(layer.weights, nxt).c_fold
-                break
-            if nxt.kind in (LayerKind.FULLY_CONNECTED, LayerKind.CONV2D):
-                break
-    return folds
-
-
 def build_work_plan(model: QuantModel, cfg: AcceleratorConfig) -> WorkPlan:
     """Slice every weighted layer and schedule round-robin over the array.
 
     Slice k of a layer fills slot ``k % (n_vdp * n_wg)`` of step
     ``k // (n_vdp * n_wg)``; slot s is VDP ``s // n_wg``, arm ``s % n_wg``.
     Each weight element appears in exactly one slice; slice length never
-    exceeds ``n_a``.
+    exceeds ``n_a``. ``c_fold`` is the output's folded BN gain
+    (``QuantModel.fold_gains``), 1 where no BN follows the layer.
     """
     slots_per_step = cfg.n_vdp * cfg.n_wg
-    folds = _fold_constants(model)
+    gains = model.fold_gains()
     parts = [np.zeros(0, SLICE_DTYPE)]
     steps: list[int] = []
     for li, layer in enumerate(model.layers):
-        if layer.kind not in (LayerKind.FULLY_CONNECTED, LayerKind.CONV2D):
+        if not layer.weighted:
             continue
         rows, size = layer.weights.shape[0], layer.weights[0].size
         chunks_per_row = math.ceil(size / cfg.n_a)
@@ -270,8 +254,7 @@ def build_work_plan(model: QuantModel, cfg: AcceleratorConfig) -> WorkPlan:
         part["vdp"] = slot // cfg.n_wg
         part["arm"] = slot % cfg.n_wg
         part["step"] = k // slots_per_step
-        part["c_fold"] = (np.atleast_1d(folds[li])[part["output"]]
-                          if li in folds else 1.0)
+        part["c_fold"] = gains[li][part["output"]] if li in gains else 1.0
         parts.append(part)
         steps.append(math.ceil(k.size / slots_per_step))
     return WorkPlan(np.concatenate(parts), tuple(steps), cfg)

@@ -52,7 +52,7 @@ def _layer_header(layer: Layer) -> dict:
 
 
 def _layer_tensors(index: int, layer: Layer) -> list[tuple[str, np.ndarray]]:
-    if layer.kind in (LayerKind.FULLY_CONNECTED, LayerKind.CONV2D):
+    if layer.weighted:
         return [(f"layer{index}.weights", layer.weights)]
     if layer.kind == LayerKind.BATCH_NORM:
         return [(f"layer{index}.bn_gamma", layer.bn_gamma),
@@ -126,10 +126,20 @@ def load_model(path: str) -> tuple[QuantModel, dict]:
         header = yaml.safe_load(header_bytes.decode("utf-8"))
     except yaml.YAMLError as exc:
         raise DataFormatError(f"malformed header YAML: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataFormatError("header is not a mapping")
     if header.get("format_version") != FORMAT_VERSION:
         raise DataFormatError(
             f"unsupported format version {header.get('format_version')!r}")
-    blob = rest[nl + 1 + header_len:]
+    try:
+        return _parse(header, rest[nl + 1 + header_len:])
+    except KeyError as exc:
+        raise DataFormatError(f"missing header entry {exc}") from exc
+    except (TypeError, ValueError) as exc:   # DomainError is a ValueError
+        raise DataFormatError(f"invalid model: {exc}") from exc
+
+
+def _parse(header: dict, blob: bytes) -> tuple[QuantModel, dict]:
     declared = sum(t["byte_len"] for t in header["tensors"])
     if len(blob) != declared:
         raise DataFormatError(

@@ -34,7 +34,7 @@ signed):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -120,11 +120,14 @@ class MrDesign:
 
 @dataclass(frozen=True)
 class FpvStatistics:
-    """Gaussian FPV statistics: per-dimension mean and standard deviation."""
+    """Gaussian FPV statistics: per-dimension mean and standard deviation.
+
+    ``seed`` only serves ``sample_fpv_map`` calls given none; it is not a
+    config key (see ``config``)."""
 
     mean_nm: tuple[float, float, float] = (0.0, 0.0, 0.0)
     sigma_nm: tuple[float, float, float] = (4.9, 1.5, 0.75)
-    seed: int = 0
+    seed: int = field(default=0, metadata={"derived": True})
 
     def __post_init__(self):
         if any(s < 0 for s in self.sigma_nm):

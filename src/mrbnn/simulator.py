@@ -21,13 +21,13 @@ and see no optical noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels, photonics, tuning
-from .bnn import LayerKind, QuantModel, exact_dot, forward
+from .bnn import QuantModel, as_batch, exact_dot, forward
 # Nothing here calls quantize_activation (bnn.forward does), but
 # bench/spans.py traces it at this binding.
 from .bnn import quantize_activation  # noqa: F401
@@ -165,16 +165,7 @@ class SimReport:
             raise DomainError("power breakdown does not sum to total")
 
     def to_dict(self) -> dict:
-        return {
-            "fps": self.fps,
-            "total_power_mw": self.total_power_mw,
-            "power_breakdown_mw": dict(self.power_breakdown_mw),
-            "epb_pj_per_bit": self.epb_pj_per_bit,
-            "area_mm2": self.area_mm2,
-            "inference_time_ns": self.inference_time_ns,
-            "noisy_accuracy": self.noisy_accuracy,
-            "required_bandwidth_gb_s": self.required_bandwidth_gb_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -263,10 +254,6 @@ def laser_power(n_lambda: int, total_loss_db: float,
 # pipeline timing
 # ---------------------------------------------------------------------------
 
-def _param_count(model) -> int:
-    return int(model.parameter_count)
-
-
 def pipeline_time(model, cfg: AcceleratorConfig,
                   env: SimulationEnvironment) -> PipelineTiming:
     """Total inference latency.
@@ -276,7 +263,7 @@ def pipeline_time(model, cfg: AcceleratorConfig,
     x = ceil(min(params, buffered params) / (N_w * N_VDP))
     delta_t = local buffer delay + vector distribution delay
     """
-    params = _param_count(model)
+    params = int(model.parameter_count)
     per_step = cfg.weights_per_vdp_step * cfg.n_vdp
     steps = math.ceil(params / per_step) if params else 0
     buffered = min(params, env.delays.ecu_buffer_params)
@@ -435,7 +422,7 @@ def build_photonic_mapping(model: QuantModel,
     slice_arm = plan.slices["vdp"] * cfg.n_wg + plan.slices["arm"]
     mr_index = {}
     for li, layer in enumerate(model.layers):
-        if layer.kind not in (LayerKind.FULLY_CONNECTED, LayerKind.CONV2D):
+        if not layer.weighted:
             continue
         rows = layer.weights.shape[0]
         col = np.arange(layer.weights[0].size)
@@ -507,10 +494,7 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
             (w < 0).astype(np.float64), rho_act[mapping.mr_index[li]])
         return out.reshape(*v.shape[:-1], -1)
 
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[None, :]
-    logits = forward(model, a, photonic_dot, folded=True)
+    logits = forward(model, as_batch(x)[0], photonic_dot, folded=True)
     predictions = np.argmax(logits, axis=1)
     acc = float(np.mean(predictions == np.asarray(y))) if y is not None \
         else float("nan")

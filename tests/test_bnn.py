@@ -3,11 +3,12 @@ import pytest
 
 from mrbnn import bnn
 from mrbnn.bnn import (Layer, LayerKind, QuantModel, accuracy,
-                       activation_layer, batch_norm_layer, bn_fold, binarize,
-                       conv_layer, fc_layer, make_blobs, make_mlp,
+                       activation_layer, batch_norm_layer, binarize,
+                       conv_layer, fc_layer, make_blobs, make_mlp, pool_layer,
                        quantize_activation, reference_inference, ste_gradient,
                        ste_train)
 from mrbnn.errors import DomainError
+from mrbnn.mapping import AcceleratorConfig, build_work_plan
 
 
 def brute_conv2d(x, k, stride=1):
@@ -83,29 +84,54 @@ class TestQuantizeActivation:
             quantize_activation(0.5, 4, lo=1.0, hi=0.0)
 
 
+def fold_gain(weights, *bns):
+    """Folded gain of one weighted layer followed by ``bns``."""
+    return QuantModel((fc_layer(weights), *bns)).fold_gains()[0]
+
+
+def zero_bn(gamma, var):
+    h = len(gamma)
+    return batch_norm_layer(gamma, np.zeros(h), np.zeros(h), var)
+
+
 class TestBnFold:
     def test_unit_gain(self):
         bn = batch_norm_layer([2.0], [0.0], [0.0], [3.0], epsilon=1.0)
-        fold = bn_fold(np.ones((1, 4)), bn)
-        assert fold.c_fold[0] == pytest.approx(1.0, rel=1e-12)
+        assert fold_gain(np.ones((1, 4)), bn)[0] == \
+            pytest.approx(1.0, rel=1e-12)
 
     def test_matched_gamma(self):
         var = np.array([0.5, 2.0, 7.0])
         eps = 1e-3
         bn = batch_norm_layer(np.sqrt(var + eps), np.zeros(3), np.zeros(3),
                               var, epsilon=eps)
-        fold = bn_fold(np.ones((3, 4)), bn)
-        assert np.allclose(fold.c_fold, 1.0, atol=1e-12)
+        assert np.allclose(fold_gain(np.ones((3, 4)), bn), 1.0, atol=1e-12)
 
     def test_small_variance(self):
         bn = batch_norm_layer([1.0], [0.0], [0.0], [0.0], epsilon=1e-5)
-        fold = bn_fold(np.ones((1, 2)), bn)
-        assert fold.c_fold[0] == pytest.approx(1.0 / np.sqrt(1e-5), rel=1e-12)
+        assert fold_gain(np.ones((1, 2)), bn)[0] == \
+            pytest.approx(1.0 / np.sqrt(1e-5), rel=1e-12)
 
     def test_channel_mismatch(self):
         bn = batch_norm_layer([1.0, 1.0], [0.0] * 2, [0.0] * 2, [1.0] * 2)
-        with pytest.raises(DomainError):
-            bn_fold(np.ones((3, 4)), bn)
+        with pytest.raises(DomainError, match="channel mismatch"):
+            fold_gain(np.ones((3, 4)), bn)
+
+    def test_consecutive_bns_multiply(self):
+        gains = QuantModel((
+            fc_layer(np.ones((2, 3))), zero_bn([2.0, 1.0], [1.0, 3.0]),
+            activation_layer(), zero_bn([3.0, 0.5], [0.0, 1.0]),
+            fc_layer(np.ones((4, 2))), zero_bn([1.0] * 4, [0.0] * 4),
+        )).fold_gains()
+        c1 = np.array([2.0, 1.0]) / np.sqrt([1.0 + 1e-5, 3.0 + 1e-5])
+        c2 = np.array([3.0, 0.5]) / np.sqrt([1e-5, 1.0 + 1e-5])
+        assert sorted(gains) == [0, 4]
+        assert np.array_equal(gains[0], c1 * c2)
+        assert np.allclose(gains[4], 1.0 / np.sqrt(1e-5), rtol=1e-12)
+
+    def test_no_bn_no_gain(self):
+        model = make_mlp([4, 8, 2], seed=0)
+        assert model.fold_gains() == {}
 
     def test_bn_layer_validation(self):
         with pytest.raises(DomainError):
@@ -175,6 +201,30 @@ class TestReferenceInference:
             lf, _ = reference_inference(model, x, folded=True)
             assert np.allclose(le, lf, atol=1e-9)
 
+    @pytest.mark.parametrize("between", [(), (activation_layer(),)],
+                             ids=["bn-bn", "bn-relu-bn"])
+    def test_folded_consecutive_bns(self, between):
+        # FC -> BN(gamma=2) -> [ReLU] -> BN(gamma=3) -> ReLU -> FC: both
+        # gains apply, as in the explicit pass, and the plan carries their
+        # product
+        rng = np.random.Generator(np.random.PCG64(9))
+        h = 4
+        bn1 = zero_bn(np.full(h, 2.0), rng.uniform(0.1, 3.0, h))
+        bn2 = zero_bn(np.full(h, 3.0), rng.uniform(0.1, 3.0, h))
+        model = QuantModel((
+            fc_layer(rng.normal(size=(h, 5))), bn1, *between, bn2,
+            activation_layer(quantize=False),
+            fc_layer(rng.normal(size=(3, h)), binarized=False)))
+        x = rng.uniform(0, 1, size=(6, 5))
+        le, _ = reference_inference(model, x, folded=False)
+        lf, _ = reference_inference(model, x, folded=True)
+        assert np.allclose(le, lf, rtol=0, atol=1e-9)
+        plan = build_work_plan(model, AcceleratorConfig(5, 1, 1))
+        first = plan.slices[plan.slices["layer"] == 0]
+        want = (2.0 / np.sqrt(bn1.bn_var + 1e-5)
+                * (3.0 / np.sqrt(bn2.bn_var + 1e-5)))
+        assert np.array_equal(first["c_fold"], want[first["output"]])
+
     def test_folded_conv_bn(self):
         rng = np.random.Generator(np.random.PCG64(8))
         layers = (
@@ -205,6 +255,39 @@ class TestModelConstruction:
         with pytest.raises(DomainError):
             QuantModel((fc_layer(np.ones((4, 2))),
                         fc_layer(np.ones((3, 5)))))
+
+    @pytest.mark.parametrize("layers", [
+        # the 1-channel BN broadcasts over 4 outputs in the explicit pass
+        (fc_layer(np.ones((4, 3))), zero_bn([1.0], [1.0]),
+         activation_layer()),
+        (conv_layer(np.ones((2, 1, 2, 2))), activation_layer(),
+         pool_layer(2), zero_bn([1.0] * 3, [1.0] * 3)),
+        (fc_layer(np.ones((4, 3))), zero_bn([1.0] * 4, [1.0] * 4),
+         activation_layer(), fc_layer(np.ones((2, 4))),
+         zero_bn([1.0] * 4, [1.0] * 4)),
+        # beta alone is short
+        (fc_layer(np.ones((2, 3))),
+         batch_norm_layer([1.0, 1.0], [0.0], [0.0, 0.0], [1.0, 1.0])),
+    ])
+    def test_bn_channel_check(self, layers):
+        with pytest.raises(DomainError, match="channel mismatch"):
+            QuantModel(layers)
+
+    @pytest.mark.parametrize("kind, shape", [
+        (LayerKind.FULLY_CONNECTED, (6,)),
+        (LayerKind.CONV2D, (2, 3, 3)),
+        (LayerKind.CONV2D, None),
+    ])
+    def test_weight_rank(self, kind, shape):
+        weights = None if shape is None else np.ones(shape)
+        with pytest.raises(DomainError, match="axes"):
+            Layer(kind, weights=weights)
+
+    def test_leading_bn_unchecked(self):
+        # a BN ahead of every weighted layer normalizes the input
+        model = QuantModel((zero_bn([1.0] * 3, [1.0] * 3),
+                            fc_layer(np.ones((2, 3)))))
+        assert model.fold_gains() == {}
 
     def test_activation_bits_validation(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ class TestFpvSweep:
 
     def test_corrupt_model_exit_3(self, model_path, tmp_path, capsys):
         bad = tmp_path / "bad.mrbnn"
-        raw = bytearray(open(model_path, "rb").read())
+        raw = bytearray(Path(model_path).read_bytes())
         raw[-1] ^= 0x55
         bad.write_bytes(bytes(raw))
         code, _, err = run_cli(
@@ -156,6 +157,60 @@ class TestSimulate:
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def _edit(header, path, value=None):
+    """``header`` with the entry at ``path`` set to ``value``, or deleted
+    when ``value`` is None."""
+    node = header
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return header
+
+
+class TestMalformedModel:
+    """A model file whose header does not describe a valid model fails as a
+    data error (exit 3) before anything runs."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda h: [1, 2], "not a mapping"),
+        (lambda h: _edit(h, ["tensors"]), "'tensors'"),
+        (lambda h: _edit(h, ["layers", 1, "kind"]), "'kind'"),
+        (lambda h: _edit(h, ["tensors", 0, "name"], "layer9.weights"),
+         "'layer0.weights'"),
+        (lambda h: _edit(h, ["activation_bits"], 0), "activation_bits"),
+        # the same 12 kernel floats as 6 channels ahead of the 4-channel BN
+        (lambda h: _edit(h, ["tensors", 0, "shape"], [6, 1, 1, 2]),
+         "channel mismatch"),
+        (lambda h: _edit(h, ["tensors", 0, "shape"], [4, 3]), "4 axes"),
+    ], ids=["header-not-mapping", "no-tensors", "layer-without-kind",
+            "missing-tensor", "activation-bits-0", "bn-channel-mismatch",
+            "conv-weights-rank"])
+    def test_exit_3(self, mutate, message, tmp_path, capsys):
+        rng = np.random.Generator(np.random.PCG64(3))
+        path = tmp_path / "m.mrbnn"
+        modelio.save_model(bnn.QuantModel((
+            bnn.conv_layer(rng.normal(size=(4, 1, 1, 3))),
+            bnn.batch_norm_layer(np.ones(4), np.zeros(4), np.zeros(4),
+                                 np.ones(4)),
+            bnn.activation_layer())), str(path))
+        raw = path.read_bytes()[len(modelio.MAGIC):]
+        length, rest = raw.split(b"\n", 1)
+        header = mutate(yaml.safe_load(rest[:int(length)]))
+        text = yaml.safe_dump(header, sort_keys=False).encode()
+        path.write_bytes(modelio.MAGIC + f"{len(text)}\n".encode() + text
+                         + rest[int(length):])
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["simulate", "--model", str(path),
+                                "--out", str(out)], capsys)
+        assert code == 3
+        assert err.startswith("error[data]:") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +282,7 @@ class TestConfigHandling:
 
     def test_env_var_config(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "c.yaml"
-        p.write_text("fpv:\n  seed: 5\n")
+        p.write_text("experiment:\n  map_seed: 5\n")
         monkeypatch.setenv("MRBNN_CONFIG", str(p))
         code, _, _ = run_cli(
             ["device-report", "--class", "MultiBit",
@@ -301,6 +356,7 @@ class TestConfigHandling:
         ("fpv:\n  seed: -1\n", ["simulate"]),
         ("", ["train-toy", "--dataset-seed", "-1"]),
         ("", ["fpv-sweep", "--seeds", "-3"]),
+        ("fpv:\n  seed: 99\n", ["fpv-sweep"]),
     ])
     def test_boundary_checks_are_config_errors(self, config_text, argv,
                                                tmp_path, capsys, model_path):

@@ -9,9 +9,11 @@ moves any of these bytes on purpose updates the digest and says why.
 
 import hashlib
 
+import numpy as np
 import pytest
 import yaml
 
+from mrbnn import bnn, modelio
 from mrbnn.cli import main
 
 DEVICE_REPORT = {
@@ -26,6 +28,7 @@ TED_SWEEP = "68db02e0eafd5704c874ac5ab010cd1b65e82bb60ea5cdbd71068f4dffa77bf8"
 DSE_SCATTER = \
     "660f933c74efa0b76c8dcfdd31f0f702448a969e9854531b110703ca970ff45c"
 FPV_SWEEP = "8ab15b55d1c74fe87930e53f0c5ef14e4af1a7482b9b7f995d13fb9ec9ddf6dd"
+BN_PLAN = "40bd9222604765f728c6467b515453370904e67a153436bac436861d7d3bb458"
 
 
 @pytest.fixture(autouse=True)
@@ -74,3 +77,21 @@ def test_fpv_sweep(tmp_path):
                  "--fractions", "0,0.8,1", "--seeds", "3",
                  "--out", str(out)]) == 0
     assert digest(out) == FPV_SWEEP
+
+
+def test_bn_plan_dump(tmp_path):
+    # FC 8->16, BN with varied gamma and var, ReLU, FC 16->3: the plan's
+    # c_fold column carries the BN gain of every first-layer output
+    rng = np.random.Generator(np.random.PCG64(5))
+    model = bnn.QuantModel((
+        bnn.fc_layer(rng.normal(size=(16, 8))),
+        bnn.batch_norm_layer(np.linspace(0.5, 2.0, 16), np.zeros(16),
+                             np.zeros(16), np.linspace(0.1, 3.0, 16)),
+        bnn.activation_layer(),
+        bnn.fc_layer(rng.normal(size=(3, 16)), binarized=False)))
+    path = tmp_path / "bn.mrbnn"
+    modelio.save_model(model, str(path))
+    plan = tmp_path / "plan.txt"
+    assert main(["simulate", "--model", str(path), "--dump-plan", str(plan),
+                 "--out", str(tmp_path / "sim.json")]) == 0
+    assert digest(plan) == BN_PLAN

@@ -69,7 +69,7 @@ class TestSchema:
     """The runtime dataclasses are the schema nodes of these sections."""
 
     @pytest.mark.parametrize("section, keys", [
-        ("fpv", ("mean_nm", "sigma_nm", "seed")),
+        ("fpv", ("mean_nm", "sigma_nm")),
         ("tuning", ("eo_power_uw_per_nm", "eo_max_shift_nm", "eo_latency_ns",
                     "to_power_mw_per_fsr", "to_latency_us", "crosstalk_eta",
                     "crosstalk_decay_um")),
@@ -111,6 +111,7 @@ class TestSchema:
         ("device_classes.multi_bit", "thickness_nm"),
         ("delays", "local_buffer_ns"),
         ("sweep", "n_b"),
+        ("fpv", "seed"),
     ])
     def test_derived_values_are_not_keys(self, section, key):
         data = {key: 1.0}
@@ -198,9 +199,9 @@ class TestRoundTrip:
         assert config_from_dict(yaml.safe_load(text)) == cfg
 
     def test_overlay_round_trip(self):
-        cfg = config_from_dict({"fpv": {"seed": 99},
+        cfg = config_from_dict({"experiment": {"map_seed": 99},
                                 "accelerator": {"n_a": 12}})
-        assert cfg.fpv.seed == 99
+        assert cfg.experiment.map_seed == 99
         assert cfg.accelerator.n_a == 12
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
@@ -241,7 +242,7 @@ class TestRejection:
 
     def test_type_errors(self):
         with pytest.raises(ConfigError):
-            config_from_dict({"fpv": {"seed": "abc"}})
+            config_from_dict({"experiment": {"map_seed": "abc"}})
         with pytest.raises(ConfigError):
             config_from_dict({"tuning": {"eo_max_shift_nm": "wide"}})
         with pytest.raises(ConfigError):
@@ -259,8 +260,8 @@ class TestLoadConfig:
 
     def test_reads_yaml_with_comments(self, tmp_path):
         p = tmp_path / "c.yaml"
-        p.write_text("# comment\nfpv:\n  seed: 5  # inline\n")
-        assert load_config(str(p)).fpv.seed == 5
+        p.write_text("# comment\nexperiment:\n  map_seed: 5  # inline\n")
+        assert load_config(str(p)).experiment.map_seed == 5
 
     def test_none_gives_defaults(self):
         assert load_config(None) == ToolkitConfig()

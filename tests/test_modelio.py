@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ class TestRoundTrip:
         modelio.save_model(sample_model, p1, {"k": 1})
         loaded, meta = modelio.load_model(p1)
         modelio.save_model(loaded, p2, meta)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_float32_exact_after_first_cast(self, sample_model, tmp_path):
         path = str(tmp_path / "m.mrbnn")

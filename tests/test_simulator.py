@@ -472,6 +472,21 @@ class TestNoisyInference:
         res = noisy_inference(model, x, None, eo_cfg, env, 1.0, seed=0)
         assert np.array_equal(res.logits, ref)
 
+    @pytest.mark.parametrize("shape", [(3, 6, 6), (3 * 6 * 6,)])
+    def test_single_sample_as_in_reference(self, env, eo_cfg, shape):
+        # one [c, h, w] (or [features]) sample without a batch axis
+        rng = np.random.Generator(np.random.PCG64(47))
+        first = (bnn.conv_layer(rng.normal(size=(4, 3, 3, 3)))
+                 if len(shape) == 3 else fc_layer(rng.normal(size=(64, 108))))
+        model = QuantModel((first, activation_layer(),
+                            fc_layer(rng.normal(size=(5, 64)),
+                                     binarized=False)))
+        x = rng.uniform(0, 1, size=shape)
+        ref_logits, ref_class = reference_inference(model, x, folded=True)
+        res = noisy_inference(model, x, None, eo_cfg, env, 1.0, seed=0)
+        assert res.predictions.tolist() == [ref_class]
+        assert np.array_equal(res.logits[0], ref_logits)
+
     def test_errors_match_reference(self, env, eo_cfg):
         rng = np.random.Generator(np.random.PCG64(53))
         w = rng.normal(size=(4, 6))
