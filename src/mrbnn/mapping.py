@@ -12,7 +12,8 @@ count, independent of the number of arms and VDP units.
 Two readings of ``n_a`` coexist deliberately: throughput equations use
 ``n_a * n_wg`` weights per VDP per step, while physical per-arm MR counts
 are capped at the bank limit (n_a distributed over arms when it exceeds the
-cap). Both are exposed as distinct properties.
+cap). Both are exposed as distinct properties. ``arm_banks`` is the one
+statement of the rings an arm carries; every physical count derives from it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .bnn import Layer, QuantModel, conv_layer, fc_layer, im2col
 from .errors import DomainError, PhysicalConstraintError
+from .photonics import RingClass
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,10 @@ class AcceleratorConfig:
         for name in ("n_a", "n_vdp", "n_wg", "n_b"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1")
-        if self.channel_spacing_nm <= 0 or self.mr_pitch_um <= 0:
-            raise DomainError("spacing and pitch must be positive")
+        for name in ("channel_spacing_nm", "center_wavelength_nm",
+                     "mr_pitch_um", "passband_nm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and > 0")
 
     # -- throughput-side quantities (pipeline equations) --
 
@@ -72,20 +76,24 @@ class AcceleratorConfig:
         return math.ceil(self.n_a / self.n_wg)
 
     @property
-    def arm_weight_mrs(self) -> int:
-        return self.arm_activation_mrs
+    def arm_banks(self) -> tuple[tuple[RingClass, int], ...]:
+        """What one arm carries: (ring class, rings per arm) of each bank.
+
+        In order: the activation bank, the positive and the negative weight
+        rail (each rail of a dual-rail binary weight on its own single-bit
+        ring, one per activation slot) and the broadband filter.
+        """
+        slots = self.arm_activation_mrs
+        return ((RingClass.MULTI_BIT, slots), (RingClass.SINGLE_BIT, slots),
+                (RingClass.SINGLE_BIT, slots), (RingClass.BROADBAND, self.n_b))
 
     @property
     def mrs_per_arm(self) -> int:
-        return self.arm_activation_mrs + self.arm_weight_mrs + self.n_b
-
-    @property
-    def mrs_per_vdp(self) -> int:
-        return self.n_wg * self.mrs_per_arm
+        return sum(n for _, n in self.arm_banks)
 
     @property
     def total_mrs(self) -> int:
-        return self.n_vdp * self.mrs_per_vdp
+        return self.n_vdp * self.n_wg * self.mrs_per_arm
 
     @property
     def n_lambda(self) -> int:

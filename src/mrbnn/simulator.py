@@ -4,6 +4,11 @@ Covers FPV-noisy photonic inference, optical loss and laser power budgets,
 pipeline latency, per-device electrical power, energy-per-bit, area, and
 memory bandwidth.
 
+Ring inventory: ``AcceleratorConfig.arm_banks`` says what one arm carries,
+an activation bank, one single-bit ring per activation slot for each rail of
+a dual-rail binary weight, and the broadband filter. The FPV chip map, the
+tuning power, the area and the optical loss all count that inventory.
+
 Noise model: every imprinted value v in [0, 1] (an activation level or one
 rail of a dual-rail binary weight) is perturbed multiplicatively by the
 transmission ratio T(lambda_s; lambda') / T(lambda_s; lambda_MR) of the MR it
@@ -60,8 +65,10 @@ class LossBudget:
                      "mr_through_db", "mr_modulation_db",
                      "eo_tuning_db_per_cm", "to_tuning_db_per_cm",
                      "broadband_insertion_db"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and >= 0")
+        if not math.isfinite(self.detector_sensitivity_dbm):
+            raise DomainError("detector_sensitivity_dbm must be finite")
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,9 @@ class DeviceEntry:
     latency_ns: float
 
     def __post_init__(self):
-        if self.power_mw < 0 or self.latency_ns < 0:
-            raise DomainError("device power/latency must be >= 0")
+        if not (0 <= self.power_mw < math.inf
+                and 0 <= self.latency_ns < math.inf):
+            raise DomainError("device power/latency must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -95,12 +103,12 @@ class PipelineDelays:
     t_del_ns: float | None = None   # None: one full optical path latency
 
     def __post_init__(self):
-        if not self.clock_ghz > 0:
-            raise DomainError("clock_ghz must be > 0")
+        if not 0 < self.clock_ghz < math.inf:
+            raise DomainError("clock_ghz must be finite and > 0")
         if self.ecu_buffer_params < 0:
             raise DomainError("ecu_buffer_params must be >= 0")
-        if self.t_del_ns is not None and self.t_del_ns < 0:
-            raise DomainError("t_del_ns must be >= 0")
+        if self.t_del_ns is not None and not 0 <= self.t_del_ns < math.inf:
+            raise DomainError("t_del_ns must be finite and >= 0")
 
     @property
     def cycle_ns(self) -> float:
@@ -127,8 +135,8 @@ class AreaConstants:
     def __post_init__(self):
         for name in ("vdp_overhead_mm2", "dac_block_mm2", "adc_block_mm2",
                      "global_overhead_mm2"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -216,21 +224,19 @@ def path_loss_db(budget: LossBudget, length_cm: float = 0.0,
 def loss_accounting(cfg: AcceleratorConfig, env: SimulationEnvironment) -> PathLoss:
     """Worst-case per-arm path loss plus the laser fan-out division.
 
-    The arm path crosses every MR on the arm (through loss), one of them
-    modulating, the EO/TO tuned ring segments, the broadband filter, the arm
-    combiner, and the waveguide itself; the comb additionally traverses one
-    excess-loss splitter per 1:2 fan-out stage. The intrinsic 1:2 power
-    division of those stages, 10*log10(2) dB each, is reported separately
-    as ``fanout_db``.
+    The arm path crosses every MR of ``cfg.arm_banks`` (through loss), one
+    of them modulating, the EO/TO tuned ring segments of every bank but the
+    broadband one, the broadband filter, the arm combiner, and the waveguide
+    itself; the comb additionally traverses one excess-loss splitter per 1:2
+    fan-out stage. The intrinsic 1:2 power division of those stages,
+    10*log10(2) dB each, is reported separately as ``fanout_db``.
     """
     mrs = cfg.mrs_per_arm
     length_cm = mrs * cfg.mr_pitch_um * 1e-4
-    stages = math.ceil(math.log2(max(cfg.n_wg * cfg.n_vdp, 1))) if \
-        cfg.n_wg * cfg.n_vdp > 1 else 0
-    tuned_cm = (cfg.arm_activation_mrs
-                * env.designs[RingClass.MULTI_BIT].circumference_nm
-                + cfg.arm_weight_mrs
-                * env.designs[RingClass.SINGLE_BIT].circumference_nm) * 1e-7
+    stages = math.ceil(math.log2(cfg.n_wg * cfg.n_vdp))
+    tuned_cm = sum(n * env.designs[ring_class].circumference_nm
+                   for ring_class, n in cfg.arm_banks
+                   if ring_class is not RingClass.BROADBAND) * 1e-7
     arm_db = path_loss_db(
         env.loss, length_cm=length_cm, splitters=stages, combiners=1,
         through_mrs=mrs, modulators=1, tuning_segment_cm=tuned_cm,
@@ -285,33 +291,18 @@ def mr_footprint_um2(radius_um: float, pitch_um: float) -> float:
     return math.pi * half * half
 
 
-def area_from_counts(act_mrs: int, weight_mrs: int, broadband_mrs: int,
-                     n_vdp: int, dacs: int, adcs: int,
-                     cfg: AcceleratorConfig,
-                     env: SimulationEnvironment) -> float:
-    pitch = cfg.mr_pitch_um
-    um2 = (act_mrs * mr_footprint_um2(
-        env.designs[RingClass.MULTI_BIT].radius_um, pitch)
-        + weight_mrs * mr_footprint_um2(
-            env.designs[RingClass.SINGLE_BIT].radius_um, pitch)
-        + broadband_mrs * mr_footprint_um2(
-            env.designs[RingClass.BROADBAND].radius_um, pitch))
-    return (um2 * 1e-6
-            + n_vdp * env.area.vdp_overhead_mm2
-            + dacs * env.area.dac_block_mm2
-            + adcs * env.area.adc_block_mm2
-            + env.area.global_overhead_mm2)
-
-
 def area_estimate(cfg: AcceleratorConfig, env: SimulationEnvironment) -> float:
-    """Chip area [mm^2] from MR keep-out discs plus block constants."""
+    """Chip area [mm^2]: the keep-out disc of every ring of
+    ``cfg.arm_banks`` on every arm, plus block constants."""
     arms = cfg.n_vdp * cfg.n_wg
-    return area_from_counts(
-        act_mrs=arms * cfg.arm_activation_mrs,
-        weight_mrs=arms * cfg.arm_weight_mrs,
-        broadband_mrs=arms * cfg.n_b,
-        n_vdp=cfg.n_vdp, dacs=cfg.n_vdp * cfg.dacs_per_vdp,
-        adcs=cfg.n_vdp, cfg=cfg, env=env)
+    um2 = sum(arms * n * mr_footprint_um2(env.designs[ring_class].radius_um,
+                                          cfg.mr_pitch_um)
+              for ring_class, n in cfg.arm_banks)
+    return (um2 * 1e-6
+            + cfg.n_vdp * env.area.vdp_overhead_mm2
+            + cfg.n_vdp * cfg.dacs_per_vdp * env.area.dac_block_mm2
+            + cfg.n_vdp * env.area.adc_block_mm2
+            + env.area.global_overhead_mm2)
 
 
 # ---------------------------------------------------------------------------
@@ -322,36 +313,24 @@ def area_estimate(cfg: AcceleratorConfig, env: SimulationEnvironment) -> float:
 class ChipFpvMap:
     """Per-MR resonance shifts for one chip instance [nm].
 
-    Arrays are indexed by flat MR id: (vdp * n_wg + arm) * slots + slot.
-    Weight rails carry independent MR populations.
+    ``deltas_nm[k]`` holds bank k of ``AcceleratorConfig.arm_banks`` on
+    every arm, indexed by flat MR id (vdp * n_wg + arm) * n + slot, where n
+    is the bank's ring count. Each bank, both weight rails included, is an
+    independent ring population.
     """
 
-    act_delta_nm: np.ndarray
-    weight_pos_delta_nm: np.ndarray
-    weight_neg_delta_nm: np.ndarray
-    broadband_delta_nm: np.ndarray
+    deltas_nm: tuple[np.ndarray, ...]
 
 
 def chip_fpv_map(cfg: AcceleratorConfig, env: SimulationEnvironment,
                  seed: int) -> ChipFpvMap:
-    """Sample one FPV map for every MR of the configured array."""
+    """Sample one FPV map for every MR of the configured array; bank k is
+    drawn from seed ``seed * 4 + k``."""
     arms = cfg.n_vdp * cfg.n_wg
-    mb = env.designs[RingClass.MULTI_BIT]
-    sb = env.designs[RingClass.SINGLE_BIT]
-    bb = env.designs[RingClass.BROADBAND]
-    n_act = arms * cfg.arm_activation_mrs
-    n_w = arms * cfg.arm_weight_mrs
-
-    def draw(design, count, sub_seed):
-        fmap = photonics.sample_fpv_map([design], env.fpv, count,
-                                        seed=sub_seed)
-        return fmap.delta_lambdas_nm
-
-    return ChipFpvMap(
-        act_delta_nm=draw(mb, n_act, seed * 4 + 0),
-        weight_pos_delta_nm=draw(sb, n_w, seed * 4 + 1),
-        weight_neg_delta_nm=draw(sb, n_w, seed * 4 + 2),
-        broadband_delta_nm=draw(bb, arms * cfg.n_b, seed * 4 + 3))
+    return ChipFpvMap(tuple(
+        photonics.sample_fpv_map([env.designs[ring_class]], env.fpv,
+                                 arms * n, seed=seed * 4 + k).delta_lambdas_nm
+        for k, (ring_class, n) in enumerate(cfg.arm_banks)))
 
 
 def tuning_power_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
@@ -359,25 +338,16 @@ def tuning_power_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
                         tuning_fraction: float) -> tuple[float, float]:
     """(eo_mw, to_mw) to correct ``tuning_fraction`` of every MR's shift.
 
-    Each ring population is budgeted bank by bank through
+    Each bank of ``cfg.arm_banks`` is budgeted through
     ``tuning.bank_tuning_budget``: EO corrections are summed per MR, TO
     remainders are solved collectively (TED).
     """
     eo_total = 0.0
     to_total = 0.0
-    populations = [
-        (chip_map.act_delta_nm, cfg.arm_activation_mrs, RingClass.MULTI_BIT),
-        (chip_map.weight_pos_delta_nm, cfg.arm_weight_mrs,
-         RingClass.SINGLE_BIT),
-        (chip_map.weight_neg_delta_nm, cfg.arm_weight_mrs,
-         RingClass.SINGLE_BIT),
-        (chip_map.broadband_delta_nm, cfg.n_b, RingClass.BROADBAND),
-    ]
-    for deltas, bank_size, ring_class in populations:
-        if deltas.size == 0:
-            continue
+    for deltas, (ring_class, n) in zip(chip_map.deltas_nm, cfg.arm_banks,
+                                       strict=True):
         budget = tuning.bank_tuning_budget(
-            deltas.reshape(-1, bank_size), tuning_fraction, cfg.mr_pitch_um,
+            deltas.reshape(-1, n), tuning_fraction, cfg.mr_pitch_um,
             replace(env.tuning_params,
                     fsr_nm=env.designs[ring_class].fsr_nm))
         eo_total += budget.eo_power_mw
@@ -452,9 +422,13 @@ def _perturbation_ratios(design: MrDesign, lam: np.ndarray,
 
 @dataclass(frozen=True)
 class NoisyInferenceResult:
+    """Shaped as ``bnn.reference_inference`` returns: [n, out] logits and
+    [n] classes, or [out] logits and an int class for one unbatched
+    sample."""
+
     accuracy: float
     logits: np.ndarray
-    predictions: np.ndarray
+    predictions: np.ndarray | int
 
 
 def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
@@ -479,10 +453,10 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
         mapping = build_photonic_mapping(model, cfg)
     if chip_map is None:
         chip_map = chip_fpv_map(cfg, env, seed)
-    # ratios of the activation MRs the mapping uses
+    # ratios of the activation MRs (bank 0 of arm_banks) the mapping uses
     rho_act = _perturbation_ratios(
         env.designs[RingClass.MULTI_BIT], mapping.lambda_nm,
-        chip_map.act_delta_nm[mapping.mr_ids], 1.0 - tuning_fraction)
+        chip_map.deltas_nm[0][mapping.mr_ids], 1.0 - tuning_fraction)
 
     def photonic_dot(li, layer, v):
         if not layer.binarized:
@@ -494,10 +468,13 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
             (w < 0).astype(np.float64), rho_act[mapping.mr_index[li]])
         return out.reshape(*v.shape[:-1], -1)
 
-    logits = forward(model, as_batch(x)[0], photonic_dot, folded=True)
+    batch, single = as_batch(x)
+    logits = forward(model, batch, photonic_dot, folded=True)
     predictions = np.argmax(logits, axis=1)
     acc = float(np.mean(predictions == np.asarray(y))) if y is not None \
         else float("nan")
+    if single:
+        return NoisyInferenceResult(acc, logits[0], int(predictions[0]))
     return NoisyInferenceResult(acc, logits, predictions)
 
 

@@ -13,6 +13,7 @@ pre-folded to the nearest resonance (<= FSR/2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,11 +42,13 @@ class TuningParams:
     def __post_init__(self):
         for name in ("eo_power_uw_per_nm", "eo_max_shift_nm", "eo_latency_ns",
                      "to_latency_us", "crosstalk_eta", "crosstalk_decay_um"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0")
-        for name in ("to_power_mw_per_fsr", "fsr_nm"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be > 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and >= 0")
+        if not 0 < self.to_power_mw_per_fsr < math.inf:
+            raise DomainError("to_power_mw_per_fsr must be finite and > 0")
+        # an infinite FSR is the placeholder of a ring not yet bound
+        if not self.fsr_nm > 0:
+            raise DomainError("fsr_nm must be > 0")
         if not self.eo_max_shift_nm < self.fsr_nm:
             raise DomainError("eo_max_shift_nm must be smaller than the FSR")
 

@@ -314,12 +314,22 @@ class TestConfigHandling:
         ("train-toy", "", ["--learning-rate", "0"]),
         ("simulate", "", ["--tuning-fraction", "1.5"]),
         ("simulate", "", ["--tuning-fraction", "nan"]),
+        ("simulate", "accelerator:\n  mr_pitch_um: .nan\n", []),
+        ("simulate", "loss:\n  splitter_db: .nan\n", []),
+        ("simulate", "tuning:\n  eo_power_uw_per_nm: .nan\n", []),
+        ("simulate", "power_table:\n  dac:\n    power_mw: .nan\n"
+         "    latency_ns: 1\n", []),
+        ("simulate", "area:\n  dac_block_mm2: .nan\n", []),
+        ("simulate", "accelerator:\n  passband_nm: .nan\n", []),
+        ("simulate", "delays:\n  clock_ghz: .inf\n", []),
     ], ids=["to-power-0", "n-a-0", "splitter-negative", "clock-0",
             "n-fpv-maps-0", "seeds-0", "n-test-0", "epochs-negative",
             "area-negative", "fractions-empty", "workload-count-negative",
             "workload-counts-empty", "spacings-not-number", "spacings-empty",
             "spacings-0", "mrs-negative", "ring-ng-0", "target-nan",
-            "learning-rate-0", "tuning-fraction-1.5", "tuning-fraction-nan"])
+            "learning-rate-0", "tuning-fraction-1.5", "tuning-fraction-nan",
+            "pitch-nan", "splitter-nan", "eo-power-nan", "dac-power-nan",
+            "dac-area-nan", "passband-nan", "clock-inf"])
     def test_bad_value_exit_2(self, command, config_text, flags, tmp_path,
                               capsys, model_path):
         p = tmp_path / "c.yaml"

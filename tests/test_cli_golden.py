@@ -26,7 +26,7 @@ DEVICE_REPORT = {
 }
 TED_SWEEP = "68db02e0eafd5704c874ac5ab010cd1b65e82bb60ea5cdbd71068f4dffa77bf8"
 DSE_SCATTER = \
-    "660f933c74efa0b76c8dcfdd31f0f702448a969e9854531b110703ca970ff45c"
+    "953724ffd5c47ab35b9f75c71632f496f4471f13abd4047159d12e53d24984d5"
 FPV_SWEEP = "8ab15b55d1c74fe87930e53f0c5ef14e4af1a7482b9b7f995d13fb9ec9ddf6dd"
 BN_PLAN = "40bd9222604765f728c6467b515453370904e67a153436bac436861d7d3bb458"
 

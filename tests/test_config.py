@@ -1,3 +1,5 @@
+import math
+
 import pytest
 import yaml
 
@@ -178,6 +180,13 @@ class TestSchema:
         ("experiment.map_seed", -1),
         ("sweep.seed", -1),
         ("fpv.seed", -1),
+        ("accelerator.mr_pitch_um", math.nan),
+        ("loss.splitter_db", math.nan),
+        ("tuning.eo_power_uw_per_nm", math.nan),
+        ("power_table.dac.power_mw", math.nan),
+        ("area.dac_block_mm2", math.nan),
+        ("accelerator.passband_nm", math.nan),
+        ("delays.clock_ghz", math.inf),
     ])
     def test_bad_values_rejected_at_load(self, key, value):
         data = value

@@ -230,8 +230,8 @@ class TestAcceleratorConfig:
         cfg = AcceleratorConfig(n_a=10, n_vdp=50, n_wg=10)
         assert cfg.weights_per_vdp_step == 100
         assert cfg.arm_activation_mrs == 10
-        assert cfg.mrs_per_arm == 21
-        assert cfg.total_mrs == 50 * 10 * 21
+        assert cfg.mrs_per_arm == 31    # activations, two rails, filter
+        assert cfg.total_mrs == 50 * 10 * 31
         assert cfg.n_lambda == 10
         assert cfg.dacs_per_vdp == 10
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mrbnn import bnn, config, photonics, simulator
+from mrbnn import bnn, config, photonics, simulator, tuning
 from mrbnn.bnn import (QuantModel, activation_layer, fc_layer,
                        quantize_activation, reference_inference)
 from mrbnn.errors import DomainError
@@ -12,7 +12,7 @@ from mrbnn.mapping import (AcceleratorConfig, ModelStructure, build_comb,
                            build_work_plan)
 from mrbnn.photonics import RingClass
 from mrbnn.simulator import (ChipFpvMap, LossBudget, _perturbation_ratios,
-                             area_estimate, area_from_counts,
+                             area_estimate,
                              build_photonic_mapping, chip_budget,
                              chip_fpv_map, fpv_accuracy_sweep, laser_power,
                              loss_accounting, mr_footprint_um2,
@@ -33,11 +33,56 @@ def po_cfg(toolkit_config):
 
 def zero_chip_map(cfg):
     arms = cfg.n_vdp * cfg.n_wg
-    return ChipFpvMap(
-        act_delta_nm=np.zeros(arms * cfg.arm_activation_mrs),
-        weight_pos_delta_nm=np.zeros(arms * cfg.arm_weight_mrs),
-        weight_neg_delta_nm=np.zeros(arms * cfg.arm_weight_mrs),
-        broadband_delta_nm=np.zeros(arms * cfg.n_b))
+    return ChipFpvMap(tuple(np.zeros(arms * n) for _, n in cfg.arm_banks))
+
+
+def inventory_cfg(toolkit_config, arch):
+    # "n_a=25": 3 MRs per arm, which do not divide a 25-element slice
+    return (AcceleratorConfig(n_a=25, n_vdp=4, n_wg=10) if arch == "n_a=25"
+            else config.arch_config(toolkit_config, arch))
+
+
+class TestRingInventory:
+    """The FPV map, the tuning power, the area and the loss all count the
+    rings of ``AcceleratorConfig.arm_banks``."""
+
+    BANKS = (RingClass.MULTI_BIT, RingClass.SINGLE_BIT,
+             RingClass.SINGLE_BIT, RingClass.BROADBAND)
+
+    @pytest.mark.parametrize("arch", ["default", "eo", "po", "n_a=25"])
+    def test_map_and_area_count_the_inventory(self, env, toolkit_config,
+                                              arch):
+        cfg = inventory_cfg(toolkit_config, arch)
+        arms = cfg.n_vdp * cfg.n_wg
+        assert [rc for rc, _ in cfg.arm_banks] == list(self.BANKS)
+        m = chip_fpv_map(cfg, env, 0)
+        assert sum(d.size for d in m.deltas_nm) == cfg.total_mrs \
+            == arms * sum(n for _, n in cfg.arm_banks)
+        blocks = (cfg.n_vdp * env.area.vdp_overhead_mm2
+                  + cfg.n_vdp * cfg.dacs_per_vdp * env.area.dac_block_mm2
+                  + cfg.n_vdp * env.area.adc_block_mm2
+                  + env.area.global_overhead_mm2)
+        rings = sum(arms * n * mr_footprint_um2(env.designs[rc].radius_um,
+                                                cfg.mr_pitch_um)
+                    for rc, n in cfg.arm_banks) * 1e-6
+        assert area_estimate(cfg, env) - blocks \
+            == pytest.approx(rings, rel=1e-12)
+
+    @pytest.mark.parametrize("bank", range(4))
+    def test_tuning_power_uses_each_banks_fsr(self, env, eo_cfg, bank):
+        # a map that shifts one bank only costs that bank's budget, solved
+        # with the FSR of that bank's ring class
+        arms = eo_cfg.n_vdp * eo_cfg.n_wg
+        rng = np.random.Generator(np.random.PCG64(61 + bank))
+        deltas = list(zero_chip_map(eo_cfg).deltas_nm)
+        deltas[bank] = rng.uniform(-40.0, 40.0, deltas[bank].size)
+        got = tuning_power_budget(eo_cfg, env, ChipFpvMap(tuple(deltas)), 0.8)
+        ring_class = self.BANKS[bank]
+        want = tuning.bank_tuning_budget(
+            deltas[bank].reshape(arms, -1), 0.8, eo_cfg.mr_pitch_um,
+            replace(env.tuning_params,
+                    fsr_nm=env.designs[ring_class].fsr_nm))
+        assert got == (want.eo_power_mw, want.to_power_mw)
 
 
 class TestLossAccounting:
@@ -135,10 +180,6 @@ class TestArea:
         assert mr_footprint_um2(5.0, 5.0) == pytest.approx(176.7146,
                                                            abs=1e-3)
 
-    def test_zero_counts_is_overhead_only(self, env, eo_cfg):
-        got = area_from_counts(0, 0, 0, 0, 0, 0, eo_cfg, env)
-        assert got == pytest.approx(env.area.global_overhead_mm2)
-
     def test_monotone_in_dimensions(self, env, eo_cfg):
         base = area_estimate(eo_cfg, env)
         for key in ("n_a", "n_vdp", "n_wg"):
@@ -160,21 +201,21 @@ class TestChipMap:
     def test_deterministic(self, env, eo_cfg):
         a = chip_fpv_map(eo_cfg, env, 3)
         b = chip_fpv_map(eo_cfg, env, 3)
-        assert a.act_delta_nm.tobytes() == b.act_delta_nm.tobytes()
         c = chip_fpv_map(eo_cfg, env, 4)
-        assert a.act_delta_nm.tobytes() != c.act_delta_nm.tobytes()
+        for da, db, dc in zip(a.deltas_nm, b.deltas_nm, c.deltas_nm):
+            assert da.tobytes() == db.tobytes()
+            assert da.tobytes() != dc.tobytes()
 
     def test_population_sizes(self, env, eo_cfg):
         m = chip_fpv_map(eo_cfg, env, 0)
         arms = eo_cfg.n_vdp * eo_cfg.n_wg
-        assert m.act_delta_nm.size == arms * eo_cfg.arm_activation_mrs
-        assert m.weight_pos_delta_nm.size == arms * eo_cfg.arm_weight_mrs
-        assert m.broadband_delta_nm.size == arms * eo_cfg.n_b
+        assert [d.size for d in m.deltas_nm] == [
+            arms * eo_cfg.arm_activation_mrs, arms * eo_cfg.arm_activation_mrs,
+            arms * eo_cfg.arm_activation_mrs, arms * eo_cfg.n_b]
 
     def test_rails_independent(self, env, eo_cfg):
         m = chip_fpv_map(eo_cfg, env, 0)
-        assert m.weight_pos_delta_nm.tobytes() \
-            != m.weight_neg_delta_nm.tobytes()
+        assert m.deltas_nm[1].tobytes() != m.deltas_nm[2].tobytes()
 
 
 class TestTuningBudget:
@@ -299,13 +340,13 @@ class TestPerturbationRatios:
         slots = eo_cfg.arm_activation_mrs
         comb = build_comb(slots, eo_cfg.channel_spacing_nm,
                           eo_cfg.center_wavelength_nm, eo_cfg.passband_nm)
-        n = m.act_delta_nm.size
+        act = m.deltas_nm[0]
         full = _perturbation_ratios(
             env.designs[RingClass.MULTI_BIT],
-            np.asarray(comb)[np.arange(n) % slots], m.act_delta_nm, 0.7)
+            np.asarray(comb)[np.arange(act.size) % slots], act, 0.7)
         used = _perturbation_ratios(
             env.designs[RingClass.MULTI_BIT], mapping.lambda_nm,
-            m.act_delta_nm[mapping.mr_ids], 0.7)
+            act[mapping.mr_ids], 0.7)
         assert np.array_equal(used, full[mapping.mr_ids])
 
 
@@ -351,14 +392,11 @@ class TestPhotonicMapping:
                                for idx in mapping.mr_index.values()])
         assert np.array_equal(np.unique(seen), np.arange(ids.size))
 
-    # "n_a=25": 3 MRs per arm, which do not divide a 25-element slice
     @pytest.mark.parametrize("arch", ["default", "eo", "po", "n_a=25"])
     @pytest.mark.parametrize("kind", ["fc", "conv"])
     def test_matches_looped_oracle(self, toolkit_config, toy_model, arch,
                                    kind):
-        cfg = (AcceleratorConfig(n_a=25, n_vdp=4, n_wg=10)
-               if arch == "n_a=25" else config.arch_config(toolkit_config,
-                                                           arch))
+        cfg = inventory_cfg(toolkit_config, arch)
         model = toy_model if kind == "fc" else small_conv_model()
         mapping = build_photonic_mapping(model, cfg)
         want_index, want_ids = looped_mapping(model, cfg)
@@ -484,8 +522,8 @@ class TestNoisyInference:
         x = rng.uniform(0, 1, size=shape)
         ref_logits, ref_class = reference_inference(model, x, folded=True)
         res = noisy_inference(model, x, None, eo_cfg, env, 1.0, seed=0)
-        assert res.predictions.tolist() == [ref_class]
-        assert np.array_equal(res.logits[0], ref_logits)
+        assert res.predictions == ref_class
+        assert np.array_equal(res.logits, ref_logits)
 
     def test_errors_match_reference(self, env, eo_cfg):
         rng = np.random.Generator(np.random.PCG64(53))
