@@ -222,10 +222,6 @@ def _coerce(tp, value, path: str):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer")
         return int(value)
-    if tp is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean")
-        return value
     if tp is str:
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string")
@@ -344,8 +340,7 @@ def sweep_spec(cfg: ToolkitConfig) -> SweepSpec:
 
 
 def workload_structures(cfg: ToolkitConfig) -> list[ModelStructure]:
-    return [ModelStructure(w.name, w.layer_parameter_counts,
-                           weight_bits=1, activation_bits=4)
+    return [ModelStructure(w.name, w.layer_parameter_counts)
             for w in cfg.workload]
 
 

@@ -112,9 +112,9 @@ def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
               seed: int = 0) -> ParetoResult:
     """Evaluate the grid, mark the Pareto set, and select the EO/PO picks.
 
-    Infeasible configurations (bank or passband violations) are recorded
-    and skipped; evaluation order never affects the result (the grid is
-    sorted by configuration key).
+    Infeasible configurations (bank, passband or crosstalk-dominance
+    violations) are recorded and skipped; evaluation order never affects
+    the result (the grid is sorted by configuration key).
     """
     if not workload:
         raise DomainError("workload must contain at least one model")

@@ -17,11 +17,6 @@ class DegenerateResonatorError(DomainError):
     """Ring parameters give r*a >= 1, which has no finite linewidth."""
 
 
-class IllConditionedLayoutError(MrbnnError):
-    """Thermal crosstalk matrix is not diagonally dominant (or the naive
-    tuning fixed point diverges)."""
-
-
 class ConfigError(MrbnnError):
     """Configuration file or option is malformed or inconsistent."""
 
@@ -29,6 +24,11 @@ class ConfigError(MrbnnError):
 class PhysicalConstraintError(MrbnnError):
     """A physically impossible configuration was requested (e.g. a wavelength
     comb wider than the broadband passband)."""
+
+
+class IllConditionedLayoutError(PhysicalConstraintError):
+    """Thermal crosstalk matrix is not diagonally dominant: the ring layout
+    is too dense to tune (exit 4)."""
 
 
 class DataFormatError(MrbnnError):

@@ -295,7 +295,6 @@ class ModelStructure:
 
     name: str
     layer_parameter_counts: tuple[int, ...]
-    weight_bits: int = 1
     activation_bits: int = 4
 
     @property
@@ -304,12 +303,11 @@ class ModelStructure:
 
     @property
     def total_bits(self) -> int:
-        """Bits moved per inference: each MAC operand pair moves weight bits
-        plus activation bits."""
-        return self.parameter_count * (self.weight_bits + self.activation_bits)
+        """Bits moved per inference: each MAC operand pair moves one weight
+        bit plus activation bits."""
+        return self.parameter_count * (1 + self.activation_bits)
 
     @classmethod
     def from_model(cls, model: QuantModel, name: str = "model") -> "ModelStructure":
         counts = tuple(l.parameter_count for l in model.weighted_layers())
-        return cls(name, counts, weight_bits=1,
-                   activation_bits=model.activation_bits)
+        return cls(name, counts, activation_bits=model.activation_bits)

@@ -5,7 +5,12 @@ The thermal crosstalk between heaters decays exponentially with distance:
 K[i][i] = 1, K[i][j] = eta * exp(-d_ij / d0). Collective tuning solves the
 coupled system K s = t once for the whole bank; the naive per-MR alternative
 must additionally cancel the crosstalk injected by its neighbours, escalating
-through the fixed point s <- t + (K - I) |s|.
+through the fixed point s <- t + (K - I) |s|. Since t >= 0 and K - I >= 0,
+every iterate from s = t stays >= 0, so |s| = s and the fixed point is the
+solution of (2I - K) s = t: both schemes are one linear solve. Every
+crosstalk matrix is checked for strict diagonal dominance (off-diagonal row
+sums < 1), which makes both systems non-singular and the naive iteration a
+contraction onto that solution.
 
 Heaters only red-shift, so all tuning targets are shift magnitudes (>= 0),
 pre-folded to the nearest resonance (<= FSR/2).
@@ -41,11 +46,12 @@ class TuningParams:
 
     def __post_init__(self):
         for name in ("eo_power_uw_per_nm", "eo_max_shift_nm", "eo_latency_ns",
-                     "to_latency_us", "crosstalk_eta", "crosstalk_decay_um"):
+                     "to_latency_us", "crosstalk_eta"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be finite and >= 0")
-        if not 0 < self.to_power_mw_per_fsr < math.inf:
-            raise DomainError("to_power_mw_per_fsr must be finite and > 0")
+        for name in ("to_power_mw_per_fsr", "crosstalk_decay_um"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and > 0")
         # an infinite FSR is the placeholder of a ring not yet bound
         if not self.fsr_nm > 0:
             raise DomainError("fsr_nm must be > 0")
@@ -117,69 +123,60 @@ def uniform_positions_um(n: int, spacing_um: float) -> np.ndarray:
 
 
 def _distance_matrix(spacings_um) -> np.ndarray:
+    """Pairwise distances from 1-D positions or a square distance matrix;
+    ``inf`` means no coupling, NaN and negative distances are rejected."""
     arr = np.asarray(spacings_um, dtype=np.float64)
     if arr.ndim == 1:
-        return np.abs(arr[:, None] - arr[None, :])
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return arr
-    raise DomainError("spacings must be 1-D positions or a square "
-                      "pairwise-distance matrix")
+        arr = np.abs(arr[:, None] - arr[None, :])
+    elif not (arr.ndim == 2 and arr.shape[0] == arr.shape[1]):
+        raise DomainError("spacings must be 1-D positions or a square "
+                          "pairwise-distance matrix")
+    if arr.size == 0 or not np.all(arr >= 0):
+        raise DomainError("distances must be non-empty, >= 0 and not NaN")
+    return arr
 
 
 def thermal_crosstalk_matrix(spacings_um, eta: float,
                              decay_um: float) -> np.ndarray:
-    """K with unit diagonal and exponentially decaying off-diagonals."""
+    """K with unit diagonal and exponentially decaying off-diagonals.
+
+    Raises IllConditionedLayoutError unless every off-diagonal row sum is
+    below 1 (a NaN row sum fails too).
+    """
     d = _distance_matrix(spacings_um)
     k = eta * np.exp(-d / decay_um)
     np.fill_diagonal(k, 1.0)
+    off = k.sum(axis=1) - np.diag(k)
+    if not np.max(off) < 1.0:
+        raise IllConditionedLayoutError(
+            f"crosstalk row sum {np.max(off):.4f} >= 1; layout too dense")
     return k
 
 
-def _check_dominance(k: np.ndarray):
-    off = k.sum(axis=1) - np.diag(k)
-    if np.max(off) >= 1.0:
-        raise IllConditionedLayoutError(
-            f"crosstalk row sum {np.max(off):.4f} >= 1; layout too dense")
-
-
 def ted_tuning_power(target_shifts_nm: Sequence[float], spacings_um,
-                     params: TuningParams,
-                     max_iterations: int = 100_000) -> TedResult:
+                     params: TuningParams) -> TedResult:
     """Bank tuning power with and without collective (TED) tuning.
 
-    TED solves the coupled heater system K s = t exactly; the naive model
-    iterates s <- t + (K - I) |s| until each heater has cancelled its
-    neighbours' injected crosstalk. Power is sum(|s|) / heater_efficiency.
+    TED solves the coupled heater system K s = t. The naive heaters'
+    fixed point s = t + (K - I) |s| is the solution of (2I - K) s = t:
+    t >= 0 and K - I >= 0 keep every iterate from s = t non-negative, and
+    the dominance of K makes the iteration converge to that unique
+    solution. Power is sum(|s|) / heater_efficiency.
     """
     t = np.asarray(target_shifts_nm, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
         raise DomainError("target shifts must be a non-empty vector")
-    if np.any(t < 0):
-        raise DomainError("target shifts are red-shift magnitudes, >= 0")
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise DomainError("target shifts are finite magnitudes >= 0")
     k = thermal_crosstalk_matrix(spacings_um, params.crosstalk_eta,
                                  params.crosstalk_decay_um)
     if k.shape[0] != t.size:
         raise DomainError("layout size does not match target vector")
-    _check_dominance(k)
 
     eff = params.heater_efficiency_nm_per_mw
-    s_ted = np.linalg.solve(k, t)
-    p_ted = float(np.sum(np.abs(s_ted))) / eff
-
-    s = t.copy()
-    non_diag = k - np.eye(k.shape[0])
-    scale = max(float(np.max(t)), 1.0)
-    for _ in range(max_iterations):
-        s_new = t + non_diag @ np.abs(s)
-        if not np.all(np.isfinite(s_new)):
-            raise IllConditionedLayoutError("naive tuning iteration diverged")
-        if np.max(np.abs(s_new - s)) < 1e-13 * scale:
-            s = s_new
-            break
-        s = s_new
-    else:
-        raise IllConditionedLayoutError("naive tuning did not converge")
-    p_naive = float(np.sum(np.abs(s))) / eff
+    p_ted = float(np.sum(np.abs(np.linalg.solve(k, t)))) / eff
+    s_naive = np.linalg.solve(2.0 * np.eye(t.size) - k, t)
+    p_naive = float(np.sum(np.abs(s_naive))) / eff
 
     reduction = 0.0 if p_naive == 0.0 else 1.0 - p_ted / p_naive
     return TedResult(p_naive, p_ted, reduction)
@@ -209,7 +206,6 @@ def bank_tuning_budget(delta_lambdas_nm, tuning_fraction: float,
     k = thermal_crosstalk_matrix(
         uniform_positions_um(deltas.shape[1], spacing_um),
         params.crosstalk_eta, params.crosstalk_decay_um)
-    _check_dominance(k)
     s = np.linalg.solve(k, to.T)
     to_power = float(np.sum(np.abs(s))) / params.heater_efficiency_nm_per_mw
     return BankBudget(eo_power + to_power, eo_power, to_power,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import yaml
 
 from mrbnn import bnn, modelio
+from mrbnn import config as cfgmod
 from mrbnn.cli import main
 
 
@@ -322,6 +324,7 @@ class TestConfigHandling:
         ("simulate", "area:\n  dac_block_mm2: .nan\n", []),
         ("simulate", "accelerator:\n  passband_nm: .nan\n", []),
         ("simulate", "delays:\n  clock_ghz: .inf\n", []),
+        ("simulate", "tuning:\n  crosstalk_decay_um: 0\n", []),
     ], ids=["to-power-0", "n-a-0", "splitter-negative", "clock-0",
             "n-fpv-maps-0", "seeds-0", "n-test-0", "epochs-negative",
             "area-negative", "fractions-empty", "workload-count-negative",
@@ -329,7 +332,7 @@ class TestConfigHandling:
             "spacings-0", "mrs-negative", "ring-ng-0", "target-nan",
             "learning-rate-0", "tuning-fraction-1.5", "tuning-fraction-nan",
             "pitch-nan", "splitter-nan", "eo-power-nan", "dac-power-nan",
-            "dac-area-nan", "passband-nan", "clock-inf"])
+            "dac-area-nan", "passband-nan", "clock-inf", "decay-0"])
     def test_bad_value_exit_2(self, command, config_text, flags, tmp_path,
                               capsys, model_path):
         p = tmp_path / "c.yaml"
@@ -397,3 +400,33 @@ class TestConfigHandling:
              "--out", str(tmp_path / "x.json")], capsys)
         assert code == 4
         assert err.startswith("error[physical]:")
+
+    def test_dense_layout_exit_4(self, tmp_path, capsys, model_path):
+        p = tmp_path / "c.yaml"
+        p.write_text("tuning:\n  crosstalk_eta: 5\n")
+        out = tmp_path / "x.json"
+        code, _, err = run_cli(
+            ["simulate", "--model", model_path, "--config", str(p),
+             "--out", str(out)], capsys)
+        assert code == 4
+        assert err.startswith("error[physical]:") and err.count("\n") == 1
+        assert "too dense" in err
+        assert not out.exists()
+
+    def test_dense_layouts_excluded_from_dse(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("tuning:\n  crosstalk_eta: 0.3\n")
+        code, stdout, _ = run_cli(
+            ["dse", "--config", str(p), "--out", str(tmp_path / "dse")],
+            capsys)
+        assert code == 0
+        summary = json.loads(stdout)
+        excluded = summary["excluded"]
+        assert summary["evaluated_points"] == 20 and len(excluded) == 20
+        # the 10- and 15-ring banks are too dense at eta 0.3; 5 rings are not
+        base = cfgmod.arch_config(cfgmod.load_config(str(p)))
+        for e in excluded:
+            n_a, n_vdp, n_wg = e["config"]
+            cfg = replace(base, n_a=n_a, n_vdp=n_vdp, n_wg=n_wg)
+            assert cfg.arm_activation_mrs in (10, 15)
+            assert "layout too dense" in e["reason"]

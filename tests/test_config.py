@@ -187,6 +187,7 @@ class TestSchema:
         ("area.dac_block_mm2", math.nan),
         ("accelerator.passband_nm", math.nan),
         ("delays.clock_ghz", math.inf),
+        ("tuning.crosstalk_decay_um", 0),
     ])
     def test_bad_values_rejected_at_load(self, key, value):
         data = value

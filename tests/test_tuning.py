@@ -13,6 +13,16 @@ def params():
     return TuningParams()
 
 
+def naive_jacobi(t, k):
+    """Reference: the naive heaters' iteration s <- t + (K - I) |s|."""
+    s, off = t, k - np.eye(t.size)
+    for _ in range(100_000):
+        s, prev = t + off @ np.abs(s), s
+        if np.max(np.abs(s - prev)) <= 1e-14 * np.max(s):
+            return s
+    raise AssertionError("naive iteration did not converge")
+
+
 class TestHybridSplit:
     def test_zero_shift(self, params):
         s = hybrid_split(0.0, params)
@@ -99,6 +109,23 @@ class TestCrosstalkMatrix:
         b = thermal_crosstalk_matrix(d, 0.1, 10.0)
         assert np.array_equal(a, b)
 
+    def test_infinite_distance_decouples(self):
+        d = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        assert np.array_equal(thermal_crosstalk_matrix(d, 0.1, 10.0),
+                              np.eye(2))
+
+    @pytest.mark.parametrize("d", [[[0.0, -1.0], [-1.0, 0.0]], []],
+                             ids=["negative", "empty"])
+    def test_bad_distances_rejected(self, d):
+        with pytest.raises(DomainError):
+            thermal_crosstalk_matrix(d, 0.1, 10.0)
+
+    @pytest.mark.parametrize("eta", [0.45, np.nan])
+    def test_checks_own_dominance(self, eta):
+        # a NaN row sum must fail the check as well
+        with pytest.raises(IllConditionedLayoutError):
+            thermal_crosstalk_matrix(uniform_positions_um(10, 5.0), eta, 1e6)
+
 
 class TestTed:
     def test_single_mr_no_reduction(self, params):
@@ -150,6 +177,10 @@ class TestTed:
             t = rng.uniform(0, 5, n)
             res = ted_tuning_power(t, distances, p1)
             assert res.p_ted_mw <= res.p_naive_mw + 1e-9
+            k = thermal_crosstalk_matrix(distances, 1.0, 1.0)
+            want = (np.sum(np.abs(naive_jacobi(t, k)))
+                    / p1.heater_efficiency_nm_per_mw)
+            assert res.p_naive_mw == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_non_dominant_rejected(self, params):
         from dataclasses import replace
@@ -162,6 +193,15 @@ class TestTed:
         with pytest.raises(DomainError):
             ted_tuning_power([1.0, -1.0], uniform_positions_um(2, 5.0),
                              params)
+
+    @pytest.mark.parametrize("target, spacings", [
+        ([1.0, np.nan], uniform_positions_um(2, 5.0)),
+        ([1.0, np.inf], uniform_positions_um(2, 5.0)),
+        ([1.0, 1.0], [[0.0, np.nan], [np.nan, 0.0]]),
+    ], ids=["nan-target", "inf-target", "nan-distance"])
+    def test_non_finite_inputs_rejected(self, params, target, spacings):
+        with pytest.raises(DomainError):
+            ted_tuning_power(target, spacings, params)
 
 
 class TestBankBudget:
