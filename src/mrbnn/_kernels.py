@@ -1,6 +1,13 @@
 """Hot numeric kernels, vectorized with numpy.
 
 All kernels are deterministic: results depend only on the inputs.
+
+``noisy_fc_forward`` uses that a quantizer's outputs take only 2**bits
+levels v_l: clip(v_l * rho) * rail is then one [out, in] table per level,
+and the noisy product is exactly sum_l 1[acts == v_l] @ table_l.T, a few
+BLAS GEMMs instead of an [n, out, in] temporary. Inputs are compared with
+the levels exactly first; any other input takes the element-wise form in
+blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -15,6 +22,10 @@ __all__ = [
 ]
 
 BACKEND = "numpy"
+
+# Temporary budget of one block of the broadcast form of noisy_fc_forward;
+# a block that fits the L2 cache beat larger ones in a scratch sweep.
+BLOCK_BYTES = 1 << 20
 
 
 def all_pass_transmission(cos_phi, r, a):
@@ -48,18 +59,70 @@ def channel_noise_powers(lambdas_nm, q_factor, input_powers):
     return phi @ p
 
 
-def noisy_fc_forward(acts, w_pos, w_neg, rho_act):
+def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     """FPV-perturbed fully connected forward pass (dual-rail weights).
 
-    acts:          [n_samples, n_in] imprinted activation values in [0, 1]
+    acts:          [n_samples, n_in] imprinted activation values
     w_pos / w_neg: [n_out, n_in] rail occupancies in {0, 1}
     rho_act:       [n_out, n_in] per-MR activation perturbation ratios
+    levels:        optional hint, the values the inputs' quantizer emits
 
     out[s, o] = sum_k clip(acts[s,k] * rho_act[o,k])
                       * (w_pos[o,k] - w_neg[o,k])
 
     where clip(.) clamps to [0, 1]. The rails carry no ratio: weight-ring
     ratios are >= 1, so clip(w * rho) is w for w in {0, 1}.
+
+    Level table: if every input equals one of the ``levels`` v_l, then
+    for finite ratios exactly
+
+        out = sum_{l: v_l != 0} 1[acts == v_l] @ table_l.T
+        table_l = clip(v_l * rho_act) * (w_pos - w_neg)
+
+    one GEMM per level present, in O(n_samples*n_in + n_out*n_in) memory.
+    The hint is used only after every input is found equal to a level.
+    Inputs off the levels (a batch-norm fold or an average pool after the
+    quantizer, raw features) or given no hint take the broadcast form,
+    a block of samples at a time, each block's [rows, n_out, n_in]
+    temporary within ``BLOCK_BYTES``.
     """
-    a_eff = np.clip(acts[:, None, :] * rho_act[None, :, :], 0.0, 1.0)
-    return np.sum(a_eff * (w_pos - w_neg)[None, :, :], axis=2)
+    rail = w_pos - w_neg
+    if levels is not None:
+        levels = np.unique(levels)       # distinct: an input matches <= 1
+        counts = [np.count_nonzero(acts == v) for v in levels]
+        if sum(counts) == acts.size:
+            return _level_gemm(acts, levels, counts, rail, rho_act)
+    return _blocked_broadcast(acts, rail, rho_act)
+
+
+def _level_gemm(acts, levels, counts, rail, rho_act):
+    """Sum over the nonzero levels present of one-hot @ level table."""
+    out = np.zeros((acts.shape[0], rail.shape[0]))
+    one_hot = np.empty(acts.shape)
+    table = np.empty(rail.shape)
+    for value, count in zip(levels, counts):
+        if value == 0.0 or count == 0:
+            continue
+        np.equal(acts, value, out=one_hot)
+        np.multiply(rho_act, value, out=table)
+        np.clip(table, 0.0, 1.0, out=table)
+        table *= rail
+        out += one_hot @ table.T
+    return out
+
+
+def _blocked_broadcast(acts, rail, rho_act):
+    """The broadcast form over blocks of samples in one reused buffer;
+    each output sums over the input axis as an unblocked pass would."""
+    n = acts.shape[0]
+    out = np.empty((n, rail.shape[0]))
+    rows = max(1, BLOCK_BYTES // max(1, rail.size * 8))
+    buf = np.empty((min(rows, n),) + rail.shape)
+    for start in range(0, n, rows):
+        block = acts[start:start + rows]
+        a_eff = buf[:block.shape[0]]
+        np.multiply(block[:, None, :], rho_act, out=a_eff)
+        np.clip(a_eff, 0.0, 1.0, out=a_eff)
+        a_eff *= rail
+        np.sum(a_eff, axis=2, out=out[start:start + rows])
+    return out

@@ -194,6 +194,11 @@ def quantize_activation(v, bits: int, lo: float = 0.0, hi: float = 1.0):
     return float(q) if np.ndim(v) == 0 else q
 
 
+def activation_levels(bits: int, lo: float = 0.0, hi: float = 1.0):
+    """The 2**bits values ``quantize_activation`` emits, ascending."""
+    return quantize_activation(np.linspace(lo, hi, 2 ** bits), bits, lo, hi)
+
+
 def _c_fold(bn: Layer) -> np.ndarray:
     return bn.bn_gamma / np.sqrt(bn.bn_var + bn.bn_epsilon)
 

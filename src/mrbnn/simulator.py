@@ -19,6 +19,10 @@ so the ratio is never below 1: a rail in {0, 1} comes back unchanged, and
 weight-ring FPV costs tuning power but never changes a result. Only the
 activation rings' ratios are computed. With full tuning the ratio is
 exactly 1 and the photonic pass reproduces the reference forward pass.
+A layer whose inputs are all levels of the quantizer before it sums one
+GEMM per level, each against that level's clamped, perturbed weight table
+(``_kernels.noisy_fc_forward``); the identity is exact, and the summation
+order is the only difference from the element-wise form.
 Layers that are not binarized are executed in the electronic control unit
 and see no optical noise.
 """
@@ -32,7 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels, photonics, tuning
-from .bnn import QuantModel, as_batch, exact_dot, forward
+from .bnn import (LayerKind, QuantModel, activation_levels, as_batch,
+                  exact_dot, forward)
 # Nothing here calls quantize_activation (bnn.forward does), but
 # bench/spans.py traces it at this binding.
 from .bnn import quantize_activation  # noqa: F401
@@ -420,6 +425,24 @@ def _perturbation_ratios(design: MrDesign, lam: np.ndarray,
     return np.asarray(shifted) / np.asarray(base)
 
 
+def _level_hints(model: QuantModel) -> dict[int, np.ndarray]:
+    """Binarized layer index -> the levels of the quantizing activation
+    that is the last activation before it. Only a hint: layers between
+    (a batch-norm fold, an average pool) may move values off the levels,
+    and the kernel checks membership before it relies on them."""
+    hints = {}
+    source = None
+    for li, layer in enumerate(model.layers):
+        if layer.weighted:
+            if layer.binarized and source is not None:
+                hints[li] = activation_levels(model.activation_bits,
+                                              *source.act_range)
+            source = None
+        elif layer.kind is LayerKind.ACTIVATION:
+            source = layer if layer.quantize else None
+    return hints
+
+
 @dataclass(frozen=True)
 class NoisyInferenceResult:
     """Shaped as ``bnn.reference_inference`` returns: [n, out] logits and
@@ -445,7 +468,8 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
     nonlinearity. Non-binarized layers, nonlinearities, quantization and
     pooling run exactly in the ECU, through the same layer walk as
     ``bnn.reference_inference``. ``tuning_fraction`` = 1 reproduces the
-    folded reference forward pass (ratios are identically 1).
+    folded reference forward pass (ratios are identically 1, and binarized
+    layers run ``bnn.exact_dot`` on the clamped inputs).
     """
     if not (0.0 <= tuning_fraction <= 1.0):
         raise DomainError("tuning_fraction must be in [0, 1]")
@@ -458,14 +482,21 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
         env.designs[RingClass.MULTI_BIT], mapping.lambda_nm,
         chip_map.deltas_nm[0][mapping.mr_ids], 1.0 - tuning_fraction)
 
+    ideal = bool(np.all(rho_act == 1.0))
+    levels = _level_hints(model)
+
     def photonic_dot(li, layer, v):
         if not layer.binarized:
             return exact_dot(li, layer, v)
+        if ideal:
+            # clip(v * 1) * rail summed is clip(v) @ sign(W)
+            return exact_dot(li, layer, np.clip(v, 0.0, 1.0))
         w = layer.effective_weights()
         w = w.reshape(w.shape[0], -1)
         out = _kernels.noisy_fc_forward(
             v.reshape(-1, v.shape[-1]), (w > 0).astype(np.float64),
-            (w < 0).astype(np.float64), rho_act[mapping.mr_index[li]])
+            (w < 0).astype(np.float64), rho_act[mapping.mr_index[li]],
+            levels=levels.get(li))
         return out.reshape(*v.shape[:-1], -1)
 
     batch, single = as_batch(x)

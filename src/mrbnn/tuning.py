@@ -189,7 +189,9 @@ def bank_tuning_budget(delta_lambdas_nm, tuning_fraction: float,
     Each MR corrects ``tuning_fraction`` of its (nearest-resonance folded)
     FPV shift; EO covers up to ``eo_max_shift_nm`` and is summed directly,
     the TO remainders of each bank are tuned collectively through the TED
-    solve. All banks share one uniform layout, hence one crosstalk matrix.
+    solve. All banks share one uniform layout, hence one crosstalk matrix,
+    which is built and checked even when no MR needs heater power, so a
+    layout too dense to tune raises whatever the shifts and the fraction.
     Powers are totals over all banks; the latency is the worst bank's.
     """
     if not (0.0 <= tuning_fraction <= 1.0):
@@ -201,11 +203,11 @@ def bank_tuning_budget(delta_lambdas_nm, tuning_fraction: float,
     eo = np.minimum(corrected, params.eo_max_shift_nm)
     to = corrected - eo
     eo_power = float(np.sum(eo)) * params.eo_power_uw_per_nm * 1e-3
-    if not np.any(to > 0):
-        return BankBudget(eo_power, eo_power, 0.0, params.eo_latency_ns)
     k = thermal_crosstalk_matrix(
         uniform_positions_um(deltas.shape[1], spacing_um),
         params.crosstalk_eta, params.crosstalk_decay_um)
+    if not np.any(to > 0):
+        return BankBudget(eo_power, eo_power, 0.0, params.eo_latency_ns)
     s = np.linalg.solve(k, to.T)
     to_power = float(np.sum(np.abs(s))) / params.heater_efficiency_nm_per_mw
     return BankBudget(eo_power + to_power, eo_power, to_power,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrbnn import bnn, config
+from mrbnn import _kernels, bnn, config
 from mrbnn.photonics import RingClass
 
 
@@ -41,3 +41,18 @@ def toy_model(toolkit_config, toy_data):
                                      toy_data.y_train, epochs=t.epochs,
                                      lr=t.learning_rate, seed=t.model_seed)
     return trained
+
+
+@pytest.fixture
+def level_calls(monkeypatch):
+    """The input shape of each noisy-kernel call that takes the
+    level-table path."""
+    calls = []
+    original = _kernels._level_gemm
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "_level_gemm", spy)
+    return calls

@@ -77,6 +77,21 @@ class TestQuantizeActivation:
         assert quantize_activation(0.0, 2, lo=-1.0, hi=1.0) \
             == pytest.approx(1 / 3, rel=1e-12)  # rounds up at the midpoint
 
+    @pytest.mark.parametrize("bits, lo, hi",
+                             [(1, 0.0, 1.0), (4, 0.0, 1.0), (4, 0.2, 0.8),
+                              (3, -1.0, 1.0), (8, 0.0, 1.0)])
+    def test_levels_are_the_quantizer_outputs(self, bits, lo, hi):
+        # bit for bit: the noisy kernel compares inputs with these exactly
+        levels = bnn.activation_levels(bits, lo, hi)
+        assert levels.size == 2 ** bits and np.all(np.diff(levels) > 0)
+        assert levels[0] == lo and levels[-1] == hi
+        assert np.array_equal(quantize_activation(levels, bits, lo, hi),
+                              levels)
+        rng = np.random.Generator(np.random.PCG64(4))
+        q = quantize_activation(rng.uniform(lo - 0.5, hi + 0.5, 2000), bits,
+                                lo, hi)
+        assert np.all(np.isin(q, levels))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             quantize_activation(0.5, 0)

@@ -413,6 +413,19 @@ class TestConfigHandling:
         assert "too dense" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fraction", ["0", "1"])
+    def test_dense_layout_fails_at_any_fraction(self, tmp_path, capsys,
+                                                model_path, fraction):
+        # at fraction 0 no ring needs heater power; the layout still fails
+        p = tmp_path / "c.yaml"
+        p.write_text("tuning:\n  crosstalk_eta: 0.3\n")
+        code, _, err = run_cli(
+            ["simulate", "--model", model_path, "--config", str(p),
+             "--tuning-fraction", fraction,
+             "--out", str(tmp_path / "x.json")], capsys)
+        assert code == 4
+        assert err.startswith("error[physical]:") and "too dense" in err
+
     def test_dense_layouts_excluded_from_dse(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         p.write_text("tuning:\n  crosstalk_eta: 0.3\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrbnn import _kernels
+from mrbnn import _kernels, bnn
 
 
 rng = np.random.Generator(np.random.PCG64(71))
@@ -49,23 +49,32 @@ class TestBackendEquivalence:
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
+def loop_oracle(acts, wp, wn, ra):
+    """The noisy product element by element."""
+    n, k = acts.shape
+    expected = np.zeros((n, wp.shape[0]))
+    for s in range(n):
+        for o in range(wp.shape[0]):
+            acc = 0.0
+            for j in range(k):
+                ae = min(max(acts[s, j] * ra[o, j], 0.0), 1.0)
+                acc += ae * (wp[o, j] - wn[o, j])
+            expected[s, o] = acc
+    return expected
+
+
+def dual_rail(o, k):
+    w = np.sign(rng.normal(size=(o, k)))
+    return (w > 0).astype(float), (w < 0).astype(float)
+
+
 class TestNoisyFcSemantics:
     def test_matches_elementwise_oracle(self):
         acts = rng.uniform(0, 1, (4, 5))
-        w = np.sign(rng.normal(size=(3, 5)))
-        wp = (w > 0).astype(float)
-        wn = (w < 0).astype(float)
+        wp, wn = dual_rail(3, 5)
         ra = rng.uniform(0.5, 4.0, (3, 5))
         got = _kernels.noisy_fc_forward(acts, wp, wn, ra)
-        expected = np.zeros((4, 3))
-        for s in range(4):
-            for o in range(3):
-                acc = 0.0
-                for j in range(5):
-                    ae = min(max(acts[s, j] * ra[o, j], 0.0), 1.0)
-                    acc += ae * (wp[o, j] - wn[o, j])
-                expected[s, o] = acc
-        assert np.allclose(got, expected, rtol=1e-12)
+        assert np.allclose(got, loop_oracle(acts, wp, wn, ra), rtol=1e-12)
 
     def test_unit_ratios_reduce_to_matmul(self):
         acts = rng.uniform(0, 1, (6, 8))
@@ -83,6 +92,68 @@ class TestNoisyFcSemantics:
         big = np.array([[10.0]])
         got = _kernels.noisy_fc_forward(acts, wp, wn, big)
         assert got[0, 0] == pytest.approx(1.0)  # 0.9*10 clamped to 1
+
+
+class TestLevelTable:
+    """Inputs on the quantizer's levels take one GEMM per level."""
+
+    @pytest.mark.parametrize("bits, act_range, zeros", [
+        (4, (0.0, 1.0), 0.6),     # many zero activations (after a ReLU)
+        (1, (0.0, 1.0), 0.0),
+        (4, (0.2, 0.8), 0.0),     # level 0 is 0.2 and contributes
+    ])
+    def test_matches_oracle(self, level_calls, bits, act_range, zeros):
+        n, o, k = 17, 6, 23
+        levels = bnn.activation_levels(bits, *act_range)
+        acts = levels[rng.integers(0, levels.size, (n, k))]
+        acts[rng.uniform(size=(n, k)) < zeros] = 0.0
+        wp, wn = dual_rail(o, k)
+        ra = rng.uniform(0.9, 3.0, (o, k))
+        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        assert level_calls == [(n, k)]
+        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
+                                   rtol=1e-12, atol=1e-13)
+
+    def test_off_level_inputs_take_the_broadcast(self, level_calls):
+        # a batch-norm gain between the quantizer and the layer
+        levels = bnn.activation_levels(4)
+        acts = levels[rng.integers(0, levels.size, (9, 11))]
+        acts[4, 7] = levels[5] * 1.3
+        wp, wn = dual_rail(5, 11)
+        ra = rng.uniform(0.9, 3.0, (5, 11))
+        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        assert level_calls == []
+        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
+                                   rtol=1e-12, atol=1e-13)
+
+    def test_nan_input_is_not_a_level(self, level_calls):
+        levels = bnn.activation_levels(2)
+        acts = np.array([[levels[1], np.nan]])
+        wp, wn = dual_rail(2, 2)
+        got = _kernels.noisy_fc_forward(acts, wp, wn, np.ones((2, 2)),
+                                        levels=levels)
+        assert level_calls == [] and np.all(np.isnan(got))
+
+    def test_blocks_that_do_not_divide_the_samples(self, monkeypatch):
+        n, o, k = 11, 3, 7
+        acts = rng.uniform(-0.2, 1.2, (n, k))
+        wp, wn = dual_rail(o, k)
+        ra = rng.uniform(0.5, 3.0, (o, k))
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", 4 * o * k * 8)
+        got = _kernels.noisy_fc_forward(acts, wp, wn, ra)   # 4 + 4 + 3 rows
+        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
+                                   rtol=1e-12, atol=1e-13)
+        # each output sums over the input axis as one unblocked pass would
+        one_block = np.sum(np.clip(acts[:, None, :] * ra, 0.0, 1.0)
+                           * (wp - wn), axis=2)
+        assert np.array_equal(got, one_block)
+
+    def test_empty_batch(self):
+        wp, wn = dual_rail(3, 4)
+        for levels in (None, bnn.activation_levels(4)):
+            got = _kernels.noisy_fc_forward(np.zeros((0, 4)), wp, wn,
+                                            np.ones((3, 4)), levels=levels)
+            assert got.shape == (0, 3)
 
 
 class TestDeterminism:

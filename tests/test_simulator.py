@@ -540,6 +540,86 @@ class TestNoisyInference:
             assert str(noisy_err.value) == str(ref_err.value)
 
 
+def broadcast_logits(model, x, cfg, env, fraction, seed):
+    """Noisy logits with every binarized layer through the [n, out, in]
+    broadcast formula, walked through ``bnn.forward``."""
+    mapping = build_photonic_mapping(model, cfg)
+    chip_map = chip_fpv_map(cfg, env, seed)
+    rho = _perturbation_ratios(
+        env.designs[RingClass.MULTI_BIT], mapping.lambda_nm,
+        chip_map.deltas_nm[0][mapping.mr_ids], 1.0 - fraction)
+
+    def dot(li, layer, v):
+        if not layer.binarized:
+            return bnn.exact_dot(li, layer, v)
+        w = layer.effective_weights()
+        w = w.reshape(w.shape[0], -1)
+        a = v.reshape(-1, v.shape[-1])
+        out = np.sum(np.clip(a[:, None, :] * rho[mapping.mr_index[li]],
+                             0.0, 1.0) * w, axis=2)
+        return out.reshape(*v.shape[:-1], -1)
+
+    return bnn.forward(model, np.asarray(x, dtype=np.float64), dot,
+                       folded=True)
+
+
+def dispatch_model(case, rng):
+    def bn(c):
+        return bnn.batch_norm_layer(rng.uniform(0.5, 1.5, c),
+                                    rng.normal(0.0, 0.1, c),
+                                    rng.normal(0.0, 0.1, c),
+                                    rng.uniform(0.5, 1.5, c))
+    if case == "conv-sim":
+        return QuantModel((
+            bnn.conv_layer(rng.normal(size=(4, 3, 3, 3))), bn(4),
+            activation_layer(), bnn.pool_layer(2),
+            bnn.conv_layer(rng.normal(size=(6, 4, 3, 3))), bn(6),
+            activation_layer(), fc_layer(rng.normal(size=(5, 24))))), \
+            rng.uniform(0, 1, size=(7, 3, 10, 10))
+    if case == "bn-after-act":
+        return QuantModel((
+            fc_layer(rng.normal(size=(12, 8))), activation_layer(), bn(12),
+            fc_layer(rng.normal(size=(5, 12))))), \
+            rng.uniform(0, 1, size=(9, 8))
+    return QuantModel((                 # "avg-pool"
+        bnn.conv_layer(rng.normal(size=(3, 2, 3, 3))), activation_layer(),
+        bnn.pool_layer(2, "avg"),
+        bnn.conv_layer(rng.normal(size=(4, 3, 2, 2))), activation_layer(),
+        fc_layer(rng.normal(size=(5, 36)), binarized=False))), \
+        rng.uniform(0, 1, size=(6, 2, 11, 11))
+
+
+class TestKernelDispatch:
+    """The level table serves the layers fed by a quantizer's levels; every
+    other binarized layer keeps the broadcast formula's result."""
+
+    @pytest.mark.parametrize("case, level_layers", [
+        ("conv-sim", 2),        # conv 2 and the FC read quantized levels
+        ("bn-after-act", 0),    # the fold moves values off the levels
+        ("avg-pool", 0),        # averages of levels are not levels
+    ])
+    def test_matches_broadcast_formula(self, env, eo_cfg, level_calls,
+                                       case, level_layers):
+        model, x = dispatch_model(case,
+                                  np.random.Generator(np.random.PCG64(59)))
+        res = noisy_inference(model, x, None, eo_cfg, env, 0.5, seed=3)
+        assert len(level_calls) == level_layers
+        np.testing.assert_allclose(
+            res.logits, broadcast_logits(model, x, eo_cfg, env, 0.5, 3),
+            rtol=1e-12, atol=1e-12)
+
+    def test_full_tuning_keeps_the_clamp(self, env, eo_cfg):
+        # BN gains > 1 push inputs of the second FC above 1; rho = 1 does
+        # not switch the [0, 1] clamp off
+        model, x = dispatch_model("bn-after-act",
+                                  np.random.Generator(np.random.PCG64(61)))
+        res = noisy_inference(model, x, None, eo_cfg, env, 1.0, seed=3)
+        want = broadcast_logits(model, x, eo_cfg, env, 1.0, 3)
+        np.testing.assert_allclose(res.logits, want, rtol=1e-12, atol=1e-12)
+        ref, _ = reference_inference(model, x, folded=True)
+        assert not np.allclose(want, ref)
+
+
 class TestAccuracySweep:
     def test_rows_and_reference_anchor(self, env, eo_cfg, toy_model,
                                        toy_data):
