@@ -6,8 +6,9 @@ All kernels are deterministic: results depend only on the inputs.
 levels v_l: clip(v_l * rho) * rail is then one [out, in] table per level,
 and the noisy product is exactly sum_l 1[acts == v_l] @ table_l.T, a few
 BLAS GEMMs instead of an [n, out, in] temporary. Inputs are compared with
-the levels exactly first; any other input takes the element-wise form in
-blocks of bounded size.
+the levels exactly first, and the table is used only when its GEMMs cost
+less than the element-wise form; otherwise that form runs in blocks of
+bounded size.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ BACKEND = "numpy"
 # Temporary budget of one block of the broadcast form of noisy_fc_forward;
 # a block that fits the L2 cache beat larger ones in a scratch sweep.
 BLOCK_BYTES = 1 << 20
+
+# Most levels a level hint is worth building for: each level present costs
+# the table at least 1/32 of the blocked broadcast (see _table_pays), so
+# 32 levels present never pay.
+MAX_LEVELS = 32
 
 
 def all_pass_transmission(cos_phi, r, a):
@@ -73,38 +79,51 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     where clip(.) clamps to [0, 1]. The rails carry no ratio: weight-ring
     ratios are >= 1, so clip(w * rho) is w for w in {0, 1}.
 
-    Level table: if every input equals one of the ``levels`` v_l, then
-    for finite ratios exactly
+    Level table: if every input equals one of the ``levels`` v_l and the
+    ratios are finite, then exactly
 
         out = sum_{l: v_l != 0} 1[acts == v_l] @ table_l.T
         table_l = clip(v_l * rho_act) * (w_pos - w_neg)
 
     one GEMM per level present, in O(n_samples*n_in + n_out*n_in) memory.
-    The hint is used only after every input is found equal to a level.
-    Inputs off the levels (a batch-norm fold or an average pool after the
-    quantizer, raw features) or given no hint take the broadcast form,
-    a block of samples at a time, each block's [rows, n_out, n_in]
-    temporary within ``BLOCK_BYTES``.
+    The hint is used only after every input is found equal to a level, and
+    only while the levels present are few enough to beat the broadcast
+    (``_table_pays``). Inputs off the levels (a batch-norm fold or an
+    average pool after the quantizer, raw features), non-finite ratios
+    (0 * inf is not 0), too many levels present, or no hint take the
+    broadcast form, a block of samples at a time, each block's
+    [rows, n_out, n_in] temporary within ``BLOCK_BYTES``.
     """
     rail = w_pos - w_neg
-    if levels is not None:
-        levels = np.unique(levels)       # distinct: an input matches <= 1
-        counts = [np.count_nonzero(acts == v) for v in levels]
-        if sum(counts) == acts.size:
-            return _level_gemm(acts, levels, counts, rail, rho_act)
+    if levels is not None and np.size(levels) and np.isfinite(rho_act).all():
+        levels = np.unique(levels)       # sorted and distinct
+        idx = np.minimum(np.searchsorted(levels, acts), levels.size - 1)
+        if np.array_equal(levels[idx], acts):
+            present = np.bincount(idx.ravel(), minlength=levels.size) > 0
+            present &= levels != 0.0     # level 0 adds nothing
+            if _table_pays(np.count_nonzero(present), acts.shape[0],
+                           rail.shape[0]):
+                return _level_gemm(idx, levels, present, rail, rho_act)
     return _blocked_broadcast(acts, rail, rho_act)
 
 
-def _level_gemm(acts, levels, counts, rail, rho_act):
-    """Sum over the nonzero levels present of one-hot @ level table."""
-    out = np.zeros((acts.shape[0], rail.shape[0]))
-    one_hot = np.empty(acts.shape)
+def _table_pays(n_levels, n, n_out):
+    """Whether ``n_levels`` table GEMMs beat the blocked broadcast. Per
+    level, the one-hot pass, the table pass and the GEMM cost about
+    1/n_out, 1/(2 n) and 1/32 of the broadcast: a fit to the crossovers
+    measured in BENCH_level_gemm.json (``level_table_crossover``)."""
+    return n_levels * (2 * n + n_out + n * n_out / 16) < 2 * n * n_out
+
+
+def _level_gemm(idx, levels, present, rail, rho_act):
+    """Sum over the levels ``present`` of one-hot @ level table; ``idx``
+    holds each input's level index."""
+    out = np.zeros((idx.shape[0], rail.shape[0]))
+    one_hot = np.empty(idx.shape)
     table = np.empty(rail.shape)
-    for value, count in zip(levels, counts):
-        if value == 0.0 or count == 0:
-            continue
-        np.equal(acts, value, out=one_hot)
-        np.multiply(rho_act, value, out=table)
+    for l in np.flatnonzero(present):
+        np.equal(idx, l, out=one_hot)
+        np.multiply(rho_act, levels[l], out=table)
         np.clip(table, 0.0, 1.0, out=table)
         table *= rail
         out += one_hot @ table.T

@@ -19,10 +19,11 @@ so the ratio is never below 1: a rail in {0, 1} comes back unchanged, and
 weight-ring FPV costs tuning power but never changes a result. Only the
 activation rings' ratios are computed. With full tuning the ratio is
 exactly 1 and the photonic pass reproduces the reference forward pass.
-A layer whose inputs are all levels of the quantizer before it sums one
-GEMM per level, each against that level's clamped, perturbed weight table
-(``_kernels.noisy_fc_forward``); the identity is exact, and the summation
-order is the only difference from the element-wise form.
+A layer whose inputs are all levels of the quantizer before it may sum
+one GEMM per level, each against that level's clamped, perturbed weight
+table (``_kernels.noisy_fc_forward`` decides by the levels present and the
+layer's shape); the identity is exact, and the summation order is the
+only difference from the element-wise form.
 Layers that are not binarized are executed in the electronic control unit
 and see no optical noise.
 """
@@ -429,8 +430,11 @@ def _level_hints(model: QuantModel) -> dict[int, np.ndarray]:
     """Binarized layer index -> the levels of the quantizing activation
     that is the last activation before it. Only a hint: layers between
     (a batch-norm fold, an average pool) may move values off the levels,
-    and the kernel checks membership before it relies on them."""
+    and the kernel checks membership before it relies on them. A quantizer
+    with more than ``_kernels.MAX_LEVELS`` levels gives no hint."""
     hints = {}
+    if 2 ** model.activation_bits > _kernels.MAX_LEVELS:
+        return hints
     source = None
     for li, layer in enumerate(model.layers):
         if layer.weighted:

@@ -103,7 +103,7 @@ class TestLevelTable:
         (4, (0.2, 0.8), 0.0),     # level 0 is 0.2 and contributes
     ])
     def test_matches_oracle(self, level_calls, bits, act_range, zeros):
-        n, o, k = 17, 6, 23
+        n, o, k = 64, 64, 13      # wide enough for 16 level GEMMs to pay
         levels = bnn.activation_levels(bits, *act_range)
         acts = levels[rng.integers(0, levels.size, (n, k))]
         acts[rng.uniform(size=(n, k)) < zeros] = 0.0
@@ -133,6 +133,34 @@ class TestLevelTable:
         got = _kernels.noisy_fc_forward(acts, wp, wn, np.ones((2, 2)),
                                         levels=levels)
         assert level_calls == [] and np.all(np.isnan(got))
+
+    @pytest.mark.parametrize("bits, n", [
+        (4, 1),       # one sample: a table per level costs more than it saves
+        (8, 64),      # 255 levels present
+    ])
+    def test_too_many_levels_take_the_broadcast(self, level_calls, bits, n):
+        o, k = 64, 20
+        levels = bnn.activation_levels(bits)
+        acts = levels[rng.integers(1, levels.size, (n, k))]
+        acts.flat[:levels.size - 1] = levels[1:]     # every nonzero level
+        wp, wn = dual_rail(o, k)
+        ra = rng.uniform(0.9, 3.0, (o, k))
+        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        assert level_calls == []
+        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
+                                   rtol=1e-12, atol=1e-13)
+
+    def test_non_finite_ratios_take_the_broadcast(self, level_calls):
+        # a critically coupled ring has zero on-resonance transmission, so
+        # its ratio is infinite; the broadcast gives 0 * inf = NaN there
+        levels = bnn.activation_levels(1)
+        acts = np.array([[0.0, 1.0], [1.0, 1.0]])
+        wp, wn = np.eye(2), np.zeros((2, 2))
+        ra = np.array([[np.inf, 1.0], [1.0, 1.0]])
+        with np.errstate(invalid="ignore"):
+            got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        assert level_calls == []
+        np.testing.assert_array_equal(got, [[np.nan, 1.0], [1.0, 1.0]])
 
     def test_blocks_that_do_not_divide_the_samples(self, monkeypatch):
         n, o, k = 11, 3, 7

@@ -563,7 +563,9 @@ def broadcast_logits(model, x, cfg, env, fraction, seed):
                        folded=True)
 
 
-def dispatch_model(case, rng):
+def dispatch_model(case, rng, bits=2):
+    """Small models, by default with 2-bit quantizers: their layers are
+    narrow, and a table GEMM per level pays only for a few levels."""
     def bn(c):
         return bnn.batch_norm_layer(rng.uniform(0.5, 1.5, c),
                                     rng.normal(0.0, 0.1, c),
@@ -574,18 +576,20 @@ def dispatch_model(case, rng):
             bnn.conv_layer(rng.normal(size=(4, 3, 3, 3))), bn(4),
             activation_layer(), bnn.pool_layer(2),
             bnn.conv_layer(rng.normal(size=(6, 4, 3, 3))), bn(6),
-            activation_layer(), fc_layer(rng.normal(size=(5, 24))))), \
+            activation_layer(), fc_layer(rng.normal(size=(5, 24)))),
+            activation_bits=bits), \
             rng.uniform(0, 1, size=(7, 3, 10, 10))
     if case == "bn-after-act":
         return QuantModel((
             fc_layer(rng.normal(size=(12, 8))), activation_layer(), bn(12),
-            fc_layer(rng.normal(size=(5, 12))))), \
+            fc_layer(rng.normal(size=(5, 12)))), activation_bits=bits), \
             rng.uniform(0, 1, size=(9, 8))
     return QuantModel((                 # "avg-pool"
         bnn.conv_layer(rng.normal(size=(3, 2, 3, 3))), activation_layer(),
         bnn.pool_layer(2, "avg"),
         bnn.conv_layer(rng.normal(size=(4, 3, 2, 2))), activation_layer(),
-        fc_layer(rng.normal(size=(5, 36)), binarized=False))), \
+        fc_layer(rng.normal(size=(5, 36)), binarized=False)),
+        activation_bits=bits), \
         rng.uniform(0, 1, size=(6, 2, 11, 11))
 
 
@@ -593,20 +597,41 @@ class TestKernelDispatch:
     """The level table serves the layers fed by a quantizer's levels; every
     other binarized layer keeps the broadcast formula's result."""
 
-    @pytest.mark.parametrize("case, level_layers", [
-        ("conv-sim", 2),        # conv 2 and the FC read quantized levels
-        ("bn-after-act", 0),    # the fold moves values off the levels
-        ("avg-pool", 0),        # averages of levels are not levels
+    @pytest.mark.parametrize("case, bits, hints, level_layers", [
+        ("conv-sim", 2, 2, 2),     # conv 2 and the FC read quantized levels
+        ("bn-after-act", 2, 1, 0),  # the fold moves values off the levels
+        ("avg-pool", 2, 1, 0),     # averages of levels are not levels
+        ("conv-sim", 4, 2, 0),     # 15 level GEMMs do not pay on 5-6 outputs
+        ("conv-sim", 24, 0, 0),    # too many levels to build a hint
     ])
     def test_matches_broadcast_formula(self, env, eo_cfg, level_calls,
-                                       case, level_layers):
+                                       case, bits, hints, level_layers):
         model, x = dispatch_model(case,
-                                  np.random.Generator(np.random.PCG64(59)))
+                                  np.random.Generator(np.random.PCG64(59)),
+                                  bits)
+        assert len(simulator._level_hints(model)) == hints
         res = noisy_inference(model, x, None, eo_cfg, env, 0.5, seed=3)
         assert len(level_calls) == level_layers
         np.testing.assert_allclose(
             res.logits, broadcast_logits(model, x, eo_cfg, env, 0.5, 3),
             rtol=1e-12, atol=1e-12)
+
+    def test_critical_coupling_keeps_the_broadcast_result(self, env, eo_cfg,
+                                                          level_calls):
+        # r = a: the activation rings transmit nothing on resonance, the
+        # ratios are infinite, and zero inputs give NaN as in the formula
+        ring = env.designs[RingClass.MULTI_BIT]
+        critical = replace(env, designs={
+            **env.designs, RingClass.MULTI_BIT:
+                replace(ring, self_coupling_r=ring.amplitude_a)})
+        model, x = dispatch_model("conv-sim",
+                                  np.random.Generator(np.random.PCG64(59)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = noisy_inference(model, x, None, eo_cfg, critical, 0.5,
+                                  seed=3)
+            want = broadcast_logits(model, x, eo_cfg, critical, 0.5, 3)
+        assert level_calls == [] and np.isnan(want).any()
+        np.testing.assert_array_equal(res.logits, want)
 
     def test_full_tuning_keeps_the_clamp(self, env, eo_cfg):
         # BN gains > 1 push inputs of the second FC above 1; rho = 1 does
