@@ -188,7 +188,7 @@ def cmd_dse(args, cfg: cfgmod.ToolkitConfig) -> int:
     base = cfgmod.arch_config(cfg)
     spec = cfgmod.sweep_spec(cfg)
     workload = cfgmod.workload_structures(cfg)
-    result = dsemod.run_sweep(spec, base, env, workload, seed=spec.seed)
+    result = dsemod.run_sweep(spec, base, env, workload)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(str(out_dir / "scatter.csv"), dsemod.scatter_export(result))

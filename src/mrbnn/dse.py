@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import DomainError, PhysicalConstraintError
 from .mapping import AcceleratorConfig, ModelStructure
-from .simulator import SimulationEnvironment, chip_budget, power_and_epb
+from .photonics import RingClass
+from .simulator import (ChipFpvMap, SimulationEnvironment, _fpv_bank,
+                        chip_budget, power_and_epb)
 from .textio import render_csv
 
 
@@ -106,28 +108,62 @@ def _pick(points: Sequence[SweepPoint], objective) -> SweepPoint:
                                       p.area_mm2, p.key))
 
 
+def _chip_maps(cfgs: Sequence[AcceleratorConfig],
+               env: SimulationEnvironment, seed: int) -> list[ChipFpvMap]:
+    """The chip map of every configuration, each bank drawn once.
+
+    Bank k of every configuration is the head of one prefix-stable stream
+    (see ``simulator.ChipFpvMap``), so each bank is drawn at the largest
+    size any configuration needs and sliced. Bank sizes are not monotone in
+    n_a (the bank cap spreads a large n_a over the arms), so the largest is
+    taken over the whole grid.
+    """
+    sizes = [[(k, ring_class, cfg.n_vdp * cfg.n_wg * n)
+              for k, (ring_class, n) in enumerate(cfg.arm_banks)]
+             for cfg in cfgs]
+    rows: dict[tuple[int, RingClass], int] = {}
+    for banks in sizes:
+        for k, ring_class, m in banks:
+            rows[k, ring_class] = max(rows.get((k, ring_class), 0), m)
+    drawn = {(k, ring_class): _fpv_bank(env, seed, k, ring_class, m)
+             for (k, ring_class), m in rows.items()}
+    return [ChipFpvMap(tuple(drawn[k, ring_class][:m]
+                             for k, ring_class, m in banks))
+            for banks in sizes]
+
+
 def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
               env: SimulationEnvironment,
               workload: Sequence[ModelStructure],
-              seed: int = 0) -> ParetoResult:
+              seed: int | None = None) -> ParetoResult:
     """Evaluate the grid, mark the Pareto set, and select the EO/PO picks.
 
-    Infeasible configurations (bank, passband or crosstalk-dominance
-    violations) are recorded and skipped; evaluation order never affects
-    the result (the grid is sorted by configuration key).
+    Every configuration's chip map is drawn from ``seed`` (``spec.seed``
+    when not given). Infeasible configurations (bank, passband or
+    crosstalk-dominance violations) are recorded and skipped; evaluation
+    order never affects the result (the grid is sorted by configuration
+    key).
     """
     if not workload:
         raise DomainError("workload must contain at least one model")
+    seed = spec.seed if seed is None else seed
     points: list[SweepPoint] = []
     errors: list[tuple[tuple[int, int, int], str]] = []
+    feasible = []
     for key in spec.grid():
         n_a, n_vdp, n_wg = key
         cfg = replace(base_cfg, n_a=n_a, n_vdp=n_vdp, n_wg=n_wg, n_b=spec.n_b)
         try:
-            cfg.validate()
-            # one chip map, tuning solve and power budget per
-            # configuration, shared by every workload model
-            budget = chip_budget(cfg, env, spec.tuning_fraction, seed)
+            feasible.append((key, cfg.validate()))
+        except PhysicalConstraintError as exc:
+            errors.append((key, str(exc)))
+    chip_maps = _chip_maps([cfg for _, cfg in feasible], env, seed)
+    for (key, cfg), chip_map in zip(feasible, chip_maps):
+        try:
+            # one tuning solve and power budget per configuration, shared
+            # by every workload model
+            budget = chip_budget(cfg, env, spec.tuning_fraction, seed,
+                                 chip_map)
             reports = [power_and_epb(m, cfg, env, budget=budget)
                        for m in workload]
         except PhysicalConstraintError as exc:
@@ -138,7 +174,7 @@ def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
                 if r.epb_pj_per_bit is not None]
         epb = float(np.mean(epbs)) if epbs else float("nan")
         points.append(SweepPoint(
-            n_a, n_vdp, n_wg, fps=fps, epb_pj_per_bit=epb,
+            *key, fps=fps, epb_pj_per_bit=epb,
             power_mw=reports[0].total_power_mw,
             area_mm2=reports[0].area_mm2))
     if not points:
@@ -147,7 +183,8 @@ def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
     points = [replace(p, pareto=flag) for p, flag in zip(points, flags)]
     eo = _pick(points, lambda p: p.fps_per_watt)
     po = _pick(points, lambda p: p.fps)
-    return ParetoResult(tuple(points), eo, po, tuple(errors))
+    # keys are unique, so this is grid order
+    return ParetoResult(tuple(points), eo, po, tuple(sorted(errors)))
 
 
 def scatter_export(result: ParetoResult) -> str:

@@ -138,13 +138,9 @@ class FpvStatistics:
 
 @dataclass(frozen=True)
 class FpvMap:
-    """A population of FPV samples (design-major order) plus summary stats.
+    """A population of FPV resonance shifts (design-major order) plus
+    summary stats: ``delta_lambdas_nm`` is ``[n]``, in nm."""
 
-    ``deviations_nm`` is ``[n, 3]`` (dw, dt, dR) and ``delta_lambdas_nm``
-    the ``[n]`` resonance shifts they cause.
-    """
-
-    deviations_nm: np.ndarray
     delta_lambdas_nm: np.ndarray
     delta_mean_nm: float
     delta_std_nm: float
@@ -318,20 +314,16 @@ def sensitivity_slope(shift_fn: Callable[[float, float, float], float],
 # FPV sampling
 # ---------------------------------------------------------------------------
 
-def delta_lambda_of(design: MrDesign, dw_nm: float, dt_nm: float,
-                    dR_nm: float) -> float:
-    """Resonance shift for given signed geometry deviations [nm]."""
-    s_w, s_t, s_r = design.slopes_nm_per_nm
-    return s_w * dw_nm + s_t * dt_nm + s_r * dR_nm
-
-
 def sample_fpv_map(designs: Sequence[MrDesign], stats: FpvStatistics,
                    count: int, seed: int | None = None) -> FpvMap:
     """Draw ``count`` FPV samples per design (design-major order).
 
     The draw is a pure function of the seed: all deviations come from one
     vectorized ziggurat-normal stream of a PCG64 generator seeded with
-    ``seed`` (``stats.seed`` when not given).
+    ``seed`` (``stats.seed`` when not given), three normals (dw, dt, dR)
+    per sample. The stream is prefix-stable: for one design, the first m
+    shifts of a draw of any count >= m are the shifts a draw of count m
+    gives, bit for bit.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -339,10 +331,13 @@ def sample_fpv_map(designs: Sequence[MrDesign], stats: FpvStatistics,
         raise DomainError("need at least one design")
     rng = np.random.Generator(
         np.random.PCG64(stats.seed if seed is None else seed))
-    n = len(designs) * count
-    devs = rng.normal(loc=np.asarray(stats.mean_nm),
-                      scale=np.asarray(stats.sigma_nm), size=(n, 3))
-    slopes = np.repeat(np.array([d.slopes_nm_per_nm for d in designs]),
-                       count, axis=0)
-    deltas = np.sum(slopes * devs, axis=1)
-    return FpvMap(devs, deltas, float(np.mean(deltas)), float(np.std(deltas)))
+    # the same bits as rng.normal(mean, sigma, (n, 3)), without its
+    # per-element broadcast
+    devs = (rng.standard_normal((len(designs) * count, 3))
+            * np.asarray(stats.sigma_nm) + np.asarray(stats.mean_nm))
+    deltas = np.empty(len(devs))
+    for i, design in enumerate(designs):
+        s_w, s_t, s_r = design.slopes_nm_per_nm
+        dw, dt, dr = devs[i * count:(i + 1) * count].T
+        deltas[i * count:(i + 1) * count] = s_w * dw + s_t * dt + s_r * dr
+    return FpvMap(deltas, float(np.mean(deltas)), float(np.std(deltas)))

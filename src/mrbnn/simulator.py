@@ -322,10 +322,28 @@ class ChipFpvMap:
     ``deltas_nm[k]`` holds bank k of ``AcceleratorConfig.arm_banks`` on
     every arm, indexed by flat MR id (vdp * n_wg + arm) * n + slot, where n
     is the bank's ring count. Each bank, both weight rails included, is an
-    independent ring population.
+    independent ring population, drawn from its own prefix-stable stream.
+
+    A bank may therefore hold only its first rows, and a map only its first
+    banks: the head of a bank is the same whatever length was drawn. A
+    reader must get every row it indexes. ``noisy_inference`` reads bank 0
+    at the mapped ids; ``tuning_power_budget`` reads the first
+    ``n_vdp * n_wg * n`` rows of every bank. Both check that the rows are
+    there.
     """
 
     deltas_nm: tuple[np.ndarray, ...]
+
+
+def _fpv_bank(env: SimulationEnvironment, seed: int, k: int,
+              ring_class: RingClass, rows: int) -> np.ndarray:
+    """The first ``rows`` resonance shifts of bank k of the chip drawn from
+    ``seed``: one stream per bank, seeded ``seed * 4 + k``. ``rows`` = 0
+    draws nothing."""
+    if rows == 0:
+        return np.empty(0)
+    return photonics.sample_fpv_map([env.designs[ring_class]], env.fpv, rows,
+                                    seed=seed * 4 + k).delta_lambdas_nm
 
 
 def chip_fpv_map(cfg: AcceleratorConfig, env: SimulationEnvironment,
@@ -334,8 +352,7 @@ def chip_fpv_map(cfg: AcceleratorConfig, env: SimulationEnvironment,
     drawn from seed ``seed * 4 + k``."""
     arms = cfg.n_vdp * cfg.n_wg
     return ChipFpvMap(tuple(
-        photonics.sample_fpv_map([env.designs[ring_class]], env.fpv,
-                                 arms * n, seed=seed * 4 + k).delta_lambdas_nm
+        _fpv_bank(env, seed, k, ring_class, arms * n)
         for k, (ring_class, n) in enumerate(cfg.arm_banks)))
 
 
@@ -346,14 +363,22 @@ def tuning_power_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
 
     Each bank of ``cfg.arm_banks`` is budgeted through
     ``tuning.bank_tuning_budget``: EO corrections are summed per MR, TO
-    remainders are solved collectively (TED).
+    remainders are solved collectively (TED). Every bank of ``chip_map``
+    must hold at least the configuration's rings; only that head is read.
     """
+    arms = cfg.n_vdp * cfg.n_wg
+    if len(chip_map.deltas_nm) != len(cfg.arm_banks):
+        raise DomainError(f"chip map holds {len(chip_map.deltas_nm)} banks, "
+                          f"an arm carries {len(cfg.arm_banks)}")
     eo_total = 0.0
     to_total = 0.0
-    for deltas, (ring_class, n) in zip(chip_map.deltas_nm, cfg.arm_banks,
-                                       strict=True):
+    for deltas, (ring_class, n) in zip(chip_map.deltas_nm, cfg.arm_banks):
+        if deltas.size < arms * n:
+            raise DomainError(f"chip map bank of {deltas.size} rings, the "
+                              f"configuration has {arms * n}")
         budget = tuning.bank_tuning_budget(
-            deltas.reshape(-1, n), tuning_fraction, cfg.mr_pitch_um,
+            deltas[:arms * n].reshape(arms, n), tuning_fraction,
+            cfg.mr_pitch_um,
             replace(env.tuning_params,
                     fsr_nm=env.designs[ring_class].fsr_nm))
         eo_total += budget.eo_power_mw
@@ -447,6 +472,24 @@ def _level_hints(model: QuantModel) -> dict[int, np.ndarray]:
     return hints
 
 
+def _read_ids(model: QuantModel, mapping: PhotonicMapping) -> np.ndarray:
+    """The mapped activation MR ids whose FPV shifts inference reads: all
+    of them, or none when no layer is binarized (only those run
+    optically)."""
+    if any(layer.binarized for layer in model.layers):
+        return mapping.mr_ids
+    return mapping.mr_ids[:0]
+
+
+def _read_map(env: SimulationEnvironment, ids: np.ndarray,
+              seed: int) -> ChipFpvMap:
+    """The head of ``seed``'s chip map that holds ``ids``: bank 0 of
+    ``arm_banks`` (the activation MRs), up to the largest of the sorted
+    ``ids``."""
+    rows = int(ids[-1]) + 1 if ids.size else 0
+    return ChipFpvMap((_fpv_bank(env, seed, 0, RingClass.MULTI_BIT, rows),))
+
+
 @dataclass(frozen=True)
 class NoisyInferenceResult:
     """Shaped as ``bnn.reference_inference`` returns: [n, out] logits and
@@ -473,18 +516,25 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
     pooling run exactly in the ECU, through the same layer walk as
     ``bnn.reference_inference``. ``tuning_fraction`` = 1 reproduces the
     folded reference forward pass (ratios are identically 1, and binarized
-    layers run ``bnn.exact_dot`` on the clamped inputs).
+    layers run ``bnn.exact_dot`` on the clamped inputs). Without
+    ``chip_map``, only the FPV shifts it reads are drawn from ``seed``'s
+    chip map.
     """
     if not (0.0 <= tuning_fraction <= 1.0):
         raise DomainError("tuning_fraction must be in [0, 1]")
     if mapping is None:
         mapping = build_photonic_mapping(model, cfg)
+    ids = _read_ids(model, mapping)
     if chip_map is None:
-        chip_map = chip_fpv_map(cfg, env, seed)
+        chip_map = _read_map(env, ids, seed)
+    elif ids.size and chip_map.deltas_nm[0].size <= ids[-1]:
+        raise DomainError(f"chip map activation bank of "
+                          f"{chip_map.deltas_nm[0].size} rings, the mapping "
+                          f"reads MR {ids[-1]}")
     # ratios of the activation MRs (bank 0 of arm_banks) the mapping uses
     rho_act = _perturbation_ratios(
-        env.designs[RingClass.MULTI_BIT], mapping.lambda_nm,
-        chip_map.deltas_nm[0][mapping.mr_ids], 1.0 - tuning_fraction)
+        env.designs[RingClass.MULTI_BIT], mapping.lambda_nm[:ids.size],
+        chip_map.deltas_nm[0][ids], 1.0 - tuning_fraction)
 
     ideal = bool(np.all(rho_act == 1.0))
     levels = _level_hints(model)
@@ -521,10 +571,11 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
     if n_maps < 1:
         raise DomainError("n_maps must be >= 1")
     mapping = build_photonic_mapping(model, cfg)
+    ids = _read_ids(model, mapping)
     # maps outside fractions, so one chip map is alive at a time
     accs = [[] for _ in fractions]
     for i in range(n_maps):
-        chip_map = chip_fpv_map(cfg, env, base_seed + i)
+        chip_map = _read_map(env, ids, base_seed + i)
         for f, per_map in zip(fractions, accs):
             per_map.append(noisy_inference(model, x, y, cfg, env, f, 0,
                                            mapping=mapping,

@@ -28,6 +28,16 @@ TED_SWEEP = "68db02e0eafd5704c874ac5ab010cd1b65e82bb60ea5cdbd71068f4dffa77bf8"
 DSE_SCATTER = \
     "953724ffd5c47ab35b9f75c71632f496f4471f13abd4047159d12e53d24984d5"
 FPV_SWEEP = "8ab15b55d1c74fe87930e53f0c5ef14e4af1a7482b9b7f995d13fb9ec9ddf6dd"
+# the default 40-point sweep: bank sizes are not monotone in n_a, so it
+# reaches the largest-draw-per-bank logic that the small sweep does not
+DSE_DEFAULT = {
+    "scatter.csv":
+        "9dfe3153200cfb6fd0a6a492f0d42c7ce93b7a3c7dae871920d004d3fbc601a6",
+    "picks.json":
+        "cffb7403e982da99163de95613ca32b2bf4390e189ea16db8f59acd91ec4db99",
+}
+FPV_SWEEP_PO = \
+    "f82746771b61d1108783508f626a344281fb9fcd9fd51a154913efb733ea56b2"
 BN_PLAN = "40bd9222604765f728c6467b515453370904e67a153436bac436861d7d3bb458"
 
 
@@ -69,14 +79,34 @@ def test_dse_scatter(tmp_path):
     assert digest(out / "scatter.csv") == DSE_SCATTER
 
 
-def test_fpv_sweep(tmp_path):
+def test_dse_default(tmp_path):
+    out = tmp_path / "dse"
+    assert main(["dse", "--out", str(out)]) == 0
+    for name, want in DSE_DEFAULT.items():
+        assert digest(out / name) == want, name
+
+
+@pytest.fixture
+def toy_model(tmp_path):
     model = tmp_path / "toy.mrbnn"
     assert main(["train-toy", "--out-model", str(model)]) == 0
+    return model
+
+
+def test_fpv_sweep(tmp_path, toy_model):
     out = tmp_path / "fpv.csv"
-    assert main(["fpv-sweep", "--model", str(model),
+    assert main(["fpv-sweep", "--model", str(toy_model),
                  "--fractions", "0,0.8,1", "--seeds", "3",
                  "--out", str(out)]) == 0
     assert digest(out) == FPV_SWEEP
+
+
+def test_fpv_sweep_po(tmp_path, toy_model):
+    # the config's 11 fractions x 20 maps on the performance preset
+    out = tmp_path / "fpv.csv"
+    assert main(["fpv-sweep", "--model", str(toy_model), "--arch", "po",
+                 "--out", str(out)]) == 0
+    assert digest(out) == FPV_SWEEP_PO
 
 
 def test_bn_plan_dump(tmp_path):

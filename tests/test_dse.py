@@ -7,8 +7,8 @@ from mrbnn import config
 from mrbnn.dse import (ParetoResult, SweepPoint, SweepSpec, dominates,
                        parse_scatter_csv, pareto_front, run_sweep,
                        scatter_export, summary_dict)
-from mrbnn.simulator import power_and_epb
-from mrbnn.errors import DomainError
+from mrbnn.simulator import chip_budget, power_and_epb
+from mrbnn.errors import DomainError, PhysicalConstraintError
 from mrbnn.mapping import ModelStructure
 
 
@@ -126,6 +126,50 @@ class TestRunSweep:
                 np.mean([r.epb_pj_per_bit for r in reports]))
             assert all(r.total_power_mw == p.power_mw for r in reports)
             assert all(r.area_mm2 == p.area_mm2 for r in reports)
+
+    @pytest.mark.parametrize("eta", [None, 0.3])
+    def test_equals_chip_budget_loop(self, toolkit_config, eta):
+        # one draw per bank, sliced per configuration, gives what a chip
+        # budget per configuration, each drawing its own map, gives. Bank
+        # sizes are not monotone in n_a (15, 3 and 5 rings for n_a = 15, 25
+        # and 50 on 10 arms); a crosstalk_eta of 0.3 makes the 10- and
+        # 15-ring banks too dense to tune.
+        cfg = toolkit_config if eta is None else replace(
+            toolkit_config, tuning=replace(toolkit_config.tuning,
+                                           crosstalk_eta=eta))
+        env = config.build_environment(cfg)
+        spec = SweepSpec(n_a_values=(10, 15, 25, 50), n_vdp_values=(2, 3),
+                         n_wg_values=(5, 10), seed=7)
+        base = config.arch_config(cfg)
+        workload = config.workload_structures(cfg)
+        res = run_sweep(spec, base, env, workload)
+        points, errors = [], []
+        for key in spec.grid():
+            n_a, n_vdp, n_wg = key
+            c = replace(base, n_a=n_a, n_vdp=n_vdp, n_wg=n_wg, n_b=spec.n_b)
+            try:
+                budget = chip_budget(c, env, spec.tuning_fraction, 7)
+            except PhysicalConstraintError as exc:
+                errors.append((key, str(exc)))
+                continue
+            reports = [power_and_epb(m, c, env, budget=budget)
+                       for m in workload]
+            points.append((key, float(np.mean([r.fps for r in reports])),
+                           float(np.mean([r.epb_pj_per_bit
+                                          for r in reports])),
+                           reports[0].total_power_mw, reports[0].area_mm2))
+        assert [(p.key, p.fps, p.epb_pj_per_bit, p.power_mw, p.area_mm2)
+                for p in res.points] == points
+        assert list(res.errors) == errors
+        assert bool(errors) == (eta is not None)
+
+    def test_seed_defaults_to_spec(self, toolkit_config, env):
+        spec = SweepSpec(n_a_values=(10,), n_vdp_values=(50,),
+                         n_wg_values=(10,), seed=3)
+        args = (config.arch_config(toolkit_config), env,
+                [ModelStructure("m", (60642,))])
+        assert run_sweep(spec, *args) == run_sweep(spec, *args, seed=3)
+        assert run_sweep(spec, *args) != run_sweep(spec, *args, seed=0)
 
     def test_empty_workload_rejected(self, toolkit_config, env):
         with pytest.raises(DomainError):

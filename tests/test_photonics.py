@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from mrbnn import photonics
 from mrbnn.errors import DegenerateResonatorError, DomainError
 from mrbnn.photonics import (FpvStatistics, GeometrySurrogate, MrDesign,
                              RingClass, channel_resolution, crosstalk_phi,
-                             delta_lambda_of, fwhm_and_q, sample_fpv_map,
+                             fwhm_and_q, sample_fpv_map,
                              sensitivity_slope, transmission,
                              transmission_from_phase)
 
@@ -277,15 +278,21 @@ class TestFpvSampling:
         assert np.all(fmap.delta_lambdas_nm == 0.0)
 
     def test_shift_arithmetic(self, multibit):
-        from dataclasses import replace
+        # zero sigma: every deviation is the mean
         d = replace(multibit, slopes_nm_per_nm=(1.0, 1.0, 1.0))
-        assert delta_lambda_of(d, 4.9, 1.5, 0.75) == pytest.approx(
-            7.15, rel=1e-12)
+        stats = FpvStatistics(mean_nm=(4.9, 1.5, 0.75),
+                              sigma_nm=(0.0, 0.0, 0.0))
+        fmap = sample_fpv_map([d], stats, 3)
+        assert fmap.delta_lambdas_nm == pytest.approx([7.15] * 3, rel=1e-12)
 
     def test_linearity_in_deviations(self, multibit):
-        base = delta_lambda_of(multibit, 1.3, -0.4, 0.2)
+        def shift(dw, dt, dr):
+            stats = FpvStatistics(mean_nm=(dw, dt, dr),
+                                  sigma_nm=(0.0, 0.0, 0.0))
+            return sample_fpv_map([multibit], stats, 1).delta_lambdas_nm[0]
+        base = shift(1.3, -0.4, 0.2)
         for c in (-2.0, 0.5, 3.0):
-            assert delta_lambda_of(multibit, 1.3 * c, -0.4 * c, 0.2 * c) \
+            assert shift(1.3 * c, -0.4 * c, 0.2 * c) \
                 == pytest.approx(c * base, rel=1e-12)
 
     def test_seed_reproducibility(self, multibit):
@@ -297,23 +304,43 @@ class TestFpvSampling:
         assert a.delta_lambdas_nm.tobytes() != c.delta_lambdas_nm.tobytes()
 
     def test_component_statistics(self, multibit):
-        stats = FpvStatistics(seed=5)
+        # a one-slope design's shift is that one deviation
         n = 20000
-        fmap = sample_fpv_map([multibit], stats, n)
-        assert fmap.deviations_nm.shape == (n, 3)
-        for vals, sigma in zip(fmap.deviations_nm.T, (4.9, 1.5, 0.75)):
+        for axis, sigma in enumerate((4.9, 1.5, 0.75)):
+            slopes = [0.0, 0.0, 0.0]
+            slopes[axis] = 1.0
+            d = replace(multibit, slopes_nm_per_nm=tuple(slopes))
+            vals = sample_fpv_map([d], FpvStatistics(seed=5),
+                                  n).delta_lambdas_nm
+            assert vals.shape == (n,)
             assert abs(np.mean(vals)) <= 3 * sigma / math.sqrt(n)
             assert abs(np.std(vals) - sigma) <= 3 * sigma / math.sqrt(n)
 
     def test_sample_invariant(self, designs):
-        # two designs: rows are design-major, each with its own slopes
+        # two designs: rows are design-major, each with its own slopes; the
+        # oracle is the broadcast normal and row sum, bit for bit
         pair = [designs[RingClass.MULTI_BIT], designs[RingClass.BROADBAND]]
-        fmap = sample_fpv_map(pair, FpvStatistics(seed=9), 50)
+        stats = FpvStatistics(seed=9)
+        fmap = sample_fpv_map(pair, stats, 50)
+        rng = np.random.Generator(np.random.PCG64(9))
+        devs = rng.normal(np.asarray(stats.mean_nm),
+                          np.asarray(stats.sigma_nm), (100, 3))
         slopes = np.repeat([d.slopes_nm_per_nm for d in pair], 50, axis=0)
-        assert fmap.delta_lambdas_nm.shape == (100,)
-        for dev, delta, s in zip(fmap.deviations_nm,
-                                 fmap.delta_lambdas_nm, slopes):
-            assert delta == pytest.approx(dev @ s, rel=1e-12, abs=1e-12)
+        expected = np.sum(slopes * devs, axis=1)
+        assert fmap.delta_lambdas_nm.tobytes() == expected.tobytes()
+        assert fmap.delta_mean_nm == np.mean(expected)
+        assert fmap.delta_std_nm == np.std(expected)
+
+    @pytest.mark.parametrize("seed", [0, 2**31])
+    def test_prefix_stable(self, multibit, seed):
+        # the first m shifts of a long draw are the draw of count m
+        stats = FpvStatistics()
+        full = sample_fpv_map([multibit], stats, 1000,
+                              seed=seed).delta_lambdas_nm
+        for m in (1, 3, 318, 999):
+            head = sample_fpv_map([multibit], stats, m,
+                                  seed=seed).delta_lambdas_nm
+            assert head.tobytes() == full[:m].tobytes()
 
     def test_population_calibration(self, toolkit_config):
         from mrbnn.config import population_design

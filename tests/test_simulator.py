@@ -232,6 +232,23 @@ class TestTuningBudget:
         assert totals[1] < totals[3]
 
 
+    def test_short_bank_rejected(self, env, eo_cfg):
+        # every bank must hold the configuration's rings; a longer bank is
+        # read up to its head, the map a shorter draw gives
+        full = chip_fpv_map(eo_cfg, env, 1)
+        n = eo_cfg.arm_activation_mrs
+        short = ChipFpvMap((full.deltas_nm[0][:-n], *full.deltas_nm[1:]))
+        with pytest.raises(DomainError, match="bank of"):
+            tuning_power_budget(eo_cfg, env, short, 0.8)
+        with pytest.raises(DomainError, match="holds 1 banks"):
+            tuning_power_budget(eo_cfg, env, ChipFpvMap(full.deltas_nm[:1]),
+                                0.8)
+        longer = ChipFpvMap(tuple(np.concatenate([d, d])
+                                  for d in full.deltas_nm))
+        assert tuning_power_budget(eo_cfg, env, longer, 0.8) \
+            == tuning_power_budget(eo_cfg, env, full, 0.8)
+
+
 class TestPowerAndEpb:
     def test_breakdown_sums(self, env, eo_cfg):
         rep = power_and_epb(ModelStructure("m", (60642,)), eo_cfg, env)
@@ -660,6 +677,86 @@ class TestAccuracySweep:
         with pytest.raises(DomainError, match="n_maps"):
             fpv_accuracy_sweep(toy_model, toy_data.x_test, toy_data.y_test,
                                eo_cfg, env, [1.0], n_maps=0, base_seed=50)
+
+
+class TestDrawWhatIsRead:
+    """Inference draws only the activation bank, up to the largest mapped
+    id, and gets the bits that the full chip map gives."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """(designs, count) of every FPV draw."""
+        calls = []
+        original = photonics.sample_fpv_map
+
+        def spy(designs, stats, count, seed=None):
+            calls.append((len(designs), count))
+            return original(designs, stats, count, seed)
+
+        monkeypatch.setattr(photonics, "sample_fpv_map", spy)
+        return calls
+
+    @pytest.mark.parametrize("arch", ["eo", "po"])
+    def test_noisy_inference_equals_full_map(self, env, toolkit_config,
+                                             toy_model, toy_data, arch,
+                                             draws):
+        cfg = config.arch_config(toolkit_config, arch)
+        last = int(build_photonic_mapping(toy_model, cfg).mr_ids[-1])
+        for f in (0.0, 0.5):
+            full = noisy_inference(toy_model, toy_data.x_test,
+                                   toy_data.y_test, cfg, env, f, seed=4,
+                                   chip_map=chip_fpv_map(cfg, env, 4))
+            del draws[:]
+            drawn = noisy_inference(toy_model, toy_data.x_test,
+                                    toy_data.y_test, cfg, env, f, seed=4)
+            assert draws == [(1, last + 1)]
+            assert drawn.logits.tobytes() == full.logits.tobytes()
+
+    @pytest.mark.parametrize("arch", ["eo", "po"])
+    def test_accuracy_sweep_equals_full_maps(self, env, toolkit_config,
+                                             toy_model, toy_data, arch,
+                                             draws):
+        cfg = config.arch_config(toolkit_config, arch)
+        mapping = build_photonic_mapping(toy_model, cfg)
+        fractions = [0.0, 0.5, 0.8, 1.0]
+        accs = [[noisy_inference(toy_model, toy_data.x_test,
+                                 toy_data.y_test, cfg, env, f, 0,
+                                 mapping=mapping,
+                                 chip_map=chip_fpv_map(cfg, env, 11 + i)
+                                 ).accuracy for i in range(3)]
+                for f in fractions]
+        del draws[:]
+        rows = fpv_accuracy_sweep(toy_model, toy_data.x_test,
+                                  toy_data.y_test, cfg, env, fractions,
+                                  n_maps=3, base_seed=11)
+        assert draws == [(1, int(mapping.mr_ids[-1]) + 1)] * 3
+        assert rows == [(f, float(np.mean(a)), float(np.std(a)))
+                        for f, a in zip(fractions, accs)]
+
+    def test_short_activation_bank_rejected(self, env, eo_cfg, toy_model,
+                                            toy_data):
+        # the head up to the largest mapped id is enough, one row less is not
+        last = int(build_photonic_mapping(toy_model, eo_cfg).mr_ids[-1])
+        bank = chip_fpv_map(eo_cfg, env, 4).deltas_nm[0]
+        args = (toy_model, toy_data.x_test, None, eo_cfg, env, 0.5, 4)
+        noisy_inference(*args, chip_map=ChipFpvMap((bank[:last + 1],)))
+        with pytest.raises(DomainError, match="activation bank"):
+            noisy_inference(*args, chip_map=ChipFpvMap((bank[:last],)))
+
+    def test_no_binarized_layer_draws_nothing(self, env, eo_cfg, draws):
+        rng = np.random.Generator(np.random.PCG64(23))
+        model = QuantModel((
+            fc_layer(rng.normal(size=(6, 8)), binarized=False),
+            activation_layer(),
+            fc_layer(rng.normal(size=(3, 6)), binarized=False)))
+        x = rng.uniform(0.0, 1.0, size=(10, 8))
+        ref, cls = reference_inference(model, x, folded=True)
+        res = noisy_inference(model, x, cls, eo_cfg, env, 0.0, seed=0)
+        assert res.logits.tobytes() == ref.tobytes()
+        assert fpv_accuracy_sweep(model, x, cls, eo_cfg, env, [0.0, 0.5],
+                                  n_maps=2, base_seed=0) \
+            == [(0.0, 1.0, 0.0), (0.5, 1.0, 0.0)]
+        assert draws == []
 
 
 class TestSimReport:
