@@ -8,7 +8,11 @@ and the noisy product is exactly sum_l 1[acts == v_l] @ table_l.T, a few
 BLAS GEMMs instead of an [n, out, in] temporary. Inputs are compared with
 the levels exactly first, and the table is used only when its GEMMs cost
 less than the element-wise form; otherwise that form runs in blocks of
-bounded size.
+bounded size. A layer with few inputs (below about 24, ``_input_major_pays``)
+runs the element-wise form input-major: it adds whole [n_out, rows] slices
+in the order numpy sums a short axis, where an [rows, n_out, n_in] block
+would pay numpy's per-output reduction cost for a handful of terms. Both
+forms give the same bits.
 """
 
 from __future__ import annotations
@@ -92,7 +96,9 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     average pool after the quantizer, raw features), non-finite ratios
     (0 * inf is not 0), too many levels present, or no hint take the
     broadcast form, a block of samples at a time, each block's
-    [rows, n_out, n_in] temporary within ``BLOCK_BYTES``.
+    [rows, n_out, n_in] temporary within ``BLOCK_BYTES``. Below the
+    input-count crossover (``_input_major_pays``) the block is laid out
+    [n_in, n_out, rows] instead, with the same result bit for bit.
     """
     rail = w_pos - w_neg
     if levels is not None and np.size(levels) and np.isfinite(rho_act).all():
@@ -104,6 +110,8 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
             if _table_pays(np.count_nonzero(present), acts.shape[0],
                            rail.shape[0]):
                 return _level_gemm(idx, levels, present, rail, rho_act)
+    if _input_major_pays(rail.shape[1], acts.shape[0], rail.shape[0]):
+        return _input_major(acts, rail, rho_act)
     return _blocked_broadcast(acts, rail, rho_act)
 
 
@@ -113,6 +121,17 @@ def _table_pays(n_levels, n, n_out):
     1/n_out, 1/(2 n) and 1/32 of the broadcast: a fit to the crossovers
     measured in BENCH_level_gemm.json (``level_table_crossover``)."""
     return n_levels * (2 * n + n_out + n * n_out / 16) < 2 * n * n_out
+
+
+def _input_major_pays(n_in, n, n_out):
+    """Whether the input-major form beats the blocked broadcast. The
+    broadcast's sum over a short input axis costs about 45 ns per output;
+    the input-major adds cost about 1 ns more per product and 0.7 us per
+    input. A fit to the ratios measured in BENCH_fpv_sweep.json
+    (``input_major_crossover``), with the per-output term lowered so that
+    layers of 24 or more inputs, where the measured ratios reach 1, keep
+    the broadcast."""
+    return n_in * (600 + n * n_out) < 24 * n * n_out
 
 
 def _level_gemm(idx, levels, present, rail, rho_act):
@@ -145,3 +164,46 @@ def _blocked_broadcast(acts, rail, rho_act):
         a_eff *= rail
         np.sum(a_eff, axis=2, out=out[start:start + rows])
     return out
+
+
+def _input_major(acts, rail, rho_act):
+    """The blocked broadcast with the input axis outermost: each block's
+    buffer is [n_in, n_out, rows], and the sum over inputs adds whole
+    [n_out, rows] slices in the order numpy sums a short axis, so every
+    output equals ``_blocked_broadcast``'s bit for bit. For at most 128
+    inputs (``_pairwise_sum``)."""
+    n = acts.shape[0]
+    n_out, n_in = rail.shape
+    out = np.empty((n, n_out))
+    rows = max(1, BLOCK_BYTES // max(1, rail.size * 8))
+    buf = np.empty((n_in, n_out, min(rows, n)))
+    for start in range(0, n, rows):
+        block = acts[start:start + rows].T
+        a_eff = buf[:, :, :block.shape[1]]
+        np.multiply(block[:, None, :], rho_act.T[:, :, None], out=a_eff)
+        np.clip(a_eff, 0.0, 1.0, out=a_eff)
+        a_eff *= rail.T[:, :, None]
+        _pairwise_sum(a_eff)
+        # np.sum adds its 0.0 identity last: all -0.0 terms sum to +0.0
+        np.add(a_eff[0].T, 0.0, out=out[start:start + rows])
+    return out
+
+
+def _pairwise_sum(b):
+    """Sum ``b`` over axis 0 into ``b[0]`` in the order of numpy's pairwise
+    float sum of at most 128 terms: below 8 in sequence; otherwise eight
+    running partials, combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the
+    remaining terms in sequence."""
+    n = b.shape[0]
+    if n < 8:
+        for i in range(1, n):
+            b[0] += b[i]
+        return
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        b[:8] += b[i:i + 8]
+    b[0:8:2] += b[1:8:2]
+    b[0:8:4] += b[2:8:4]
+    b[0] += b[4]
+    for i in range(tail, n):
+        b[0] += b[i]

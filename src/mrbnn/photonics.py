@@ -150,11 +150,6 @@ class FpvMap:
 # transmission
 # ---------------------------------------------------------------------------
 
-def transmission_from_phase(cos_phi, r: float, a: float):
-    """All-pass transmission as a function of cos(round-trip phase)."""
-    return _kernels.all_pass_transmission(cos_phi, r, a)
-
-
 def transmission(design: MrDesign, signal_wavelength_nm,
                  shifted_resonance_nm):
     """Through-port transmission of `design` for a signal wavelength.
@@ -178,8 +173,8 @@ def transmission(design: MrDesign, signal_wavelength_nm,
         raise DomainError("signal wavelength must be positive")
     m = design.mode_order
     cos_phi = np.cos(2.0 * math.pi * m * res / sig)
-    out = transmission_from_phase(cos_phi, design.self_coupling_r,
-                                  design.amplitude_a)
+    out = _kernels.all_pass_transmission(cos_phi, design.self_coupling_r,
+                                         design.amplitude_a)
     if np.ndim(out) == 0:
         return float(out)
     return out

@@ -23,7 +23,12 @@ A layer whose inputs are all levels of the quantizer before it may sum
 one GEMM per level, each against that level's clamped, perturbed weight
 table (``_kernels.noisy_fc_forward`` decides by the levels present and the
 layer's shape); the identity is exact, and the summation order is the
-only difference from the element-wise form.
+only difference from the element-wise form. A layer with few inputs, such
+as the toy MLP's 8 raw features, runs the element-wise form input-major,
+which gives the same bits.
+An FPV sweep computes each map's ratios for every tuning fraction in one
+call and walks the layers once per (map, fraction), as ``noisy_inference``
+does for one.
 Layers that are not binarized are executed in the electronic control unit
 and see no optical noise.
 """
@@ -440,14 +445,17 @@ def build_photonic_mapping(model: QuantModel,
 
 
 def _perturbation_ratios(design: MrDesign, lam: np.ndarray,
-                         deltas_nm: np.ndarray,
-                         residual: float) -> np.ndarray:
+                         deltas_nm: np.ndarray, residuals) -> np.ndarray:
     """rho = T(lambda_s; lambda_s + residual*delta) / T(lambda_s; lambda_s).
 
     ``lam`` and ``deltas_nm`` give each MR's signal wavelength and FPV shift.
+    One residual gives one ratio per MR; a vector of F residuals gives
+    [F, MRs] ratios, row j equal to the call with ``residuals[j]`` bit for
+    bit.
     """
     base = photonics.transmission(design, lam, lam)
-    shifted = photonics.transmission(design, lam, lam + residual * deltas_nm)
+    shifted = photonics.transmission(
+        design, lam, lam + np.multiply.outer(residuals, deltas_nm))
     return np.asarray(shifted) / np.asarray(base)
 
 
@@ -490,6 +498,50 @@ def _read_map(env: SimulationEnvironment, ids: np.ndarray,
     return ChipFpvMap((_fpv_bank(env, seed, 0, RingClass.MULTI_BIT, rows),))
 
 
+def _dual_rail(layer) -> tuple[np.ndarray, np.ndarray]:
+    """(w_pos, w_neg), the rail occupancies of a binarized layer, each
+    [out, in] in {0, 1}."""
+    w = layer.effective_weights()
+    w = w.reshape(w.shape[0], -1)
+    return (w > 0).astype(np.float64), (w < 0).astype(np.float64)
+
+
+def _photonic_logits(model: QuantModel, batch: np.ndarray,
+                     mapping: PhotonicMapping, rho_act: np.ndarray,
+                     levels: dict, rails: dict) -> np.ndarray:
+    """Logits of ``batch`` through the photonic array whose mapped
+    activation MRs have the ratios ``rho_act``: ``bnn.forward`` with the
+    binarized layers' dot products on ``_kernels.noisy_fc_forward``.
+    ``levels`` comes from ``_level_hints``; ``rails`` maps layer indices
+    to their ``_dual_rail``, and a layer it lacks gets its rails built
+    when the walk reaches it."""
+    ideal = bool(np.all(rho_act == 1.0))
+
+    def photonic_dot(li, layer, v):
+        if not layer.binarized:
+            return exact_dot(li, layer, v)
+        if ideal:
+            # clip(v * 1) * rail summed is clip(v) @ sign(W)
+            return exact_dot(li, layer, np.clip(v, 0.0, 1.0))
+        w_pos, w_neg = rails[li] if li in rails else _dual_rail(layer)
+        out = _kernels.noisy_fc_forward(
+            v.reshape(-1, v.shape[-1]), w_pos, w_neg,
+            rho_act[mapping.mr_index[li]], levels=levels.get(li))
+        return out.reshape(*v.shape[:-1], -1)
+
+    return forward(model, batch, photonic_dot, folded=True)
+
+
+def _check_fraction(tuning_fraction) -> None:
+    if not (0.0 <= tuning_fraction <= 1.0):
+        raise DomainError("tuning_fraction must be in [0, 1]")
+
+
+def _accuracy(predictions: np.ndarray, y) -> float:
+    return float(np.mean(predictions == np.asarray(y))) if y is not None \
+        else float("nan")
+
+
 @dataclass(frozen=True)
 class NoisyInferenceResult:
     """Shaped as ``bnn.reference_inference`` returns: [n, out] logits and
@@ -520,8 +572,7 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
     ``chip_map``, only the FPV shifts it reads are drawn from ``seed``'s
     chip map.
     """
-    if not (0.0 <= tuning_fraction <= 1.0):
-        raise DomainError("tuning_fraction must be in [0, 1]")
+    _check_fraction(tuning_fraction)
     if mapping is None:
         mapping = build_photonic_mapping(model, cfg)
     ids = _read_ids(model, mapping)
@@ -535,29 +586,11 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
     rho_act = _perturbation_ratios(
         env.designs[RingClass.MULTI_BIT], mapping.lambda_nm[:ids.size],
         chip_map.deltas_nm[0][ids], 1.0 - tuning_fraction)
-
-    ideal = bool(np.all(rho_act == 1.0))
-    levels = _level_hints(model)
-
-    def photonic_dot(li, layer, v):
-        if not layer.binarized:
-            return exact_dot(li, layer, v)
-        if ideal:
-            # clip(v * 1) * rail summed is clip(v) @ sign(W)
-            return exact_dot(li, layer, np.clip(v, 0.0, 1.0))
-        w = layer.effective_weights()
-        w = w.reshape(w.shape[0], -1)
-        out = _kernels.noisy_fc_forward(
-            v.reshape(-1, v.shape[-1]), (w > 0).astype(np.float64),
-            (w < 0).astype(np.float64), rho_act[mapping.mr_index[li]],
-            levels=levels.get(li))
-        return out.reshape(*v.shape[:-1], -1)
-
     batch, single = as_batch(x)
-    logits = forward(model, batch, photonic_dot, folded=True)
+    logits = _photonic_logits(model, batch, mapping, rho_act,
+                              _level_hints(model), {})
     predictions = np.argmax(logits, axis=1)
-    acc = float(np.mean(predictions == np.asarray(y))) if y is not None \
-        else float("nan")
+    acc = _accuracy(predictions, y)
     if single:
         return NoisyInferenceResult(acc, logits[0], int(predictions[0]))
     return NoisyInferenceResult(acc, logits, predictions)
@@ -567,19 +600,35 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
                        env: SimulationEnvironment,
                        fractions: Sequence[float], n_maps: int,
                        base_seed: int) -> list[tuple[float, float, float]]:
-    """(fraction, mean accuracy, std accuracy) over seeded FPV maps."""
+    """(fraction, mean accuracy, std accuracy) over seeded FPV maps.
+
+    Each accuracy is the one ``noisy_inference`` gives for that fraction
+    and map, bit for bit. Per map, the ratios of every fraction come from
+    one ``_perturbation_ratios`` call, and each fraction walks the layers
+    on its own row of them.
+    """
     if n_maps < 1:
         raise DomainError("n_maps must be >= 1")
+    for f in fractions:
+        _check_fraction(f)
     mapping = build_photonic_mapping(model, cfg)
     ids = _read_ids(model, mapping)
+    batch, _ = as_batch(x)
+    levels = _level_hints(model)
+    rails = {li: _dual_rail(layer) for li, layer in enumerate(model.layers)
+             if layer.binarized}
+    residuals = 1.0 - np.asarray(fractions, dtype=np.float64)
     # maps outside fractions, so one chip map is alive at a time
     accs = [[] for _ in fractions]
     for i in range(n_maps):
         chip_map = _read_map(env, ids, base_seed + i)
-        for f, per_map in zip(fractions, accs):
-            per_map.append(noisy_inference(model, x, y, cfg, env, f, 0,
-                                           mapping=mapping,
-                                           chip_map=chip_map).accuracy)
+        rho = _perturbation_ratios(
+            env.designs[RingClass.MULTI_BIT], mapping.lambda_nm[:ids.size],
+            chip_map.deltas_nm[0][ids], residuals)
+        for rho_act, per_map in zip(rho, accs):
+            logits = _photonic_logits(model, batch, mapping, rho_act,
+                                      levels, rails)
+            per_map.append(_accuracy(np.argmax(logits, axis=1), y))
     return [(float(f), float(np.mean(a)), float(np.std(a)))
             for f, a in zip(fractions, accs)]
 

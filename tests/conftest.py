@@ -56,3 +56,18 @@ def level_calls(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_level_gemm", spy)
     return calls
+
+
+@pytest.fixture
+def input_major_calls(monkeypatch):
+    """The input shape of each noisy-kernel call that takes the
+    input-major form."""
+    calls = []
+    original = _kernels._input_major
+
+    def spy(acts, rail, rho_act):
+        calls.append(acts.shape)
+        return original(acts, rail, rho_act)
+
+    monkeypatch.setattr(_kernels, "_input_major", spy)
+    return calls

@@ -184,6 +184,61 @@ class TestLevelTable:
             assert got.shape == (0, 3)
 
 
+# the most inputs that take the input-major form, at any batch size
+CROSSOVER = max(k for k in range(1, 129)
+                if _kernels._input_major_pays(k, 1 << 40, 1))
+
+
+class TestInputMajor:
+    """Below the crossover the broadcast runs input-major, and every output
+    equals the blocked broadcast's np.sum bit for bit."""
+
+    @pytest.mark.parametrize("k", range(1, CROSSOVER + 9))
+    def test_bit_identical_to_blocked(self, k):
+        o = 3
+        block = _kernels.BLOCK_BYTES // (o * k * 8)
+        for n in (0, 1, 7, block, block + 1):
+            acts = rng.uniform(-0.5, 1.5, (n, k))   # raw features, > 1
+            acts[rng.uniform(size=(n, k)) < 0.2] = 0.0
+            rail = np.sign(rng.normal(size=(o, k)))
+            ra = rng.uniform(0.5, 3.0, (o, k))
+            if n:
+                # zero inputs on negative rails: -0.0 products sum to +0.0
+                acts[0] = 0.0
+                rail[0] = -1.0
+            want = _kernels._blocked_broadcast(acts, rail, ra)
+            got = _kernels._input_major(acts, rail, ra)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            if n:
+                assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
+            # critical coupling: an infinite ratio, 0 * inf = NaN
+            ra[-1, k // 2] = np.inf
+            with np.errstate(invalid="ignore"):
+                want = _kernels._blocked_broadcast(acts, rail, ra)
+                got = _kernels._input_major(acts, rail, ra)
+            assert not n or np.isnan(want[0, -1])
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_dispatch(self, input_major_calls):
+        # _pairwise_sum follows numpy's order for at most 128 inputs
+        assert CROSSOVER + 8 <= 128
+        n, o = 4096, 4
+        for k in (1, CROSSOVER, CROSSOVER + 1):
+            acts = rng.uniform(0, 1, (n, k))
+            wp, wn = dual_rail(o, k)
+            got = _kernels.noisy_fc_forward(acts, wp, wn, np.ones((o, k)))
+            np.testing.assert_array_equal(
+                got, _kernels._blocked_broadcast(acts, wp - wn,
+                                                 np.ones((o, k))))
+        assert input_major_calls == [(n, 1), (n, CROSSOVER)]
+        # a handful of products does not pay for an add per input
+        _kernels.noisy_fc_forward(np.ones((1, 8)), *dual_rail(1, 8),
+                                  np.ones((1, 8)))
+        assert len(input_major_calls) == 2
+
+
 class TestDeterminism:
     def test_repeated_calls_bitwise_equal(self):
         cos_phi = np.cos(rng.uniform(0, 2 * np.pi, 1000))

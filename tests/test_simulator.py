@@ -712,26 +712,61 @@ class TestDrawWhatIsRead:
             assert draws == [(1, last + 1)]
             assert drawn.logits.tobytes() == full.logits.tobytes()
 
+    @staticmethod
+    def sweep_case(case, toy_model, toy_data):
+        """A model and data whose first binarized layer takes the given
+        form of the noisy kernel: the toy MLP's 8 raw features run
+        input-major, 40 run the blocked broadcast."""
+        if case == "input-major":
+            return toy_model, toy_data.x_test, toy_data.y_test
+        model = bnn.make_mlp([40, 16, 3], seed=5)
+        x = np.random.Generator(np.random.PCG64(5)).uniform(0, 1, (64, 40))
+        return model, x, reference_inference(model, x, folded=True)[1]
+
     @pytest.mark.parametrize("arch", ["eo", "po"])
     def test_accuracy_sweep_equals_full_maps(self, env, toolkit_config,
                                              toy_model, toy_data, arch,
-                                             draws):
+                                             draws, input_major_calls):
         cfg = config.arch_config(toolkit_config, arch)
-        mapping = build_photonic_mapping(toy_model, cfg)
         fractions = [0.0, 0.5, 0.8, 1.0]
-        accs = [[noisy_inference(toy_model, toy_data.x_test,
-                                 toy_data.y_test, cfg, env, f, 0,
-                                 mapping=mapping,
-                                 chip_map=chip_fpv_map(cfg, env, 11 + i)
-                                 ).accuracy for i in range(3)]
-                for f in fractions]
-        del draws[:]
-        rows = fpv_accuracy_sweep(toy_model, toy_data.x_test,
-                                  toy_data.y_test, cfg, env, fractions,
-                                  n_maps=3, base_seed=11)
-        assert draws == [(1, int(mapping.mr_ids[-1]) + 1)] * 3
-        assert rows == [(f, float(np.mean(a)), float(np.std(a)))
-                        for f, a in zip(fractions, accs)]
+        maps = [chip_fpv_map(cfg, env, 11 + i) for i in range(3)]
+        for case in ("input-major", "blocked"):
+            model, x, y = self.sweep_case(case, toy_model, toy_data)
+            mapping = build_photonic_mapping(model, cfg)
+            accs = [[noisy_inference(model, x, y, cfg, env, f, 0,
+                                     mapping=mapping, chip_map=m).accuracy
+                     for m in maps]
+                    for f in fractions]
+            del draws[:], input_major_calls[:]
+            rows = fpv_accuracy_sweep(model, x, y, cfg, env, fractions,
+                                      n_maps=3, base_seed=11)
+            assert draws == [(1, int(mapping.mr_ids[-1]) + 1)] * 3
+            assert rows == [(f, float(np.mean(a)), float(np.std(a)))
+                            for f, a in zip(fractions, accs)]
+            # three maps by three noisy fractions; full tuning runs
+            # exact_dot
+            assert input_major_calls == ([(len(x), 8)] * 9
+                                         if case == "input-major" else [])
+            # one ratio call per map gives each fraction's row bit for bit
+            design = env.designs[RingClass.MULTI_BIT]
+            for m in maps:
+                deltas = m.deltas_nm[0][mapping.mr_ids]
+                rho = _perturbation_ratios(design, mapping.lambda_nm, deltas,
+                                           1.0 - np.asarray(fractions))
+                assert rho.shape == (len(fractions), mapping.mr_ids.size)
+                for f, row in zip(fractions, rho):
+                    assert row.tobytes() == _perturbation_ratios(
+                        design, mapping.lambda_nm, deltas, 1.0 - f).tobytes()
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+    def test_sweep_checks_fractions_before_drawing(self, env, eo_cfg,
+                                                   toy_model, toy_data,
+                                                   draws, bad):
+        with pytest.raises(DomainError, match="tuning_fraction"):
+            fpv_accuracy_sweep(toy_model, toy_data.x_test, toy_data.y_test,
+                               eo_cfg, env, [0.5, bad], n_maps=2,
+                               base_seed=0)
+        assert draws == []
 
     def test_short_activation_bank_rejected(self, env, eo_cfg, toy_model,
                                             toy_data):
