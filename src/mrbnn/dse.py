@@ -5,6 +5,13 @@ structures; the Pareto set is computed under (maximize FPS, minimize power,
 minimize area). The energy-optimized pick maximizes FPS/Watt and the
 performance-optimized pick maximizes FPS, with ties broken by lower power,
 then lower area, then lexicographic configuration.
+
+The configurations of a sweep read one chip map: each bank is drawn once,
+at the largest size on the grid, and each configuration reads its head.
+Their tuning power is one ``simulator.tuning_power_budget`` call, which
+folds, splits and TED-solves each (bank, rings per arm) group once and
+reads every configuration's budget off its first rows; each configuration
+still gets the bits of a chip budget of its own.
 """
 
 from __future__ import annotations
@@ -16,9 +23,9 @@ import numpy as np
 
 from .errors import DomainError, PhysicalConstraintError
 from .mapping import AcceleratorConfig, ModelStructure
-from .photonics import RingClass
+from . import simulator
 from .simulator import (ChipFpvMap, SimulationEnvironment, _fpv_bank,
-                        chip_budget, power_and_epb)
+                        _tuned_chip_budget, power_and_epb)
 from .textio import render_csv
 
 
@@ -108,28 +115,23 @@ def _pick(points: Sequence[SweepPoint], objective) -> SweepPoint:
                                       p.area_mm2, p.key))
 
 
-def _chip_maps(cfgs: Sequence[AcceleratorConfig],
-               env: SimulationEnvironment, seed: int) -> list[ChipFpvMap]:
-    """The chip map of every configuration, each bank drawn once.
+def _sweep_map(cfgs: Sequence[AcceleratorConfig],
+               env: SimulationEnvironment, seed: int) -> ChipFpvMap:
+    """One chip map that holds the rings of every configuration.
 
     Bank k of every configuration is the head of one prefix-stable stream
-    (see ``simulator.ChipFpvMap``), so each bank is drawn at the largest
-    size any configuration needs and sliced. Bank sizes are not monotone in
-    n_a (the bank cap spreads a large n_a over the arms), so the largest is
-    taken over the whole grid.
+    (see ``simulator.ChipFpvMap``), so each bank is drawn once, at the
+    largest size any configuration needs, and each configuration reads its
+    head. Bank sizes are not monotone in n_a (the bank cap spreads a large
+    n_a over the arms), so the largest is taken over the whole grid. Every
+    arm carries the same ring classes in the same order.
     """
-    sizes = [[(k, ring_class, cfg.n_vdp * cfg.n_wg * n)
-              for k, (ring_class, n) in enumerate(cfg.arm_banks)]
-             for cfg in cfgs]
-    rows: dict[tuple[int, RingClass], int] = {}
-    for banks in sizes:
-        for k, ring_class, m in banks:
-            rows[k, ring_class] = max(rows.get((k, ring_class), 0), m)
-    drawn = {(k, ring_class): _fpv_bank(env, seed, k, ring_class, m)
-             for (k, ring_class), m in rows.items()}
-    return [ChipFpvMap(tuple(drawn[k, ring_class][:m]
-                             for k, ring_class, m in banks))
-            for banks in sizes]
+    if not cfgs:
+        return ChipFpvMap(())
+    return ChipFpvMap(tuple(
+        _fpv_bank(env, seed, k, ring_class,
+                  max(c.n_vdp * c.n_wg * c.arm_banks[k][1] for c in cfgs))
+        for k, (ring_class, _) in enumerate(cfgs[0].arm_banks)))
 
 
 def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
@@ -138,11 +140,11 @@ def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
               seed: int | None = None) -> ParetoResult:
     """Evaluate the grid, mark the Pareto set, and select the EO/PO picks.
 
-    Every configuration's chip map is drawn from ``seed`` (``spec.seed``
-    when not given). Infeasible configurations (bank, passband or
-    crosstalk-dominance violations) are recorded and skipped; evaluation
-    order never affects the result (the grid is sorted by configuration
-    key).
+    Every configuration reads its head of one chip map drawn from ``seed``
+    (``spec.seed`` when not given). Infeasible configurations (bank,
+    passband or crosstalk-dominance violations) are recorded and skipped;
+    evaluation order never affects the result (the grid is sorted by
+    configuration key).
     """
     if not workload:
         raise DomainError("workload must contain at least one model")
@@ -157,18 +159,20 @@ def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
             feasible.append((key, cfg.validate()))
         except PhysicalConstraintError as exc:
             errors.append((key, str(exc)))
-    chip_maps = _chip_maps([cfg for _, cfg in feasible], env, seed)
-    for (key, cfg), chip_map in zip(feasible, chip_maps):
-        try:
-            # one tuning solve and power budget per configuration, shared
-            # by every workload model
-            budget = chip_budget(cfg, env, spec.tuning_fraction, seed,
-                                 chip_map)
-            reports = [power_and_epb(m, cfg, env, budget=budget)
-                       for m in workload]
-        except PhysicalConstraintError as exc:
-            errors.append((key, str(exc)))
+    cfgs = [cfg for _, cfg in feasible]
+    chip_map = _sweep_map(cfgs, env, seed)
+    # one tuning solve per bank size for the whole grid, and one power
+    # budget per configuration, shared by every workload model; called
+    # through the module, where bench/spans.py traces it
+    tuned = simulator.tuning_power_budget(cfgs, env, chip_map,
+                                          spec.tuning_fraction)
+    for (key, cfg), tuning_mw in zip(feasible, tuned):
+        if isinstance(tuning_mw, PhysicalConstraintError):
+            errors.append((key, str(tuning_mw)))
             continue
+        budget = _tuned_chip_budget(cfg, env, chip_map, tuning_mw)
+        reports = [power_and_epb(m, cfg, env, budget=budget)
+                   for m in workload]
         fps = float(np.mean([r.fps for r in reports]))
         epbs = [r.epb_pj_per_bit for r in reports
                 if r.epb_pj_per_bit is not None]

@@ -47,7 +47,7 @@ from .bnn import (LayerKind, QuantModel, activation_levels, as_batch,
 # Nothing here calls quantize_activation (bnn.forward does), but
 # bench/spans.py traces it at this binding.
 from .bnn import quantize_activation  # noqa: F401
-from .errors import DomainError
+from .errors import DomainError, PhysicalConstraintError
 from .mapping import (AcceleratorConfig, ModelStructure, build_comb,
                       build_work_plan)
 from .photonics import FpvStatistics, MrDesign, RingClass
@@ -334,7 +334,10 @@ class ChipFpvMap:
     reader must get every row it indexes. ``noisy_inference`` reads bank 0
     at the mapped ids; ``tuning_power_budget`` reads the first
     ``n_vdp * n_wg * n`` rows of every bank. Both check that the rows are
-    there.
+    there. A design sweep draws one map whose banks hold the rows of its
+    largest configuration, and every configuration reads its head:
+    ``tuning_power_budget`` budgets the heads of one bank size in one
+    call, one TED solve for all of them.
     """
 
     deltas_nm: tuple[np.ndarray, ...]
@@ -361,34 +364,72 @@ def chip_fpv_map(cfg: AcceleratorConfig, env: SimulationEnvironment,
         for k, (ring_class, n) in enumerate(cfg.arm_banks)))
 
 
-def tuning_power_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
-                        chip_map: ChipFpvMap,
-                        tuning_fraction: float) -> tuple[float, float]:
+def tuning_power_budget(cfg: AcceleratorConfig | Sequence[AcceleratorConfig],
+                        env: SimulationEnvironment, chip_map: ChipFpvMap,
+                        tuning_fraction: float
+                        ) -> tuple[float, float] | list:
     """(eo_mw, to_mw) to correct ``tuning_fraction`` of every MR's shift.
 
     Each bank of ``cfg.arm_banks`` is budgeted through
     ``tuning.bank_tuning_budget``: EO corrections are summed per MR, TO
     remainders are solved collectively (TED). Every bank of ``chip_map``
     must hold at least the configuration's rings; only that head is read.
+
+    ``cfg`` may be a sequence of configurations that read one map, as the
+    configurations of a design sweep do. Each (bank, rings per arm) group
+    is then budgeted in one call, with every configuration's arm count as
+    one head of it, and the result is a list: per configuration its
+    (eo_mw, to_mw), or the PhysicalConstraintError of its first bank that
+    cannot be tuned. One configuration raises that error instead. Either
+    way a configuration gets the bits a call of its own gives.
     """
-    arms = cfg.n_vdp * cfg.n_wg
-    if len(chip_map.deltas_nm) != len(cfg.arm_banks):
-        raise DomainError(f"chip map holds {len(chip_map.deltas_nm)} banks, "
-                          f"an arm carries {len(cfg.arm_banks)}")
-    eo_total = 0.0
-    to_total = 0.0
-    for deltas, (ring_class, n) in zip(chip_map.deltas_nm, cfg.arm_banks):
-        if deltas.size < arms * n:
-            raise DomainError(f"chip map bank of {deltas.size} rings, the "
-                              f"configuration has {arms * n}")
-        budget = tuning.bank_tuning_budget(
-            deltas[:arms * n].reshape(arms, n), tuning_fraction,
-            cfg.mr_pitch_um,
-            replace(env.tuning_params,
-                    fsr_nm=env.designs[ring_class].fsr_nm))
-        eo_total += budget.eo_power_mw
-        to_total += budget.to_power_mw
-    return eo_total, to_total
+    one = isinstance(cfg, AcceleratorConfig)
+    cfgs = [cfg] if one else list(cfg)
+    heads: dict[tuple, set[int]] = {}
+    for c in cfgs:
+        arms = c.n_vdp * c.n_wg
+        if len(chip_map.deltas_nm) != len(c.arm_banks):
+            raise DomainError(f"chip map holds {len(chip_map.deltas_nm)} "
+                              f"banks, an arm carries {len(c.arm_banks)}")
+        for k, (ring_class, n) in enumerate(c.arm_banks):
+            if chip_map.deltas_nm[k].size < arms * n:
+                raise DomainError(
+                    f"chip map bank of {chip_map.deltas_nm[k].size} rings, "
+                    f"the configuration has {arms * n}")
+            heads.setdefault((k, ring_class, n, c.mr_pitch_um),
+                             set()).add(arms)
+    params = {ring_class: replace(env.tuning_params,
+                                  fsr_nm=env.designs[ring_class].fsr_nm)
+              for _, ring_class, _, _ in heads}
+    budgets = {}
+    for key, arms in heads.items():
+        k, ring_class, n, pitch = key
+        lengths = sorted(arms)
+        try:
+            budgets[key] = dict(zip(lengths, tuning.bank_tuning_budget(
+                chip_map.deltas_nm[k][:lengths[-1] * n].reshape(-1, n),
+                tuning_fraction, pitch, params[ring_class], heads=lengths)))
+        except PhysicalConstraintError as exc:
+            budgets[key] = exc
+    results = []
+    for c in cfgs:
+        eo_total = 0.0
+        to_total = 0.0
+        for k, (ring_class, n) in enumerate(c.arm_banks):
+            budget = budgets[k, ring_class, n, c.mr_pitch_um]
+            if isinstance(budget, PhysicalConstraintError):
+                results.append(budget)
+                break
+            budget = budget[c.n_vdp * c.n_wg]
+            eo_total += budget.eo_power_mw
+            to_total += budget.to_power_mw
+        else:
+            results.append((eo_total, to_total))
+    if not one:
+        return results
+    if isinstance(results[0], PhysicalConstraintError):
+        raise results[0]
+    return results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +700,9 @@ class ChipBudget:
     The chip map, the loss and laser budget, the device power breakdown
     (tuning included) and the area depend on the configuration, the
     environment, the tuning fraction and the map seed, never on the model,
-    so a sweep computes them once per configuration.
+    so a sweep computes them once per configuration. ``chip_map`` may hold
+    more rows than the configuration reads, as the one map of a design
+    sweep does.
     """
 
     cfg: AcceleratorConfig
@@ -676,12 +719,22 @@ def chip_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
     """Power and area of ``cfg`` with ``tuning_fraction`` of every MR's FPV
     shift corrected; the map is drawn from ``seed`` unless given."""
     cfg.validate()
+    if chip_map is None:
+        chip_map = chip_fpv_map(cfg, env, seed)
+    return _tuned_chip_budget(
+        cfg, env, chip_map,
+        tuning_power_budget(cfg, env, chip_map, tuning_fraction))
+
+
+def _tuned_chip_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
+                       chip_map: ChipFpvMap,
+                       tuning_mw: tuple[float, float]) -> ChipBudget:
+    """The budget of a validated ``cfg`` whose (eo_mw, to_mw) tuning power
+    ``tuning_power_budget`` gave on ``chip_map``."""
+    eo_mw, to_mw = tuning_mw
     loss = loss_accounting(cfg, env)
     laser = laser_power(cfg.n_lambda, loss.total_db,
                         env.loss.detector_sensitivity_dbm)
-    if chip_map is None:
-        chip_map = chip_fpv_map(cfg, env, seed)
-    eo_mw, to_mw = tuning_power_budget(cfg, env, chip_map, tuning_fraction)
     arms = cfg.n_vdp * cfg.n_wg
     p = env.power
     breakdown = {

@@ -13,7 +13,16 @@ sums < 1), which makes both systems non-singular and the naive iteration a
 contraction onto that solution.
 
 Heaters only red-shift, so all tuning targets are shift magnitudes (>= 0),
-pre-folded to the nearest resonance (<= FSR/2).
+folded to the nearest resonance (<= FSR/2); EO takes up to
+``eo_max_shift_nm`` of each and the heater the rest.
+
+``bank_tuning_budget`` budgets the heads of one array of banks together: a
+design sweep whose configurations read the first rows of one drawn bank
+folds, splits and solves those rows once. Each head then reads the same
+bits a call on its rows alone gives: column j of ``solve(K, B)`` does not
+depend on the other columns of B once B has two or more (the tests compare
+with ``==``), but a single column takes another LAPACK path and can differ
+in the last ulp, so a head of one bank gets its own solve.
 """
 
 from __future__ import annotations
@@ -68,16 +77,6 @@ class TuningParams:
 
 
 @dataclass(frozen=True)
-class HybridSplit:
-    """EO/TO decomposition of one MR's correction shift."""
-
-    eo_shift_nm: float
-    to_shift_nm: float
-    power_mw: float
-    latency_ns: float
-
-
-@dataclass(frozen=True)
 class TedResult:
     p_naive_mw: float
     p_ted_mw: float
@@ -90,32 +89,6 @@ class BankBudget:
     eo_power_mw: float
     to_power_mw: float
     worst_latency_ns: float
-
-
-def fold_to_nearest_resonance(delta_lambda_nm: float, fsr_nm: float) -> float:
-    """Shift magnitude to the nearest comb resonance, always <= FSR/2."""
-    x = abs(delta_lambda_nm) % fsr_nm
-    return min(x, fsr_nm - x)
-
-
-def hybrid_split(delta_lambda_nm: float, params: TuningParams) -> HybridSplit:
-    """Split one correction shift between the EO and TO mechanisms.
-
-    EO covers up to ``eo_max_shift_nm``; any remainder falls to the heater.
-    Power is eo_shift * (uW/nm) + (to_shift / FSR) * (mW/FSR); latency is the
-    TO latency as soon as a heater is involved.
-    """
-    if not np.isfinite(delta_lambda_nm) or delta_lambda_nm < 0:
-        raise DomainError("delta_lambda must be a finite magnitude >= 0")
-    if delta_lambda_nm > params.fsr_nm / 2.0 + 1e-12:
-        raise DomainError(
-            "shift exceeds FSR/2; fold to the nearest resonance first")
-    eo = min(delta_lambda_nm, params.eo_max_shift_nm)
-    to = delta_lambda_nm - eo
-    power = (eo * params.eo_power_uw_per_nm * 1e-3
-             + (to / params.fsr_nm) * params.to_power_mw_per_fsr)
-    latency = params.to_latency_ns if to > 0 else params.eo_latency_ns
-    return HybridSplit(eo, to, power, latency)
 
 
 def uniform_positions_um(n: int, spacing_um: float) -> np.ndarray:
@@ -183,7 +156,9 @@ def ted_tuning_power(target_shifts_nm: Sequence[float], spacings_um,
 
 
 def bank_tuning_budget(delta_lambdas_nm, tuning_fraction: float,
-                       spacing_um: float, params: TuningParams) -> BankBudget:
+                       spacing_um: float, params: TuningParams,
+                       heads: Sequence[int] | None = None
+                       ) -> BankBudget | list[BankBudget]:
     """Aggregate correction power of one MR bank or of [n_banks, bank_size].
 
     Each MR corrects ``tuning_fraction`` of its (nearest-resonance folded)
@@ -193,25 +168,52 @@ def bank_tuning_budget(delta_lambdas_nm, tuning_fraction: float,
     which is built and checked even when no MR needs heater power, so a
     layout too dense to tune raises whatever the shifts and the fraction.
     Powers are totals over all banks; the latency is the worst bank's.
+
+    With ``heads``, the result is a list: for each head a, the budget of
+    the first a banks alone, as a call on ``delta_lambdas_nm[:a]`` gives
+    it. The banks are folded, split and solved once for all heads; a head
+    sums its EO prefix and the first a columns of the one solve, made
+    contiguous so that the sum runs in the order of a call of its own. A
+    head of one bank solves its column on its own (see the module
+    docstring).
     """
     if not (0.0 <= tuning_fraction <= 1.0):
         raise DomainError("tuning_fraction must be in [0, 1]")
     deltas = np.atleast_2d(np.asarray(delta_lambdas_nm, dtype=np.float64))
+    n_banks = deltas.shape[0]
+    lengths = (n_banks,) if heads is None else tuple(heads)
+    if not all(0 < a <= n_banks for a in lengths):
+        raise DomainError(f"heads must be in [1, {n_banks}]")
     folded = np.abs(deltas) % params.fsr_nm
     folded = np.minimum(folded, params.fsr_nm - folded)
     corrected = tuning_fraction * folded
     eo = np.minimum(corrected, params.eo_max_shift_nm)
     to = corrected - eo
-    eo_power = float(np.sum(eo)) * params.eo_power_uw_per_nm * 1e-3
     k = thermal_crosstalk_matrix(
         uniform_positions_um(deltas.shape[1], spacing_um),
         params.crosstalk_eta, params.crosstalk_decay_um)
-    if not np.any(to > 0):
-        return BankBudget(eo_power, eo_power, 0.0, params.eo_latency_ns)
-    s = np.linalg.solve(k, to.T)
-    to_power = float(np.sum(np.abs(s))) / params.heater_efficiency_nm_per_mw
-    return BankBudget(eo_power + to_power, eo_power, to_power,
-                      params.to_latency_ns)
+    # a head needs heaters only if it reaches the first bank that does
+    hot = np.flatnonzero(np.any(to > 0, axis=1))
+    first_hot = hot[0] if hot.size else n_banks
+    solved = None
+    budgets = []
+    for a in lengths:
+        eo_power = float(np.sum(eo[:a])) * params.eo_power_uw_per_nm * 1e-3
+        if a <= first_hot:
+            budgets.append(BankBudget(eo_power, eo_power, 0.0,
+                                      params.eo_latency_ns))
+            continue
+        if a == 1:
+            s = np.linalg.solve(k, to[:1].T)
+        else:
+            if solved is None:
+                solved = np.linalg.solve(k, to[:max(lengths)].T)
+            s = np.ascontiguousarray(solved[:, :a])
+        to_power = (float(np.sum(np.abs(s)))
+                    / params.heater_efficiency_nm_per_mw)
+        budgets.append(BankBudget(eo_power + to_power, eo_power, to_power,
+                                  params.to_latency_ns))
+    return budgets[0] if heads is None else budgets
 
 
 def ted_spacing_sweep(spacings_um: Sequence[float], n_mrs: int,

@@ -36,6 +36,14 @@ DSE_DEFAULT = {
     "picks.json":
         "cffb7403e982da99163de95613ca32b2bf4390e189ea16db8f59acd91ec4db99",
 }
+# the default sweep with crosstalk_eta 0.3: the 10- and 15-ring banks are
+# too dense to tune, which excludes 20 of the 40 points
+DSE_DENSE = {
+    "scatter.csv":
+        "1330fa96caf04f1c59b21093157ba9382848d1c64b916376cd7fbd60f8117b78",
+    "picks.json":
+        "59df53cf62c55d28987d4130c21cd34024ebbe0d58a7d1330b31950001b53ef0",
+}
 FPV_SWEEP_PO = \
     "f82746771b61d1108783508f626a344281fb9fcd9fd51a154913efb733ea56b2"
 BN_PLAN = "40bd9222604765f728c6467b515453370904e67a153436bac436861d7d3bb458"
@@ -83,6 +91,15 @@ def test_dse_default(tmp_path):
     out = tmp_path / "dse"
     assert main(["dse", "--out", str(out)]) == 0
     for name, want in DSE_DEFAULT.items():
+        assert digest(out / name) == want, name
+
+
+def test_dse_dense(tmp_path):
+    dense = tmp_path / "dense.yaml"
+    dense.write_text(yaml.safe_dump({"tuning": {"crosstalk_eta": 0.3}}))
+    out = tmp_path / "dse"
+    assert main(["dse", "--config", str(dense), "--out", str(out)]) == 0
+    for name, want in DSE_DENSE.items():
         assert digest(out / name) == want, name
 
 

@@ -7,7 +7,7 @@ from mrbnn import config
 from mrbnn.dse import (ParetoResult, SweepPoint, SweepSpec, dominates,
                        parse_scatter_csv, pareto_front, run_sweep,
                        scatter_export, summary_dict)
-from mrbnn.simulator import chip_budget, power_and_epb
+from mrbnn.simulator import chip_budget, chip_fpv_map, power_and_epb
 from mrbnn.errors import DomainError, PhysicalConstraintError
 from mrbnn.mapping import ModelStructure
 
@@ -162,6 +162,29 @@ class TestRunSweep:
                 for p in res.points] == points
         assert list(res.errors) == errors
         assert bool(errors) == (eta is not None)
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(),
+        # one-arm configurations take a one-column solve of their own
+        SweepSpec(n_a_values=(5, 10, 15), n_vdp_values=(1, 2, 25),
+                  n_wg_values=(1, 5), seed=4),
+    ], ids=["default", "one-arm"])
+    def test_power_equals_chip_budget(self, toolkit_config, env, spec):
+        # the sweep solves each bank size once for the whole grid; every
+        # configuration's power is, bit for bit, a chip budget of its own
+        base = config.arch_config(toolkit_config)
+        workload = [ModelStructure("m", (60642,))]
+        cfgs = [replace(base, n_a=a, n_vdp=v, n_wg=w, n_b=spec.n_b)
+                for a, v, w in spec.grid()]
+        maps = [chip_fpv_map(c, env, spec.seed) for c in cfgs]
+        for fraction in (0.3, 0.8):
+            res = run_sweep(replace(spec, tuning_fraction=fraction), base,
+                            env, workload)
+            assert not res.errors
+            assert [p.power_mw for p in res.points] == [
+                sum(chip_budget(c, env, fraction, chip_map=m)
+                    .power_breakdown_mw.values())
+                for c, m in zip(cfgs, maps)]
 
     def test_seed_defaults_to_spec(self, toolkit_config, env):
         spec = SweepSpec(n_a_values=(10,), n_vdp_values=(50,),

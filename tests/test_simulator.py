@@ -7,7 +7,7 @@ import pytest
 from mrbnn import bnn, config, photonics, simulator, tuning
 from mrbnn.bnn import (QuantModel, activation_layer, fc_layer,
                        quantize_activation, reference_inference)
-from mrbnn.errors import DomainError
+from mrbnn.errors import DomainError, PhysicalConstraintError
 from mrbnn.mapping import (AcceleratorConfig, ModelStructure, build_comb,
                            build_work_plan)
 from mrbnn.photonics import RingClass
@@ -231,6 +231,34 @@ class TestTuningBudget:
         assert all(a <= b + 1e-9 for a, b in zip(totals, totals[1:]))
         assert totals[1] < totals[3]
 
+
+    @pytest.mark.parametrize("eta", [None, 0.3])
+    def test_list_equals_call_per_config(self, toolkit_config, eo_cfg, eta):
+        # configurations that read one map are budgeted once per bank size;
+        # each gets the bits of a call of its own, one-arm ones included,
+        # or the error that call raises (at 0.3, every bank of 7 or more
+        # rings: all but the 5-ring configurations)
+        tc = toolkit_config if eta is None else replace(
+            toolkit_config, tuning=replace(toolkit_config.tuning,
+                                           crosstalk_eta=eta))
+        env = config.build_environment(tc)
+        cfgs = [replace(eo_cfg, n_a=a, n_vdp=v, n_wg=w)
+                for a in (5, 10, 15, 25) for v in (1, 3) for w in (1, 4)]
+        maps = [chip_fpv_map(c, env, 9) for c in cfgs]
+        shared = ChipFpvMap(tuple(max((m.deltas_nm[k] for m in maps), key=len)
+                                  for k in range(4)))
+        got = tuning_power_budget(cfgs, env, shared, 0.8)
+        assert len(got) == len(cfgs)
+        for c, m, g in zip(cfgs, maps, got):
+            try:
+                want = tuning_power_budget(c, env, m, 0.8)
+            except PhysicalConstraintError as exc:
+                assert type(g) is type(exc) and str(g) == str(exc)
+            else:
+                assert g == want
+                assert (c.n_vdp * c.n_wg > 1 or want[1] > 0)
+        assert sum(isinstance(g, PhysicalConstraintError)
+                   for g in got) == (0 if eta is None else 12)
 
     def test_short_bank_rejected(self, env, eo_cfg):
         # every bank must hold the configuration's rings; a longer bank is

@@ -3,7 +3,6 @@ import pytest
 
 from mrbnn.errors import DomainError, IllConditionedLayoutError
 from mrbnn.tuning import (TuningParams, bank_tuning_budget,
-                          fold_to_nearest_resonance, hybrid_split,
                           ted_spacing_sweep, ted_tuning_power,
                           thermal_crosstalk_matrix, uniform_positions_um)
 
@@ -23,18 +22,37 @@ def naive_jacobi(t, k):
     raise AssertionError("naive iteration did not converge")
 
 
+def one_ring(shift_nm, params, fraction=1.0):
+    """The budget of one one-ring bank."""
+    return bank_tuning_budget([[shift_nm]], fraction, 5.0, params)
+
+
+def fold(delta_nm, fsr_nm):
+    """Oracle: shift magnitude to the nearest comb resonance."""
+    x = abs(delta_nm) % fsr_nm
+    return min(x, fsr_nm - x)
+
+
+def eo_to_split(shift_nm, params):
+    """Oracle: EO takes up to eo_max_shift_nm, the heater the rest."""
+    eo = min(shift_nm, params.eo_max_shift_nm)
+    return eo, shift_nm - eo
+
+
 class TestHybridSplit:
+    # the EO/TO split of one ring, read off one-ring banks
     def test_zero_shift(self, params):
-        s = hybrid_split(0.0, params)
-        assert (s.eo_shift_nm, s.to_shift_nm, s.power_mw) == (0.0, 0.0, 0.0)
-        assert s.latency_ns == params.eo_latency_ns
+        b = one_ring(0.0, params)
+        assert (b.eo_power_mw, b.to_power_mw, b.total_power_mw) \
+            == (0.0, 0.0, 0.0)
+        assert b.worst_latency_ns == params.eo_latency_ns
 
     def test_eo_only_rate(self):
         p = TuningParams(eo_max_shift_nm=2.0)
-        s = hybrid_split(1.0, p)
-        assert s.to_shift_nm == 0.0
-        assert s.power_mw == pytest.approx(0.004, rel=1e-12)  # 4 uW
-        assert s.latency_ns == p.eo_latency_ns
+        b = one_ring(1.0, p)
+        assert b.to_power_mw == 0.0
+        assert b.total_power_mw == pytest.approx(0.004, rel=1e-12)  # 4 uW
+        assert b.worst_latency_ns == p.eo_latency_ns
 
     def test_heater_efficiency_follows_fsr(self, params):
         from dataclasses import replace
@@ -46,51 +64,66 @@ class TestHybridSplit:
 
     def test_hybrid_rates(self):
         p = TuningParams(eo_max_shift_nm=2.0, fsr_nm=10.0)
-        s = hybrid_split(3.0, p)
-        assert s.eo_shift_nm == 2.0
-        assert s.to_shift_nm == 1.0
+        b = one_ring(3.0, p)
         # 2 nm * 4 uW/nm + (1/10) FSR * 27.5 mW
-        assert s.power_mw == pytest.approx(0.008 + 2.75, rel=1e-12)
-        assert s.latency_ns == 4000.0
+        assert b.eo_power_mw == pytest.approx(0.008, rel=1e-12)
+        assert b.to_power_mw == pytest.approx(2.75, rel=1e-12)
+        assert b.total_power_mw == pytest.approx(0.008 + 2.75, rel=1e-12)
+        assert b.worst_latency_ns == 4000.0
 
     def test_power_continuous_with_slope_break(self, params):
         eo_max = params.eo_max_shift_nm
         eps = 1e-7
-        below = hybrid_split(eo_max - eps, params).power_mw
-        at = hybrid_split(eo_max, params).power_mw
-        above = hybrid_split(eo_max + eps, params).power_mw
+
+        def power(shift):
+            return one_ring(shift, params).total_power_mw
+
+        below, at, above = power(eo_max - eps), power(eo_max), \
+            power(eo_max + eps)
         assert at == pytest.approx(below, abs=1e-8)
         assert at == pytest.approx(above, abs=1e-3)
         # piecewise-linear slopes differ across the break
-        slope_lo = (at - hybrid_split(eo_max - 0.1, params).power_mw) / 0.1
-        slope_hi = (hybrid_split(eo_max + 0.1, params).power_mw - at) / 0.1
+        slope_lo = (at - power(eo_max - 0.1)) / 0.1
+        slope_hi = (power(eo_max + 0.1) - at) / 0.1
         assert slope_hi > slope_lo * 10
 
     def test_monotone_in_shift(self, params):
         shifts = np.linspace(0, params.fsr_nm / 2, 200)
-        powers = [hybrid_split(s, params).power_mw for s in shifts]
+        powers = [one_ring(s, params).total_power_mw for s in shifts]
         assert all(b >= a for a, b in zip(powers, powers[1:]))
 
-    def test_rejects_unfolded(self, params):
-        with pytest.raises(DomainError):
-            hybrid_split(params.fsr_nm, params)
-        with pytest.raises(DomainError):
-            hybrid_split(-0.1, params)
+    def test_folds_unfolded(self, params):
+        # a shift beyond FSR/2 or below zero is folded to the nearest
+        # resonance before it is split
+        fsr = params.fsr_nm
+        for shift, folded in ((fsr, 0.0), (-0.1, 0.1), (fsr - 2.0, 2.0),
+                              (-(fsr + 3.0), 3.0)):
+            assert one_ring(shift, params).total_power_mw \
+                == pytest.approx(one_ring(folded, params).total_power_mw,
+                                 rel=1e-9, abs=1e-12)
 
 
 class TestFold:
+    # an EO range wider than FSR/2 makes the EO power the folded shift
+    P = TuningParams(eo_max_shift_nm=9.0, fsr_nm=10.0)
+
+    def folded(self, delta_nm, params=P):
+        return (one_ring(delta_nm, params).eo_power_mw
+                / (params.eo_power_uw_per_nm * 1e-3))
+
     def test_within_half_fsr(self):
-        assert fold_to_nearest_resonance(3.0, 10.0) == 3.0
+        assert self.folded(3.0) == pytest.approx(3.0, rel=1e-12)
 
     def test_wraps_to_neighbour(self):
-        assert fold_to_nearest_resonance(9.5, 10.0) == pytest.approx(0.5)
-        assert fold_to_nearest_resonance(-9.5, 10.0) == pytest.approx(0.5)
-        assert fold_to_nearest_resonance(24.4, 10.0) == pytest.approx(4.4)
+        assert self.folded(9.5) == pytest.approx(0.5)
+        assert self.folded(-9.5) == pytest.approx(0.5)
+        assert self.folded(24.4) == pytest.approx(4.4)
 
     def test_never_exceeds_half(self):
+        p = TuningParams(eo_max_shift_nm=18.0, fsr_nm=18.2)
         rng = np.random.Generator(np.random.PCG64(3))
         for d in rng.uniform(-100, 100, 500):
-            assert fold_to_nearest_resonance(d, 18.2) <= 18.2 / 2 + 1e-12
+            assert self.folded(d, p) <= 18.2 / 2 + 1e-12
 
 
 class TestCrosstalkMatrix:
@@ -265,11 +298,10 @@ class TestBankBudget:
         eo_nm = 0.0
         to_mw = 0.0
         for bank in banks:
-            splits = [hybrid_split(
-                fraction * fold_to_nearest_resonance(d, params.fsr_nm),
-                params) for d in bank]
-            eo_nm += sum(s.eo_shift_nm for s in splits)
-            to = np.array([s.to_shift_nm for s in splits])
+            splits = [eo_to_split(fraction * fold(d, params.fsr_nm), params)
+                      for d in bank]
+            eo_nm += sum(eo for eo, _ in splits)
+            to = np.array([to for _, to in splits])
             if np.any(to > 0):
                 to_mw += ted_tuning_power(
                     to, uniform_positions_um(size, spacing),
@@ -283,6 +315,47 @@ class TestBankBudget:
         all_eo = bank_tuning_budget(banks[:1], fraction, spacing, params)
         assert all_eo.to_power_mw == 0.0
         assert all_eo.worst_latency_ns == params.eo_latency_ns
+
+
+class TestHeads:
+    # the heads of one call are the budgets of separate calls, bit for bit
+    HEADS = (1, 2, 7, 150, 301)
+
+    @pytest.mark.parametrize("size", [1, 3, 5, 10, 15])
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.8, 1.0])
+    def test_equals_call_per_head(self, params, size, fraction):
+        rng = np.random.Generator(np.random.PCG64(size))
+        banks = rng.normal(0.0, 12.0, (301, size))
+        banks[0] = 5.0 + rng.uniform(0.0, 0.5, size)   # needs heaters
+        cool = banks.copy()
+        cool[:3] = rng.uniform(-0.9, 0.9, (3, size))    # heads 1, 2: all EO
+        for deltas in (banks, cool):
+            got = bank_tuning_budget(deltas, fraction, 5.0, params,
+                                     heads=self.HEADS)
+            want = [bank_tuning_budget(deltas[:a], fraction, 5.0, params)
+                    for a in self.HEADS]
+            assert got == want
+        hot = bank_tuning_budget(banks[:1], fraction, 5.0, params)
+        assert (hot.to_power_mw > 0) == (fraction > 0)
+        assert bank_tuning_budget(cool, fraction, 5.0, params,
+                                  heads=(2,))[0].to_power_mw == 0.0
+
+    def test_one_head_is_the_call(self, params):
+        banks = np.array([[0.4, 1.2, 12.5], [3.0, 0.1, 1.7]])
+        assert bank_tuning_budget(banks, 0.8, 5.0, params, heads=(2, 2)) \
+            == [bank_tuning_budget(banks, 0.8, 5.0, params)] * 2
+
+    @pytest.mark.parametrize("heads", [(0,), (1, 3)])
+    def test_bad_heads_rejected(self, params, heads):
+        with pytest.raises(DomainError, match="heads"):
+            bank_tuning_budget(np.ones((2, 3)), 0.8, 5.0, params,
+                               heads=heads)
+
+    def test_dense_layout_rejected_for_all_heads(self):
+        dense = TuningParams(crosstalk_eta=0.5, crosstalk_decay_um=50.0)
+        with pytest.raises(IllConditionedLayoutError):
+            bank_tuning_budget(np.zeros((3, 10)), 0.0, 5.0, dense,
+                               heads=(1, 3))
 
 
 class TestSpacingSweep:
