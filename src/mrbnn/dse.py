@@ -170,7 +170,7 @@ def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
         if isinstance(tuning_mw, PhysicalConstraintError):
             errors.append((key, str(tuning_mw)))
             continue
-        budget = _tuned_chip_budget(cfg, env, chip_map, tuning_mw)
+        budget = _tuned_chip_budget(cfg, env, tuning_mw)
         reports = [power_and_epb(m, cfg, env, budget=budget)
                    for m in workload]
         fps = float(np.mean([r.fps for r in reports]))

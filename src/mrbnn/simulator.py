@@ -370,18 +370,22 @@ def tuning_power_budget(cfg: AcceleratorConfig | Sequence[AcceleratorConfig],
                         ) -> tuple[float, float] | list:
     """(eo_mw, to_mw) to correct ``tuning_fraction`` of every MR's shift.
 
-    Each bank of ``cfg.arm_banks`` is budgeted through
-    ``tuning.bank_tuning_budget``: EO corrections are summed per MR, TO
-    remainders are solved collectively (TED). Every bank of ``chip_map``
-    must hold at least the configuration's rings; only that head is read.
+    Each bank of ``cfg.arm_banks`` is budgeted as
+    ``tuning.bank_tuning_budget`` does it: EO corrections are summed per
+    MR, TO remainders are solved collectively (TED). Every bank of
+    ``chip_map`` must hold at least the configuration's rings; only that
+    head is read.
 
     ``cfg`` may be a sequence of configurations that read one map, as the
-    configurations of a design sweep do. Each (bank, rings per arm) group
-    is then budgeted in one call, with every configuration's arm count as
-    one head of it, and the result is a list: per configuration its
-    (eo_mw, to_mw), or the PhysicalConstraintError of its first bank that
-    cannot be tuned. One configuration raises that error instead. Either
-    way a configuration gets the bits a call of its own gives.
+    configurations of a design sweep do. Each bank is then folded and split
+    (``tuning.fold_and_split``) once, on the longest head any configuration
+    reads, and each (bank, rings per arm) group is budgeted in one
+    ``tuning.budget_heads`` call on its rows of that result, with every
+    configuration's arm count as one head. The result is a list: per
+    configuration its (eo_mw, to_mw), or the PhysicalConstraintError of its
+    first bank that cannot be tuned. One configuration raises that error
+    instead. Either way a configuration gets the bits a call of its own
+    gives.
     """
     one = isinstance(cfg, AcceleratorConfig)
     cfgs = [cfg] if one else list(cfg)
@@ -401,14 +405,23 @@ def tuning_power_budget(cfg: AcceleratorConfig | Sequence[AcceleratorConfig],
     params = {ring_class: replace(env.tuning_params,
                                   fsr_nm=env.designs[ring_class].fsr_nm)
               for _, ring_class, _, _ in heads}
+    rows: dict[tuple, int] = {}
+    for (k, ring_class, n, _), arms in heads.items():
+        rows[k, ring_class] = max(rows.get((k, ring_class), 0),
+                                  max(arms) * n)
+    split = {(k, ring_class): tuning.fold_and_split(
+                 chip_map.deltas_nm[k][:r], tuning_fraction,
+                 params[ring_class])
+             for (k, ring_class), r in rows.items()}
     budgets = {}
     for key, arms in heads.items():
         k, ring_class, n, pitch = key
         lengths = sorted(arms)
+        eo, to = (part[:lengths[-1] * n].reshape(-1, n)
+                  for part in split[k, ring_class])
         try:
-            budgets[key] = dict(zip(lengths, tuning.bank_tuning_budget(
-                chip_map.deltas_nm[k][:lengths[-1] * n].reshape(-1, n),
-                tuning_fraction, pitch, params[ring_class], heads=lengths)))
+            budgets[key] = dict(zip(lengths, tuning.budget_heads(
+                eo, to, pitch, params[ring_class], lengths)))
         except PhysicalConstraintError as exc:
             budgets[key] = exc
     results = []
@@ -646,7 +659,8 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
     Each accuracy is the one ``noisy_inference`` gives for that fraction
     and map, bit for bit. Per map, the ratios of every fraction come from
     one ``_perturbation_ratios`` call, and each fraction walks the layers
-    on its own row of them.
+    on its own row of them. A row of ratios that are all exactly 1 (full
+    tuning) does not read the map, so it is walked once per sweep.
     """
     if n_maps < 1:
         raise DomainError("n_maps must be >= 1")
@@ -661,15 +675,24 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
     residuals = 1.0 - np.asarray(fractions, dtype=np.float64)
     # maps outside fractions, so one chip map is alive at a time
     accs = [[] for _ in fractions]
+    # a row of ratios all 1 walks exact_dot on the clamped batch, whatever
+    # the map, so its accuracy is computed once
+    ideal_acc = None
     for i in range(n_maps):
         chip_map = _read_map(env, ids, base_seed + i)
         rho = _perturbation_ratios(
             env.designs[RingClass.MULTI_BIT], mapping.lambda_nm[:ids.size],
             chip_map.deltas_nm[0][ids], residuals)
         for rho_act, per_map in zip(rho, accs):
+            ideal = bool(np.all(rho_act == 1.0))
+            if ideal and ideal_acc is not None:
+                per_map.append(ideal_acc)
+                continue
             logits = _photonic_logits(model, batch, mapping, rho_act,
                                       levels, rails)
             per_map.append(_accuracy(np.argmax(logits, axis=1), y))
+            if ideal:
+                ideal_acc = per_map[-1]
     return [(float(f), float(np.mean(a)), float(np.std(a)))
             for f, a in zip(fractions, accs)]
 
@@ -697,16 +720,13 @@ def required_bandwidth_gb_s(cfg: AcceleratorConfig,
 class ChipBudget:
     """The model-independent part of a report for one configuration.
 
-    The chip map, the loss and laser budget, the device power breakdown
-    (tuning included) and the area depend on the configuration, the
-    environment, the tuning fraction and the map seed, never on the model,
-    so a sweep computes them once per configuration. ``chip_map`` may hold
-    more rows than the configuration reads, as the one map of a design
-    sweep does.
+    The loss and laser budget, the device power breakdown (tuning
+    included) and the area depend on the configuration, the environment,
+    the tuning fraction and the chip map, never on the model, so a sweep
+    computes them once per configuration.
     """
 
     cfg: AcceleratorConfig
-    chip_map: ChipFpvMap
     loss: PathLoss
     laser: LaserPower
     power_breakdown_mw: dict[str, float]
@@ -722,15 +742,13 @@ def chip_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
     if chip_map is None:
         chip_map = chip_fpv_map(cfg, env, seed)
     return _tuned_chip_budget(
-        cfg, env, chip_map,
-        tuning_power_budget(cfg, env, chip_map, tuning_fraction))
+        cfg, env, tuning_power_budget(cfg, env, chip_map, tuning_fraction))
 
 
 def _tuned_chip_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
-                       chip_map: ChipFpvMap,
                        tuning_mw: tuple[float, float]) -> ChipBudget:
     """The budget of a validated ``cfg`` whose (eo_mw, to_mw) tuning power
-    ``tuning_power_budget`` gave on ``chip_map``."""
+    ``tuning_power_budget`` gave."""
     eo_mw, to_mw = tuning_mw
     loss = loss_accounting(cfg, env)
     laser = laser_power(cfg.n_lambda, loss.total_db,
@@ -747,7 +765,7 @@ def _tuned_chip_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
         "tia": (cfg.n_wg + 1) * cfg.n_vdp * p.tia.power_mw,
         "vcsel": arms * p.vcsel.power_mw,
     }
-    return ChipBudget(cfg, chip_map, loss, laser, breakdown,
+    return ChipBudget(cfg, loss, laser, breakdown,
                       area_estimate(cfg, env))
 
 

@@ -16,13 +16,16 @@ Heaters only red-shift, so all tuning targets are shift magnitudes (>= 0),
 folded to the nearest resonance (<= FSR/2); EO takes up to
 ``eo_max_shift_nm`` of each and the heater the rest.
 
-``bank_tuning_budget`` budgets the heads of one array of banks together: a
-design sweep whose configurations read the first rows of one drawn bank
-folds, splits and solves those rows once. Each head then reads the same
-bits a call on its rows alone gives: column j of ``solve(K, B)`` does not
-depend on the other columns of B once B has two or more (the tests compare
-with ``==``), but a single column takes another LAPACK path and can differ
-in the last ulp, so a head of one bank gets its own solve.
+``bank_tuning_budget`` is two parts composed. ``fold_and_split`` is
+element-wise: it folds each shift, scales it by the tuning fraction and
+splits it into EO and TO. ``budget_heads`` is per layout: it builds K,
+solves, and sums the heads of one array of banks together. A design sweep
+whose configurations read the first rows of one drawn bank folds that bank
+once, and solves the rows of each bank size once. Each head then reads the
+same bits a call on its rows alone gives: column j of ``solve(K, B)`` does
+not depend on the other columns of B once B has two or more (the tests
+compare with ``==``), but a single column takes another LAPACK path and can
+differ in the last ulp, so a head of one bank gets its own solve.
 """
 
 from __future__ import annotations
@@ -155,49 +158,51 @@ def ted_tuning_power(target_shifts_nm: Sequence[float], spacings_um,
     return TedResult(p_naive, p_ted, reduction)
 
 
-def bank_tuning_budget(delta_lambdas_nm, tuning_fraction: float,
-                       spacing_um: float, params: TuningParams,
-                       heads: Sequence[int] | None = None
-                       ) -> BankBudget | list[BankBudget]:
-    """Aggregate correction power of one MR bank or of [n_banks, bank_size].
-
-    Each MR corrects ``tuning_fraction`` of its (nearest-resonance folded)
-    FPV shift; EO covers up to ``eo_max_shift_nm`` and is summed directly,
-    the TO remainders of each bank are tuned collectively through the TED
-    solve. All banks share one uniform layout, hence one crosstalk matrix,
-    which is built and checked even when no MR needs heater power, so a
-    layout too dense to tune raises whatever the shifts and the fraction.
-    Powers are totals over all banks; the latency is the worst bank's.
-
-    With ``heads``, the result is a list: for each head a, the budget of
-    the first a banks alone, as a call on ``delta_lambdas_nm[:a]`` gives
-    it. The banks are folded, split and solved once for all heads; a head
-    sums its EO prefix and the first a columns of the one solve, made
-    contiguous so that the sum runs in the order of a call of its own. A
-    head of one bank solves its column on its own (see the module
-    docstring).
-    """
+def fold_and_split(delta_lambdas_nm, tuning_fraction: float,
+                   params: TuningParams) -> tuple[np.ndarray, np.ndarray]:
+    """(eo, to) shifts [nm] that correct ``tuning_fraction`` of each FPV
+    shift, folded to the nearest resonance: EO takes up to
+    ``eo_max_shift_nm`` and the heater the rest. Element-wise, so the
+    result on a prefix of the shifts is that prefix of the result."""
     if not (0.0 <= tuning_fraction <= 1.0):
         raise DomainError("tuning_fraction must be in [0, 1]")
-    deltas = np.atleast_2d(np.asarray(delta_lambdas_nm, dtype=np.float64))
-    n_banks = deltas.shape[0]
-    lengths = (n_banks,) if heads is None else tuple(heads)
-    if not all(0 < a <= n_banks for a in lengths):
-        raise DomainError(f"heads must be in [1, {n_banks}]")
-    folded = np.abs(deltas) % params.fsr_nm
+    folded = np.abs(np.asarray(delta_lambdas_nm, dtype=np.float64)) \
+        % params.fsr_nm
     folded = np.minimum(folded, params.fsr_nm - folded)
     corrected = tuning_fraction * folded
     eo = np.minimum(corrected, params.eo_max_shift_nm)
-    to = corrected - eo
+    return eo, corrected - eo
+
+
+def budget_heads(eo: np.ndarray, to: np.ndarray, spacing_um: float,
+                 params: TuningParams, heads: Sequence[int]
+                 ) -> list[BankBudget]:
+    """For each head a, the budget of the first a rows of the
+    [n_banks, bank_size] ``eo`` and ``to`` that ``fold_and_split`` gave.
+
+    EO is summed directly; the TO remainders of each bank are tuned
+    collectively through the TED solve. All banks share one uniform
+    layout, hence one crosstalk matrix, which is built and checked even
+    when no MR needs heater power, so a layout too dense to tune raises
+    whatever the shifts. Powers are totals over a head's banks; the
+    latency is its worst bank's. The banks are solved once for all heads;
+    a head sums its EO prefix and the first a columns of the one solve,
+    made contiguous so that the sum runs in the order of a call of its
+    own. A head of one bank solves its column on its own (see the module
+    docstring).
+    """
+    n_banks = eo.shape[0]
+    if not all(0 < a <= n_banks for a in heads):
+        raise DomainError(f"heads must be in [1, {n_banks}]")
     k = thermal_crosstalk_matrix(
-        uniform_positions_um(deltas.shape[1], spacing_um),
+        uniform_positions_um(eo.shape[1], spacing_um),
         params.crosstalk_eta, params.crosstalk_decay_um)
     # a head needs heaters only if it reaches the first bank that does
     hot = np.flatnonzero(np.any(to > 0, axis=1))
     first_hot = hot[0] if hot.size else n_banks
     solved = None
     budgets = []
-    for a in lengths:
+    for a in heads:
         eo_power = float(np.sum(eo[:a])) * params.eo_power_uw_per_nm * 1e-3
         if a <= first_hot:
             budgets.append(BankBudget(eo_power, eo_power, 0.0,
@@ -207,12 +212,32 @@ def bank_tuning_budget(delta_lambdas_nm, tuning_fraction: float,
             s = np.linalg.solve(k, to[:1].T)
         else:
             if solved is None:
-                solved = np.linalg.solve(k, to[:max(lengths)].T)
+                solved = np.linalg.solve(k, to[:max(heads)].T)
             s = np.ascontiguousarray(solved[:, :a])
         to_power = (float(np.sum(np.abs(s)))
                     / params.heater_efficiency_nm_per_mw)
         budgets.append(BankBudget(eo_power + to_power, eo_power, to_power,
                                   params.to_latency_ns))
+    return budgets
+
+
+def bank_tuning_budget(delta_lambdas_nm, tuning_fraction: float,
+                       spacing_um: float, params: TuningParams,
+                       heads: Sequence[int] | None = None
+                       ) -> BankBudget | list[BankBudget]:
+    """Aggregate correction power of one MR bank or of [n_banks, bank_size]:
+    ``fold_and_split`` then ``budget_heads``.
+
+    Each MR corrects ``tuning_fraction`` of its (nearest-resonance folded)
+    FPV shift. With ``heads``, the result is a list: for each head a, the
+    budget of the first a banks alone, as a call on
+    ``delta_lambdas_nm[:a]`` gives it; without, the budget of all banks.
+    """
+    deltas = np.atleast_2d(np.asarray(delta_lambdas_nm, dtype=np.float64))
+    eo, to = fold_and_split(deltas, tuning_fraction, params)
+    budgets = budget_heads(eo, to, spacing_um, params,
+                           (deltas.shape[0],) if heads is None
+                           else tuple(heads))
     return budgets[0] if heads is None else budgets
 
 

@@ -46,6 +46,11 @@ DSE_DENSE = {
 }
 FPV_SWEEP_PO = \
     "f82746771b61d1108783508f626a344281fb9fcd9fd51a154913efb733ea56b2"
+# sim.json of the trained toy model on each preset
+SIMULATE = {
+    "eo": "b8223559d18887e5f856e547b3eaa43888a9ca2e12cb54cadc29b8d87afeba0b",
+    "po": "5840fd4b63100d19d748754880ea4fc686f02e23260880eab2a32b256ff034d3",
+}
 BN_PLAN = "40bd9222604765f728c6467b515453370904e67a153436bac436861d7d3bb458"
 
 
@@ -124,6 +129,14 @@ def test_fpv_sweep_po(tmp_path, toy_model):
     assert main(["fpv-sweep", "--model", str(toy_model), "--arch", "po",
                  "--out", str(out)]) == 0
     assert digest(out) == FPV_SWEEP_PO
+
+
+@pytest.mark.parametrize("arch", sorted(SIMULATE))
+def test_simulate(tmp_path, toy_model, arch):
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--model", str(toy_model), "--arch", arch,
+                 "--out", str(out)]) == 0
+    assert digest(out) == SIMULATE[arch]
 
 
 def test_bn_plan_dump(tmp_path):

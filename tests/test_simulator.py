@@ -260,6 +260,24 @@ class TestTuningBudget:
         assert sum(isinstance(g, PhysicalConstraintError)
                    for g in got) == (0 if eta is None else 12)
 
+    def test_one_fold_per_bank(self, env, eo_cfg, monkeypatch):
+        # each bank is folded once, on the longest head any group reads
+        folds = []
+        original = tuning.fold_and_split
+
+        def spy(deltas, fraction, params):
+            folds.append(np.size(deltas))
+            return original(deltas, fraction, params)
+
+        monkeypatch.setattr(tuning, "fold_and_split", spy)
+        cfgs = [replace(eo_cfg, n_a=a, n_vdp=v) for a in (5, 10, 15, 25)
+                for v in (1, 3)]
+        rows = [max(c.n_vdp * c.n_wg * c.arm_banks[k][1] for c in cfgs)
+                for k in range(len(eo_cfg.arm_banks))]
+        m = ChipFpvMap(tuple(np.ones(r) for r in rows))
+        tuning_power_budget(cfgs, env, m, 0.8)
+        assert folds == rows
+
     def test_short_bank_rejected(self, env, eo_cfg):
         # every bank must hold the configuration's rings; a longer bank is
         # read up to its head, the map a shorter draw gives
@@ -317,7 +335,6 @@ class TestPowerAndEpb:
                                           fraction):
         m = chip_fpv_map(eo_cfg, env, 5)
         budget = chip_budget(eo_cfg, env, fraction, chip_map=m)
-        assert budget.chip_map is m
         for model in (toy_model, ModelStructure("m", (60642, 1000))):
             got = power_and_epb(model, eo_cfg, env, noisy_accuracy=0.5,
                                 budget=budget)
@@ -700,6 +717,22 @@ class TestAccuracySweep:
         ref = bnn.accuracy(toy_model, toy_data.x_test, toy_data.y_test)
         assert rows[0][1] == pytest.approx(ref, abs=1e-12)
         assert rows[0][2] == pytest.approx(0.0, abs=1e-12)
+
+    def test_full_tuning_walked_once(self, env, eo_cfg, toy_model,
+                                     toy_data, monkeypatch):
+        # the all-ones row reads no map: one walk serves all five maps
+        walks = []
+        original = simulator._photonic_logits
+
+        def spy(model, batch, mapping, rho_act, *rest):
+            walks.append(bool(np.all(rho_act == 1.0)))
+            return original(model, batch, mapping, rho_act, *rest)
+
+        monkeypatch.setattr(simulator, "_photonic_logits", spy)
+        fpv_accuracy_sweep(toy_model, toy_data.x_test, toy_data.y_test,
+                           eo_cfg, env, [1.0, 0.0, 0.5], n_maps=5,
+                           base_seed=50)
+        assert walks.count(True) == 1 and walks.count(False) == 10
 
     def test_needs_one_map(self, env, eo_cfg, toy_model, toy_data):
         with pytest.raises(DomainError, match="n_maps"):
