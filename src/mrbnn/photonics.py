@@ -26,9 +26,10 @@ Crosstalk from channel j into channel i:
     delta = lambda_i / (2 Q)
 
 FPV resonance shift (sensitivity slopes are absolute values, deviations are
-signed):
+signed and independent Gaussians, dp ~ N(mu_p, sigma_p^2)):
 
-    dlambda = s_w * dw + s_t * dt + s_R * dR
+    dlambda = s_w * dw + s_t * dt + s_R * dR  ~  N(mu', sigma'^2)
+    mu' = sum_p s_p * mu_p,   sigma' = sqrt(sum_p (s_p * sigma_p)^2)
 """
 
 from __future__ import annotations
@@ -313,12 +314,17 @@ def sample_fpv_map(designs: Sequence[MrDesign], stats: FpvStatistics,
                    count: int, seed: int | None = None) -> FpvMap:
     """Draw ``count`` FPV samples per design (design-major order).
 
-    The draw is a pure function of the seed: all deviations come from one
-    vectorized ziggurat-normal stream of a PCG64 generator seeded with
-    ``seed`` (``stats.seed`` when not given), three normals (dw, dt, dR)
-    per sample. The stream is prefix-stable: for one design, the first m
-    shifts of a draw of any count >= m are the shifts a draw of count m
-    gives, bit for bit.
+    A shift is linear in three independent Gaussian deviations, so it is
+    itself Gaussian: with the design's slopes s and the per-dimension means
+    mu and standard deviations sigma of ``stats``, each shift is
+    mu' + sigma' * z with mu' = sum_p s_p * mu_p, sigma' =
+    sqrt(sum_p (s_p * sigma_p)^2) and z a standard normal, one per sample.
+
+    The draw is a pure function of the seed: the normals are one vectorized
+    ziggurat stream of a PCG64 generator seeded with ``seed``
+    (``stats.seed`` when not given), design-major. The stream is
+    prefix-stable: for one design, the first m shifts of a draw of any
+    count >= m are the shifts a draw of count m gives, bit for bit.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -326,13 +332,13 @@ def sample_fpv_map(designs: Sequence[MrDesign], stats: FpvStatistics,
         raise DomainError("need at least one design")
     rng = np.random.Generator(
         np.random.PCG64(stats.seed if seed is None else seed))
-    # the same bits as rng.normal(mean, sigma, (n, 3)), without its
-    # per-element broadcast
-    devs = (rng.standard_normal((len(designs) * count, 3))
-            * np.asarray(stats.sigma_nm) + np.asarray(stats.mean_nm))
-    deltas = np.empty(len(devs))
+    deltas = rng.standard_normal(len(designs) * count)
     for i, design in enumerate(designs):
-        s_w, s_t, s_r = design.slopes_nm_per_nm
-        dw, dt, dr = devs[i * count:(i + 1) * count].T
-        deltas[i * count:(i + 1) * count] = s_w * dw + s_t * dt + s_r * dr
+        slopes = design.slopes_nm_per_nm
+        mean = sum(s * m for s, m in zip(slopes, stats.mean_nm))
+        sigma = math.sqrt(sum((s * g) * (s * g)
+                              for s, g in zip(slopes, stats.sigma_nm)))
+        block = deltas[i * count:(i + 1) * count]
+        block *= sigma
+        block += mean
     return FpvMap(deltas, float(np.mean(deltas)), float(np.std(deltas)))

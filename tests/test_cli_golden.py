@@ -5,6 +5,11 @@ that identical inputs give identical bytes on every platform. These tests pin
 the sha256 of those CSVs for fixed inputs, so a refactor that claims to keep
 outputs byte-identical is checked here rather than by hand. A change that
 moves any of these bytes on purpose updates the digest and says why.
+
+Every digest that reads an FPV map (``dse``, ``fpv-sweep``, ``simulate``)
+was last moved when ``photonics.sample_fpv_map`` began to draw each
+resonance shift as one normal, mu' + sigma' * z, instead of three: the
+same distribution, another draw.
 """
 
 import hashlib
@@ -26,30 +31,30 @@ DEVICE_REPORT = {
 }
 TED_SWEEP = "68db02e0eafd5704c874ac5ab010cd1b65e82bb60ea5cdbd71068f4dffa77bf8"
 DSE_SCATTER = \
-    "953724ffd5c47ab35b9f75c71632f496f4471f13abd4047159d12e53d24984d5"
-FPV_SWEEP = "8ab15b55d1c74fe87930e53f0c5ef14e4af1a7482b9b7f995d13fb9ec9ddf6dd"
+    "4e61cbbf056dfcd4b35b5b4b52e3b8810c048cc15fcde1f3227212e38b404b9e"
+FPV_SWEEP = "7c09422cf226d17e7abd48c9ed3358ca3e5fb068c3df3dc0e270e549c727fc78"
 # the default 40-point sweep: bank sizes are not monotone in n_a, so it
 # reaches the largest-draw-per-bank logic that the small sweep does not
 DSE_DEFAULT = {
     "scatter.csv":
-        "9dfe3153200cfb6fd0a6a492f0d42c7ce93b7a3c7dae871920d004d3fbc601a6",
+        "a118ee583c73b7023f4f9e9a27518c070c863628ac278ba55396d7b04cf5b6e4",
     "picks.json":
-        "cffb7403e982da99163de95613ca32b2bf4390e189ea16db8f59acd91ec4db99",
+        "83aede23cecf9dbcc96bca8ed9b2eb5b1e4163c690659c2ced896b2d4d7536cb",
 }
 # the default sweep with crosstalk_eta 0.3: the 10- and 15-ring banks are
 # too dense to tune, which excludes 20 of the 40 points
 DSE_DENSE = {
     "scatter.csv":
-        "1330fa96caf04f1c59b21093157ba9382848d1c64b916376cd7fbd60f8117b78",
+        "3b2b70683bf33184021f68f648461ceacc8fccac31aa6fbd3102101421f21013",
     "picks.json":
-        "59df53cf62c55d28987d4130c21cd34024ebbe0d58a7d1330b31950001b53ef0",
+        "18b4a2d13a28d2df29f3777a1727e75028fd2f13a88165d023877f7db61770c2",
 }
 FPV_SWEEP_PO = \
-    "f82746771b61d1108783508f626a344281fb9fcd9fd51a154913efb733ea56b2"
+    "82782a17b838de1dc3495391ca00997ba28374ac86a620fbd4aef96d0e6d1a81"
 # sim.json of the trained toy model on each preset
 SIMULATE = {
-    "eo": "b8223559d18887e5f856e547b3eaa43888a9ca2e12cb54cadc29b8d87afeba0b",
-    "po": "5840fd4b63100d19d748754880ea4fc686f02e23260880eab2a32b256ff034d3",
+    "eo": "082e98669bcc5ef059f4f61450f1c0a9c81e74928788c231e776eca9989ce234",
+    "po": "4fc4dddf380cf44bfab99d74a8e4c1601b6fa8d7738787ffda246d119f7cf86d",
 }
 BN_PLAN = "40bd9222604765f728c6467b515453370904e67a153436bac436861d7d3bb458"
 

@@ -316,19 +316,39 @@ class TestFpvSampling:
             assert abs(np.std(vals) - sigma) <= 3 * sigma / math.sqrt(n)
 
     def test_sample_invariant(self, designs):
-        # two designs: rows are design-major, each with its own slopes; the
-        # oracle is the broadcast normal and row sum, bit for bit
+        # two designs: rows are design-major, each a block of one standard
+        # normal stream scaled by its own sigma' and shifted by its mu';
+        # the oracle is that formula, bit for bit
         pair = [designs[RingClass.MULTI_BIT], designs[RingClass.BROADBAND]]
-        stats = FpvStatistics(seed=9)
+        stats = FpvStatistics(mean_nm=(0.4, -1.1, 0.25), seed=9)
         fmap = sample_fpv_map(pair, stats, 50)
-        rng = np.random.Generator(np.random.PCG64(9))
-        devs = rng.normal(np.asarray(stats.mean_nm),
-                          np.asarray(stats.sigma_nm), (100, 3))
-        slopes = np.repeat([d.slopes_nm_per_nm for d in pair], 50, axis=0)
-        expected = np.sum(slopes * devs, axis=1)
+        z = np.random.Generator(np.random.PCG64(9)).standard_normal(100)
+        blocks = []
+        for i, d in enumerate(pair):
+            s = d.slopes_nm_per_nm
+            mean = s[0] * 0.4 + s[1] * -1.1 + s[2] * 0.25
+            w, t, r = s[0] * 4.9, s[1] * 1.5, s[2] * 0.75
+            sigma = math.sqrt(w * w + t * t + r * r)
+            blocks.append(z[i * 50:(i + 1) * 50] * sigma + mean)
+        expected = np.concatenate(blocks)
         assert fmap.delta_lambdas_nm.tobytes() == expected.tobytes()
         assert fmap.delta_mean_nm == np.mean(expected)
         assert fmap.delta_std_nm == np.std(expected)
+
+    def test_one_normal_matches_three(self, multibit):
+        # s.(mu + sigma*z) over three independent normals is N(mu', sigma'^2)
+        n = 20000
+        slopes = (0.7, 1.3, 0.4)
+        means = (0.5, -0.3, 1.2)
+        sigmas = (4.9, 1.5, 0.75)
+        d = replace(multibit, slopes_nm_per_nm=slopes)
+        vals = sample_fpv_map([d], FpvStatistics(mean_nm=means, seed=3),
+                              n).delta_lambdas_nm
+        mean = sum(s * m for s, m in zip(slopes, means))
+        sigma = math.sqrt(sum((s * g) ** 2 for s, g in zip(slopes, sigmas)))
+        tol = 3 * sigma / math.sqrt(n)
+        assert abs(np.mean(vals) - mean) <= tol
+        assert abs(np.std(vals) - sigma) <= tol
 
     @pytest.mark.parametrize("seed", [0, 2**31])
     def test_prefix_stable(self, multibit, seed):
