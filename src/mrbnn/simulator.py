@@ -390,6 +390,7 @@ def tuning_power_budget(cfg: AcceleratorConfig | Sequence[AcceleratorConfig],
     one = isinstance(cfg, AcceleratorConfig)
     cfgs = [cfg] if one else list(cfg)
     heads: dict[tuple, set[int]] = {}
+    rows: dict[tuple, int] = {}     # the longest head read of each bank
     for c in cfgs:
         arms = c.n_vdp * c.n_wg
         if len(chip_map.deltas_nm) != len(c.arm_banks):
@@ -402,13 +403,11 @@ def tuning_power_budget(cfg: AcceleratorConfig | Sequence[AcceleratorConfig],
                     f"the configuration has {arms * n}")
             heads.setdefault((k, ring_class, n, c.mr_pitch_um),
                              set()).add(arms)
+            rows[k, ring_class] = max(rows.get((k, ring_class), 0),
+                                      arms * n)
     params = {ring_class: replace(env.tuning_params,
                                   fsr_nm=env.designs[ring_class].fsr_nm)
               for _, ring_class, _, _ in heads}
-    rows: dict[tuple, int] = {}
-    for (k, ring_class, n, _), arms in heads.items():
-        rows[k, ring_class] = max(rows.get((k, ring_class), 0),
-                                  max(arms) * n)
     split = {(k, ring_class): tuning.fold_and_split(
                  chip_map.deltas_nm[k][:r], tuning_fraction,
                  params[ring_class])
