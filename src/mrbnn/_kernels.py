@@ -3,16 +3,20 @@
 All kernels are deterministic: results depend only on the inputs.
 
 ``noisy_fc_forward`` uses that a quantizer's outputs take only 2**bits
-levels v_l: clip(v_l * rho) * rail is then one [out, in] table per level,
-and the noisy product is exactly sum_l 1[acts == v_l] @ table_l.T, a few
-BLAS GEMMs instead of an [n, out, in] temporary. Inputs are compared with
-the levels exactly first, and the table is used only when its GEMMs cost
-less than the element-wise form; otherwise that form runs in blocks of
-bounded size. A layer with few inputs (below about 24, ``_input_major_pays``)
-runs the element-wise form input-major: it adds whole [n_out, rows] slices
-in the order numpy sums a short axis, where an [rows, n_out, n_in] block
-would pay numpy's per-output reduction cost for a handful of terms. Both
-forms give the same bits.
+levels v_l, and that a ratio rho clamps v_l only where v_l * rho leaves
+[0, 1]. After the inputs are found equal to the levels, exactly, the
+levels are split by what the clamp does: the levels no ratio of the layer
+clamps share one BLAS GEMM against rho * rail; a clamping level with many
+inputs takes a GEMM of its one-hot mask against its clamped table; and
+clamping levels with few inputs have the clipped products of their
+(sample, input) pairs summed directly. The split is used only when the
+GEMMs cost less than the element-wise form; otherwise that form runs in
+blocks of bounded size. A layer with few inputs (below about 24,
+``_input_major_pays``) runs the element-wise form input-major: it adds
+whole [n_out, rows] slices in the order numpy sums a short axis, where an
+[rows, n_out, n_in] block would pay numpy's per-output reduction cost for
+a handful of terms. Both element-wise forms give the same bits; the level
+split differs from them only in summation order.
 """
 
 from __future__ import annotations
@@ -83,15 +87,17 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     where clip(.) clamps to [0, 1]. The rails carry no ratio: weight-ring
     ratios are >= 1, so clip(w * rho) is w for w in {0, 1}.
 
-    Level table: if every input equals one of the ``levels`` v_l and the
+    Level split: if every input equals one of the ``levels`` v_l and the
     ratios are finite, then exactly
 
         out = sum_{l: v_l != 0} 1[acts == v_l] @ table_l.T
         table_l = clip(v_l * rho_act) * (w_pos - w_neg)
 
-    one GEMM per level present, in O(n_samples*n_in + n_out*n_in) memory.
-    The hint is used only after every input is found equal to a level, and
-    only while the levels present are few enough to beat the broadcast
+    and ``_level_gemm`` sums it with one GEMM for all the levels that
+    never clamp, one per clamping level with many inputs, and direct sums
+    for the rest, in O(n_samples*n_in + n_out*n_in) memory. The hint is
+    used only after every input is found equal to a level, and only while
+    the levels present are few enough to beat the broadcast
     (``_table_pays``). Inputs off the levels (a batch-norm fold or an
     average pool after the quantizer, raw features), non-finite ratios
     (0 * inf is not 0), too many levels present, or no hint take the
@@ -103,10 +109,10 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     rail = w_pos - w_neg
     if levels is not None and np.size(levels) and np.isfinite(rho_act).all():
         levels = np.unique(levels)       # sorted and distinct
-        idx = np.minimum(np.searchsorted(levels, acts), levels.size - 1)
+        idx = _level_index(acts, levels)
         if np.array_equal(levels[idx], acts):
-            present = np.bincount(idx.ravel(), minlength=levels.size) > 0
-            present &= levels != 0.0     # level 0 adds nothing
+            present = np.bincount(idx.ravel(), minlength=levels.size)
+            present[levels == 0.0] = 0   # level 0 adds nothing
             if _table_pays(np.count_nonzero(present), acts.shape[0],
                            rail.shape[0]):
                 return _level_gemm(idx, levels, present, rail, rho_act)
@@ -119,7 +125,9 @@ def _table_pays(n_levels, n, n_out):
     """Whether ``n_levels`` table GEMMs beat the blocked broadcast. Per
     level, the one-hot pass, the table pass and the GEMM cost about
     1/n_out, 1/(2 n) and 1/32 of the broadcast: a fit to the crossovers
-    measured in BENCH_level_gemm.json (``level_table_crossover``)."""
+    measured in BENCH_level_gemm.json (``level_table_crossover``).
+    It still prices one GEMM per level present, while ``_level_gemm``
+    runs fewer, so it is conservative; a refit is left for later."""
     return n_levels * (2 * n + n_out + n * n_out / 16) < 2 * n * n_out
 
 
@@ -134,19 +142,92 @@ def _input_major_pays(n_in, n, n_out):
     return n_in * (600 + n * n_out) < 24 * n * n_out
 
 
+def _level_index(acts, levels):
+    """Each input's index into the sorted, distinct ``levels``: the level
+    it equals, if any. Evenly spaced levels are found by rounding from the
+    lowest, trusted only if the rounding finds every level itself; other
+    levels by ``np.searchsorted``. The caller checks every index exactly,
+    so an overflow or a NaN here only yields an index that check rejects;
+    fmax and fmin map NaN to 0 and inf to the top."""
+    top = levels.size - 1
+
+    def nearest(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = np.subtract(x, levels[0])
+            k *= top / (levels[-1] - levels[0])
+            np.rint(k, out=k)
+            return np.fmin(np.fmax(k, 0.0, out=k), top, out=k)
+
+    if top and np.array_equal(nearest(levels), np.arange(levels.size)):
+        return nearest(acts).astype(np.intp)
+    return np.minimum(np.searchsorted(levels, acts), top)
+
+
 def _level_gemm(idx, levels, present, rail, rho_act):
-    """Sum over the levels ``present`` of one-hot @ level table; ``idx``
-    holds each input's level index."""
-    out = np.zeros((idx.shape[0], rail.shape[0]))
-    one_hot = np.empty(idx.shape)
-    table = np.empty(rail.shape)
-    for l in np.flatnonzero(present):
-        np.equal(idx, l, out=one_hot)
+    """The noisy product of inputs on ``levels``, split by what the clamp
+    does. ``idx`` holds each input's level index and ``present`` each
+    level's input count, zero for a level that adds nothing.
+
+    With rail in {-1, 0, 1}, a level v that no ratio clamps (0 <= v * rho
+    <= 1 at the smallest and largest rho; rounding is monotone) has
+    clip(v * rho) * rail equal to v * (rho * rail) bit for bit, so all such
+    levels share one GEMM of their inputs against rho * rail. A level
+    clamped only at 1 has it equal to clip(v * (rho * rail), -1, 1); if it
+    holds few inputs (``_direct_pays``), those products are added pair by
+    pair (``_direct_sums``). Any other level takes a GEMM of its one-hot
+    mask against its clamped table."""
+    n, n_out = idx.shape[0], rail.shape[0]
+    out = np.zeros((n, n_out))
+    used = present > 0
+    if not used.any():
+        return out
+    ends = np.multiply.outer(levels, [rho_act.min(), rho_act.max()])
+    above = used & (ends >= 0.0).all(axis=1)
+    never = above & (ends <= 1.0).all(axis=1)
+    direct = above & ~never & _direct_pays(present, n, idx.shape[1])
+    table = np.multiply(rho_act, rail)
+    if direct.any():
+        _direct_sums(out, idx, levels, direct, table)
+    buf = np.empty(idx.shape)
+    if never.any():
+        np.take(np.where(never, levels, 0.0), idx, out=buf, mode="clip")
+        out += buf @ table.T
+    for l in np.flatnonzero(used & ~never & ~direct):
+        np.equal(idx, l, out=buf)
         np.multiply(rho_act, levels[l], out=table)
         np.clip(table, 0.0, 1.0, out=table)
         table *= rail
-        out += one_hot @ table.T
+        out += buf @ table.T
     return out
+
+
+def _direct_pays(counts, n, n_in):
+    """Whether a clamping level's ``counts`` inputs are few enough that
+    adding their products directly beats the level's one-hot GEMM: under
+    1 % of the inputs. A fit to the crossovers measured in
+    BENCH_level_split.json (``direct_sum_crossover``): with eight rare
+    clamping levels sharing the pass that finds their pairs, as a 4-bit
+    quantizer gives, direct sums won up to 1 % per level on six of eight
+    layer shapes (0.5 % and 2 % on the others); a lone rare level wins
+    only below 0.1-1 %."""
+    return counts * 100 < n * n_in
+
+
+def _direct_sums(out, idx, levels, direct, signed):
+    """Add to ``out`` the products clip(v * signed, -1, 1) of the inputs
+    on the ``direct`` levels, ``signed`` being rho * rail, a block of
+    (sample, input) pairs at a time, each block's [n_out, pairs] products
+    within ``BLOCK_BYTES``."""
+    flat = np.flatnonzero(direct[idx])     # grouped by sample
+    pairs = max(1, BLOCK_BYTES // (signed.shape[0] * 8))
+    for start in range(0, flat.size, pairs):
+        block = flat[start:start + pairs]
+        rows, cols = np.divmod(block, idx.shape[1])
+        prod = np.take(signed, cols, axis=1)
+        prod *= levels[np.take(idx, block)]
+        np.clip(prod, -1.0, 1.0, out=prod)
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[rows[first]] += np.add.reduceat(prod, first, axis=1).T
 
 
 def _blocked_broadcast(acts, rail, rho_act):

@@ -200,18 +200,6 @@ def scatter_export(result: ParetoResult) -> str:
          "area_mm2", "pareto"], rows)
 
 
-def parse_scatter_csv(text: str) -> list[SweepPoint]:
-    lines = [l for l in text.strip().split("\n") if l]
-    points = []
-    for line in lines[1:]:
-        f = line.split(",")
-        points.append(SweepPoint(
-            int(f[0]), int(f[1]), int(f[2]), fps=float(f[3]),
-            epb_pj_per_bit=float(f[4]), power_mw=float(f[5]),
-            area_mm2=float(f[6]), pareto=bool(int(f[7]))))
-    return points
-
-
 def summary_dict(result: ParetoResult) -> dict:
     def point_dict(p: SweepPoint) -> dict:
         return {"n_a": p.n_a, "n_vdp": p.n_vdp, "n_wg": p.n_wg,

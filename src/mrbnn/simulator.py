@@ -19,11 +19,13 @@ so the ratio is never below 1: a rail in {0, 1} comes back unchanged, and
 weight-ring FPV costs tuning power but never changes a result. Only the
 activation rings' ratios are computed. With full tuning the ratio is
 exactly 1 and the photonic pass reproduces the reference forward pass.
-A layer whose inputs are all levels of the quantizer before it may sum
-one GEMM per level, each against that level's clamped, perturbed weight
-table (``_kernels.noisy_fc_forward`` decides by the levels present and the
-layer's shape); the identity is exact, and the summation order is the
-only difference from the element-wise form. A layer with few inputs, such
+A layer whose inputs are all levels of the quantizer before it may be
+summed by level (``_kernels.noisy_fc_forward`` decides by the levels
+present and the layer's shape): one GEMM for the levels no ratio clamps,
+one GEMM per clamping level with many inputs against its clamped,
+perturbed weight table, and direct sums for the rare clamping levels; the
+identity is exact, and the summation order is the only difference from the
+element-wise form. A layer with few inputs, such
 as the toy MLP's 8 raw features, runs the element-wise form input-major,
 which gives the same bits.
 An FPV sweep computes each map's ratios for every tuning fraction in one

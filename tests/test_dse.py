@@ -5,8 +5,7 @@ import pytest
 
 from mrbnn import config
 from mrbnn.dse import (ParetoResult, SweepPoint, SweepSpec, dominates,
-                       parse_scatter_csv, pareto_front, run_sweep,
-                       scatter_export, summary_dict)
+                       pareto_front, run_sweep, scatter_export, summary_dict)
 from mrbnn.simulator import chip_budget, chip_fpv_map, power_and_epb
 from mrbnn.errors import DomainError, PhysicalConstraintError
 from mrbnn.mapping import ModelStructure
@@ -213,8 +212,14 @@ class TestExport:
         assert len(text.strip().split("\n")) == len(small_result.points) + 1
 
     def test_round_trip_bytes(self, small_result):
+        # the export is lossless: its fields rebuild the points exactly
         text = scatter_export(small_result)
-        parsed = parse_scatter_csv(text)
+        parsed = [SweepPoint(int(f[0]), int(f[1]), int(f[2]),
+                             fps=float(f[3]), epb_pj_per_bit=float(f[4]),
+                             power_mw=float(f[5]), area_mm2=float(f[6]),
+                             pareto=bool(int(f[7])))
+                  for f in (line.split(",")
+                            for line in text.splitlines()[1:])]
         again = scatter_export(ParetoResult(tuple(parsed),
                                             small_result.eo_pick,
                                             small_result.po_pick, ()))

@@ -184,6 +184,92 @@ class TestLevelTable:
             assert got.shape == (0, 3)
 
 
+class TestLevelSplit:
+    """Levels that never clamp share one GEMM, a clamping level with many
+    inputs keeps its one-hot GEMM, and rare clamping levels are added pair
+    by pair; the result matches the element-wise oracle."""
+
+    def test_unit_ratios_are_one_gemm(self, level_calls):
+        # no level clamps, so all of them share the one GEMM
+        n, o, k = 64, 64, 13
+        levels = bnn.activation_levels(4)
+        acts = levels[rng.integers(0, levels.size, (n, k))]
+        wp, wn = dual_rail(o, k)
+        got = _kernels.noisy_fc_forward(acts, wp, wn, np.ones((o, k)),
+                                        levels=levels)
+        assert level_calls == [(n, k)]
+        np.testing.assert_array_equal(got, acts @ (wp - wn).T)
+
+    @pytest.mark.parametrize("levels, used, ratios", [
+        # 7/15 * 2 < 1: no level present clamps
+        (bnn.activation_levels(4), range(8), (1.0, 2.0)),
+        (bnn.activation_levels(4), (0, 15), (0.9, 3.0)),     # top level only
+        (bnn.activation_levels(4), range(16), (0.5, 3.0)),
+        (bnn.activation_levels(4, 0.2, 0.8), range(16), (0.9, 3.0)),
+        # levels 1-14 on under 1 % of the inputs each; 1-7 are negative,
+        # clamped at 0, and must not be added as clip(v * rho * rail, -1, 1)
+        (bnn.activation_levels(4, -0.5, 0.5),
+         [0] * 60 + [15] * 60 + list(range(1, 15)), (0.9, 3.0)),
+        # not evenly spaced: the index falls back to np.searchsorted
+        (np.array([0.0, 0.1, 0.25, 0.7, 1.0]), range(5), (0.9, 3.0)),
+    ])
+    def test_matches_oracle(self, level_calls, levels, used, ratios):
+        n, o, k = 64, 64, 13
+        acts = levels[rng.choice(list(used), (n, k))]
+        wp, wn = dual_rail(o, k)
+        ra = rng.uniform(*ratios, (o, k))
+        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        assert level_calls == [(n, k)]
+        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
+                                   rtol=1e-12, atol=1e-13)
+
+    def test_rare_clamping_levels_across_blocks(self, level_calls,
+                                                monkeypatch):
+        n, o, k = 64, 64, 13
+        levels = bnn.activation_levels(4)
+        acts = levels[rng.choice([0, 2, 15], (n, k))]
+        # levels 8/15 to 14/15, each on at most 2 of the 832 inputs; the
+        # five pairs of sample 0 span two blocks of three
+        rows = [0, 0, 0, 0, 0, 1, 5, 5, 9]
+        cols = [0, 2, 4, 6, 8, 3, 1, 11, 12]
+        acts[rows, cols] = levels[[8, 9, 10, 11, 12, 13, 14, 8, 9]]
+        wp, wn = dual_rail(o, k)
+        ra = rng.uniform(1.0, 3.0, (o, k))
+        pairs = []
+        original = _kernels._direct_sums
+
+        def spy(out, idx, levels, direct, signed):
+            pairs.append(np.count_nonzero(direct[idx]))
+            return original(out, idx, levels, direct, signed)
+
+        monkeypatch.setattr(_kernels, "_direct_sums", spy)
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", 3 * o * 8)
+        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        assert level_calls == [(n, k)] and pairs == [len(rows)]
+        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
+                                   rtol=1e-12, atol=1e-13)
+
+    def test_layer_without_inputs(self, level_calls):
+        wp, wn = dual_rail(3, 0)
+        got = _kernels.noisy_fc_forward(np.zeros((5, 0)), wp, wn,
+                                        np.ones((3, 0)),
+                                        levels=bnn.activation_levels(4))
+        assert level_calls == [(5, 0)]
+        np.testing.assert_array_equal(got, np.zeros((5, 3)))
+
+    def test_inf_input_is_not_a_level(self, level_calls):
+        n, o, k = 64, 64, 13
+        levels = bnn.activation_levels(4)
+        acts = levels[rng.integers(0, levels.size, (n, k))]
+        acts[3, 5] = np.inf
+        wp, wn = dual_rail(o, k)
+        ra = rng.uniform(0.9, 3.0, (o, k))
+        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        assert level_calls == []
+        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
+                                   rtol=1e-12, atol=1e-13)
+
+
 # the most inputs that take the input-major form, at any batch size
 CROSSOVER = max(k for k in range(1, 129)
                 if _kernels._input_major_pays(k, 1 << 40, 1))
