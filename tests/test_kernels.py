@@ -206,7 +206,7 @@ class TestLevelSplit:
         (bnn.activation_levels(4), (0, 15), (0.9, 3.0)),     # top level only
         (bnn.activation_levels(4), range(16), (0.5, 3.0)),
         (bnn.activation_levels(4, 0.2, 0.8), range(16), (0.9, 3.0)),
-        # levels 1-14 on under 1 % of the inputs each; 1-7 are negative,
+        # levels 1-14 on about 0.7 % of the inputs each; 1-7 are negative,
         # clamped at 0, and must not be added as clip(v * rho * rail, -1, 1)
         (bnn.activation_levels(4, -0.5, 0.5),
          [0] * 60 + [15] * 60 + list(range(1, 15)), (0.9, 3.0)),
