@@ -79,7 +79,8 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     acts:          [n_samples, n_in] imprinted activation values
     w_pos / w_neg: [n_out, n_in] rail occupancies in {0, 1}
     rho_act:       [n_out, n_in] per-MR activation perturbation ratios
-    levels:        optional hint, the values the inputs' quantizer emits
+    levels:        optional hint, the evenly spaced values the inputs'
+                   quantizer emits
 
     out[s, o] = sum_k clip(acts[s,k] * rho_act[o,k])
                       * (w_pos[o,k] - w_neg[o,k])
@@ -99,12 +100,13 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     used only after every input is found equal to a level, and only while
     the levels present are few enough to beat the broadcast
     (``_table_pays``). Inputs off the levels (a batch-norm fold or an
-    average pool after the quantizer, raw features), non-finite ratios
-    (0 * inf is not 0), too many levels present, or no hint take the
-    broadcast form, a block of samples at a time, each block's
-    [rows, n_out, n_in] temporary within ``BLOCK_BYTES``. Below the
-    input-count crossover (``_input_major_pays``) the block is laid out
-    [n_in, n_out, rows] instead, with the same result bit for bit.
+    average pool after the quantizer, raw features), inputs that rounding
+    misses on a hint that is not evenly spaced (``_level_index``),
+    non-finite ratios (0 * inf is not 0), too many levels present, or no
+    hint take the broadcast form, a block of samples at a time, each
+    block's [rows, n_out, n_in] temporary within ``BLOCK_BYTES``. Below
+    the input-count crossover (``_input_major_pays``) the block is laid
+    out [n_in, n_out, rows] instead, with the same result bit for bit.
     """
     rail = w_pos - w_neg
     if levels is not None and np.size(levels) and np.isfinite(rho_act).all():
@@ -143,24 +145,19 @@ def _input_major_pays(n_in, n, n_out):
 
 
 def _level_index(acts, levels):
-    """Each input's index into the sorted, distinct ``levels``: the level
-    it equals, if any. Evenly spaced levels are found by rounding from the
-    lowest, trusted only if the rounding finds every level itself; other
-    levels by ``np.searchsorted``. The caller checks every index exactly,
-    so an overflow or a NaN here only yields an index that check rejects;
-    fmax and fmin map NaN to 0 and inf to the top."""
+    """Each input's index into the sorted, distinct ``levels``, found by
+    rounding from the lowest level as if the levels were evenly spaced.
+    The caller checks every index exactly, so an input on an unevenly
+    spaced level, an overflow or a NaN only yields an index that check
+    rejects, and the input takes the broadcast; fmax and fmin map NaN to
+    0 and inf to the top, and a single level to index 0."""
     top = levels.size - 1
-
-    def nearest(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            k = np.subtract(x, levels[0])
-            k *= top / (levels[-1] - levels[0])
-            np.rint(k, out=k)
-            return np.fmin(np.fmax(k, 0.0, out=k), top, out=k)
-
-    if top and np.array_equal(nearest(levels), np.arange(levels.size)):
-        return nearest(acts).astype(np.intp)
-    return np.minimum(np.searchsorted(levels, acts), top)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.subtract(acts, levels[0])
+        k *= top / (levels[-1] - levels[0])
+        np.rint(k, out=k)
+        np.fmin(np.fmax(k, 0.0, out=k), top, out=k)
+    return k.astype(np.intp)
 
 
 def _level_gemm(idx, levels, present, rail, rho_act):
@@ -184,7 +181,8 @@ def _level_gemm(idx, levels, present, rail, rho_act):
     ends = np.multiply.outer(levels, [rho_act.min(), rho_act.max()])
     above = used & (ends >= 0.0).all(axis=1)
     never = above & (ends <= 1.0).all(axis=1)
-    direct = above & ~never & _direct_pays(present, n, idx.shape[1])
+    direct = _direct_pays(np.where(above & ~never, present, 0), n,
+                          idx.shape[1], n_out)
     table = np.multiply(rho_act, rail)
     if direct.any():
         _direct_sums(out, idx, levels, direct, table)
@@ -201,16 +199,21 @@ def _level_gemm(idx, levels, present, rail, rho_act):
     return out
 
 
-def _direct_pays(counts, n, n_in):
-    """Whether a clamping level's ``counts`` inputs are few enough that
-    adding their products directly beats the level's one-hot GEMM: under
-    1 % of the inputs. A fit to the crossovers measured in
-    BENCH_level_split.json (``direct_sum_crossover``): with eight rare
-    clamping levels sharing the pass that finds their pairs, as a 4-bit
-    quantizer gives, direct sums won up to 1 % per level on six of eight
-    layer shapes (0.5 % and 2 % on the others); a lone rare level wins
-    only below 0.1-1 %."""
-    return counts * 100 < n * n_in
+def _direct_pays(counts, n, n_in, n_out):
+    """Which clamping levels, of ``counts`` inputs each (0 for a level not
+    to be summed directly), to add pair by pair rather than by one-hot
+    GEMM. In ns, one level's GEMM costs about 3 per input, 1/20 per
+    product and 5 per table entry; the direct sums cost 7 per product and
+    80 per (sample, input) pair, plus 4 per input for the pass that finds
+    the pairs, which every direct level shares. A level pays when its
+    pairs cost less than its GEMM, and the pass only when the levels that
+    pay save more than it costs. A fit to the crossovers measured in
+    BENCH_level_split.json (``direct_sum_crossover``) for 1, 2, 4 and 8
+    rare levels on eight layer shapes."""
+    save = (n * n_in * (3 + n_out / 20) + 5 * n_in * n_out
+            - counts * (7 * n_out + 80))
+    pays = (counts > 0) & (save > 0)
+    return pays & (save[pays].sum() > 4 * n * n_in)
 
 
 def _direct_sums(out, idx, levels, direct, signed):

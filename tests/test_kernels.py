@@ -95,20 +95,39 @@ class TestNoisyFcSemantics:
 
 
 class TestLevelTable:
-    """Inputs on the quantizer's levels take one GEMM per level."""
+    """Inputs on the quantizer's levels take the level path."""
 
-    @pytest.mark.parametrize("bits, act_range, zeros", [
-        (4, (0.0, 1.0), 0.6),     # many zero activations (after a ReLU)
-        (1, (0.0, 1.0), 0.0),
-        (4, (0.2, 0.8), 0.0),     # level 0 is 0.2 and contributes
+    @pytest.mark.parametrize("bits, act_range, zeros, used, ratios", [
+        # many zero activations (after a ReLU)
+        pytest.param(4, (0.0, 1.0), 0.6, None, (0.9, 3.0),
+                     id="4-act_range0-0.6"),
+        pytest.param(1, (0.0, 1.0), 0.0, None, (0.9, 3.0),
+                     id="1-act_range1-0.0"),
+        # level 0 is 0.2 and contributes
+        pytest.param(4, (0.2, 0.8), 0.0, None, (0.9, 3.0),
+                     id="4-act_range2-0.0"),
+        # 7/15 * 2 < 1: no level present clamps, one GEMM for them all
+        pytest.param(4, (0.0, 1.0), 0.0, range(8), (1.0, 2.0),
+                     id="never-clamping-levels"),
+        pytest.param(4, (0.0, 1.0), 0.0, (0, 15), (0.9, 3.0),
+                     id="top-level-only"),
+        pytest.param(4, (0.0, 1.0), 0.0, None, (0.5, 3.0),
+                     id="ratios-below-1"),
+        # levels 1-14 on about 0.7 % of the inputs each; 1-7 are negative,
+        # clamped at 0, and must not be added as clip(v * rho * rail, -1, 1)
+        pytest.param(4, (-0.5, 0.5), 0.0,
+                     [0] * 60 + [15] * 60 + list(range(1, 15)), (0.9, 3.0),
+                     id="rare-levels-some-negative"),
     ])
-    def test_matches_oracle(self, level_calls, bits, act_range, zeros):
+    def test_matches_oracle(self, level_calls, bits, act_range, zeros, used,
+                            ratios):
         n, o, k = 64, 64, 13      # wide enough for 16 level GEMMs to pay
         levels = bnn.activation_levels(bits, *act_range)
-        acts = levels[rng.integers(0, levels.size, (n, k))]
+        used = range(levels.size) if used is None else used
+        acts = levels[rng.choice(list(used), (n, k))]
         acts[rng.uniform(size=(n, k)) < zeros] = 0.0
         wp, wn = dual_rail(o, k)
-        ra = rng.uniform(0.9, 3.0, (o, k))
+        ra = rng.uniform(*ratios, (o, k))
         got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
         assert level_calls == [(n, k)]
         np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
@@ -126,6 +145,18 @@ class TestLevelTable:
         np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
                                    rtol=1e-12, atol=1e-13)
 
+    def test_uneven_hint_takes_the_broadcast(self, level_calls):
+        # rounding as if evenly spaced puts 0.1 on 0.0, which the exact
+        # check rejects
+        levels = np.array([0.0, 0.1, 0.25, 0.7, 1.0])
+        acts = levels[rng.integers(0, levels.size, (64, 13))]
+        wp, wn = dual_rail(64, 13)
+        ra = rng.uniform(0.9, 3.0, (64, 13))
+        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        assert level_calls == []
+        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
+                                   rtol=1e-12, atol=1e-13)
+
     def test_nan_input_is_not_a_level(self, level_calls):
         levels = bnn.activation_levels(2)
         acts = np.array([[levels[1], np.nan]])
@@ -133,6 +164,17 @@ class TestLevelTable:
         got = _kernels.noisy_fc_forward(acts, wp, wn, np.ones((2, 2)),
                                         levels=levels)
         assert level_calls == [] and np.all(np.isnan(got))
+        # inf rounds to the top level, and the exact check rejects it, at a
+        # shape where the level path would pay
+        levels = bnn.activation_levels(4)
+        acts = levels[rng.integers(0, levels.size, (64, 13))]
+        acts[3, 5] = np.inf
+        wp, wn = dual_rail(64, 13)
+        ra = rng.uniform(0.9, 3.0, (64, 13))
+        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        assert level_calls == []
+        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
+                                   rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("bits, n", [
         (4, 1),       # one sample: a table per level costs more than it saves
@@ -200,29 +242,6 @@ class TestLevelSplit:
         assert level_calls == [(n, k)]
         np.testing.assert_array_equal(got, acts @ (wp - wn).T)
 
-    @pytest.mark.parametrize("levels, used, ratios", [
-        # 7/15 * 2 < 1: no level present clamps
-        (bnn.activation_levels(4), range(8), (1.0, 2.0)),
-        (bnn.activation_levels(4), (0, 15), (0.9, 3.0)),     # top level only
-        (bnn.activation_levels(4), range(16), (0.5, 3.0)),
-        (bnn.activation_levels(4, 0.2, 0.8), range(16), (0.9, 3.0)),
-        # levels 1-14 on about 0.7 % of the inputs each; 1-7 are negative,
-        # clamped at 0, and must not be added as clip(v * rho * rail, -1, 1)
-        (bnn.activation_levels(4, -0.5, 0.5),
-         [0] * 60 + [15] * 60 + list(range(1, 15)), (0.9, 3.0)),
-        # not evenly spaced: the index falls back to np.searchsorted
-        (np.array([0.0, 0.1, 0.25, 0.7, 1.0]), range(5), (0.9, 3.0)),
-    ])
-    def test_matches_oracle(self, level_calls, levels, used, ratios):
-        n, o, k = 64, 64, 13
-        acts = levels[rng.choice(list(used), (n, k))]
-        wp, wn = dual_rail(o, k)
-        ra = rng.uniform(*ratios, (o, k))
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
-        assert level_calls == [(n, k)]
-        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
-                                   rtol=1e-12, atol=1e-13)
-
     def test_rare_clamping_levels_across_blocks(self, level_calls,
                                                 monkeypatch):
         n, o, k = 64, 64, 13
@@ -249,6 +268,18 @@ class TestLevelSplit:
         np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
                                    rtol=1e-12, atol=1e-13)
 
+    def test_a_lone_rare_level_keeps_its_gemm(self):
+        # the pass that finds the pairs pays only when levels share it: on
+        # conv 2's shape, one clamping level on 0.7 % of the inputs keeps
+        # its GEMM, seven such levels are summed directly
+        n, k, o = 3136, 144, 32
+        counts = np.zeros(16, dtype=np.intp)
+        counts[8] = 0.007 * n * k
+        assert not _kernels._direct_pays(counts, n, k, o).any()
+        counts[8:15] = counts[8]
+        assert np.array_equal(np.flatnonzero(
+            _kernels._direct_pays(counts, n, k, o)), range(8, 15))
+
     def test_layer_without_inputs(self, level_calls):
         wp, wn = dual_rail(3, 0)
         got = _kernels.noisy_fc_forward(np.zeros((5, 0)), wp, wn,
@@ -256,18 +287,6 @@ class TestLevelSplit:
                                         levels=bnn.activation_levels(4))
         assert level_calls == [(5, 0)]
         np.testing.assert_array_equal(got, np.zeros((5, 3)))
-
-    def test_inf_input_is_not_a_level(self, level_calls):
-        n, o, k = 64, 64, 13
-        levels = bnn.activation_levels(4)
-        acts = levels[rng.integers(0, levels.size, (n, k))]
-        acts[3, 5] = np.inf
-        wp, wn = dual_rail(o, k)
-        ra = rng.uniform(0.9, 3.0, (o, k))
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
-        assert level_calls == []
-        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
-                                   rtol=1e-12, atol=1e-13)
 
 
 # the most inputs that take the input-major form, at any batch size
