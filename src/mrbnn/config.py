@@ -150,6 +150,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_fpv_maps < 1:
             raise DomainError("n_fpv_maps must be >= 1")
+        if not self.tuning_fractions:
+            raise DomainError("tuning_fractions must not be empty")
         if not all(0.0 <= f <= 1.0
                    for f in (*self.tuning_fractions, self.tuning_fraction)):
             raise DomainError("tuning fractions must be in [0, 1]")

@@ -48,6 +48,8 @@ class SweepSpec:
             vals = getattr(self, name)
             if not vals or any(v < 1 for v in vals):
                 raise DomainError(f"{name} must be non-empty, all >= 1")
+            if len(set(vals)) != len(vals):
+                raise DomainError(f"{name} must not repeat a value")
         if not 0.0 <= self.tuning_fraction <= 1.0:
             raise DomainError("tuning_fraction must be in [0, 1]")
         if self.seed < 0:
@@ -187,7 +189,7 @@ def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
     points = [replace(p, pareto=flag) for p, flag in zip(points, flags)]
     eo = _pick(points, lambda p: p.fps_per_watt)
     po = _pick(points, lambda p: p.fps)
-    # keys are unique, so this is grid order
+    # SweepSpec repeats no value, so keys are unique and this is grid order
     return ParetoResult(tuple(points), eo, po, tuple(sorted(errors)))
 
 

@@ -1,8 +1,8 @@
 """Closed-form microring resonator device math.
 
 Implements the all-pass transmission model, linewidth/Q relations,
-inter-channel crosstalk, achievable bit resolution, geometry sensitivity
-slopes, and fabrication-process-variation (FPV) resonance-shift sampling.
+inter-channel crosstalk, achievable bit resolution, and
+fabrication-process-variation (FPV) resonance-shift sampling.
 
 Theory summary
 --------------
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -203,19 +203,7 @@ def fwhm_and_q(design: MrDesign) -> tuple[float, float]:
 # crosstalk and resolution
 # ---------------------------------------------------------------------------
 
-def crosstalk_phi(lambda_i_nm: float, lambda_j_nm: float,
-                  q_factor: float) -> float:
-    """Noise fraction leaking from channel j into channel i.
-
-    delta is computed from channel i: delta = lambda_i / (2 Q).
-    """
-    if not (math.isfinite(lambda_i_nm) and math.isfinite(lambda_j_nm)):
-        raise DomainError("wavelengths must be finite")
-    if not (q_factor > 0):
-        raise DomainError(f"q_factor must be positive, got {q_factor}")
-    delta = lambda_i_nm / (2.0 * q_factor)
-    det2 = (lambda_i_nm - lambda_j_nm) ** 2
-    return delta * delta / (det2 + delta * delta)
+MAX_BITS = 16   # the bit count of a noiseless comb, and the cap of any other
 
 
 @dataclass(frozen=True)
@@ -228,82 +216,25 @@ class ChannelResolution:
 
 
 def channel_resolution(channel_wavelengths_nm: Sequence[float],
-                       q_factor: float,
-                       input_powers: Sequence[float] | None = None,
-                       max_bits: int = 16) -> ChannelResolution:
-    """Distinguishable intensity levels for a WDM comb read through one MR.
+                       q_factor: float) -> ChannelResolution:
+    """Distinguishable intensity levels for a WDM comb of unit-power
+    channels read through one MR.
 
     For each channel the crosstalk noise power is accumulated from every
     other channel; the resolvable level count is the reciprocal of the worst
-    channel's noise, and bits = floor(log2(levels)) capped at ``max_bits``.
+    channel's noise, and bits = floor(log2(levels)) capped at ``MAX_BITS``.
     """
     lams = np.asarray(channel_wavelengths_nm, dtype=np.float64)
     if lams.size == 0:
         raise DomainError("channel list must not be empty")
-    if input_powers is None:
-        powers = np.ones(lams.size)
-    else:
-        powers = np.asarray(input_powers, dtype=np.float64)
-        if powers.size != lams.size:
-            raise DomainError("input_powers length must match channels")
-        if np.any(powers < 0):
-            raise DomainError("input powers must be >= 0")
-    noise = _kernels.channel_noise_powers(lams, float(q_factor), powers)
+    noise = _kernels.channel_noise_powers(lams, float(q_factor),
+                                          np.ones(lams.size))
     worst = float(np.max(noise)) if lams.size > 1 else 0.0
     if worst <= 0.0:
-        return ChannelResolution(tuple(noise.tolist()), math.inf, max_bits)
+        return ChannelResolution(tuple(noise.tolist()), math.inf, MAX_BITS)
     levels = 1.0 / worst
-    bits = min(int(math.floor(math.log2(levels))), max_bits) if levels >= 1 else 0
+    bits = min(int(math.floor(math.log2(levels))), MAX_BITS) if levels >= 1 else 0
     return ChannelResolution(tuple(noise.tolist()), levels, bits)
-
-
-# ---------------------------------------------------------------------------
-# geometry sensitivity
-# ---------------------------------------------------------------------------
-
-GEOMETRY_PARAMETERS = ("width", "thickness", "radius")
-
-
-@dataclass(frozen=True)
-class GeometrySurrogate:
-    """Analytic stand-in for an eigenmode solver: geometry -> lambda_MR [nm].
-
-    lambda(w, t, R) = lambda0 + sum_p c_p*(p - p0) + q_p*(p - p0)^2
-    """
-
-    lambda0_nm: float
-    base_nm: tuple[float, float, float]            # (w0, t0, R0)
-    linear: tuple[float, float, float]             # c_w, c_t, c_R [nm/nm]
-    quadratic: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __call__(self, width_nm: float, thickness_nm: float,
-                 radius_nm: float) -> float:
-        out = self.lambda0_nm
-        for p, p0, c, q in zip((width_nm, thickness_nm, radius_nm),
-                               self.base_nm, self.linear, self.quadratic):
-            d = p - p0
-            out += c * d + q * d * d
-        return out
-
-
-def sensitivity_slope(shift_fn: Callable[[float, float, float], float],
-                      parameter: str, epsilon_nm: float,
-                      at_nm: tuple[float, float, float]) -> float:
-    """Central-difference resonance sensitivity |dlambda/dp| [nm/nm].
-
-    ``shift_fn(w, t, R)`` maps geometry [nm] to resonance wavelength [nm];
-    the derivative is taken at ``at_nm`` along ``parameter``.
-    """
-    if parameter not in GEOMETRY_PARAMETERS:
-        raise DomainError(f"parameter must be one of {GEOMETRY_PARAMETERS}")
-    if not (epsilon_nm > 0):
-        raise DomainError("epsilon must be positive")
-    axis = GEOMETRY_PARAMETERS.index(parameter)
-    hi = list(at_nm)
-    lo = list(at_nm)
-    hi[axis] += epsilon_nm
-    lo[axis] -= epsilon_nm
-    return abs(shift_fn(*hi) - shift_fn(*lo)) / (2.0 * epsilon_nm)
 
 
 # ---------------------------------------------------------------------------

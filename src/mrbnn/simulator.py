@@ -366,31 +366,23 @@ def chip_fpv_map(cfg: AcceleratorConfig, env: SimulationEnvironment,
         for k, (ring_class, n) in enumerate(cfg.arm_banks)))
 
 
-def tuning_power_budget(cfg: AcceleratorConfig | Sequence[AcceleratorConfig],
+def tuning_power_budget(cfgs: Sequence[AcceleratorConfig],
                         env: SimulationEnvironment, chip_map: ChipFpvMap,
-                        tuning_fraction: float
-                        ) -> tuple[float, float] | list:
-    """(eo_mw, to_mw) to correct ``tuning_fraction`` of every MR's shift.
+                        tuning_fraction: float) -> list:
+    """Per configuration, the (eo_mw, to_mw) that corrects
+    ``tuning_fraction`` of every MR's shift, or the
+    PhysicalConstraintError of its first bank that cannot be tuned.
 
-    Each bank of ``cfg.arm_banks`` is budgeted as
-    ``tuning.bank_tuning_budget`` does it: EO corrections are summed per
-    MR, TO remainders are solved collectively (TED). Every bank of
-    ``chip_map`` must hold at least the configuration's rings; only that
-    head is read.
-
-    ``cfg`` may be a sequence of configurations that read one map, as the
-    configurations of a design sweep do. Each bank is then folded and split
+    The configurations read one map, as those of a design sweep do; every
+    bank of ``chip_map`` must hold at least each configuration's rings, and
+    only that head is read. EO corrections are summed per MR and TO
+    remainders are solved collectively (TED). Each bank is folded and split
     (``tuning.fold_and_split``) once, on the longest head any configuration
     reads, and each (bank, rings per arm) group is budgeted in one
     ``tuning.budget_heads`` call on its rows of that result, with every
-    configuration's arm count as one head. The result is a list: per
-    configuration its (eo_mw, to_mw), or the PhysicalConstraintError of its
-    first bank that cannot be tuned. One configuration raises that error
-    instead. Either way a configuration gets the bits a call of its own
-    gives.
+    configuration's arm count as one head. A configuration gets the bits a
+    list of it alone gives.
     """
-    one = isinstance(cfg, AcceleratorConfig)
-    cfgs = [cfg] if one else list(cfg)
     heads: dict[tuple, set[int]] = {}
     rows: dict[tuple, int] = {}     # the longest head read of each bank
     for c in cfgs:
@@ -439,11 +431,7 @@ def tuning_power_budget(cfg: AcceleratorConfig | Sequence[AcceleratorConfig],
             to_total += budget.to_power_mw
         else:
             results.append((eo_total, to_total))
-    if not one:
-        return results
-    if isinstance(results[0], PhysicalConstraintError):
-        raise results[0]
-    return results[0]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +599,6 @@ class NoisyInferenceResult:
 def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
                     env: SimulationEnvironment, tuning_fraction: float,
                     seed: int,
-                    mapping: PhotonicMapping | None = None,
                     chip_map: ChipFpvMap | None = None) -> NoisyInferenceResult:
     """Forward pass through the FPV-perturbed photonic array.
 
@@ -628,8 +615,7 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
     chip map.
     """
     _check_fraction(tuning_fraction)
-    if mapping is None:
-        mapping = build_photonic_mapping(model, cfg)
+    mapping = build_photonic_mapping(model, cfg)
     ids = _read_ids(model, mapping)
     if chip_map is None:
         chip_map = _read_map(env, ids, seed)
@@ -742,8 +728,10 @@ def chip_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
     cfg.validate()
     if chip_map is None:
         chip_map = chip_fpv_map(cfg, env, seed)
-    return _tuned_chip_budget(
-        cfg, env, tuning_power_budget(cfg, env, chip_map, tuning_fraction))
+    [tuning_mw] = tuning_power_budget([cfg], env, chip_map, tuning_fraction)
+    if isinstance(tuning_mw, PhysicalConstraintError):
+        raise tuning_mw
+    return _tuned_chip_budget(cfg, env, tuning_mw)
 
 
 def _tuned_chip_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,

@@ -16,7 +16,7 @@ Heaters only red-shift, so all tuning targets are shift magnitudes (>= 0),
 folded to the nearest resonance (<= FSR/2); EO takes up to
 ``eo_max_shift_nm`` of each and the heater the rest.
 
-``bank_tuning_budget`` is two parts composed. ``fold_and_split`` is
+A set of banks is budgeted in two steps. ``fold_and_split`` is
 element-wise: it folds each shift, scales it by the tuning fraction and
 splits it into EO and TO. ``budget_heads`` is per layout: it builds K,
 solves, and sums the heads of one array of banks together. A design sweep
@@ -219,26 +219,6 @@ def budget_heads(eo: np.ndarray, to: np.ndarray, spacing_um: float,
         budgets.append(BankBudget(eo_power + to_power, eo_power, to_power,
                                   params.to_latency_ns))
     return budgets
-
-
-def bank_tuning_budget(delta_lambdas_nm, tuning_fraction: float,
-                       spacing_um: float, params: TuningParams,
-                       heads: Sequence[int] | None = None
-                       ) -> BankBudget | list[BankBudget]:
-    """Aggregate correction power of one MR bank or of [n_banks, bank_size]:
-    ``fold_and_split`` then ``budget_heads``.
-
-    Each MR corrects ``tuning_fraction`` of its (nearest-resonance folded)
-    FPV shift. With ``heads``, the result is a list: for each head a, the
-    budget of the first a banks alone, as a call on
-    ``delta_lambdas_nm[:a]`` gives it; without, the budget of all banks.
-    """
-    deltas = np.atleast_2d(np.asarray(delta_lambdas_nm, dtype=np.float64))
-    eo, to = fold_and_split(deltas, tuning_fraction, params)
-    budgets = budget_heads(eo, to, spacing_um, params,
-                           (deltas.shape[0],) if heads is None
-                           else tuple(heads))
-    return budgets[0] if heads is None else budgets
 
 
 def ted_spacing_sweep(spacings_um: Sequence[float], n_mrs: int,

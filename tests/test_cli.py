@@ -370,6 +370,10 @@ class TestConfigHandling:
         ("", ["train-toy", "--dataset-seed", "-1"]),
         ("", ["fpv-sweep", "--seeds", "-3"]),
         ("fpv:\n  seed: 99\n", ["fpv-sweep"]),
+        # a repeated sweep value would evaluate its points twice
+        ("sweep:\n  n_a_values: [5, 5]\n  n_vdp_values: [25]\n"
+         "  n_wg_values: [5]\n", ["dse"]),
+        ("experiment:\n  tuning_fractions: []\n", ["fpv-sweep"]),
     ])
     def test_boundary_checks_are_config_errors(self, config_text, argv,
                                                tmp_path, capsys, model_path):

@@ -76,12 +76,14 @@ class TestRingInventory:
         rng = np.random.Generator(np.random.PCG64(61 + bank))
         deltas = list(zero_chip_map(eo_cfg).deltas_nm)
         deltas[bank] = rng.uniform(-40.0, 40.0, deltas[bank].size)
-        got = tuning_power_budget(eo_cfg, env, ChipFpvMap(tuple(deltas)), 0.8)
-        ring_class = self.BANKS[bank]
-        want = tuning.bank_tuning_budget(
-            deltas[bank].reshape(arms, -1), 0.8, eo_cfg.mr_pitch_um,
-            replace(env.tuning_params,
-                    fsr_nm=env.designs[ring_class].fsr_nm))
+        [got] = tuning_power_budget([eo_cfg], env,
+                                    ChipFpvMap(tuple(deltas)), 0.8)
+        params = replace(env.tuning_params,
+                         fsr_nm=env.designs[self.BANKS[bank]].fsr_nm)
+        eo, to = tuning.fold_and_split(deltas[bank].reshape(arms, -1), 0.8,
+                                       params)
+        [want] = tuning.budget_heads(eo, to, eo_cfg.mr_pitch_um, params,
+                                     (arms,))
         assert got == (want.eo_power_mw, want.to_power_mw)
 
 
@@ -220,12 +222,13 @@ class TestChipMap:
 
 class TestTuningBudget:
     def test_zero_map_zero_power(self, env, eo_cfg):
-        eo, to = tuning_power_budget(eo_cfg, env, zero_chip_map(eo_cfg), 0.8)
+        [(eo, to)] = tuning_power_budget([eo_cfg], env,
+                                         zero_chip_map(eo_cfg), 0.8)
         assert eo == 0.0 and to == 0.0
 
     def test_monotone_in_fraction(self, env, eo_cfg):
         m = chip_fpv_map(eo_cfg, env, 1)
-        totals = [sum(tuning_power_budget(eo_cfg, env, m, f))
+        totals = [sum(tuning_power_budget([eo_cfg], env, m, f)[0])
                   for f in (0.0, 0.4, 0.8, 1.0)]
         assert totals[0] == 0.0
         assert all(a <= b + 1e-9 for a, b in zip(totals, totals[1:]))
@@ -250,10 +253,9 @@ class TestTuningBudget:
         got = tuning_power_budget(cfgs, env, shared, 0.8)
         assert len(got) == len(cfgs)
         for c, m, g in zip(cfgs, maps, got):
-            try:
-                want = tuning_power_budget(c, env, m, 0.8)
-            except PhysicalConstraintError as exc:
-                assert type(g) is type(exc) and str(g) == str(exc)
+            [want] = tuning_power_budget([c], env, m, 0.8)
+            if isinstance(want, PhysicalConstraintError):
+                assert type(g) is type(want) and str(g) == str(want)
             else:
                 assert g == want
                 assert (c.n_vdp * c.n_wg > 1 or want[1] > 0)
@@ -285,14 +287,14 @@ class TestTuningBudget:
         n = eo_cfg.arm_activation_mrs
         short = ChipFpvMap((full.deltas_nm[0][:-n], *full.deltas_nm[1:]))
         with pytest.raises(DomainError, match="bank of"):
-            tuning_power_budget(eo_cfg, env, short, 0.8)
+            tuning_power_budget([eo_cfg], env, short, 0.8)
         with pytest.raises(DomainError, match="holds 1 banks"):
-            tuning_power_budget(eo_cfg, env, ChipFpvMap(full.deltas_nm[:1]),
-                                0.8)
+            tuning_power_budget([eo_cfg], env,
+                                ChipFpvMap(full.deltas_nm[:1]), 0.8)
         longer = ChipFpvMap(tuple(np.concatenate([d, d])
                                   for d in full.deltas_nm))
-        assert tuning_power_budget(eo_cfg, env, longer, 0.8) \
-            == tuning_power_budget(eo_cfg, env, full, 0.8)
+        assert tuning_power_budget([eo_cfg], env, longer, 0.8) \
+            == tuning_power_budget([eo_cfg], env, full, 0.8)
 
 
 class TestPowerAndEpb:
@@ -509,13 +511,12 @@ class TestNoisyInference:
     def test_accuracy_monotone_at_endpoints(self, env, eo_cfg, toy_model,
                                             toy_data):
         accs = {f: [] for f in (0.0, 1.0)}
-        mapping = build_photonic_mapping(toy_model, eo_cfg)
         for seed in range(20):
             m = chip_fpv_map(eo_cfg, env, 200 + seed)
             for f in accs:
                 accs[f].append(noisy_inference(
                     toy_model, toy_data.x_test, toy_data.y_test, eo_cfg,
-                    env, f, 0, mapping=mapping, chip_map=m).accuracy)
+                    env, f, 0, chip_map=m).accuracy)
         assert np.mean(accs[1.0]) >= np.mean(accs[0.0])
 
     def test_deterministic(self, env, eo_cfg, toy_model, toy_data):
@@ -795,7 +796,7 @@ class TestDrawWhatIsRead:
             model, x, y = self.sweep_case(case, toy_model, toy_data)
             mapping = build_photonic_mapping(model, cfg)
             accs = [[noisy_inference(model, x, y, cfg, env, f, 0,
-                                     mapping=mapping, chip_map=m).accuracy
+                                     chip_map=m).accuracy
                      for m in maps]
                     for f in fractions]
             del draws[:], input_major_calls[:]

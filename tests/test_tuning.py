@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mrbnn.errors import DomainError, IllConditionedLayoutError
-from mrbnn.tuning import (TuningParams, bank_tuning_budget,
+from mrbnn.tuning import (TuningParams, budget_heads, fold_and_split,
                           ted_spacing_sweep, ted_tuning_power,
                           thermal_crosstalk_matrix, uniform_positions_um)
 
@@ -22,9 +22,16 @@ def naive_jacobi(t, k):
     raise AssertionError("naive iteration did not converge")
 
 
+def bank_budget(banks, fraction, spacing, params, heads=None):
+    """``fold_and_split``, then ``budget_heads`` (all banks if no heads)."""
+    eo, to = fold_and_split(np.asarray(banks, float), fraction, params)
+    got = budget_heads(eo, to, spacing, params, heads or (len(banks),))
+    return got if heads else got[0]
+
+
 def one_ring(shift_nm, params, fraction=1.0):
     """The budget of one one-ring bank."""
-    return bank_tuning_budget([[shift_nm]], fraction, 5.0, params)
+    return bank_budget([[shift_nm]], fraction, 5.0, params)
 
 
 def fold(delta_nm, fsr_nm):
@@ -240,18 +247,18 @@ class TestTed:
 class TestBankBudget:
     def test_zero_fraction_zero_power(self, params):
         banks = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        b = bank_tuning_budget(banks, 0.0, 5.0, params)
+        b = bank_budget(banks, 0.0, 5.0, params)
         assert b.total_power_mw == 0.0
 
     def test_monotone_in_fraction(self, params):
         banks = np.array([[0.4, 1.2, 2.5, 0.9], [3.0, 0.1, 1.7, 2.2]])
-        budgets = [bank_tuning_budget(banks, f, 5.0, params).total_power_mw
+        budgets = [bank_budget(banks, f, 5.0, params).total_power_mw
                    for f in (0.2, 0.5, 0.8, 1.0)]
         assert all(b1 <= b2 + 1e-12 for b1, b2 in zip(budgets, budgets[1:]))
         assert budgets[1] < budgets[3]
 
     def test_eo_only_arithmetic(self, params):
-        b = bank_tuning_budget(np.ones((3, 10)), 0.8, 5.0, params)
+        b = bank_budget(np.ones((3, 10)), 0.8, 5.0, params)
         assert b.to_power_mw == 0.0
         # 3 banks * 10 MRs * 0.8 nm * 4 uW/nm = 96 uW
         assert b.total_power_mw == pytest.approx(0.096, rel=1e-12)
@@ -259,32 +266,34 @@ class TestBankBudget:
 
     def test_to_engages_latency(self, params):
         # one all-EO bank and one bank that needs heaters
-        b = bank_tuning_budget(np.array([[0.5] * 4, [5.0] * 4]), 1.0, 5.0,
-                               params)
+        b = bank_budget(np.array([[0.5] * 4, [5.0] * 4]), 1.0, 5.0, params)
         assert b.to_power_mw > 0
         assert b.worst_latency_ns == params.to_latency_ns
 
     def test_folding_applied(self, params):
-        near = bank_tuning_budget([[0.5, 3.0]], 1.0, 5.0,
-                                  params).total_power_mw
-        wrapped = bank_tuning_budget(
+        near = bank_budget([[0.5, 3.0]], 1.0, 5.0, params).total_power_mw
+        wrapped = bank_budget(
             [[params.fsr_nm - 0.5, -(2 * params.fsr_nm + 3.0)]], 1.0, 5.0,
             params).total_power_mw
         assert wrapped == pytest.approx(near, rel=1e-9)
 
     def test_single_bank_is_one_row(self, params):
-        deltas = [0.4, 1.2, 2.5, 0.9]
-        assert bank_tuning_budget(deltas, 0.8, 5.0, params) \
-            == bank_tuning_budget([deltas], 0.8, 5.0, params)
+        # the split is element-wise, so a flat run of banks split once
+        # reshapes into the split of each bank
+        flat = np.array([0.4, 1.2, 2.5, 0.9, 30.0, -7.5])
+        for whole, rows in zip(fold_and_split(flat, 0.8, params),
+                               fold_and_split(flat.reshape(2, 3), 0.8,
+                                              params)):
+            assert np.array_equal(whole.reshape(2, 3), rows)
 
     def test_bad_fraction(self, params):
         with pytest.raises(DomainError):
-            bank_tuning_budget([[1.0]], 1.5, 5.0, params)
+            bank_budget([[1.0]], 1.5, 5.0, params)
 
     def test_dense_layout_rejected(self):
         dense = TuningParams(crosstalk_eta=0.5, crosstalk_decay_um=50.0)
         with pytest.raises(IllConditionedLayoutError):
-            bank_tuning_budget(np.full((2, 10), 5.0), 1.0, 5.0, dense)
+            bank_budget(np.full((2, 10), 5.0), 1.0, 5.0, dense)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_scalar_oracles(self, params, seed):
@@ -307,12 +316,12 @@ class TestBankBudget:
                     to, uniform_positions_um(size, spacing),
                     params).p_ted_mw
         eo_mw = eo_nm * params.eo_power_uw_per_nm * 1e-3
-        b = bank_tuning_budget(banks, fraction, spacing, params)
+        b = bank_budget(banks, fraction, spacing, params)
         assert b.eo_power_mw == pytest.approx(eo_mw, rel=1e-12)
         assert b.to_power_mw == pytest.approx(to_mw, rel=1e-12)
         assert b.total_power_mw == pytest.approx(eo_mw + to_mw, rel=1e-12)
         assert b.worst_latency_ns == params.to_latency_ns
-        all_eo = bank_tuning_budget(banks[:1], fraction, spacing, params)
+        all_eo = bank_budget(banks[:1], fraction, spacing, params)
         assert all_eo.to_power_mw == 0.0
         assert all_eo.worst_latency_ns == params.eo_latency_ns
 
@@ -330,32 +339,30 @@ class TestHeads:
         cool = banks.copy()
         cool[:3] = rng.uniform(-0.9, 0.9, (3, size))    # heads 1, 2: all EO
         for deltas in (banks, cool):
-            got = bank_tuning_budget(deltas, fraction, 5.0, params,
-                                     heads=self.HEADS)
-            want = [bank_tuning_budget(deltas[:a], fraction, 5.0, params)
+            got = bank_budget(deltas, fraction, 5.0, params,
+                              heads=self.HEADS)
+            want = [bank_budget(deltas[:a], fraction, 5.0, params)
                     for a in self.HEADS]
             assert got == want
-        hot = bank_tuning_budget(banks[:1], fraction, 5.0, params)
+        hot = bank_budget(banks[:1], fraction, 5.0, params)
         assert (hot.to_power_mw > 0) == (fraction > 0)
-        assert bank_tuning_budget(cool, fraction, 5.0, params,
-                                  heads=(2,))[0].to_power_mw == 0.0
+        assert bank_budget(cool, fraction, 5.0, params,
+                           heads=(2,))[0].to_power_mw == 0.0
 
     def test_one_head_is_the_call(self, params):
         banks = np.array([[0.4, 1.2, 12.5], [3.0, 0.1, 1.7]])
-        assert bank_tuning_budget(banks, 0.8, 5.0, params, heads=(2, 2)) \
-            == [bank_tuning_budget(banks, 0.8, 5.0, params)] * 2
+        assert bank_budget(banks, 0.8, 5.0, params, heads=(2, 2)) \
+            == [bank_budget(banks, 0.8, 5.0, params)] * 2
 
     @pytest.mark.parametrize("heads", [(0,), (1, 3)])
     def test_bad_heads_rejected(self, params, heads):
         with pytest.raises(DomainError, match="heads"):
-            bank_tuning_budget(np.ones((2, 3)), 0.8, 5.0, params,
-                               heads=heads)
+            bank_budget(np.ones((2, 3)), 0.8, 5.0, params, heads=heads)
 
     def test_dense_layout_rejected_for_all_heads(self):
         dense = TuningParams(crosstalk_eta=0.5, crosstalk_decay_um=50.0)
         with pytest.raises(IllConditionedLayoutError):
-            bank_tuning_budget(np.zeros((3, 10)), 0.0, 5.0, dense,
-                               heads=(1, 3))
+            bank_budget(np.zeros((3, 10)), 0.0, 5.0, dense, heads=(1, 3))
 
 
 class TestSpacingSweep:
