@@ -52,7 +52,8 @@ def _json_dump(obj) -> str:
 
 
 def _parse_list(text: str, what: str, valid, rule: str) -> list[float]:
-    """Comma-separated numbers, at least one, each satisfying ``valid``."""
+    """Comma-separated numbers, at least one, each satisfying ``valid``,
+    none repeated."""
     try:
         vals = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -61,6 +62,8 @@ def _parse_list(text: str, what: str, valid, rule: str) -> list[float]:
         raise ConfigError(f"{what} list is empty")
     if not all(valid(v) for v in vals):
         raise ConfigError(f"{what} must be {rule}")
+    if len(set(vals)) != len(vals):
+        raise ConfigError(f"{what} must not repeat a value")
     return vals
 
 

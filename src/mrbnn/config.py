@@ -152,6 +152,8 @@ class ExperimentConfig:
             raise DomainError("n_fpv_maps must be >= 1")
         if not self.tuning_fractions:
             raise DomainError("tuning_fractions must not be empty")
+        if len(set(self.tuning_fractions)) != len(self.tuning_fractions):
+            raise DomainError("tuning_fractions must not repeat a value")
         if not all(0.0 <= f <= 1.0
                    for f in (*self.tuning_fractions, self.tuning_fraction)):
             raise DomainError("tuning fractions must be in [0, 1]")

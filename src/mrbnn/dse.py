@@ -9,9 +9,10 @@ then lower area, then lexicographic configuration.
 The configurations of a sweep read one chip map: each bank is drawn once,
 at the largest size on the grid, and each configuration reads its head.
 Their tuning power is one ``simulator.tuning_power_budget`` call, which
-folds, splits and TED-solves each (bank, rings per arm) group once and
-reads every configuration's budget off its first rows; each configuration
-still gets the bits of a chip budget of its own.
+folds and splits each bank once, TED-solves each (bank, rings per arm)
+group once on its longest head, and sums each configuration's prefix of
+those results; each configuration still gets the bits of a chip budget of
+its own.
 """
 
 from __future__ import annotations

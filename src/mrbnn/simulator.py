@@ -338,8 +338,8 @@ class ChipFpvMap:
     ``n_vdp * n_wg * n`` rows of every bank. Both check that the rows are
     there. A design sweep draws one map whose banks hold the rows of its
     largest configuration, and every configuration reads its head:
-    ``tuning_power_budget`` budgets the heads of one bank size in one
-    call, one TED solve for all of them.
+    ``tuning_power_budget`` budgets all of them in one call, one TED solve
+    per bank size.
     """
 
     deltas_nm: tuple[np.ndarray, ...]
@@ -378,13 +378,15 @@ def tuning_power_budget(cfgs: Sequence[AcceleratorConfig],
     only that head is read. EO corrections are summed per MR and TO
     remainders are solved collectively (TED). Each bank is folded and split
     (``tuning.fold_and_split``) once, on the longest head any configuration
-    reads, and each (bank, rings per arm) group is budgeted in one
-    ``tuning.budget_heads`` call on its rows of that result, with every
-    configuration's arm count as one head. A configuration gets the bits a
-    list of it alone gives.
+    reads, and each (bank, rings per arm, pitch) group is TED-solved
+    (``tuning.ted_drives``) once, on its longest head. A configuration's
+    power sums a contiguous prefix of each result; the drives of a prefix
+    are the prefix of the drives, so a configuration gets the bits a list
+    of it alone gives.
     """
-    heads: dict[tuple, set[int]] = {}
-    rows: dict[tuple, int] = {}     # the longest head read of each bank
+    arms_read: dict[tuple, int] = {}   # the most arms read of each group
+    rows: dict[int, int] = {}          # the longest head read of each bank
+    classes = {}                       # the ring class of each bank
     for c in cfgs:
         arms = c.n_vdp * c.n_wg
         if len(chip_map.deltas_nm) != len(c.arm_banks):
@@ -395,40 +397,41 @@ def tuning_power_budget(cfgs: Sequence[AcceleratorConfig],
                 raise DomainError(
                     f"chip map bank of {chip_map.deltas_nm[k].size} rings, "
                     f"the configuration has {arms * n}")
-            heads.setdefault((k, ring_class, n, c.mr_pitch_um),
-                             set()).add(arms)
-            rows[k, ring_class] = max(rows.get((k, ring_class), 0),
-                                      arms * n)
-    params = {ring_class: replace(env.tuning_params,
-                                  fsr_nm=env.designs[ring_class].fsr_nm)
-              for _, ring_class, _, _ in heads}
-    split = {(k, ring_class): tuning.fold_and_split(
-                 chip_map.deltas_nm[k][:r], tuning_fraction,
-                 params[ring_class])
-             for (k, ring_class), r in rows.items()}
-    budgets = {}
-    for key, arms in heads.items():
-        k, ring_class, n, pitch = key
-        lengths = sorted(arms)
-        eo, to = (part[:lengths[-1] * n].reshape(-1, n)
-                  for part in split[k, ring_class])
+            classes[k] = ring_class
+            group = (k, n, c.mr_pitch_um)
+            arms_read[group] = max(arms_read.get(group, 0), arms)
+            rows[k] = max(rows.get(k, 0), arms * n)
+    params = {k: replace(env.tuning_params, fsr_nm=env.designs[rc].fsr_nm)
+              for k, rc in classes.items()}
+    split = {k: tuning.fold_and_split(chip_map.deltas_nm[k][:r],
+                                      tuning_fraction, params[k])
+             for k, r in rows.items()}
+    drives = {}
+    for (k, n, pitch), arms in arms_read.items():
+        to = split[k][1][:arms * n].reshape(arms, n)
         try:
-            budgets[key] = dict(zip(lengths, tuning.budget_heads(
-                eo, to, pitch, params[ring_class], lengths)))
+            drives[k, n, pitch] = np.abs(tuning.ted_drives(to, pitch,
+                                                           params[k]))
         except PhysicalConstraintError as exc:
-            budgets[key] = exc
+            drives[k, n, pitch] = exc
+    sums = {}   # the (eo_mw, to_mw) of each (group, arms) read
     results = []
     for c in cfgs:
-        eo_total = 0.0
-        to_total = 0.0
-        for k, (ring_class, n) in enumerate(c.arm_banks):
-            budget = budgets[k, ring_class, n, c.mr_pitch_um]
-            if isinstance(budget, PhysicalConstraintError):
-                results.append(budget)
+        arms = c.n_vdp * c.n_wg
+        eo_total = to_total = 0.0
+        for k, (_, n) in enumerate(c.arm_banks):
+            s = drives[k, n, c.mr_pitch_um]
+            if isinstance(s, PhysicalConstraintError):
+                results.append(s)
                 break
-            budget = budget[c.n_vdp * c.n_wg]
-            eo_total += budget.eo_power_mw
-            to_total += budget.to_power_mw
+            key = (k, n, c.mr_pitch_um, arms)
+            if key not in sums:
+                sums[key] = (float(np.sum(split[k][0][:arms * n]))
+                             * params[k].eo_power_uw_per_nm * 1e-3,
+                             float(np.sum(s[:arms]))
+                             / params[k].heater_efficiency_nm_per_mw)
+            eo_total += sums[key][0]
+            to_total += sums[key][1]
         else:
             results.append((eo_total, to_total))
     return results
@@ -707,15 +710,13 @@ def required_bandwidth_gb_s(cfg: AcceleratorConfig,
 class ChipBudget:
     """The model-independent part of a report for one configuration.
 
-    The loss and laser budget, the device power breakdown (tuning
-    included) and the area depend on the configuration, the environment,
-    the tuning fraction and the chip map, never on the model, so a sweep
-    computes them once per configuration.
+    The device power breakdown (laser and tuning included) and the area
+    depend on the configuration, the environment, the tuning fraction and
+    the chip map, never on the model, so a sweep computes them once per
+    configuration.
     """
 
     cfg: AcceleratorConfig
-    loss: PathLoss
-    laser: LaserPower
     power_breakdown_mw: dict[str, float]
     area_mm2: float
 
@@ -754,8 +755,7 @@ def _tuned_chip_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
         "tia": (cfg.n_wg + 1) * cfg.n_vdp * p.tia.power_mw,
         "vcsel": arms * p.vcsel.power_mw,
     }
-    return ChipBudget(cfg, loss, laser, breakdown,
-                      area_estimate(cfg, env))
+    return ChipBudget(cfg, breakdown, area_estimate(cfg, env))
 
 
 def power_and_epb(model, cfg: AcceleratorConfig, env: SimulationEnvironment,

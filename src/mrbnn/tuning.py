@@ -18,14 +18,14 @@ folded to the nearest resonance (<= FSR/2); EO takes up to
 
 A set of banks is budgeted in two steps. ``fold_and_split`` is
 element-wise: it folds each shift, scales it by the tuning fraction and
-splits it into EO and TO. ``budget_heads`` is per layout: it builds K,
-solves, and sums the heads of one array of banks together. A design sweep
-whose configurations read the first rows of one drawn bank folds that bank
-once, and solves the rows of each bank size once. Each head then reads the
-same bits a call on its rows alone gives: column j of ``solve(K, B)`` does
-not depend on the other columns of B once B has two or more (the tests
-compare with ``==``), but a single column takes another LAPACK path and can
-differ in the last ulp, so a head of one bank gets its own solve.
+splits it into EO and TO. ``ted_drives`` is per layout: it builds and
+checks K and solves every bank. Both systems are solved by ``_solve_rows``,
+which forms K^-1 once and builds each row from element-wise products and
+sums only, so the bits of a bank's drives depend on K and that bank's
+targets alone, on any BLAS and whatever the number of banks: the drives of
+the first a banks are the first a rows of the drives of all of them. A
+design sweep whose configurations read the first rows of one drawn bank
+folds and solves that bank once and sums each configuration's prefix.
 """
 
 from __future__ import annotations
@@ -74,24 +74,12 @@ class TuningParams:
     def heater_efficiency_nm_per_mw(self) -> float:
         return self.fsr_nm / self.to_power_mw_per_fsr
 
-    @property
-    def to_latency_ns(self) -> float:
-        return self.to_latency_us * 1000.0
-
 
 @dataclass(frozen=True)
 class TedResult:
     p_naive_mw: float
     p_ted_mw: float
     reduction_fraction: float
-
-
-@dataclass(frozen=True)
-class BankBudget:
-    total_power_mw: float
-    eo_power_mw: float
-    to_power_mw: float
-    worst_latency_ns: float
 
 
 def uniform_positions_um(n: int, spacing_um: float) -> np.ndarray:
@@ -150,8 +138,8 @@ def ted_tuning_power(target_shifts_nm: Sequence[float], spacings_um,
         raise DomainError("layout size does not match target vector")
 
     eff = params.heater_efficiency_nm_per_mw
-    p_ted = float(np.sum(np.abs(np.linalg.solve(k, t)))) / eff
-    s_naive = np.linalg.solve(2.0 * np.eye(t.size) - k, t)
+    p_ted = float(np.sum(np.abs(_solve_rows(k, t[None])))) / eff
+    s_naive = _solve_rows(2.0 * np.eye(t.size) - k, t[None])
     p_naive = float(np.sum(np.abs(s_naive))) / eff
 
     reduction = 0.0 if p_naive == 0.0 else 1.0 - p_ted / p_naive
@@ -174,51 +162,35 @@ def fold_and_split(delta_lambdas_nm, tuning_fraction: float,
     return eo, corrected - eo
 
 
-def budget_heads(eo: np.ndarray, to: np.ndarray, spacing_um: float,
-                 params: TuningParams, heads: Sequence[int]
-                 ) -> list[BankBudget]:
-    """For each head a, the budget of the first a rows of the
-    [n_banks, bank_size] ``eo`` and ``to`` that ``fold_and_split`` gave.
+def _solve_rows(k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row b of the result solves K s = t[b] for each row of the
+    [banks, n] ``t``, as the sum over j of t[:, j] times column j of
+    K^-1, in that order. Element-wise products and sums only, so a row's
+    bits depend on K and t[b] alone, on any BLAS and for any number of
+    rows."""
+    k_inv = np.linalg.inv(k)
+    s = t[:, :1] * k_inv[:, 0]
+    for j in range(1, k.shape[0]):
+        s += t[:, j:j + 1] * k_inv[:, j]
+    return s
 
-    EO is summed directly; the TO remainders of each bank are tuned
-    collectively through the TED solve. All banks share one uniform
-    layout, hence one crosstalk matrix, which is built and checked even
+
+def ted_drives(to: np.ndarray, spacing_um: float,
+               params: TuningParams) -> np.ndarray:
+    """Heater drives [nm] of each row of the [n_banks, bank_size] TO
+    remainders ``to`` that ``fold_and_split`` gave, tuned collectively
+    (TED) over a uniform layout at ``spacing_um``; a bank's power is
+    sum(|s|) / heater_efficiency.
+
+    All banks share one crosstalk matrix, which is built and checked even
     when no MR needs heater power, so a layout too dense to tune raises
-    whatever the shifts. Powers are totals over a head's banks; the
-    latency is its worst bank's. The banks are solved once for all heads;
-    a head sums its EO prefix and the first a columns of the one solve,
-    made contiguous so that the sum runs in the order of a call of its
-    own. A head of one bank solves its column on its own (see the module
-    docstring).
+    whatever the shifts. The drives of the first a rows of ``to`` are the
+    first a rows of the result, bit for bit.
     """
-    n_banks = eo.shape[0]
-    if not all(0 < a <= n_banks for a in heads):
-        raise DomainError(f"heads must be in [1, {n_banks}]")
     k = thermal_crosstalk_matrix(
-        uniform_positions_um(eo.shape[1], spacing_um),
-        params.crosstalk_eta, params.crosstalk_decay_um)
-    # a head needs heaters only if it reaches the first bank that does
-    hot = np.flatnonzero(np.any(to > 0, axis=1))
-    first_hot = hot[0] if hot.size else n_banks
-    solved = None
-    budgets = []
-    for a in heads:
-        eo_power = float(np.sum(eo[:a])) * params.eo_power_uw_per_nm * 1e-3
-        if a <= first_hot:
-            budgets.append(BankBudget(eo_power, eo_power, 0.0,
-                                      params.eo_latency_ns))
-            continue
-        if a == 1:
-            s = np.linalg.solve(k, to[:1].T)
-        else:
-            if solved is None:
-                solved = np.linalg.solve(k, to[:max(heads)].T)
-            s = np.ascontiguousarray(solved[:, :a])
-        to_power = (float(np.sum(np.abs(s)))
-                    / params.heater_efficiency_nm_per_mw)
-        budgets.append(BankBudget(eo_power + to_power, eo_power, to_power,
-                                  params.to_latency_ns))
-    return budgets
+        uniform_positions_um(to.shape[1], spacing_um), params.crosstalk_eta,
+        params.crosstalk_decay_um)
+    return _solve_rows(k, to)
 
 
 def ted_spacing_sweep(spacings_um: Sequence[float], n_mrs: int,

@@ -325,6 +325,9 @@ class TestConfigHandling:
         ("simulate", "accelerator:\n  passband_nm: .nan\n", []),
         ("simulate", "delays:\n  clock_ghz: .inf\n", []),
         ("simulate", "tuning:\n  crosstalk_decay_um: 0\n", []),
+        # a repeated value would be evaluated twice
+        ("fpv-sweep", "", ["--fractions", "0.5,0.5"]),
+        ("ted-sweep", "", ["--spacings", "5,7,5"]),
     ], ids=["to-power-0", "n-a-0", "splitter-negative", "clock-0",
             "n-fpv-maps-0", "seeds-0", "n-test-0", "epochs-negative",
             "area-negative", "fractions-empty", "workload-count-negative",
@@ -332,7 +335,8 @@ class TestConfigHandling:
             "spacings-0", "mrs-negative", "ring-ng-0", "target-nan",
             "learning-rate-0", "tuning-fraction-1.5", "tuning-fraction-nan",
             "pitch-nan", "splitter-nan", "eo-power-nan", "dac-power-nan",
-            "dac-area-nan", "passband-nan", "clock-inf", "decay-0"])
+            "dac-area-nan", "passband-nan", "clock-inf", "decay-0",
+            "fractions-repeated", "spacings-repeated"])
     def test_bad_value_exit_2(self, command, config_text, flags, tmp_path,
                               capsys, model_path):
         p = tmp_path / "c.yaml"
@@ -374,6 +378,7 @@ class TestConfigHandling:
         ("sweep:\n  n_a_values: [5, 5]\n  n_vdp_values: [25]\n"
          "  n_wg_values: [5]\n", ["dse"]),
         ("experiment:\n  tuning_fractions: []\n", ["fpv-sweep"]),
+        ("experiment:\n  tuning_fractions: [0.5, 0.5]\n", ["fpv-sweep"]),
     ])
     def test_boundary_checks_are_config_errors(self, config_text, argv,
                                                tmp_path, capsys, model_path):

@@ -19,6 +19,7 @@ from mrbnn.simulator import (ChipFpvMap, LossBudget, _perturbation_ratios,
                              noisy_inference, path_loss_db, pipeline_time,
                              power_and_epb, required_bandwidth_gb_s,
                              tuning_power_budget)
+from test_tuning import bank_budget
 
 
 @pytest.fixture(scope="module")
@@ -80,11 +81,8 @@ class TestRingInventory:
                                     ChipFpvMap(tuple(deltas)), 0.8)
         params = replace(env.tuning_params,
                          fsr_nm=env.designs[self.BANKS[bank]].fsr_nm)
-        eo, to = tuning.fold_and_split(deltas[bank].reshape(arms, -1), 0.8,
-                                       params)
-        [want] = tuning.budget_heads(eo, to, eo_cfg.mr_pitch_um, params,
-                                     (arms,))
-        assert got == (want.eo_power_mw, want.to_power_mw)
+        assert got == bank_budget(deltas[bank].reshape(arms, -1), 0.8,
+                                  eo_cfg.mr_pitch_um, params)
 
 
 class TestLossAccounting:

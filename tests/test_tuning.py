@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mrbnn.errors import DomainError, IllConditionedLayoutError
-from mrbnn.tuning import (TuningParams, budget_heads, fold_and_split,
+from mrbnn.tuning import (TuningParams, fold_and_split, ted_drives,
                           ted_spacing_sweep, ted_tuning_power,
                           thermal_crosstalk_matrix, uniform_positions_um)
 
@@ -22,15 +22,17 @@ def naive_jacobi(t, k):
     raise AssertionError("naive iteration did not converge")
 
 
-def bank_budget(banks, fraction, spacing, params, heads=None):
-    """``fold_and_split``, then ``budget_heads`` (all banks if no heads)."""
+def bank_budget(banks, fraction, spacing, params):
+    """(eo_mw, to_mw) of a [n_banks, bank_size] set of banks:
+    ``fold_and_split``, then ``ted_drives`` on the TO remainders."""
     eo, to = fold_and_split(np.asarray(banks, float), fraction, params)
-    got = budget_heads(eo, to, spacing, params, heads or (len(banks),))
-    return got if heads else got[0]
+    s = ted_drives(to, spacing, params)
+    return (float(np.sum(eo)) * params.eo_power_uw_per_nm * 1e-3,
+            float(np.sum(np.abs(s))) / params.heater_efficiency_nm_per_mw)
 
 
 def one_ring(shift_nm, params, fraction=1.0):
-    """The budget of one one-ring bank."""
+    """The (eo_mw, to_mw) of one one-ring bank."""
     return bank_budget([[shift_nm]], fraction, 5.0, params)
 
 
@@ -49,17 +51,13 @@ def eo_to_split(shift_nm, params):
 class TestHybridSplit:
     # the EO/TO split of one ring, read off one-ring banks
     def test_zero_shift(self, params):
-        b = one_ring(0.0, params)
-        assert (b.eo_power_mw, b.to_power_mw, b.total_power_mw) \
-            == (0.0, 0.0, 0.0)
-        assert b.worst_latency_ns == params.eo_latency_ns
+        assert one_ring(0.0, params) == (0.0, 0.0)
 
     def test_eo_only_rate(self):
         p = TuningParams(eo_max_shift_nm=2.0)
-        b = one_ring(1.0, p)
-        assert b.to_power_mw == 0.0
-        assert b.total_power_mw == pytest.approx(0.004, rel=1e-12)  # 4 uW
-        assert b.worst_latency_ns == p.eo_latency_ns
+        eo, to = one_ring(1.0, p)
+        assert to == 0.0
+        assert eo == pytest.approx(0.004, rel=1e-12)  # 4 uW
 
     def test_heater_efficiency_follows_fsr(self, params):
         from dataclasses import replace
@@ -71,19 +69,17 @@ class TestHybridSplit:
 
     def test_hybrid_rates(self):
         p = TuningParams(eo_max_shift_nm=2.0, fsr_nm=10.0)
-        b = one_ring(3.0, p)
+        eo, to = one_ring(3.0, p)
         # 2 nm * 4 uW/nm + (1/10) FSR * 27.5 mW
-        assert b.eo_power_mw == pytest.approx(0.008, rel=1e-12)
-        assert b.to_power_mw == pytest.approx(2.75, rel=1e-12)
-        assert b.total_power_mw == pytest.approx(0.008 + 2.75, rel=1e-12)
-        assert b.worst_latency_ns == 4000.0
+        assert eo == pytest.approx(0.008, rel=1e-12)
+        assert to == pytest.approx(2.75, rel=1e-12)
 
     def test_power_continuous_with_slope_break(self, params):
         eo_max = params.eo_max_shift_nm
         eps = 1e-7
 
         def power(shift):
-            return one_ring(shift, params).total_power_mw
+            return sum(one_ring(shift, params))
 
         below, at, above = power(eo_max - eps), power(eo_max), \
             power(eo_max + eps)
@@ -96,7 +92,7 @@ class TestHybridSplit:
 
     def test_monotone_in_shift(self, params):
         shifts = np.linspace(0, params.fsr_nm / 2, 200)
-        powers = [one_ring(s, params).total_power_mw for s in shifts]
+        powers = [sum(one_ring(s, params)) for s in shifts]
         assert all(b >= a for a, b in zip(powers, powers[1:]))
 
     def test_folds_unfolded(self, params):
@@ -105,8 +101,8 @@ class TestHybridSplit:
         fsr = params.fsr_nm
         for shift, folded in ((fsr, 0.0), (-0.1, 0.1), (fsr - 2.0, 2.0),
                               (-(fsr + 3.0), 3.0)):
-            assert one_ring(shift, params).total_power_mw \
-                == pytest.approx(one_ring(folded, params).total_power_mw,
+            assert sum(one_ring(shift, params)) \
+                == pytest.approx(sum(one_ring(folded, params)),
                                  rel=1e-9, abs=1e-12)
 
 
@@ -115,7 +111,7 @@ class TestFold:
     P = TuningParams(eo_max_shift_nm=9.0, fsr_nm=10.0)
 
     def folded(self, delta_nm, params=P):
-        return (one_ring(delta_nm, params).eo_power_mw
+        return (one_ring(delta_nm, params)[0]
                 / (params.eo_power_uw_per_nm * 1e-3))
 
     def test_within_half_fsr(self):
@@ -247,34 +243,26 @@ class TestTed:
 class TestBankBudget:
     def test_zero_fraction_zero_power(self, params):
         banks = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        b = bank_budget(banks, 0.0, 5.0, params)
-        assert b.total_power_mw == 0.0
+        assert bank_budget(banks, 0.0, 5.0, params) == (0.0, 0.0)
 
     def test_monotone_in_fraction(self, params):
         banks = np.array([[0.4, 1.2, 2.5, 0.9], [3.0, 0.1, 1.7, 2.2]])
-        budgets = [bank_budget(banks, f, 5.0, params).total_power_mw
+        budgets = [sum(bank_budget(banks, f, 5.0, params))
                    for f in (0.2, 0.5, 0.8, 1.0)]
         assert all(b1 <= b2 + 1e-12 for b1, b2 in zip(budgets, budgets[1:]))
         assert budgets[1] < budgets[3]
 
     def test_eo_only_arithmetic(self, params):
-        b = bank_budget(np.ones((3, 10)), 0.8, 5.0, params)
-        assert b.to_power_mw == 0.0
+        eo, to = bank_budget(np.ones((3, 10)), 0.8, 5.0, params)
+        assert to == 0.0
         # 3 banks * 10 MRs * 0.8 nm * 4 uW/nm = 96 uW
-        assert b.total_power_mw == pytest.approx(0.096, rel=1e-12)
-        assert b.worst_latency_ns == params.eo_latency_ns
-
-    def test_to_engages_latency(self, params):
-        # one all-EO bank and one bank that needs heaters
-        b = bank_budget(np.array([[0.5] * 4, [5.0] * 4]), 1.0, 5.0, params)
-        assert b.to_power_mw > 0
-        assert b.worst_latency_ns == params.to_latency_ns
+        assert eo == pytest.approx(0.096, rel=1e-12)
 
     def test_folding_applied(self, params):
-        near = bank_budget([[0.5, 3.0]], 1.0, 5.0, params).total_power_mw
-        wrapped = bank_budget(
+        near = sum(bank_budget([[0.5, 3.0]], 1.0, 5.0, params))
+        wrapped = sum(bank_budget(
             [[params.fsr_nm - 0.5, -(2 * params.fsr_nm + 3.0)]], 1.0, 5.0,
-            params).total_power_mw
+            params))
         assert wrapped == pytest.approx(near, rel=1e-9)
 
     def test_single_bank_is_one_row(self, params):
@@ -316,19 +304,16 @@ class TestBankBudget:
                     to, uniform_positions_um(size, spacing),
                     params).p_ted_mw
         eo_mw = eo_nm * params.eo_power_uw_per_nm * 1e-3
-        b = bank_budget(banks, fraction, spacing, params)
-        assert b.eo_power_mw == pytest.approx(eo_mw, rel=1e-12)
-        assert b.to_power_mw == pytest.approx(to_mw, rel=1e-12)
-        assert b.total_power_mw == pytest.approx(eo_mw + to_mw, rel=1e-12)
-        assert b.worst_latency_ns == params.to_latency_ns
-        all_eo = bank_budget(banks[:1], fraction, spacing, params)
-        assert all_eo.to_power_mw == 0.0
-        assert all_eo.worst_latency_ns == params.eo_latency_ns
+        eo, to = bank_budget(banks, fraction, spacing, params)
+        assert eo == pytest.approx(eo_mw, rel=1e-12)
+        assert to == pytest.approx(to_mw, rel=1e-12)
+        assert bank_budget(banks[:1], fraction, spacing, params)[1] == 0.0
 
 
 class TestHeads:
-    # the heads of one call are the budgets of separate calls, bit for bit
-    HEADS = (1, 2, 7, 150, 301)
+    # the drives of the first a banks are the first a rows of the drives
+    # of all of them, bit for bit, at every width, one bank included
+    WIDTHS = (1, 2, 7, 150, 301)
 
     @pytest.mark.parametrize("size", [1, 3, 5, 10, 15])
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.8, 1.0])
@@ -337,32 +322,39 @@ class TestHeads:
         banks = rng.normal(0.0, 12.0, (301, size))
         banks[0] = 5.0 + rng.uniform(0.0, 0.5, size)   # needs heaters
         cool = banks.copy()
-        cool[:3] = rng.uniform(-0.9, 0.9, (3, size))    # heads 1, 2: all EO
+        cool[:3] = rng.uniform(-0.9, 0.9, (3, size))    # widths 1, 2: all EO
+        cool[5] = 0.0
+        k = thermal_crosstalk_matrix(uniform_positions_um(size, 5.0),
+                                     params.crosstalk_eta,
+                                     params.crosstalk_decay_um)
         for deltas in (banks, cool):
-            got = bank_budget(deltas, fraction, 5.0, params,
-                              heads=self.HEADS)
-            want = [bank_budget(deltas[:a], fraction, 5.0, params)
-                    for a in self.HEADS]
-            assert got == want
-        hot = bank_budget(banks[:1], fraction, 5.0, params)
-        assert (hot.to_power_mw > 0) == (fraction > 0)
-        assert bank_budget(cool, fraction, 5.0, params,
-                           heads=(2,))[0].to_power_mw == 0.0
+            _, to = fold_and_split(deltas, fraction, params)
+            whole = ted_drives(to, 5.0, params)
+            for a in self.WIDTHS:
+                assert np.array_equal(ted_drives(to[:a], 5.0, params),
+                                      whole[:a])
+            # the oracle: one LAPACK solve per bank
+            want = np.array([np.linalg.solve(k, row) for row in to])
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(whole - want) <= 1e-12 * scale)
+        assert (bank_budget(banks[:1], fraction, 5.0, params)[1] > 0) \
+            == (fraction > 0)
+        assert bank_budget(cool[:2], fraction, 5.0, params)[1] == 0.0
 
     def test_one_head_is_the_call(self, params):
-        banks = np.array([[0.4, 1.2, 12.5], [3.0, 0.1, 1.7]])
-        assert bank_budget(banks, 0.8, 5.0, params, heads=(2, 2)) \
-            == [bank_budget(banks, 0.8, 5.0, params)] * 2
-
-    @pytest.mark.parametrize("heads", [(0,), (1, 3)])
-    def test_bad_heads_rejected(self, params, heads):
-        with pytest.raises(DomainError, match="heads"):
-            bank_budget(np.ones((2, 3)), 0.8, 5.0, params, heads=heads)
+        # each bank alone gets its row of the call on all of them
+        _, to = fold_and_split(np.array([[0.4, 1.2, 12.5], [3.0, 0.1, 1.7],
+                                         [9.0, 14.0, 7.5]]), 0.8, params)
+        whole = ted_drives(to, 5.0, params)
+        for b in range(3):
+            assert np.array_equal(ted_drives(to[b:b + 1], 5.0, params),
+                                  whole[b:b + 1])
 
     def test_dense_layout_rejected_for_all_heads(self):
         dense = TuningParams(crosstalk_eta=0.5, crosstalk_decay_um=50.0)
-        with pytest.raises(IllConditionedLayoutError):
-            bank_budget(np.zeros((3, 10)), 0.0, 5.0, dense, heads=(1, 3))
+        for a in (1, 3):
+            with pytest.raises(IllConditionedLayoutError):
+                ted_drives(np.zeros((a, 10)), 5.0, dense)
 
 
 class TestSpacingSweep:
