@@ -2,21 +2,27 @@
 
 All kernels are deterministic: results depend only on the inputs.
 
-``noisy_fc_forward`` uses that a quantizer's outputs take only 2**bits
-levels v_l, and that a ratio rho clamps v_l only where v_l * rho leaves
-[0, 1]. After the inputs are found equal to the levels, exactly, the
-levels are split by what the clamp does: the levels no ratio of the layer
-clamps share one BLAS GEMM against rho * rail; a clamping level with many
-inputs takes a GEMM of its one-hot mask against its clamped table; and
-clamping levels with few inputs have the clipped products of their
-(sample, input) pairs summed directly. The split is used only when the
-GEMMs cost less than the element-wise form; otherwise that form runs in
-blocks of bounded size. A layer with few inputs (below about 24,
-``_input_major_pays``) runs the element-wise form input-major: it adds
+``noisy_fc_forward`` folds each weight rail into its ratio: with rail in
+{-1, 0, 1}, clip(a * rho, 0, 1) * rail equals clip(a * (rho * rail), -1,
+1) bit for bit for a >= 0 and finite rho >= 0, so every path reads one
+signed table rho * rail, and the element-wise product is a multiply and
+a clip of the inputs clamped at 0. It also uses that a quantizer's outputs
+take only 2**bits levels v_l, and that a ratio rho clamps v_l only where
+v_l * rho leaves [0, 1]. After the inputs are found equal to the levels,
+exactly, the levels are split by what the clamp does: the levels no ratio
+of the layer clamps share one BLAS GEMM against the signed table; a
+clamping level with many inputs takes a GEMM of its one-hot mask against
+its clamped table; and clamping levels with few inputs have the clipped
+products of their (sample, input) pairs summed directly. The split is used
+only when the GEMMs cost less than the element-wise form; otherwise that
+form runs in blocks of bounded size. A layer with few inputs (below about
+44, ``_input_major_pays``) runs the element-wise form input-major: it
+copies each block of inputs into a contiguous [n_in, rows] array and adds
 whole [n_out, rows] slices in the order numpy sums a short axis, where an
 [rows, n_out, n_in] block would pay numpy's per-output reduction cost for
-a handful of terms. Both element-wise forms give the same bits; the level
-split differs from them only in summation order.
+a handful of terms. Both element-wise forms give the same bits, folded or
+not (but for NaN signs); the level split differs from them only in
+summation order.
 """
 
 from __future__ import annotations
@@ -88,60 +94,84 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     where clip(.) clamps to [0, 1]. The rails carry no ratio: weight-ring
     ratios are >= 1, so clip(w * rho) is w for w in {0, 1}.
 
+    Fold: with rail = w_pos - w_neg in {-1, 0, 1} and the signed table
+    rho * rail, a sign flip is exact, so for a >= 0 and finite rho >= 0
+
+        clip(a * rho) * rail == clip(a * (rho * rail), -1, 1)
+
+    bit for bit, and a negative input adds 0 either way. Every path reads
+    the one signed table, built once per call; the element-wise forms
+    clamp the inputs at 0 and then only multiply and clip. The fold is
+    not used where it does not hold: a negative or non-finite ratio, a
+    zero ratio (-inf * 0 is NaN, 0 * s is not), or an infinite input on
+    a zero rail (inf * 0 is NaN, clip(inf) * 0 is not). Those take the
+    product as written above.
+
     Level split: if every input equals one of the ``levels`` v_l and the
-    ratios are finite, then exactly
+    ratios are finite and >= 0, then exactly
 
-        out = sum_{l: v_l != 0} 1[acts == v_l] @ table_l.T
-        table_l = clip(v_l * rho_act) * (w_pos - w_neg)
+        out = sum_{l: v_l > 0} 1[acts == v_l] @ clip(v_l * signed, -1, 1).T
 
-    and ``_level_gemm`` sums it with one GEMM for all the levels that
-    never clamp, one per clamping level with many inputs, and direct sums
-    for the rest, in O(n_samples*n_in + n_out*n_in) memory. The hint is
-    used only after every input is found equal to a level, and only while
-    the levels present are few enough to beat the broadcast
-    (``_table_pays``). Inputs off the levels (a batch-norm fold or an
-    average pool after the quantizer, raw features), inputs that rounding
-    misses on a hint that is not evenly spaced (``_level_index``),
-    non-finite ratios (0 * inf is not 0), too many levels present, or no
-    hint take the broadcast form, a block of samples at a time, each
-    block's [rows, n_out, n_in] temporary within ``BLOCK_BYTES``. Below
-    the input-count crossover (``_input_major_pays``) the block is laid
-    out [n_in, n_out, rows] instead, with the same result bit for bit.
+    (a level <= 0 adds nothing), and ``_level_gemm`` sums it with one
+    GEMM for all the levels that never clamp, one per clamping level with
+    many inputs, and direct sums for the rest, in O(n_samples*n_in +
+    n_out*n_in) memory. The hint is used only after every input is found
+    equal to a level, and only while the levels present are few enough to
+    beat the broadcast (``_table_pays``). Inputs off the levels (a
+    batch-norm fold or an average pool after the quantizer, raw
+    features), inputs that rounding misses on a hint that is not evenly
+    spaced (``_level_index``), negative or non-finite ratios (0 * inf is
+    not 0), too many levels present, or no hint take the broadcast form,
+    a block of samples at a time, each block's [rows, n_out, n_in]
+    temporary within ``BLOCK_BYTES``. Below the input-count crossover
+    (``_input_major_pays``) the block is laid out [n_in, n_out, rows]
+    instead, with the same result bit for bit but for the sign of a NaN
+    summed from NaNs of both signs.
     """
-    rail = w_pos - w_neg
-    if levels is not None and np.size(levels) and np.isfinite(rho_act).all():
+    n, (n_out, n_in) = acts.shape[0], np.shape(rho_act)
+    form = (_input_major if _input_major_pays(n_in, n, n_out)
+            else _blocked_broadcast)
+    signed = np.subtract(w_pos, w_neg, out=np.empty((n_out, n_in)))
+    lo, hi = (rho_act.min(), rho_act.max()) if rho_act.size else (1.0, 1.0)
+    if not (0.0 <= lo and hi < np.inf):        # a NaN fails both
+        return form(acts, rho_act, signed)     # ``signed`` is the rail
+    signed *= rho_act
+    if levels is not None and np.size(levels):
         levels = np.unique(levels)       # sorted and distinct
         idx = _level_index(acts, levels)
         if np.array_equal(levels[idx], acts):
             present = np.bincount(idx.ravel(), minlength=levels.size)
-            present[levels == 0.0] = 0   # level 0 adds nothing
-            if _table_pays(np.count_nonzero(present), acts.shape[0],
-                           rail.shape[0]):
-                return _level_gemm(idx, levels, present, rail, rho_act)
-    if _input_major_pays(rail.shape[1], acts.shape[0], rail.shape[0]):
-        return _input_major(acts, rail, rho_act)
-    return _blocked_broadcast(acts, rail, rho_act)
+            present[levels <= 0.0] = 0   # clip(v * rho) = 0 for v <= 0
+            if _table_pays(np.count_nonzero(present), n, n_out):
+                return _level_gemm(idx, levels, present, signed, hi)
+    if lo > 0.0 and (signed.all() or acts.max(initial=0.0) < np.inf):
+        return form(acts, signed)
+    return form(acts, rho_act, np.subtract(w_pos, w_neg))
 
 
 def _table_pays(n_levels, n, n_out):
-    """Whether ``n_levels`` table GEMMs beat the blocked broadcast. Per
-    level, the one-hot pass, the table pass and the GEMM cost about
-    1/n_out, 1/(2 n) and 1/32 of the broadcast: a fit to the crossovers
-    measured in BENCH_level_gemm.json (``level_table_crossover``).
-    It still prices one GEMM per level present, while ``_level_gemm``
-    runs fewer, so it is conservative; a refit is left for later."""
+    """Whether ``n_levels`` table GEMMs beat the blocked broadcast; only
+    levels above 0 count, as only they add anything. Per level, the
+    one-hot pass, the table pass and the GEMM cost about 1/n_out, 1/(2 n)
+    and 1/32 of the broadcast: a fit to the crossovers measured in
+    BENCH_level_gemm.json (``level_table_crossover``), against the
+    three-pass broadcast of that time. The folded broadcast is about a
+    third cheaper, and ``_level_gemm`` runs fewer GEMMs than one per
+    level present, so the fit errs both ways; it is kept because moving
+    it would move layers between paths, and with them their summation
+    order."""
     return n_levels * (2 * n + n_out + n * n_out / 16) < 2 * n * n_out
 
 
 def _input_major_pays(n_in, n, n_out):
-    """Whether the input-major form beats the blocked broadcast. The
-    broadcast's sum over a short input axis costs about 45 ns per output;
-    the input-major adds cost about 1 ns more per product and 0.7 us per
-    input. A fit to the ratios measured in BENCH_fpv_sweep.json
-    (``input_major_crossover``), with the per-output term lowered so that
-    layers of 24 or more inputs, where the measured ratios reach 1, keep
-    the broadcast."""
-    return n_in * (600 + n * n_out) < 24 * n * n_out
+    """Whether the input-major form beats the blocked broadcast, both
+    folded. Counted in input-major products (about 3 ns each), the
+    broadcast's numpy sum over a short input axis costs about 44 per
+    output, and the input-major form's numpy calls about 1,000 per input.
+    So large batches run input-major below 44 inputs, and one sample
+    never does. A fit (least mean relative loss) to the ratios measured
+    in BENCH_elementwise.json (``input_major_crossover``)."""
+    return n_in * (1000 + n * n_out) < 44 * n * n_out
 
 
 def _level_index(acts, levels):
@@ -160,41 +190,39 @@ def _level_index(acts, levels):
     return k.astype(np.intp)
 
 
-def _level_gemm(idx, levels, present, rail, rho_act):
+def _level_gemm(idx, levels, present, signed, hi):
     """The noisy product of inputs on ``levels``, split by what the clamp
-    does. ``idx`` holds each input's level index and ``present`` each
-    level's input count, zero for a level that adds nothing.
+    does. ``idx`` holds each input's level index, ``present`` each level's
+    input count (zero for a level that adds nothing, every level <= 0),
+    ``signed`` the table rho * rail and ``hi`` the largest ratio, all
+    ratios being finite and >= 0.
 
-    With rail in {-1, 0, 1}, a level v that no ratio clamps (0 <= v * rho
-    <= 1 at the smallest and largest rho; rounding is monotone) has
-    clip(v * rho) * rail equal to v * (rho * rail) bit for bit, so all such
-    levels share one GEMM of their inputs against rho * rail. A level
-    clamped only at 1 has it equal to clip(v * (rho * rail), -1, 1); if it
-    holds few inputs (``_direct_pays``), those products are added pair by
-    pair (``_direct_sums``). Any other level takes a GEMM of its one-hot
-    mask against its clamped table."""
-    n, n_out = idx.shape[0], rail.shape[0]
+    A level v > 0 that no ratio clamps (v * hi <= 1; rounding is monotone)
+    has clip(v * rho) * rail equal to v * signed bit for bit, so all such
+    levels share one GEMM of their inputs against ``signed``. Any other
+    level is clamped only at 1, where the product is clip(v * signed, -1,
+    1). If it holds few inputs (``_direct_pays``), those products are
+    added pair by pair (``_direct_sums``); otherwise it takes a GEMM of
+    its one-hot mask against that clamped table."""
+    n, n_out = idx.shape[0], signed.shape[0]
     out = np.zeros((n, n_out))
     used = present > 0
     if not used.any():
         return out
-    ends = np.multiply.outer(levels, [rho_act.min(), rho_act.max()])
-    above = used & (ends >= 0.0).all(axis=1)
-    never = above & (ends <= 1.0).all(axis=1)
-    direct = _direct_pays(np.where(above & ~never, present, 0), n,
+    never = used & (levels * hi <= 1.0)
+    direct = _direct_pays(np.where(used & ~never, present, 0), n,
                           idx.shape[1], n_out)
-    table = np.multiply(rho_act, rail)
     if direct.any():
-        _direct_sums(out, idx, levels, direct, table)
+        _direct_sums(out, idx, levels, direct, signed)
     buf = np.empty(idx.shape)
     if never.any():
         np.take(np.where(never, levels, 0.0), idx, out=buf, mode="clip")
-        out += buf @ table.T
+        out += buf @ signed.T
+    table = np.empty_like(signed)
     for l in np.flatnonzero(used & ~never & ~direct):
         np.equal(idx, l, out=buf)
-        np.multiply(rho_act, levels[l], out=table)
-        np.clip(table, 0.0, 1.0, out=table)
-        table *= rail
+        np.multiply(signed, levels[l], out=table)
+        np.clip(table, -1.0, 1.0, out=table)
         out += buf @ table.T
     return out
 
@@ -233,44 +261,68 @@ def _direct_sums(out, idx, levels, direct, signed):
         out[rows[first]] += np.add.reduceat(prod, first, axis=1).T
 
 
-def _blocked_broadcast(acts, rail, rho_act):
-    """The broadcast form over blocks of samples in one reused buffer;
-    each output sums over the input axis as an unblocked pass would."""
+def _blocked_broadcast(acts, table, rail=None):
+    """The element-wise form over blocks of samples in one reused buffer:
+    clip(max(acts, 0) * table, -1, 1) for the signed ``table``, or, given
+    ``rail``, clip(acts * table, 0, 1) * rail for the ratios ``table``.
+    Each output sums over the input axis as an unblocked pass would."""
     n = acts.shape[0]
-    out = np.empty((n, rail.shape[0]))
-    rows = max(1, BLOCK_BYTES // max(1, rail.size * 8))
-    buf = np.empty((min(rows, n),) + rail.shape)
+    out = np.empty((n, table.shape[0]))
+    rows = max(1, BLOCK_BYTES // max(1, table.size * 8))
+    buf = np.empty((min(rows, n),) + table.shape)
+    clamped = np.empty((min(rows, n), table.shape[1]))
     for start in range(0, n, rows):
         block = acts[start:start + rows]
         a_eff = buf[:block.shape[0]]
-        np.multiply(block[:, None, :], rho_act, out=a_eff)
-        np.clip(a_eff, 0.0, 1.0, out=a_eff)
-        a_eff *= rail
+        if rail is None:
+            block = np.maximum(block, 0.0, out=clamped[:block.shape[0]])
+        np.multiply(block[:, None, :], table, out=a_eff)
+        _clip(a_eff, rail)
         np.sum(a_eff, axis=2, out=out[start:start + rows])
     return out
 
 
-def _input_major(acts, rail, rho_act):
-    """The blocked broadcast with the input axis outermost: each block's
-    buffer is [n_in, n_out, rows], and the sum over inputs adds whole
-    [n_out, rows] slices in the order numpy sums a short axis, so every
-    output equals ``_blocked_broadcast``'s bit for bit. For at most 128
-    inputs (``_pairwise_sum``)."""
+def _input_major(acts, table, rail=None):
+    """``_blocked_broadcast`` with the input axis outermost: each block of
+    inputs is copied (and, for the signed table, clamped at 0) into a
+    contiguous [n_in, rows] array, so the products fill an [n_in, n_out,
+    rows] buffer a contiguous row times a scalar at a time. The sum over
+    inputs adds whole [n_out, rows] slices in the order numpy sums a short
+    axis, so every output equals ``_blocked_broadcast``'s bit for bit, but
+    for the sign of a NaN summed from NaNs of both signs (numpy may add
+    two NaNs either way round). For at most 128 inputs
+    (``_pairwise_sum``)."""
     n = acts.shape[0]
-    n_out, n_in = rail.shape
+    n_out, n_in = table.shape
     out = np.empty((n, n_out))
-    rows = max(1, BLOCK_BYTES // max(1, rail.size * 8))
+    rows = max(1, BLOCK_BYTES // max(1, table.size * 8))
     buf = np.empty((n_in, n_out, min(rows, n)))
+    inputs = np.empty((n_in, min(rows, n)))
     for start in range(0, n, rows):
         block = acts[start:start + rows].T
+        a = inputs[:, :block.shape[1]]
+        if rail is None:
+            np.maximum(block, 0.0, out=a)
+        else:
+            a[...] = block
         a_eff = buf[:, :, :block.shape[1]]
-        np.multiply(block[:, None, :], rho_act.T[:, :, None], out=a_eff)
-        np.clip(a_eff, 0.0, 1.0, out=a_eff)
-        a_eff *= rail.T[:, :, None]
+        np.multiply(a[:, None, :], table.T[:, :, None], out=a_eff)
+        _clip(a_eff, None if rail is None else rail.T[:, :, None])
         _pairwise_sum(a_eff)
         # np.sum adds its 0.0 identity last: all -0.0 terms sum to +0.0
         np.add(a_eff[0].T, 0.0, out=out[start:start + rows])
     return out
+
+
+def _clip(products, rail):
+    """Finish the element-wise products in place: clip to [-1, 1] for the
+    signed table, or, given ``rail`` (broadcast to ``products``), clip to
+    [0, 1] and multiply by it."""
+    if rail is None:
+        np.clip(products, -1.0, 1.0, out=products)
+    else:
+        np.clip(products, 0.0, 1.0, out=products)
+        products *= rail
 
 
 def _pairwise_sum(b):

@@ -280,6 +280,35 @@ class TestLevelSplit:
         assert np.array_equal(np.flatnonzero(
             _kernels._direct_pays(counts, n, k, o)), range(8, 15))
 
+    def test_levels_below_zero_add_nothing(self, monkeypatch):
+        # a quantizer range below 0, as a loaded model may set: clip(v *
+        # rho, 0, 1) = 0 for v < 0, so only the 8 levels above 0 are
+        # priced and reach a GEMM or a direct sum
+        n, o, k = 64, 64, 13
+        levels = bnn.activation_levels(4, -1.0, 1.0)
+        acts = levels[rng.integers(0, levels.size, (n, k))]
+        wp, wn = dual_rail(o, k)
+        ra = rng.uniform(1.0, 1.5, (o, k))
+        priced, present = [], []
+        table_pays, level_gemm = _kernels._table_pays, _kernels._level_gemm
+
+        def price(n_levels, *shape):
+            priced.append(n_levels)
+            return table_pays(n_levels, *shape)
+
+        def gemm(idx, levels, counts, *args):
+            present.append(counts.copy())
+            return level_gemm(idx, levels, counts, *args)
+
+        monkeypatch.setattr(_kernels, "_table_pays", price)
+        monkeypatch.setattr(_kernels, "_level_gemm", gemm)
+        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        assert priced == [8] and len(present) == 1
+        assert not present[0][levels <= 0.0].any()
+        assert present[0][levels > 0.0].all()
+        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
+                                   rtol=1e-12, atol=1e-13)
+
     def test_layer_without_inputs(self, level_calls):
         wp, wn = dual_rail(3, 0)
         got = _kernels.noisy_fc_forward(np.zeros((5, 0)), wp, wn,
@@ -294,15 +323,19 @@ CROSSOVER = max(k for k in range(1, 129)
                 if _kernels._input_major_pays(k, 1 << 40, 1))
 
 
+def block_rows(o, k):
+    """Rows per block of the element-wise forms on an [o, k] layer."""
+    return _kernels.BLOCK_BYTES // (o * k * 8)
+
+
 class TestInputMajor:
     """Below the crossover the broadcast runs input-major, and every output
-    equals the blocked broadcast's np.sum bit for bit."""
+    equals the blocked broadcast's np.sum bit for bit, folded or not."""
 
     @pytest.mark.parametrize("k", range(1, CROSSOVER + 9))
     def test_bit_identical_to_blocked(self, k):
         o = 3
-        block = _kernels.BLOCK_BYTES // (o * k * 8)
-        for n in (0, 1, 7, block, block + 1):
+        for n in (0, 1, 7, block_rows(o, k), block_rows(o, k) + 1):
             acts = rng.uniform(-0.5, 1.5, (n, k))   # raw features, > 1
             acts[rng.uniform(size=(n, k)) < 0.2] = 0.0
             rail = np.sign(rng.normal(size=(o, k)))
@@ -311,17 +344,19 @@ class TestInputMajor:
                 # zero inputs on negative rails: -0.0 products sum to +0.0
                 acts[0] = 0.0
                 rail[0] = -1.0
-            want = _kernels._blocked_broadcast(acts, rail, ra)
-            got = _kernels._input_major(acts, rail, ra)
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-            if n:
-                assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
+            for args in ((acts, ra * rail), (acts, ra, rail)):
+                want = _kernels._blocked_broadcast(*args)
+                got = _kernels._input_major(*args)
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got),
+                                              np.signbit(want))
+                if n:
+                    assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
             # critical coupling: an infinite ratio, 0 * inf = NaN
             ra[-1, k // 2] = np.inf
             with np.errstate(invalid="ignore"):
-                want = _kernels._blocked_broadcast(acts, rail, ra)
-                got = _kernels._input_major(acts, rail, ra)
+                want = _kernels._blocked_broadcast(acts, ra, rail)
+                got = _kernels._input_major(acts, ra, rail)
             assert not n or np.isnan(want[0, -1])
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
@@ -329,19 +364,110 @@ class TestInputMajor:
     def test_dispatch(self, input_major_calls):
         # _pairwise_sum follows numpy's order for at most 128 inputs
         assert CROSSOVER + 8 <= 128
-        n, o = 4096, 4
+        # conv 1 of the benchmark's conv BNN runs input-major
+        assert _kernels._input_major_pays(27, 20736, 16)
+        n, o = 4096, 16
         for k in (1, CROSSOVER, CROSSOVER + 1):
             acts = rng.uniform(0, 1, (n, k))
             wp, wn = dual_rail(o, k)
             got = _kernels.noisy_fc_forward(acts, wp, wn, np.ones((o, k)))
             np.testing.assert_array_equal(
-                got, _kernels._blocked_broadcast(acts, wp - wn,
-                                                 np.ones((o, k))))
+                got, _kernels._blocked_broadcast(acts, wp - wn))
         assert input_major_calls == [(n, 1), (n, CROSSOVER)]
         # a handful of products does not pay for an add per input
         _kernels.noisy_fc_forward(np.ones((1, 8)), *dual_rail(1, 8),
                                   np.ones((1, 8)))
         assert len(input_major_calls) == 2
+
+
+def three_op_blocked(acts, rail, rho_act):
+    """The blocked broadcast before the fold: multiply, clip, times rail."""
+    n = acts.shape[0]
+    out = np.empty((n, rail.shape[0]))
+    rows = max(1, _kernels.BLOCK_BYTES // max(1, rail.size * 8))
+    buf = np.empty((min(rows, n),) + rail.shape)
+    for start in range(0, n, rows):
+        block = acts[start:start + rows]
+        a_eff = buf[:block.shape[0]]
+        np.multiply(block[:, None, :], rho_act, out=a_eff)
+        np.clip(a_eff, 0.0, 1.0, out=a_eff)
+        a_eff *= rail
+        np.sum(a_eff, axis=2, out=out[start:start + rows])
+    return out
+
+
+def three_op_input_major(acts, rail, rho_act):
+    """The input-major form before the fold, on strided inputs."""
+    n = acts.shape[0]
+    n_out, n_in = rail.shape
+    out = np.empty((n, n_out))
+    rows = max(1, _kernels.BLOCK_BYTES // max(1, rail.size * 8))
+    buf = np.empty((n_in, n_out, min(rows, n)))
+    for start in range(0, n, rows):
+        block = acts[start:start + rows].T
+        a_eff = buf[:, :, :block.shape[1]]
+        np.multiply(block[:, None, :], rho_act.T[:, :, None], out=a_eff)
+        np.clip(a_eff, 0.0, 1.0, out=a_eff)
+        a_eff *= rail.T[:, :, None]
+        _kernels._pairwise_sum(a_eff)
+        np.add(a_eff[0].T, 0.0, out=out[start:start + rows])
+    return out
+
+
+class TestFold:
+    """clip(a * rho, 0, 1) * rail == clip(max(a, 0) * (rho * rail), -1, 1)
+    bit for bit where the kernel folds, and the kernel keeps the three-op
+    product where the fold does not hold."""
+
+    @staticmethod
+    def cases(n, k, o=3):
+        """(what, acts, rail, ratios) with the corner cases of the fold."""
+        acts = rng.uniform(-0.5, 1.5, (n, k))   # negative inputs, > 1
+        acts[rng.uniform(size=(n, k)) < 0.2] = 0.0
+        rail = np.sign(rng.normal(size=(o, k)))
+        ra = rng.uniform(0.5, 3.0, (o, k))      # ratios below 1
+        if n:
+            acts[0] = 0.0                       # zero inputs on -1 rails
+            rail[0] = -1.0
+        yield "plain", acts, rail, ra
+        odd = acts.copy()
+        odd.flat[::5] = np.inf
+        odd.flat[1::7] = -np.inf
+        odd.flat[2::9] = np.nan
+        odd.flat[3::11] = -np.nan
+        yield "inf and NaN inputs", odd, rail, ra
+        zero_rails = rail.copy()
+        zero_rails[:, ::3] = 0.0
+        yield "zero rails", acts, zero_rails, ra
+        yield "inf inputs on zero rails", odd, zero_rails, ra
+        inf_ratio = ra.copy()
+        inf_ratio[-1, k // 2] = np.inf
+        yield "infinite ratio", acts, zero_rails, inf_ratio
+        zero_ratio = ra.copy()
+        zero_ratio[0, 0] = 0.0
+        yield "zero ratio, -inf inputs", odd, rail, zero_ratio
+        negative = ra.copy()
+        negative[-1, 0] = -0.5
+        yield "negative ratio", acts, rail, negative
+
+    @pytest.mark.parametrize("k", range(1, CROSSOVER + 9))
+    @pytest.mark.parametrize("major", [True, False],
+                             ids=["input-major", "blocked"])
+    def test_bit_identical_to_three_ops(self, monkeypatch, k, major):
+        monkeypatch.setattr(_kernels, "_input_major_pays",
+                            lambda *shape: major)
+        three_ops = three_op_input_major if major else three_op_blocked
+        for n in (0, 1, 7, block_rows(3, k) + 1):
+            for what, acts, rail, ra in self.cases(n, k):
+                wp, wn = (rail > 0) * 1.0, (rail < 0) * 1.0
+                with np.errstate(invalid="ignore"):
+                    got = _kernels.noisy_fc_forward(acts, wp, wn, ra)
+                    want = three_ops(acts, rail, ra)
+                assert np.array_equal(got, want, equal_nan=True), what
+                # NaNs of both signs on one output may sum to either sign
+                # in the other form, so each form is held to its own
+                assert np.array_equal(np.signbit(got), np.signbit(want)), \
+                    what
 
 
 class TestDeterminism:

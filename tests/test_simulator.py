@@ -776,11 +776,11 @@ class TestDrawWhatIsRead:
     def sweep_case(case, toy_model, toy_data):
         """A model and data whose first binarized layer takes the given
         form of the noisy kernel: the toy MLP's 8 raw features run
-        input-major, 40 run the blocked broadcast."""
+        input-major, 64 run the blocked broadcast."""
         if case == "input-major":
             return toy_model, toy_data.x_test, toy_data.y_test
-        model = bnn.make_mlp([40, 16, 3], seed=5)
-        x = np.random.Generator(np.random.PCG64(5)).uniform(0, 1, (64, 40))
+        model = bnn.make_mlp([64, 16, 3], seed=5)
+        x = np.random.Generator(np.random.PCG64(5)).uniform(0, 1, (64, 64))
         return model, x, reference_inference(model, x, folded=True)[1]
 
     @pytest.mark.parametrize("arch", ["eo", "po"])
