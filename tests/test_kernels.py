@@ -203,6 +203,12 @@ class TestLevelTable:
             got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
         assert level_calls == []
         np.testing.assert_array_equal(got, [[np.nan, 1.0], [1.0, 1.0]])
+        # a negative ratio clamps every input to 0, which the signed table
+        # of the level path would not
+        ra[0, 0] = -0.5
+        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        assert level_calls == []
+        np.testing.assert_array_equal(got, [[0.0, 1.0], [0.0, 1.0]])
 
     def test_blocks_that_do_not_divide_the_samples(self, monkeypatch):
         n, o, k = 11, 3, 7
@@ -445,7 +451,9 @@ class TestFold:
         yield "infinite ratio", acts, zero_rails, inf_ratio
         zero_ratio = ra.copy()
         zero_ratio[0, 0] = 0.0
-        yield "zero ratio, -inf inputs", odd, rail, zero_ratio
+        minus_inf = acts.copy()
+        minus_inf[:, 0] = -np.inf
+        yield "zero ratio, -inf inputs", minus_inf, rail, zero_ratio
         negative = ra.copy()
         negative[-1, 0] = -0.5
         yield "negative ratio", acts, rail, negative
