@@ -16,7 +16,7 @@ its clamped table; and clamping levels with few inputs have the clipped
 products of their (sample, input) pairs summed directly. The split is used
 only when the GEMMs cost less than the element-wise form; otherwise that
 form runs in blocks of bounded size. A layer with few inputs (below about
-44, ``_input_major_pays``) runs the element-wise form input-major: it
+58, ``_input_major_pays``) runs the element-wise form input-major: it
 copies each block of inputs into a contiguous [n_in, rows] array and adds
 whole [n_out, rows] slices in the order numpy sums a short axis, where an
 [rows, n_out, n_in] block would pay numpy's per-output reduction cost for
@@ -165,13 +165,13 @@ def _table_pays(n_levels, n, n_out):
 
 def _input_major_pays(n_in, n, n_out):
     """Whether the input-major form beats the blocked broadcast, both
-    folded. Counted in input-major products (about 3 ns each), the
-    broadcast's numpy sum over a short input axis costs about 44 per
+    folded. Counted in input-major products (about 2 ns each), the
+    broadcast's numpy sum over a short input axis costs about 58 per
     output, and the input-major form's numpy calls about 1,000 per input.
-    So large batches run input-major below 44 inputs, and one sample
+    So large batches run input-major below 58 inputs, and one sample
     never does. A fit (least mean relative loss) to the ratios measured
     in BENCH_elementwise.json (``input_major_crossover``)."""
-    return n_in * (1000 + n * n_out) < 44 * n * n_out
+    return n_in * (1000 + n * n_out) < 58 * n * n_out
 
 
 def _level_index(acts, levels):
@@ -265,7 +265,13 @@ def _blocked_broadcast(acts, table, rail=None):
     """The element-wise form over blocks of samples in one reused buffer:
     clip(max(acts, 0) * table, -1, 1) for the signed ``table``, or, given
     ``rail``, clip(acts * table, 0, 1) * rail for the ratios ``table``.
-    Each output sums over the input axis as an unblocked pass would."""
+    Each output sums over the input axis as an unblocked pass would.
+
+    np.einsum forms the products about twice as fast as a broadcast
+    np.multiply, which pays numpy's set-up cost per broadcast row. With no
+    summed index, each of its outputs is 0.0 plus one product: the bits of
+    np.multiply, but for the sign of a zero, which no sum of products
+    keeps (see ``_input_major``)."""
     n = acts.shape[0]
     out = np.empty((n, table.shape[0]))
     rows = max(1, BLOCK_BYTES // max(1, table.size * 8))
@@ -276,7 +282,7 @@ def _blocked_broadcast(acts, table, rail=None):
         a_eff = buf[:block.shape[0]]
         if rail is None:
             block = np.maximum(block, 0.0, out=clamped[:block.shape[0]])
-        np.multiply(block[:, None, :], table, out=a_eff)
+        np.einsum("sk,ok->sok", block, table, out=a_eff)
         _clip(a_eff, rail)
         np.sum(a_eff, axis=2, out=out[start:start + rows])
     return out
@@ -306,7 +312,7 @@ def _input_major(acts, table, rail=None):
         else:
             a[...] = block
         a_eff = buf[:, :, :block.shape[1]]
-        np.multiply(a[:, None, :], table.T[:, :, None], out=a_eff)
+        np.einsum("ks,ok->kos", a, table, out=a_eff)
         _clip(a_eff, None if rail is None else rail.T[:, :, None])
         _pairwise_sum(a_eff)
         # np.sum adds its 0.0 identity last: all -0.0 terms sum to +0.0
