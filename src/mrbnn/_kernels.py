@@ -155,11 +155,10 @@ def _table_pays(n_levels, n, n_out):
     one-hot pass, the table pass and the GEMM cost about 1/n_out, 1/(2 n)
     and 1/32 of the broadcast: a fit to the crossovers measured in
     BENCH_level_gemm.json (``level_table_crossover``), against the
-    three-pass broadcast of that time. The folded broadcast is about a
-    third cheaper, and ``_level_gemm`` runs fewer GEMMs than one per
-    level present, so the fit errs both ways; it is kept because moving
-    it would move layers between paths, and with them their summation
-    order."""
+    three-pass broadcast of that time. The folded broadcast is cheaper,
+    and ``_level_gemm`` runs fewer GEMMs than one per level present, so
+    the fit errs both ways; it is kept because moving it would move
+    layers between paths, and with them their summation order."""
     return n_levels * (2 * n + n_out + n * n_out / 16) < 2 * n * n_out
 
 
