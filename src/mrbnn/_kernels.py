@@ -168,9 +168,10 @@ def _input_major_pays(n_in, n, n_out):
     broadcast's numpy sum over a short input axis costs about 58 per
     output, and the input-major form's numpy calls about 1,000 per input.
     So large batches run input-major below 58 inputs, and one sample
-    never does. A fit (least mean relative loss) to the ratios measured
-    in BENCH_elementwise.json (``input_major_crossover``)."""
-    return n_in * (1000 + n * n_out) < 58 * n * n_out
+    never does, nor a layer without inputs (``_pairwise_sum`` needs one).
+    A fit (least mean relative loss) to the ratios measured in
+    BENCH_elementwise.json (``input_major_crossover``)."""
+    return 0 < n_in * (1000 + n * n_out) < 58 * n * n_out
 
 
 def _level_index(acts, levels):

@@ -322,6 +322,10 @@ class TestLevelSplit:
                                         levels=bnn.activation_levels(4))
         assert level_calls == [(5, 0)]
         np.testing.assert_array_equal(got, np.zeros((5, 3)))
+        # without a hint it takes the broadcast, never the input-major form
+        got = _kernels.noisy_fc_forward(np.zeros((5, 0)), wp, wn,
+                                        np.ones((3, 0)))
+        np.testing.assert_array_equal(got, np.zeros((5, 3)))
 
 
 # the most inputs that take the input-major form, at any batch size
