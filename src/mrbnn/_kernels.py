@@ -2,27 +2,13 @@
 
 All kernels are deterministic: results depend only on the inputs.
 
-``noisy_fc_forward`` folds each weight rail into its ratio: with rail in
-{-1, 0, 1}, clip(a * rho, 0, 1) * rail equals clip(a * (rho * rail), -1,
-1) bit for bit for a >= 0 and finite rho >= 0, so every path reads one
-signed table rho * rail, and the element-wise product is a multiply and
-a clip of the inputs clamped at 0. It also uses that a quantizer's outputs
-take only 2**bits levels v_l, and that a ratio rho clamps v_l only where
-v_l * rho leaves [0, 1]. After the inputs are found equal to the levels,
-exactly, the levels are split by what the clamp does: the levels no ratio
-of the layer clamps share one BLAS GEMM against the signed table; a
-clamping level with many inputs takes a GEMM of its one-hot mask against
-its clamped table; and clamping levels with few inputs have the clipped
-products of their (sample, input) pairs summed directly. The split is used
-only when the GEMMs cost less than the element-wise form; otherwise that
-form runs in blocks of bounded size. A layer with few inputs (below about
-58, ``_input_major_pays``) runs the element-wise form input-major: it
-copies each block of inputs into a contiguous [n_in, rows] array and adds
-whole [n_out, rows] slices in the order numpy sums a short axis, where an
-[rows, n_out, n_in] block would pay numpy's per-output reduction cost for
-a handful of terms. Both element-wise forms give the same bits, folded or
-not (but for NaN signs); the level split differs from them only in
-summation order.
+``noisy_fc_forward`` reads one signed table rho * rail per call. A layer
+fed by a quantizer's integer codes may be summed by level, a GEMM per
+group of levels (``_level_gemm``); a layer fed by values, or one where
+that does not pay, takes the element-wise form in blocks of bounded size,
+laid out input-major below about 58 inputs (``_input_major``). The two
+element-wise forms give the same bits (but for NaN signs); the level split
+differs from them only in summation order.
 """
 
 from __future__ import annotations
@@ -42,9 +28,9 @@ BACKEND = "numpy"
 # a block that fits the L2 cache beat larger ones in a scratch sweep.
 BLOCK_BYTES = 1 << 20
 
-# Most levels a level hint is worth building for: each level present costs
-# the table at least 1/32 of the blocked broadcast (see _table_pays), so
-# 32 levels present never pay.
+# Most levels whose codes are worth carrying to noisy_fc_forward: each
+# level present costs the table at least 1/32 of the blocked broadcast
+# (see _table_pays), so 32 levels present never pay.
 MAX_LEVELS = 32
 
 
@@ -82,17 +68,19 @@ def channel_noise_powers(lambdas_nm, q_factor, input_powers):
 def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     """FPV-perturbed fully connected forward pass (dual-rail weights).
 
-    acts:          [n_samples, n_in] imprinted activation values
+    acts:          [n_samples, n_in] imprinted activation values, or with
+                   ``levels`` their integer codes
     w_pos / w_neg: [n_out, n_in] rail occupancies in {0, 1}
     rho_act:       [n_out, n_in] per-MR activation perturbation ratios
-    levels:        optional hint, the evenly spaced values the inputs'
-                   quantizer emits
+    levels:        optional, the distinct values the codes stand for:
+                   input (s, k) is levels[acts[s, k]]
 
-    out[s, o] = sum_k clip(acts[s,k] * rho_act[o,k])
+    out[s, o] = sum_k clip(a[s,k] * rho_act[o,k])
                       * (w_pos[o,k] - w_neg[o,k])
 
-    where clip(.) clamps to [0, 1]. The rails carry no ratio: weight-ring
-    ratios are >= 1, so clip(w * rho) is w for w in {0, 1}.
+    where a is the input values and clip(.) clamps to [0, 1]. The rails
+    carry no ratio: weight-ring ratios are >= 1, so clip(w * rho) is w for
+    w in {0, 1}.
 
     Fold: with rail = w_pos - w_neg in {-1, 0, 1} and the signed table
     rho * rail, a sign flip is exact, so for a >= 0 and finite rho >= 0
@@ -100,33 +88,21 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
         clip(a * rho) * rail == clip(a * (rho * rail), -1, 1)
 
     bit for bit, and a negative input adds 0 either way. Every path reads
-    the one signed table, built once per call; the element-wise forms
-    clamp the inputs at 0 and then only multiply and clip. The fold is
-    not used where it does not hold: a negative or non-finite ratio, a
-    zero ratio (-inf * 0 is NaN, 0 * s is not), or an infinite input on
-    a zero rail (inf * 0 is NaN, clip(inf) * 0 is not). Those take the
-    product as written above.
+    the one signed table, built once per call. The fold is not used where
+    it does not hold: a negative or non-finite ratio, a zero ratio (-inf *
+    0 is NaN, 0 * s is not), or an infinite input on a zero rail (inf * 0
+    is NaN, clip(inf) * 0 is not). Those take the product as written.
 
-    Level split: if every input equals one of the ``levels`` v_l and the
-    ratios are finite and >= 0, then exactly
+    Level split: given codes and ratios that are finite and >= 0, exactly
 
-        out = sum_{l: v_l > 0} 1[acts == v_l] @ clip(v_l * signed, -1, 1).T
+        out = sum_{l: v_l > 0} 1[acts == l] @ clip(v_l * signed, -1, 1).T
 
-    (a level <= 0 adds nothing), and ``_level_gemm`` sums it with one
-    GEMM for all the levels that never clamp, one per clamping level with
-    many inputs, and direct sums for the rest, in O(n_samples*n_in +
-    n_out*n_in) memory. The hint is used only after every input is found
-    equal to a level, and only while the levels present are few enough to
-    beat the broadcast (``_table_pays``). Inputs off the levels (a
-    batch-norm fold or an average pool after the quantizer, raw
-    features), inputs that rounding misses on a hint that is not evenly
-    spaced (``_level_index``), negative or non-finite ratios (0 * inf is
-    not 0), too many levels present, or no hint take the broadcast form,
-    a block of samples at a time, each block's [rows, n_out, n_in]
-    temporary within ``BLOCK_BYTES``. Below the input-count crossover
-    (``_input_major_pays``) the block is laid out [n_in, n_out, rows]
-    instead, with the same result bit for bit but for the sign of a NaN
-    summed from NaNs of both signs.
+    which ``_level_gemm`` sums in O(n_samples*n_in + n_out*n_in) memory
+    while the levels present are few enough to beat the element-wise form
+    (``_table_pays``). Values, negative or non-finite ratios (0 * inf is
+    not 0) and too many levels present take that form on the values
+    (``_blocked_broadcast``, or ``_input_major`` below the input-count
+    crossover ``_input_major_pays``, with the same bits).
     """
     n, (n_out, n_in) = acts.shape[0], np.shape(rho_act)
     form = (_input_major if _input_major_pays(n_in, n, n_out)
@@ -134,16 +110,17 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     signed = np.subtract(w_pos, w_neg, out=np.empty((n_out, n_in)))
     lo, hi = (rho_act.min(), rho_act.max()) if rho_act.size else (1.0, 1.0)
     if not (0.0 <= lo and hi < np.inf):        # a NaN fails both
+        if levels is not None:
+            acts = levels.take(acts)
         return form(acts, rho_act, signed)     # ``signed`` is the rail
     signed *= rho_act
-    if levels is not None and np.size(levels):
-        levels = np.unique(levels)       # sorted and distinct
-        idx = _level_index(acts, levels)
-        if np.array_equal(levels[idx], acts):
-            present = np.bincount(idx.ravel(), minlength=levels.size)
-            present[levels <= 0.0] = 0   # clip(v * rho) = 0 for v <= 0
-            if _table_pays(np.count_nonzero(present), n, n_out):
-                return _level_gemm(idx, levels, present, signed, hi)
+    if levels is not None:
+        idx = acts.astype(np.intp)
+        present = np.bincount(idx.ravel(), minlength=levels.size)
+        present[levels <= 0.0] = 0   # clip(v * rho) = 0 for v <= 0
+        if _table_pays(np.count_nonzero(present), n, n_out):
+            return _level_gemm(idx, levels, present, signed, hi)
+        acts = levels.take(idx)
     if lo > 0.0 and (signed.all() or acts.max(initial=0.0) < np.inf):
         return form(acts, signed)
     return form(acts, rho_act, np.subtract(w_pos, w_neg))
@@ -167,27 +144,12 @@ def _input_major_pays(n_in, n, n_out):
     folded. Counted in input-major products (about 2 ns each), the
     broadcast's numpy sum over a short input axis costs about 58 per
     output, and the input-major form's numpy calls about 1,000 per input.
-    So large batches run input-major below 58 inputs, and one sample
-    never does, nor a layer without inputs (``_pairwise_sum`` needs one).
-    A fit (least mean relative loss) to the ratios measured in
-    BENCH_elementwise.json (``input_major_crossover``)."""
-    return 0 < n_in * (1000 + n * n_out) < 58 * n * n_out
-
-
-def _level_index(acts, levels):
-    """Each input's index into the sorted, distinct ``levels``, found by
-    rounding from the lowest level as if the levels were evenly spaced.
-    The caller checks every index exactly, so an input on an unevenly
-    spaced level, an overflow or a NaN only yields an index that check
-    rejects, and the input takes the broadcast; fmax and fmin map NaN to
-    0 and inf to the top, and a single level to index 0."""
-    top = levels.size - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = np.subtract(acts, levels[0])
-        k *= top / (levels[-1] - levels[0])
-        np.rint(k, out=k)
-        np.fmin(np.fmax(k, 0.0, out=k), top, out=k)
-    return k.astype(np.intp)
+    So large batches run input-major below 58 inputs. One sample never
+    does, nor one input (the broadcast's sum over it is nearly free), nor
+    none (``_pairwise_sum`` needs one). A fit (least mean relative loss) to
+    the ratios measured in BENCH_elementwise.json
+    (``input_major_crossover``)."""
+    return 1 < n_in and n_in * (1000 + n * n_out) < 58 * n * n_out
 
 
 def _level_gemm(idx, levels, present, signed, hi):

@@ -7,7 +7,8 @@ pass, the trainer's forward pass and the photonic one of
 Weights of binarized layers are stored at full precision ("shadow" weights)
 and enter every computation through sign(); sign(0) = +1 by convention.
 Activations are uniformly quantized (mid-tread, round-half-up) to the model's
-activation bit width after each nonlinearity. Batch-norm folding replaces the
+activation bit width after each nonlinearity (``forward`` carries them as
+integer ``Codes`` while it can). Batch-norm folding replaces the
 BN layer by the per-channel constant C_fold = gamma / sqrt(var + eps) applied
 AFTER the following nonlinearity; with a ReLU nonlinearity and positive gains
 this is exactly equivalent to the explicit zero-mean, zero-bias BN layer.
@@ -19,12 +20,14 @@ checks this when a model is built (and so when one is loaded).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
+from ._kernels import MAX_LEVELS
 from .errors import DomainError
 
 
@@ -184,19 +187,60 @@ def quantize_activation(v, bits: int, lo: float = 0.0, hi: float = 1.0):
     Rounding is half-up (floor(x + 0.5)) so results are platform-stable.
     Idempotent: quantizing a level returns the level.
     """
+    q = _quantize(v, bits, lo, hi, codes=False)
+    return float(q) if np.ndim(v) == 0 else q
+
+
+@functools.lru_cache(maxsize=None)
+def activation_levels(bits: int, lo: float = 0.0, hi: float = 1.0):
+    """The 2**bits values ``quantize_activation`` emits, ascending, one
+    read-only array per quantizer: entry c is the value of code c."""
+    levels = quantize_activation(np.linspace(lo, hi, 2 ** bits), bits, lo, hi)
+    levels.flags.writeable = False
+    return levels
+
+
+@dataclass(frozen=True)
+class Codes:
+    """Quantized activations held as integer codes: each element of
+    ``codes`` (uint8) stands for that entry of ``levels``, the quantizer's
+    ``activation_levels``. The levels ascend, so maxima, reshapes and
+    unfolding act on the codes as on the values."""
+
+    codes: np.ndarray
+    levels: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.codes.shape
+
+
+def to_values(a):
+    """The floats ``a`` holds: its codes' levels, laid out in memory as the
+    codes are (so that sums over them add in the same order), or ``a``."""
+    if not isinstance(a, Codes):
+        return a
+    return np.take(a.levels, a.codes, mode="clip",
+                   out=np.empty_like(a.codes, dtype=np.float64))
+
+
+def _quantize(v, bits, lo, hi, codes=True):
+    """``quantize_activation`` of ``v``, as ``Codes`` if ``codes`` is set,
+    the 2**bits levels are at most ``MAX_LEVELS`` and no input is NaN, and
+    otherwise as floats."""
     if bits < 1:
         raise DomainError("bits must be >= 1")
     if not lo < hi:
         raise DomainError("range must satisfy lo < hi")
     steps = float(2 ** bits - 1)
-    arr = np.clip(np.asarray(v, dtype=np.float64), lo, hi)
-    q = lo + np.floor((arr - lo) / (hi - lo) * steps + 0.5) * (hi - lo) / steps
-    return float(q) if np.ndim(v) == 0 else q
-
-
-def activation_levels(bits: int, lo: float = 0.0, hi: float = 1.0):
-    """The 2**bits values ``quantize_activation`` emits, ascending."""
-    return quantize_activation(np.linspace(lo, hi, 2 ** bits), bits, lo, hi)
+    k = np.clip(np.asarray(v, dtype=np.float64), lo, hi)
+    k -= lo
+    k /= hi - lo
+    k *= steps
+    k += 0.5        # >= 0.5, so the code floor(k) is also its truncation
+    if codes and 2 ** bits <= MAX_LEVELS and not np.isnan(k.max(initial=0.0)):
+        return Codes(k.astype(np.uint8), activation_levels(bits, lo, hi))
+    return lo + np.floor(k) * (hi - lo) / steps
 
 
 def _c_fold(bn: Layer) -> np.ndarray:
@@ -236,22 +280,30 @@ def _apply_pool(x: np.ndarray, window: int, mode: str) -> np.ndarray:
     raise DomainError(f"unknown pool mode {mode!r}")
 
 
+def _keep_codes(a, fn):
+    """``fn(a)``; of ``Codes``, the codes ``fn(a.codes)`` (``fn`` only
+    moves, copies or takes maxima of elements)."""
+    return replace(a, codes=fn(a.codes)) if isinstance(a, Codes) else fn(a)
+
+
 def _per_channel(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Broadcast a per-channel vector against [n, c] or [n, c, h, w]."""
     return v[:, None, None] if a.ndim == 4 else v
 
 
-def exact_dot(li: int, layer: Layer, v: np.ndarray) -> np.ndarray:
-    """Exact dot products of ``v`` [..., in] with the layer's weight rows."""
+def exact_dot(li: int, layer: Layer, v) -> np.ndarray:
+    """Exact dot products of ``v`` [..., in], values or ``Codes``, with the
+    layer's weight rows."""
     w = layer.effective_weights()
-    return v @ w.reshape(w.shape[0], -1).T
+    return to_values(v) @ w.reshape(w.shape[0], -1).T
 
 
-def _conv(li: int, layer: Layer, a: np.ndarray, dot) -> np.ndarray:
+def _conv(li: int, layer: Layer, a, dot) -> np.ndarray:
     oc, ic, kh, kw = layer.weights.shape
-    if a.ndim != 4 or a.shape[1] != ic:
+    if len(a.shape) != 4 or a.shape[1] != ic:
         raise DomainError("conv input must be [n, in_c, h, w]")
-    cols, oh, ow = im2col(a, kh, kw, layer.stride)
+    cols, oh, ow = im2col(getattr(a, "codes", a), kh, kw, layer.stride)
+    cols = replace(a, codes=cols) if isinstance(a, Codes) else cols
     return dot(li, layer, cols).transpose(0, 2, 1).reshape(a.shape[0], oc,
                                                            oh, ow)
 
@@ -264,6 +316,8 @@ def forward(model: QuantModel, a: np.ndarray, dot,
     ``v`` is [n, in] for FC layers and the im2col patches [n, positions,
     depth] for conv layers, and the result is [..., out]. Everything else
     (batch norm, nonlinearities, quantization, pooling) runs exactly here.
+    A quantizer hands on ``Codes`` where it can; max pooling, reshapes and
+    ``dot`` take them as they are, any other layer takes ``to_values``.
     When ``folded`` is True, batch-norm layers are folded: mean/bias are
     dropped and C_fold multiplies the activations after the following
     nonlinearity; the gains of BN layers with no nonlinearity, pooling or
@@ -274,6 +328,7 @@ def forward(model: QuantModel, a: np.ndarray, dot,
     def flush_fold(val):
         nonlocal pending_fold
         if pending_fold is not None:
+            val = to_values(val)
             val = val * _per_channel(pending_fold, val)
             pending_fold = None
         return val
@@ -281,8 +336,8 @@ def forward(model: QuantModel, a: np.ndarray, dot,
     for li, layer in enumerate(model.layers):
         if layer.kind == LayerKind.FULLY_CONNECTED:
             a = flush_fold(a)
-            if a.ndim > 2:
-                a = a.reshape(a.shape[0], -1)
+            if len(a.shape) > 2:
+                a = _keep_codes(a, lambda x: x.reshape(x.shape[0], -1))
             if a.shape[1] != layer.weights.shape[1]:
                 raise DomainError(f"FC expects {layer.weights.shape[1]} "
                                   f"features, got {a.shape[1]}")
@@ -294,26 +349,29 @@ def forward(model: QuantModel, a: np.ndarray, dot,
                 pending_fold = _c_fold(layer) * (
                     1.0 if pending_fold is None else pending_fold)
             else:
+                a = to_values(a)
                 a = ((a - _per_channel(layer.bn_mean, a))
                      * _per_channel(_c_fold(layer), a)
                      + _per_channel(layer.bn_beta, a))
         elif layer.kind == LayerKind.ACTIVATION:
+            a = to_values(a)
             if layer.activation == "relu":
                 a = np.maximum(a, 0.0)
             elif layer.activation != "identity":
                 raise DomainError(f"unknown activation {layer.activation!r}")
             a = flush_fold(a)
             if layer.quantize:
-                a = quantize_activation(a, model.activation_bits,
-                                        *layer.act_range)
+                a = _quantize(a, model.activation_bits, *layer.act_range)
         elif layer.kind == LayerKind.POOL:
             a = flush_fold(a)
-            if a.ndim != 4:
+            if len(a.shape) != 4:
                 raise DomainError("pool input must be [n, c, h, w]")
-            a = _apply_pool(a, layer.pool_window, layer.pool_mode)
+            a = _keep_codes(a if layer.pool_mode == "max" else to_values(a),
+                            lambda x: _apply_pool(x, layer.pool_window,
+                                                  layer.pool_mode))
         else:  # pragma: no cover
             raise DomainError(f"unhandled layer kind {layer.kind}")
-    a = flush_fold(a)
+    a = to_values(flush_fold(a))
     return a.reshape(a.shape[0], -1)
 
 
@@ -383,6 +441,7 @@ def _ste_step(model: QuantModel, x: np.ndarray, y: np.ndarray, loss: str,
     rejected rather than differentiated differently from ``forward``.
     """
     def dot(li, layer, v):
+        v = to_values(v)
         tape[li] = (v, exact_dot(li, layer, v))
         return tape[li][1]
 

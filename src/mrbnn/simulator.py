@@ -19,15 +19,13 @@ so the ratio is never below 1: a rail in {0, 1} comes back unchanged, and
 weight-ring FPV costs tuning power but never changes a result. Only the
 activation rings' ratios are computed. With full tuning the ratio is
 exactly 1 and the photonic pass reproduces the reference forward pass.
-A layer whose inputs are all levels of the quantizer before it may be
-summed by level (``_kernels.noisy_fc_forward`` decides by the levels
-present and the layer's shape): one GEMM for the levels no ratio clamps,
-one GEMM per clamping level with many inputs against its clamped,
-perturbed weight table, and direct sums for the rare clamping levels; the
-identity is exact, and the summation order is the only difference from the
-element-wise form. A layer with few inputs, such
-as the toy MLP's 8 raw features, runs the element-wise form input-major,
-which gives the same bits.
+The layer walk carries a narrow quantizer's outputs as integer codes, and
+``_kernels.noisy_fc_forward`` may sum a layer fed by codes by level: one
+GEMM for the levels no ratio clamps, one per clamping level with many
+inputs, and direct sums for the rare ones. The identity is exact; only the
+summation order differs from the element-wise form, which a layer fed by
+values (the toy MLP's 8 raw features) runs, input-major with the same bits
+when it has few inputs.
 An FPV sweep computes each map's ratios for every tuning fraction in one
 call and walks the layers once per (map, fraction), as ``noisy_inference``
 does for one.
@@ -44,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels, photonics, tuning
-from .bnn import (LayerKind, QuantModel, activation_levels, as_batch,
-                  exact_dot, forward)
+from .bnn import (Codes, QuantModel, as_batch, exact_dot, forward,
+                  to_values)
 # Nothing here calls quantize_activation (bnn.forward does), but
 # bench/spans.py traces it at this binding.
 from .bnn import quantize_activation  # noqa: F401
@@ -505,27 +503,6 @@ def _perturbation_ratios(design: MrDesign, lam: np.ndarray,
     return np.asarray(shifted) / np.asarray(base)
 
 
-def _level_hints(model: QuantModel) -> dict[int, np.ndarray]:
-    """Binarized layer index -> the levels of the quantizing activation
-    that is the last activation before it. Only a hint: layers between
-    (a batch-norm fold, an average pool) may move values off the levels,
-    and the kernel checks membership before it relies on them. A quantizer
-    with more than ``_kernels.MAX_LEVELS`` levels gives no hint."""
-    hints = {}
-    if 2 ** model.activation_bits > _kernels.MAX_LEVELS:
-        return hints
-    source = None
-    for li, layer in enumerate(model.layers):
-        if layer.weighted:
-            if layer.binarized and source is not None:
-                hints[li] = activation_levels(model.activation_bits,
-                                              *source.act_range)
-            source = None
-        elif layer.kind is LayerKind.ACTIVATION:
-            source = layer if layer.quantize else None
-    return hints
-
-
 def _read_ids(model: QuantModel, mapping: PhotonicMapping) -> np.ndarray:
     """The mapped activation MR ids whose FPV shifts inference reads: all
     of them, or none when no layer is binarized (only those run
@@ -554,13 +531,13 @@ def _dual_rail(layer) -> tuple[np.ndarray, np.ndarray]:
 
 def _photonic_logits(model: QuantModel, batch: np.ndarray,
                      mapping: PhotonicMapping, rho_act: np.ndarray,
-                     levels: dict, rails: dict) -> np.ndarray:
+                     rails: dict) -> np.ndarray:
     """Logits of ``batch`` through the photonic array whose mapped
     activation MRs have the ratios ``rho_act``: ``bnn.forward`` with the
-    binarized layers' dot products on ``_kernels.noisy_fc_forward``.
-    ``levels`` comes from ``_level_hints``; ``rails`` maps layer indices
-    to their ``_dual_rail``, and a layer it lacks gets its rails built
-    when the walk reaches it."""
+    binarized layers' dot products on ``_kernels.noisy_fc_forward``, which
+    gets a quantizer's codes as the walk carries them. ``rails`` maps
+    layer indices to their ``_dual_rail``, and a layer it lacks gets its
+    rails built when the walk reaches it."""
     ideal = bool(np.all(rho_act == 1.0))
 
     def photonic_dot(li, layer, v):
@@ -568,12 +545,14 @@ def _photonic_logits(model: QuantModel, batch: np.ndarray,
             return exact_dot(li, layer, v)
         if ideal:
             # clip(v * 1) * rail summed is clip(v) @ sign(W)
-            return exact_dot(li, layer, np.clip(v, 0.0, 1.0))
+            return exact_dot(li, layer, np.clip(to_values(v), 0.0, 1.0))
         w_pos, w_neg = rails[li] if li in rails else _dual_rail(layer)
+        acts, levels = ((v.codes, v.levels) if isinstance(v, Codes)
+                        else (v, None))
         out = _kernels.noisy_fc_forward(
-            v.reshape(-1, v.shape[-1]), w_pos, w_neg,
-            rho_act[mapping.mr_index[li]], levels=levels.get(li))
-        return out.reshape(*v.shape[:-1], -1)
+            acts.reshape(-1, acts.shape[-1]), w_pos, w_neg,
+            rho_act[mapping.mr_index[li]], levels=levels)
+        return out.reshape(*acts.shape[:-1], -1)
 
     return forward(model, batch, photonic_dot, folded=True)
 
@@ -631,8 +610,7 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
         env.designs[RingClass.MULTI_BIT], mapping.lambda_nm[:ids.size],
         chip_map.deltas_nm[0][ids], 1.0 - tuning_fraction)
     batch, single = as_batch(x)
-    logits = _photonic_logits(model, batch, mapping, rho_act,
-                              _level_hints(model), {})
+    logits = _photonic_logits(model, batch, mapping, rho_act, {})
     predictions = np.argmax(logits, axis=1)
     acc = _accuracy(predictions, y)
     if single:
@@ -659,7 +637,6 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
     mapping = build_photonic_mapping(model, cfg)
     ids = _read_ids(model, mapping)
     batch, _ = as_batch(x)
-    levels = _level_hints(model)
     rails = {li: _dual_rail(layer) for li, layer in enumerate(model.layers)
              if layer.binarized}
     residuals = 1.0 - np.asarray(fractions, dtype=np.float64)
@@ -679,7 +656,7 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
                 per_map.append(ideal_acc)
                 continue
             logits = _photonic_logits(model, batch, mapping, rho_act,
-                                      levels, rails)
+                                      rails)
             per_map.append(_accuracy(np.argmax(logits, axis=1), y))
             if ideal:
                 ideal_acc = per_map[-1]

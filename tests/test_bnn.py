@@ -97,6 +97,102 @@ class TestQuantizeActivation:
             quantize_activation(0.5, 0)
         with pytest.raises(DomainError):
             quantize_activation(0.5, 4, lo=1.0, hi=0.0)
+        with pytest.raises(DomainError):
+            bnn.activation_levels(4, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bits, lo, hi",
+                             [(1, 0.0, 1.0), (2, -1.0, 1.0), (4, 0.0, 1.0),
+                              (4, 0.2, 0.8), (5, -0.5, 0.5), (8, 0.0, 1.0),
+                              (3, 0, 1)])
+    def test_levels_are_the_quantized_linspace(self, bits, lo, hi):
+        # the table, built from the codes, holds the floats the quantizer
+        # gives the evenly spaced points, as it did when built from them
+        levels = bnn.activation_levels(bits, lo, hi)
+        want = quantize_activation(np.linspace(lo, hi, 2 ** bits), bits,
+                                   lo, hi)
+        assert levels.tobytes() == want.tobytes()
+        assert levels is bnn.activation_levels(bits, lo, hi)
+        assert not levels.flags.writeable
+
+
+class TestCodes:
+    """The layer walk carries a narrow quantizer's outputs as integer codes
+    whose levels are the quantizer's floats, bit for bit."""
+
+    @pytest.mark.parametrize("bits, lo, hi", [(1, 0.0, 1.0), (4, 0.0, 1.0),
+                                              (5, -1.0, 1.0), (2, 0.2, 0.8)])
+    def test_codes_stand_for_the_quantizer_values(self, bits, lo, hi):
+        rng = np.random.Generator(np.random.PCG64(5))
+        # a conv output's layout: channels are not the innermost axis
+        v = rng.uniform(lo - 0.5, hi + 0.5, (3, 6, 5, 4)).transpose(0, 3, 1, 2)
+        v[0, 0, 0, :3] = (-np.inf, np.inf, lo)
+        got = bnn._quantize(v, bits, lo, hi)
+        assert isinstance(got, bnn.Codes) and got.codes.dtype == np.uint8
+        want = quantize_activation(v, bits, lo, hi)
+        values = bnn.to_values(got)
+        assert values.tobytes() == want.tobytes()
+        assert values.strides == want.strides
+        assert np.array_equal(got.levels[got.codes], want)
+
+    @pytest.mark.parametrize("bits", [6, 24, 40])
+    def test_wide_quantizers_give_values(self, bits):
+        v = np.random.Generator(np.random.PCG64(6)).uniform(-0.5, 1.5, 200)
+        got = bnn._quantize(v, bits, 0.0, 1.0)
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == quantize_activation(v, bits).tobytes()
+
+    def test_nan_gives_values(self):
+        v = np.array([[0.3, np.nan], [1.2, -0.1]])
+        got = bnn._quantize(v, 2, 0.0, 1.0)
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, quantize_activation(v, 2))
+        assert np.isnan(got[0, 1])
+
+    def test_max_pool_keeps_codes_avg_pool_makes_values(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        x = rng.uniform(0.0, 1.0, (2, 2, 6, 6))
+        for mode, kind in (("max", bnn.Codes), ("avg", np.ndarray)):
+            model = QuantModel((
+                conv_layer(rng.normal(size=(3, 2, 1, 1))), activation_layer(),
+                pool_layer(2, mode), conv_layer(rng.normal(size=(4, 3, 2, 2))),
+                activation_layer(), fc_layer(rng.normal(size=(2, 16)))),
+                activation_bits=3)
+            seen = []
+
+            def dot(li, layer, v):
+                seen.append(type(v))
+                return bnn.exact_dot(li, layer, v)
+
+            logits = bnn.forward(model, x, dot)
+            assert seen == [np.ndarray, kind, bnn.Codes]
+            assert isinstance(logits, np.ndarray)
+            # the reference walk on values: quantize, pool, unfold
+            a = x
+            for layer in model.layers:
+                if layer.weighted:
+                    w = layer.effective_weights()
+                    if layer.kind == LayerKind.CONV2D:
+                        cols, oh, ow = bnn.im2col(a, *w.shape[2:], 1)
+                        a = (cols @ w.reshape(w.shape[0], -1).T).transpose(
+                            0, 2, 1).reshape(a.shape[0], -1, oh, ow)
+                    else:
+                        a = a.reshape(a.shape[0], -1) @ w.T
+                elif layer.kind == LayerKind.ACTIVATION:
+                    a = quantize_activation(np.maximum(a, 0.0), 3)
+                else:
+                    a = bnn._apply_pool(a, 2, mode)
+            assert logits.tobytes() == a.tobytes()
+
+    def test_trainer_tape_holds_values(self):
+        model = make_mlp([3, 4, 2], seed=1)
+        x = np.random.Generator(np.random.PCG64(8)).uniform(0, 1, (5, 3))
+        tape = {}
+        bnn._ste_step(model, x, np.array([0, 1, 0, 1, 1]), "xent", tape)
+        assert all(isinstance(v, np.ndarray) and v.dtype == np.float64
+                   for v, _ in tape.values())
+        assert np.array_equal(tape[2][0],
+                              quantize_activation(np.maximum(tape[0][1], 0),
+                                                  4))
 
 
 def fold_gain(weights, *bns):

@@ -95,7 +95,7 @@ class TestNoisyFcSemantics:
 
 
 class TestLevelTable:
-    """Inputs on the quantizer's levels take the level path."""
+    """Inputs given as a quantizer's codes take the level path."""
 
     @pytest.mark.parametrize("bits, act_range, zeros, used, ratios", [
         # many zero activations (after a ReLU)
@@ -124,54 +124,25 @@ class TestLevelTable:
         n, o, k = 64, 64, 13      # wide enough for 16 level GEMMs to pay
         levels = bnn.activation_levels(bits, *act_range)
         used = range(levels.size) if used is None else used
-        acts = levels[rng.choice(list(used), (n, k))]
-        acts[rng.uniform(size=(n, k)) < zeros] = 0.0
+        codes = rng.choice(list(used), (n, k)).astype(np.uint8)
+        codes[rng.uniform(size=(n, k)) < zeros] = 0     # level 0 is 0.0
         wp, wn = dual_rail(o, k)
         ra = rng.uniform(*ratios, (o, k))
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        got = _kernels.noisy_fc_forward(codes, wp, wn, ra, levels=levels)
         assert level_calls == [(n, k)]
-        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
-                                   rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(
+            got, loop_oracle(levels[codes], wp, wn, ra),
+            rtol=1e-12, atol=1e-13)
 
     def test_off_level_inputs_take_the_broadcast(self, level_calls):
-        # a batch-norm gain between the quantizer and the layer
+        # a batch-norm gain between the quantizer and the layer makes
+        # values; on the levels or off them, values are not codes
         levels = bnn.activation_levels(4)
         acts = levels[rng.integers(0, levels.size, (9, 11))]
         acts[4, 7] = levels[5] * 1.3
         wp, wn = dual_rail(5, 11)
         ra = rng.uniform(0.9, 3.0, (5, 11))
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
-        assert level_calls == []
-        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
-                                   rtol=1e-12, atol=1e-13)
-
-    def test_uneven_hint_takes_the_broadcast(self, level_calls):
-        # rounding as if evenly spaced puts 0.1 on 0.0, which the exact
-        # check rejects
-        levels = np.array([0.0, 0.1, 0.25, 0.7, 1.0])
-        acts = levels[rng.integers(0, levels.size, (64, 13))]
-        wp, wn = dual_rail(64, 13)
-        ra = rng.uniform(0.9, 3.0, (64, 13))
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
-        assert level_calls == []
-        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
-                                   rtol=1e-12, atol=1e-13)
-
-    def test_nan_input_is_not_a_level(self, level_calls):
-        levels = bnn.activation_levels(2)
-        acts = np.array([[levels[1], np.nan]])
-        wp, wn = dual_rail(2, 2)
-        got = _kernels.noisy_fc_forward(acts, wp, wn, np.ones((2, 2)),
-                                        levels=levels)
-        assert level_calls == [] and np.all(np.isnan(got))
-        # inf rounds to the top level, and the exact check rejects it, at a
-        # shape where the level path would pay
-        levels = bnn.activation_levels(4)
-        acts = levels[rng.integers(0, levels.size, (64, 13))]
-        acts[3, 5] = np.inf
-        wp, wn = dual_rail(64, 13)
-        ra = rng.uniform(0.9, 3.0, (64, 13))
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        got = _kernels.noisy_fc_forward(acts, wp, wn, ra)
         assert level_calls == []
         np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
                                    rtol=1e-12, atol=1e-13)
@@ -183,30 +154,31 @@ class TestLevelTable:
     def test_too_many_levels_take_the_broadcast(self, level_calls, bits, n):
         o, k = 64, 20
         levels = bnn.activation_levels(bits)
-        acts = levels[rng.integers(1, levels.size, (n, k))]
-        acts.flat[:levels.size - 1] = levels[1:]     # every nonzero level
+        codes = rng.integers(1, levels.size, (n, k)).astype(np.uint8)
+        codes.flat[:levels.size - 1] = range(1, levels.size)  # every level > 0
         wp, wn = dual_rail(o, k)
         ra = rng.uniform(0.9, 3.0, (o, k))
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        got = _kernels.noisy_fc_forward(codes, wp, wn, ra, levels=levels)
         assert level_calls == []
-        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
-                                   rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(
+            got, loop_oracle(levels[codes], wp, wn, ra),
+            rtol=1e-12, atol=1e-13)
 
     def test_non_finite_ratios_take_the_broadcast(self, level_calls):
         # a critically coupled ring has zero on-resonance transmission, so
         # its ratio is infinite; the broadcast gives 0 * inf = NaN there
-        levels = bnn.activation_levels(1)
-        acts = np.array([[0.0, 1.0], [1.0, 1.0]])
+        levels = bnn.activation_levels(1)      # 0.0 and 1.0
+        codes = np.array([[0, 1], [1, 1]], dtype=np.uint8)
         wp, wn = np.eye(2), np.zeros((2, 2))
         ra = np.array([[np.inf, 1.0], [1.0, 1.0]])
         with np.errstate(invalid="ignore"):
-            got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+            got = _kernels.noisy_fc_forward(codes, wp, wn, ra, levels=levels)
         assert level_calls == []
         np.testing.assert_array_equal(got, [[np.nan, 1.0], [1.0, 1.0]])
         # a negative ratio clamps every input to 0, which the signed table
         # of the level path would not
         ra[0, 0] = -0.5
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        got = _kernels.noisy_fc_forward(codes, wp, wn, ra, levels=levels)
         assert level_calls == []
         np.testing.assert_array_equal(got, [[0.0, 1.0], [0.0, 1.0]])
 
@@ -226,9 +198,11 @@ class TestLevelTable:
 
     def test_empty_batch(self):
         wp, wn = dual_rail(3, 4)
-        for levels in (None, bnn.activation_levels(4)):
-            got = _kernels.noisy_fc_forward(np.zeros((0, 4)), wp, wn,
-                                            np.ones((3, 4)), levels=levels)
+        for acts, levels in ((np.zeros((0, 4)), None),
+                             (np.zeros((0, 4), np.uint8),
+                              bnn.activation_levels(4))):
+            got = _kernels.noisy_fc_forward(acts, wp, wn, np.ones((3, 4)),
+                                            levels=levels)
             assert got.shape == (0, 3)
 
 
@@ -241,23 +215,23 @@ class TestLevelSplit:
         # no level clamps, so all of them share the one GEMM
         n, o, k = 64, 64, 13
         levels = bnn.activation_levels(4)
-        acts = levels[rng.integers(0, levels.size, (n, k))]
+        codes = rng.integers(0, levels.size, (n, k)).astype(np.uint8)
         wp, wn = dual_rail(o, k)
-        got = _kernels.noisy_fc_forward(acts, wp, wn, np.ones((o, k)),
+        got = _kernels.noisy_fc_forward(codes, wp, wn, np.ones((o, k)),
                                         levels=levels)
         assert level_calls == [(n, k)]
-        np.testing.assert_array_equal(got, acts @ (wp - wn).T)
+        np.testing.assert_array_equal(got, levels[codes] @ (wp - wn).T)
 
     def test_rare_clamping_levels_across_blocks(self, level_calls,
                                                 monkeypatch):
         n, o, k = 64, 64, 13
         levels = bnn.activation_levels(4)
-        acts = levels[rng.choice([0, 2, 15], (n, k))]
+        codes = rng.choice([0, 2, 15], (n, k)).astype(np.uint8)
         # levels 8/15 to 14/15, each on at most 2 of the 832 inputs; the
         # five pairs of sample 0 span two blocks of three
         rows = [0, 0, 0, 0, 0, 1, 5, 5, 9]
         cols = [0, 2, 4, 6, 8, 3, 1, 11, 12]
-        acts[rows, cols] = levels[[8, 9, 10, 11, 12, 13, 14, 8, 9]]
+        codes[rows, cols] = [8, 9, 10, 11, 12, 13, 14, 8, 9]
         wp, wn = dual_rail(o, k)
         ra = rng.uniform(1.0, 3.0, (o, k))
         pairs = []
@@ -269,10 +243,11 @@ class TestLevelSplit:
 
         monkeypatch.setattr(_kernels, "_direct_sums", spy)
         monkeypatch.setattr(_kernels, "BLOCK_BYTES", 3 * o * 8)
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        got = _kernels.noisy_fc_forward(codes, wp, wn, ra, levels=levels)
         assert level_calls == [(n, k)] and pairs == [len(rows)]
-        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
-                                   rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(
+            got, loop_oracle(levels[codes], wp, wn, ra),
+            rtol=1e-12, atol=1e-13)
 
     def test_a_lone_rare_level_keeps_its_gemm(self):
         # the pass that finds the pairs pays only when levels share it: on
@@ -292,7 +267,7 @@ class TestLevelSplit:
         # priced and reach a GEMM or a direct sum
         n, o, k = 64, 64, 13
         levels = bnn.activation_levels(4, -1.0, 1.0)
-        acts = levels[rng.integers(0, levels.size, (n, k))]
+        codes = rng.integers(0, levels.size, (n, k)).astype(np.uint8)
         wp, wn = dual_rail(o, k)
         ra = rng.uniform(1.0, 1.5, (o, k))
         priced, present = [], []
@@ -308,21 +283,22 @@ class TestLevelSplit:
 
         monkeypatch.setattr(_kernels, "_table_pays", price)
         monkeypatch.setattr(_kernels, "_level_gemm", gemm)
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra, levels=levels)
+        got = _kernels.noisy_fc_forward(codes, wp, wn, ra, levels=levels)
         assert priced == [8] and len(present) == 1
         assert not present[0][levels <= 0.0].any()
         assert present[0][levels > 0.0].all()
-        np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
-                                   rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(
+            got, loop_oracle(levels[codes], wp, wn, ra),
+            rtol=1e-12, atol=1e-13)
 
     def test_layer_without_inputs(self, level_calls):
         wp, wn = dual_rail(3, 0)
-        got = _kernels.noisy_fc_forward(np.zeros((5, 0)), wp, wn,
+        got = _kernels.noisy_fc_forward(np.zeros((5, 0), np.uint8), wp, wn,
                                         np.ones((3, 0)),
                                         levels=bnn.activation_levels(4))
         assert level_calls == [(5, 0)]
         np.testing.assert_array_equal(got, np.zeros((5, 3)))
-        # without a hint it takes the broadcast, never the input-major form
+        # values take the broadcast, never the input-major form
         got = _kernels.noisy_fc_forward(np.zeros((5, 0)), wp, wn,
                                         np.ones((3, 0)))
         np.testing.assert_array_equal(got, np.zeros((5, 3)))
@@ -383,11 +359,14 @@ class TestInputMajor:
             got = _kernels.noisy_fc_forward(acts, wp, wn, np.ones((o, k)))
             np.testing.assert_array_equal(
                 got, _kernels._blocked_broadcast(acts, wp - wn))
-        assert input_major_calls == [(n, 1), (n, CROSSOVER)]
+        # one input runs the blocked broadcast, whose sum over an axis of
+        # length 1 is nearly free
+        assert input_major_calls == [(n, CROSSOVER)]
+        assert not _kernels._input_major_pays(1, 1 << 40, 128)
         # a handful of products does not pay for an add per input
         _kernels.noisy_fc_forward(np.ones((1, 8)), *dual_rail(1, 8),
                                   np.ones((1, 8)))
-        assert len(input_major_calls) == 2
+        assert len(input_major_calls) == 1
 
 
 def three_op_blocked(acts, rail, rho_act):

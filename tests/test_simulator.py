@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mrbnn import bnn, config, photonics, simulator, tuning
+from mrbnn import _kernels, bnn, config, photonics, simulator, tuning
 from mrbnn.bnn import (QuantModel, activation_layer, fc_layer,
                        quantize_activation, reference_inference)
 from mrbnn.errors import DomainError, PhysicalConstraintError
@@ -603,7 +603,8 @@ class TestNoisyInference:
 
 def broadcast_logits(model, x, cfg, env, fraction, seed):
     """Noisy logits with every binarized layer through the [n, out, in]
-    broadcast formula, walked through ``bnn.forward``."""
+    broadcast formula on the values of its inputs, walked through
+    ``bnn.forward``."""
     mapping = build_photonic_mapping(model, cfg)
     chip_map = chip_fpv_map(cfg, env, seed)
     rho = _perturbation_ratios(
@@ -615,6 +616,7 @@ def broadcast_logits(model, x, cfg, env, fraction, seed):
             return bnn.exact_dot(li, layer, v)
         w = layer.effective_weights()
         w = w.reshape(w.shape[0], -1)
+        v = bnn.to_values(v)
         a = v.reshape(-1, v.shape[-1])
         out = np.sum(np.clip(a[:, None, :] * rho[mapping.mr_index[li]],
                              0.0, 1.0) * w, axis=2)
@@ -655,23 +657,37 @@ def dispatch_model(case, rng, bits=2):
 
 
 class TestKernelDispatch:
-    """The level table serves the layers fed by a quantizer's levels; every
-    other binarized layer keeps the broadcast formula's result."""
+    """The layers fed by a quantizer's codes may take the level table; every
+    binarized layer keeps the broadcast formula's result."""
 
-    @pytest.mark.parametrize("case, bits, hints, level_layers", [
-        ("conv-sim", 2, 2, 2),     # conv 2 and the FC read quantized levels
-        ("bn-after-act", 2, 1, 0),  # the fold moves values off the levels
-        ("avg-pool", 2, 1, 0),     # averages of levels are not levels
+    @pytest.fixture
+    def code_calls(self, monkeypatch):
+        """Whether each noisy-kernel call got codes."""
+        calls = []
+        original = _kernels.noisy_fc_forward
+
+        def spy(acts, w_pos, w_neg, rho_act, levels=None):
+            calls.append(levels is not None)
+            return original(acts, w_pos, w_neg, rho_act, levels=levels)
+
+        monkeypatch.setattr(_kernels, "noisy_fc_forward", spy)
+        return calls
+
+    @pytest.mark.parametrize("case, bits, code_layers, level_layers", [
+        ("conv-sim", 2, 2, 2),     # conv 2 and the FC read codes
+        ("bn-after-act", 2, 0, 0),  # the fold makes values
+        ("avg-pool", 2, 0, 0),     # averages of levels are values
         ("conv-sim", 4, 2, 0),     # 15 level GEMMs do not pay on 5-6 outputs
-        ("conv-sim", 24, 0, 0),    # too many levels to build a hint
+        ("conv-sim", 24, 0, 0),    # too many levels to carry codes
     ])
     def test_matches_broadcast_formula(self, env, eo_cfg, level_calls,
-                                       case, bits, hints, level_layers):
+                                       code_calls, case, bits, code_layers,
+                                       level_layers):
         model, x = dispatch_model(case,
                                   np.random.Generator(np.random.PCG64(59)),
                                   bits)
-        assert len(simulator._level_hints(model)) == hints
         res = noisy_inference(model, x, None, eo_cfg, env, 0.5, seed=3)
+        assert sum(code_calls) == code_layers
         assert len(level_calls) == level_layers
         np.testing.assert_allclose(
             res.logits, broadcast_logits(model, x, eo_cfg, env, 0.5, 3),
