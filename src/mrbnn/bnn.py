@@ -191,7 +191,7 @@ def quantize_activation(v, bits: int, lo: float = 0.0, hi: float = 1.0):
     return float(q) if np.ndim(v) == 0 else q
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def activation_levels(bits: int, lo: float = 0.0, hi: float = 1.0):
     """The 2**bits values ``quantize_activation`` emits, ascending, one
     read-only array per quantizer: entry c is the value of code c."""
