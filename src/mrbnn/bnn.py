@@ -234,8 +234,9 @@ def _quantize(v, bits, lo, hi, codes=True):
         raise DomainError("range must satisfy lo < hi")
     steps = float(2 ** bits - 1)
     k = np.clip(np.asarray(v, dtype=np.float64), lo, hi)
-    k -= lo
-    k /= hi - lo
+    if (lo, hi) != (0.0, 1.0):      # x - 0.0 and x / 1.0 are x
+        k -= lo
+        k /= hi - lo
     k *= steps
     k += 0.5        # >= 0.5, so the code floor(k) is also its truncation
     if codes and 2 ** bits <= MAX_LEVELS and not np.isnan(k.max(initial=0.0)):
