@@ -104,12 +104,22 @@ class TestQuantizeActivation:
             bnn.activation_levels(4, 1.0, 1.0)
 
 
+def formula_quantize(v, bits, lo, hi):
+    """The quantizer in one expression: code floor((clip(v) - lo) / (hi -
+    lo) * steps + 0.5), value lo + code * (hi - lo) / steps."""
+    steps = float(2 ** bits - 1)
+    arr = np.clip(np.asarray(v, dtype=np.float64), lo, hi)
+    code = np.floor((arr - lo) / (hi - lo) * steps + 0.5)
+    return lo + code * (hi - lo) / steps
+
+
 class TestCodes:
     """The layer walk carries a narrow quantizer's outputs as integer codes
     whose levels are the quantizer's floats, bit for bit."""
 
     @pytest.mark.parametrize("bits, lo, hi", [(1, 0.0, 1.0), (4, 0.0, 1.0),
-                                              (5, -1.0, 1.0), (2, 0.2, 0.8)])
+                                              (5, -1.0, 1.0), (2, 0.2, 0.8),
+                                              (3, 0.0, 0.5), (3, -0.0, 1.0)])
     def test_codes_stand_for_the_quantizer_values(self, bits, lo, hi):
         rng = np.random.Generator(np.random.PCG64(5))
         # a conv output's layout: channels are not the innermost axis
@@ -118,6 +128,7 @@ class TestCodes:
         got = bnn._quantize(v, bits, lo, hi)
         assert isinstance(got, bnn.Codes) and got.codes.dtype == np.uint8
         want = quantize_activation(v, bits, lo, hi)
+        assert want.tobytes() == formula_quantize(v, bits, lo, hi).tobytes()
         values = bnn.to_values(got)
         assert values.tobytes() == want.tobytes()
         assert values.strides == want.strides
