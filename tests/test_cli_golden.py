@@ -49,6 +49,18 @@ DSE_DENSE = {
     "picks.json":
         "18b4a2d13a28d2df29f3777a1727e75028fd2f13a88165d023877f7db61770c2",
 }
+# the default sweep at sweep.tuning_fraction 0.0 (no ring needs a heater)
+# and 1.0 (the most rings do): the two ends of the heater-row skip
+DSE_FRACTION = {
+    0.0: {"scatter.csv":
+          "b209a82ef15786e74251a3251e95d441ae3a80289cdb7e924d645eb0507adbd3",
+          "picks.json":
+          "b599bb171b76d5ff5a042815ba44c1c75ecae169ba598ca46c13ec63b47e0c9f"},
+    1.0: {"scatter.csv":
+          "d99752d929dc23d6274fec48055f7a2e5005d08e9815b9ab5a34cbf754158ee5",
+          "picks.json":
+          "aa04eb75e2b186b8efe62d5aae34856f4eebc7ca88e5c516c4e8ddd79c026145"},
+}
 FPV_SWEEP_PO = \
     "82782a17b838de1dc3495391ca00997ba28374ac86a620fbd4aef96d0e6d1a81"
 # sim.json of the trained toy model on each preset
@@ -110,6 +122,16 @@ def test_dse_dense(tmp_path):
     out = tmp_path / "dse"
     assert main(["dse", "--config", str(dense), "--out", str(out)]) == 0
     for name, want in DSE_DENSE.items():
+        assert digest(out / name) == want, name
+
+
+@pytest.mark.parametrize("fraction", sorted(DSE_FRACTION))
+def test_dse_tuning_fraction(tmp_path, fraction):
+    overlay = tmp_path / "fraction.yaml"
+    overlay.write_text(yaml.safe_dump({"sweep": {"tuning_fraction": fraction}}))
+    out = tmp_path / "dse"
+    assert main(["dse", "--config", str(overlay), "--out", str(out)]) == 0
+    for name, want in DSE_FRACTION[fraction].items():
         assert digest(out / name) == want, name
 
 
