@@ -337,7 +337,7 @@ class ChipFpvMap:
     there. A design sweep draws one map whose banks hold the rows of its
     largest configuration, and every configuration reads its head:
     ``tuning_power_budget`` budgets all of them in one call, one TED solve
-    per bank size.
+    per bank layout.
     """
 
     deltas_nm: tuple[np.ndarray, ...]
@@ -376,14 +376,15 @@ def tuning_power_budget(cfgs: Sequence[AcceleratorConfig],
     only that head is read. EO corrections are summed per MR and TO
     remainders are solved collectively (TED). Each bank is folded and split
     (``tuning.fold_and_split``) once, on the longest head any configuration
-    reads, and each (bank, rings per arm, pitch) group is TED-solved
-    (``tuning.ted_drives``) once, on its longest head. A configuration's
-    power sums a contiguous prefix of each result; the drives of a prefix
-    are the prefix of the drives, so a configuration gets the bits a list
-    of it alone gives.
+    reads. The banks with n rings per arm at one pitch share a layout, and
+    the longest head of each that any configuration reads is TED-solved
+    (``tuning.ted_drives``) in one call per layout. A configuration's
+    power sums a contiguous prefix of each bank's rows; the drives of a
+    prefix are the prefix of the drives, so a configuration gets the bits a
+    list of it alone gives.
     """
-    arms_read: dict[tuple, int] = {}   # the most arms read of each group
-    rows: dict[int, int] = {}          # the longest head read of each bank
+    heads: dict[tuple, set] = {}       # the arms read of each group
+    reads: dict[int, set] = {}         # the rings read of each bank
     classes = {}                       # the ring class of each bank
     for c in cfgs:
         arms = c.n_vdp * c.n_wg
@@ -396,40 +397,53 @@ def tuning_power_budget(cfgs: Sequence[AcceleratorConfig],
                     f"chip map bank of {chip_map.deltas_nm[k].size} rings, "
                     f"the configuration has {arms * n}")
             classes[k] = ring_class
-            group = (k, n, c.mr_pitch_um)
-            arms_read[group] = max(arms_read.get(group, 0), arms)
-            rows[k] = max(rows.get(k, 0), arms * n)
+            heads.setdefault((k, n, c.mr_pitch_um), set()).add(arms)
+            reads.setdefault(k, set()).add(arms * n)
     params = {k: replace(env.tuning_params, fsr_nm=env.designs[rc].fsr_nm)
               for k, rc in classes.items()}
-    split = {k: tuning.fold_and_split(chip_map.deltas_nm[k][:r],
-                                      tuning_fraction, params[k])
-             for k, r in rows.items()}
-    drives = {}
-    for (k, n, pitch), arms in arms_read.items():
-        to = split[k][1][:arms * n].reshape(arms, n)
+    # the EO power of each (bank, rings read) and the TO remainders of each
+    # bank; the EO shifts are summed and dropped before any solve
+    eo_mw, to = {}, {}
+    for k, read in reads.items():
+        eo, to[k] = tuning.fold_and_split(chip_map.deltas_nm[k][:max(read)],
+                                          tuning_fraction, params[k])
+        eo_mw.update(((k, r), float(np.sum(eo[:r]))
+                      * params[k].eo_power_uw_per_nm * 1e-3) for r in read)
+    layouts: dict[tuple, list] = {}    # the banks of each (n, pitch)
+    for k, n, pitch in heads:
+        layouts.setdefault((n, pitch), []).append(k)
+    # the TO power of each (group, arms) read, or the error of its layout;
+    # each layout's drives are summed and dropped before the next solve
+    to_mw = {}
+    for (n, pitch), banks in layouts.items():
+        longest = [max(heads[k, n, pitch]) for k in banks]
         try:
-            drives[k, n, pitch] = np.abs(tuning.ted_drives(to, pitch,
-                                                           params[k]))
+            s = tuning.ted_drives([to[k][:a * n].reshape(a, n)
+                                   for k, a in zip(banks, longest)],
+                                  pitch, env.tuning_params)
         except PhysicalConstraintError as exc:
-            drives[k, n, pitch] = exc
-    sums = {}   # the (eo_mw, to_mw) of each (group, arms) read
+            to_mw.update(((k, n, pitch, a), exc)
+                         for k in banks for a in heads[k, n, pitch])
+            continue
+        np.abs(s, out=s)
+        first = 0                      # the first row of bank k in s
+        for k, a_max in zip(banks, longest):
+            to_mw.update(((k, n, pitch, a),
+                          float(np.sum(s[first:first + a]))
+                          / params[k].heater_efficiency_nm_per_mw)
+                         for a in heads[k, n, pitch])
+            first += a_max
     results = []
     for c in cfgs:
         arms = c.n_vdp * c.n_wg
         eo_total = to_total = 0.0
         for k, (_, n) in enumerate(c.arm_banks):
-            s = drives[k, n, c.mr_pitch_um]
-            if isinstance(s, PhysicalConstraintError):
-                results.append(s)
+            p = to_mw[k, n, c.mr_pitch_um, arms]
+            if isinstance(p, PhysicalConstraintError):
+                results.append(p)
                 break
-            key = (k, n, c.mr_pitch_um, arms)
-            if key not in sums:
-                sums[key] = (float(np.sum(split[k][0][:arms * n]))
-                             * params[k].eo_power_uw_per_nm * 1e-3,
-                             float(np.sum(s[:arms]))
-                             / params[k].heater_efficiency_nm_per_mw)
-            eo_total += sums[key][0]
-            to_total += sums[key][1]
+            eo_total += eo_mw[k, arms * n]
+            to_total += p
         else:
             results.append((eo_total, to_total))
     return results

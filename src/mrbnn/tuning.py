@@ -18,14 +18,20 @@ folded to the nearest resonance (<= FSR/2); EO takes up to
 
 A set of banks is budgeted in two steps. ``fold_and_split`` is
 element-wise: it folds each shift, scales it by the tuning fraction and
-splits it into EO and TO. ``ted_drives`` is per layout: it builds and
-checks K and solves every bank. Both systems are solved by ``_solve_rows``,
-which forms K^-1 once and builds each row from element-wise products and
-sums only, so the bits of a bank's drives depend on K and that bank's
+splits it into EO and TO. The fold's remainder and nearest-resonance min
+are skipped when no shift needs them (``fmod(x, fsr) == x`` for
+0 <= x < fsr), so drawn shifts, far inside FSR/2, are only scaled and
+split. ``ted_drives`` is per layout: it builds and checks K and solves
+every bank. Both systems are solved by ``_solve_rows``: a bank whose
+targets are all 0 needs no heater and gets a zero drive without a solve,
+and the others are solved together from K^-1 with element-wise products
+and sums only, so the bits of a bank's drives depend on K and that bank's
 targets alone, on any BLAS and whatever the number of banks: the drives of
-the first a banks are the first a rows of the drives of all of them. A
-design sweep whose configurations read the first rows of one drawn bank
-folds and solves that bank once and sums each configuration's prefix.
+the first a banks are the first a rows of the drives of all of them. The
+drives come back C-ordered, because a caller's ``np.sum`` adds in memory
+order. A design sweep whose configurations read the first rows of one
+drawn bank folds that bank once, solves all banks of one layout at once
+and sums each configuration's prefix.
 """
 
 from __future__ import annotations
@@ -138,8 +144,8 @@ def ted_tuning_power(target_shifts_nm: Sequence[float], spacings_um,
         raise DomainError("layout size does not match target vector")
 
     eff = params.heater_efficiency_nm_per_mw
-    p_ted = float(np.sum(np.abs(_solve_rows(k, t[None])))) / eff
-    s_naive = _solve_rows(2.0 * np.eye(t.size) - k, t[None])
+    p_ted = float(np.sum(np.abs(_solve_rows(k, [t[None]])))) / eff
+    s_naive = _solve_rows(2.0 * np.eye(t.size) - k, [t[None]])
     p_naive = float(np.sum(np.abs(s_naive))) / eff
 
     reduction = 0.0 if p_naive == 0.0 else 1.0 - p_ted / p_naive
@@ -154,42 +160,62 @@ def fold_and_split(delta_lambdas_nm, tuning_fraction: float,
     result on a prefix of the shifts is that prefix of the result."""
     if not (0.0 <= tuning_fraction <= 1.0):
         raise DomainError("tuning_fraction must be in [0, 1]")
-    folded = np.abs(np.asarray(delta_lambdas_nm, dtype=np.float64)) \
-        % params.fsr_nm
-    folded = np.minimum(folded, params.fsr_nm - folded)
-    corrected = tuning_fraction * folded
+    fsr = params.fsr_nm
+    folded = np.abs(np.asarray(delta_lambdas_nm, dtype=np.float64))
+    # NaN and inf fail both tests and take the whole fold
+    top = np.max(folded, initial=0.0)
+    if not top < fsr:
+        folded %= fsr
+    if not top <= fsr - top:   # else x <= fsr - x for every x <= top
+        folded = np.minimum(folded, fsr - folded)
+    corrected = np.multiply(folded, tuning_fraction, out=folded)
     eo = np.minimum(corrected, params.eo_max_shift_nm)
-    return eo, corrected - eo
+    return eo, np.subtract(corrected, eo, out=corrected)
 
 
-def _solve_rows(k: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Row b of the result solves K s = t[b] for each row of the
-    [banks, n] ``t``, as the sum over j of t[:, j] times column j of
-    K^-1, in that order. Element-wise products and sums only, so a row's
-    bits depend on K and t[b] alone, on any BLAS and for any number of
-    rows."""
+def _solve_rows(k: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Row b of the C-ordered result solves K s = t[b] for each row of
+    ``t``, the [banks, n] ``blocks`` stacked in order, as the sum over j of
+    t[b, j] times column j of K^-1, in that order. Element-wise products
+    and sums only, so a row's bits depend on K and t[b] alone, on any BLAS
+    and for any number of rows. A row of zeros gets +0 drives without a
+    solve, where the solve could give -0 (callers take |s|); the other
+    rows are solved transposed, as one contiguous [n, rows] block."""
+    n = k.shape[0]
+    t_t = np.empty((n, sum(len(b) for b in blocks)))
+    np.concatenate([b.T for b in blocks], axis=1, out=t_t)
+    hot = np.logical_or.reduce(t_t != 0, axis=0)
+    if not hot.any():
+        return np.zeros((hot.size, n))
+    t_t = np.compress(hot, t_t, axis=1)
     k_inv = np.linalg.inv(k)
-    s = t[:, :1] * k_inv[:, 0]
-    for j in range(1, k.shape[0]):
-        s += t[:, j:j + 1] * k_inv[:, j]
+    s_t = t_t[0] * k_inv[:, :1]
+    product = np.empty_like(s_t)
+    for j in range(1, n):
+        s_t += np.multiply(t_t[j], k_inv[:, j:j + 1], out=product)
+    del t_t, product                    # before the result is allocated
+    s = np.zeros((hot.size, n))
+    s[hot] = s_t.T
     return s
 
 
-def ted_drives(to: np.ndarray, spacing_um: float,
+def ted_drives(to: Sequence[np.ndarray], spacing_um: float,
                params: TuningParams) -> np.ndarray:
     """Heater drives [nm] of each row of the [n_banks, bank_size] TO
-    remainders ``to`` that ``fold_and_split`` gave, tuned collectively
-    (TED) over a uniform layout at ``spacing_um``; a bank's power is
-    sum(|s|) / heater_efficiency.
+    remainders that ``fold_and_split`` gave, tuned collectively (TED) over
+    a uniform layout at ``spacing_um``; a bank's power is
+    sum(|s|) / heater_efficiency. ``to`` is a sequence of such blocks,
+    solved as one stack: banks of several ring classes that share the
+    layout take one call and no concatenated copy.
 
     All banks share one crosstalk matrix, which is built and checked even
     when no MR needs heater power, so a layout too dense to tune raises
-    whatever the shifts. The drives of the first a rows of ``to`` are the
-    first a rows of the result, bit for bit.
+    whatever the shifts. The drives of the first a rows of the stack are
+    the first a rows of the C-ordered result, bit for bit.
     """
     k = thermal_crosstalk_matrix(
-        uniform_positions_um(to.shape[1], spacing_um), params.crosstalk_eta,
-        params.crosstalk_decay_um)
+        uniform_positions_um(to[0].shape[1], spacing_um),
+        params.crosstalk_eta, params.crosstalk_decay_um)
     return _solve_rows(k, to)
 
 

@@ -26,7 +26,7 @@ def bank_budget(banks, fraction, spacing, params):
     """(eo_mw, to_mw) of a [n_banks, bank_size] set of banks:
     ``fold_and_split``, then ``ted_drives`` on the TO remainders."""
     eo, to = fold_and_split(np.asarray(banks, float), fraction, params)
-    s = ted_drives(to, spacing, params)
+    s = ted_drives([to], spacing, params)
     return (float(np.sum(eo)) * params.eo_power_uw_per_nm * 1e-3,
             float(np.sum(np.abs(s))) / params.heater_efficiency_nm_per_mw)
 
@@ -127,6 +127,42 @@ class TestFold:
         rng = np.random.Generator(np.random.PCG64(3))
         for d in rng.uniform(-100, 100, 500):
             assert self.folded(d, p) <= 18.2 / 2 + 1e-12
+
+
+class TestFoldShortcut:
+    # the fold skips the remainder below the FSR and the min up to FSR/2;
+    # it must give the bits of the whole fold on each side of both bounds
+    FSR = TuningParams().fsr_nm
+    HALF = FSR / 2
+    CASES = {
+        "half": [HALF, -HALF],
+        "above-half": [np.nextafter(HALF, np.inf)],
+        "below-fsr": [np.nextafter(FSR, 0.0), -np.nextafter(FSR, 0.0)],
+        "fsr": [FSR, -FSR],
+        "above-fsr": [FSR + 0.5, -(3 * FSR + 1.0)],
+        "mixed-half": [0.0, -0.0, 0.3, -1.2, HALF],
+        "mixed-above-half": [0.0, 0.3, -1.2, np.nextafter(HALF, np.inf)],
+        "mixed-below-fsr": [0.3, -1.2, np.nextafter(FSR, 0.0)],
+        "mixed-fsr": [0.3, -1.2, FSR],
+        "mixed-above-fsr": [[0.3, -1.2], [HALF, 2 * FSR + 0.7]],
+        "nan": [0.3, np.nan],
+        "inf": [0.3, -np.inf],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("fraction", [0.8, 1.0])
+    def test_equals_whole_fold(self, params, case, fraction):
+        deltas = np.array(self.CASES[case])
+        with np.errstate(invalid="ignore"):     # inf % fsr is NaN
+            x = np.abs(deltas) % params.fsr_nm
+            corrected = fraction * np.minimum(x, params.fsr_nm - x)
+            eo, to = fold_and_split(deltas, fraction, params)
+        want_eo = np.minimum(corrected, params.eo_max_shift_nm)
+        want_to = corrected - want_eo
+        assert eo.shape == to.shape == deltas.shape
+        assert eo.tobytes() == want_eo.tobytes()
+        assert to.tobytes() == want_to.tobytes()
 
 
 class TestCrosstalkMatrix:
@@ -329,9 +365,9 @@ class TestHeads:
                                      params.crosstalk_decay_um)
         for deltas in (banks, cool):
             _, to = fold_and_split(deltas, fraction, params)
-            whole = ted_drives(to, 5.0, params)
+            whole = ted_drives([to], 5.0, params)
             for a in self.WIDTHS:
-                assert np.array_equal(ted_drives(to[:a], 5.0, params),
+                assert np.array_equal(ted_drives([to[:a]], 5.0, params),
                                       whole[:a])
             # the oracle: one LAPACK solve per bank
             want = np.array([np.linalg.solve(k, row) for row in to])
@@ -345,16 +381,66 @@ class TestHeads:
         # each bank alone gets its row of the call on all of them
         _, to = fold_and_split(np.array([[0.4, 1.2, 12.5], [3.0, 0.1, 1.7],
                                          [9.0, 14.0, 7.5]]), 0.8, params)
-        whole = ted_drives(to, 5.0, params)
+        whole = ted_drives([to], 5.0, params)
         for b in range(3):
-            assert np.array_equal(ted_drives(to[b:b + 1], 5.0, params),
+            assert np.array_equal(ted_drives([to[b:b + 1]], 5.0, params),
                                   whole[b:b + 1])
 
     def test_dense_layout_rejected_for_all_heads(self):
         dense = TuningParams(crosstalk_eta=0.5, crosstalk_decay_um=50.0)
         for a in (1, 3):
             with pytest.raises(IllConditionedLayoutError):
-                ted_drives(np.zeros((a, 10)), 5.0, dense)
+                ted_drives([np.zeros((a, 10))], 5.0, dense)
+
+
+def solve_alone(k, row):
+    """Reference: one bank's drives as the sum over j of t[j] times column
+    j of K^-1, in that order, with no row skipped."""
+    k_inv = np.linalg.inv(k)
+    s = row[0] * k_inv[:, 0]
+    for j in range(1, row.size):
+        s = s + row[j] * k_inv[:, j]
+    return s
+
+
+class TestColdRows:
+    # a bank whose TO targets are all 0 gets a zero drive without a solve;
+    # the others get, after np.abs, the bits of a solve of their own
+    @pytest.mark.parametrize("size", [1, 3, 10, 15])
+    @pytest.mark.parametrize("cold", [0.0, 0.6, 1.0])
+    def test_mixed_rows_equal_each_row_alone(self, params, size, cold):
+        rng = np.random.Generator(np.random.PCG64(size))
+        to = rng.uniform(0.0, 3.0, (40, size))
+        to[rng.random(40) < cold] = 0.0
+        to[1, 0] = 0.0                      # a hot row may hold a zero
+        to[2] = -0.0
+        to[3] *= -1.0                       # any sign is solved
+        to[4, -1] = np.nan                  # and NaN is no zero
+        k = thermal_crosstalk_matrix(uniform_positions_um(size, 5.0),
+                                     params.crosstalk_eta,
+                                     params.crosstalk_decay_um)
+        # two stacked blocks and one block give the same rows
+        for blocks in ([to], [to[:7], to[7:]]):
+            s = ted_drives(blocks, 5.0, params)
+            assert s.shape == to.shape
+            assert s.flags.c_contiguous
+            for b, row in enumerate(to):
+                assert (np.abs(s[b]).tobytes()
+                        == np.abs(solve_alone(k, row)).tobytes()), b
+
+    def test_all_zero_block(self, params):
+        s = ted_drives([np.zeros((5, 4)), np.zeros((2, 4))], 5.0, params)
+        assert s.shape == (7, 4) and s.flags.c_contiguous
+        assert not np.any(s)
+
+    @pytest.mark.parametrize("hot_rows", [0, 1, 3])
+    def test_c_ordered(self, params, hot_rows):
+        # every path returns a C-ordered array: a caller's np.sum adds in
+        # memory order
+        to = np.zeros((3, 5))
+        to[:hot_rows] = 2.0
+        s = ted_drives([to[:1], to[1:]], 5.0, params)
+        assert s.flags.c_contiguous and s.shape == (3, 5)
 
 
 class TestSpacingSweep:
