@@ -433,15 +433,6 @@ class TestColdRows:
         assert s.shape == (7, 4) and s.flags.c_contiguous
         assert not np.any(s)
 
-    @pytest.mark.parametrize("hot_rows", [0, 1, 3])
-    def test_c_ordered(self, params, hot_rows):
-        # every path returns a C-ordered array: a caller's np.sum adds in
-        # memory order
-        to = np.zeros((3, 5))
-        to[:hot_rows] = 2.0
-        s = ted_drives([to[:1], to[1:]], 5.0, params)
-        assert s.flags.c_contiguous and s.shape == (3, 5)
-
 
 class TestSpacingSweep:
     def test_rows_and_monotonicity(self, params):
