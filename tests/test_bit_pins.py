@@ -50,12 +50,16 @@ def logits_digest(env, cfg, case, bits, act_range, fraction, nan):
     """The first 16 hex digits of the sha256 of the little-endian float64
     logits of ``dispatch_model(case)`` at map seed 3, with every activation
     layer's range set to ``act_range``, and input 0 holding a NaN if
-    ``nan``."""
-    model, x = dispatch_model(case, np.random.Generator(np.random.PCG64(59)),
+    ``nan``. A case ``name/d`` is model ``name`` with its inputs divided by
+    d."""
+    name, _, divisor = case.partition("/")
+    model, x = dispatch_model(name, np.random.Generator(np.random.PCG64(59)),
                               bits)
     model = replace(model, layers=tuple(
         replace(l, act_range=act_range) if l.kind is LayerKind.ACTIVATION
         else l for l in model.layers))
+    if divisor:
+        x /= int(divisor)
     if nan:
         x.flat[5] = np.nan
     logits = noisy_inference(model, x, None, cfg, env, fraction, seed=3).logits
@@ -63,13 +67,18 @@ def logits_digest(env, cfg, case, bits, act_range, fraction, nan):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+# "avg-pool" saturates conv 1 at the (0, 1) range, so its logits are the
+# same at every bit width there; at 1/16 of its inputs they are not, and
+# both quantizers feed readers that are not binarized: an average pool and
+# a full-precision FC
+MODELS = ("conv-sim", "bn-after-act", "avg-pool", "avg-pool/16")
 CASES = [(case, bits, act_range, fraction, False)
-         for case in ("conv-sim", "bn-after-act", "avg-pool")
+         for case in MODELS
          for bits in (1, 2, 4, 5, 6, 24, 40)
          for act_range in ((0.0, 1.0), (-1.0, 1.0))
          for fraction in (0.5, 1.0)] + [
     (case, 2, (0.0, 1.0), fraction, True)
-    for case in ("conv-sim", "bn-after-act", "avg-pool")
+    for case in MODELS
     for fraction in (0.5, 1.0)]
 
 # each case's digest under the GEMM_KERNELS, in their order
@@ -242,6 +251,62 @@ PINS = {
         ('3e3d24da9cdbd484', '5801def47ffbac6b'),
     ('avg-pool', 40, (-1.0, 1.0), 1.0, False):
         ('6e507693a5c2781b', '7d4aedec163bb871'),
+    ('avg-pool/16', 1, (0.0, 1.0), 0.5, False):
+        ('2dfba633817046c7', '2dfba633817046c7'),
+    ('avg-pool/16', 1, (0.0, 1.0), 1.0, False):
+        ('2dfba633817046c7', '2dfba633817046c7'),
+    ('avg-pool/16', 1, (-1.0, 1.0), 0.5, False):
+        ('ac0e6c862c7cb197', 'd1d51c0948c68b86'),
+    ('avg-pool/16', 1, (-1.0, 1.0), 1.0, False):
+        ('ac0e6c862c7cb197', 'd1d51c0948c68b86'),
+    ('avg-pool/16', 2, (0.0, 1.0), 0.5, False):
+        ('189f624a81a8faf8', 'f598d29cefc2b982'),
+    ('avg-pool/16', 2, (0.0, 1.0), 1.0, False):
+        ('d7e2e0b020aabfdf', '4307e5e7b2be8e2c'),
+    ('avg-pool/16', 2, (-1.0, 1.0), 0.5, False):
+        ('48636c8d23e08778', 'ac9afccac02fe86b'),
+    ('avg-pool/16', 2, (-1.0, 1.0), 1.0, False):
+        ('048c4a31078e6d28', 'efcb813cdc973961'),
+    ('avg-pool/16', 4, (0.0, 1.0), 0.5, False):
+        ('2177a79129f4f356', 'a0c97fef9815df58'),
+    ('avg-pool/16', 4, (0.0, 1.0), 1.0, False):
+        ('67d5b3d225b269ca', 'a1cc389d27b31fec'),
+    ('avg-pool/16', 4, (-1.0, 1.0), 0.5, False):
+        ('1fc9d1e19e6d933c', '45e6a6fc8870045c'),
+    ('avg-pool/16', 4, (-1.0, 1.0), 1.0, False):
+        ('9153d761315465bf', 'b0d293d83657154c'),
+    ('avg-pool/16', 5, (0.0, 1.0), 0.5, False):
+        ('840f180d62add011', '660d7a8e5dc517eb'),
+    ('avg-pool/16', 5, (0.0, 1.0), 1.0, False):
+        ('f1df30b400d79ea7', 'cabdc5aa2d6e177f'),
+    ('avg-pool/16', 5, (-1.0, 1.0), 0.5, False):
+        ('81c41bc2dfc6cb88', 'db210d94b1b133a3'),
+    ('avg-pool/16', 5, (-1.0, 1.0), 1.0, False):
+        ('127421bd30c977f6', '09f9e5781a68a5ed'),
+    ('avg-pool/16', 6, (0.0, 1.0), 0.5, False):
+        ('42e59e0579c96296', '3cec6751be873045'),
+    ('avg-pool/16', 6, (0.0, 1.0), 1.0, False):
+        ('2c22370749060813', '54be25d90793ce85'),
+    ('avg-pool/16', 6, (-1.0, 1.0), 0.5, False):
+        ('6cde2d1469882e39', '361e8b3db167a611'),
+    ('avg-pool/16', 6, (-1.0, 1.0), 1.0, False):
+        ('b1fedf75f65a76c5', '40d85a0001387568'),
+    ('avg-pool/16', 24, (0.0, 1.0), 0.5, False):
+        ('f29e94f4d83edf56', '302718ba7b5f0001'),
+    ('avg-pool/16', 24, (0.0, 1.0), 1.0, False):
+        ('93a4becfe7a730cc', '69acbc26bf4ff038'),
+    ('avg-pool/16', 24, (-1.0, 1.0), 0.5, False):
+        ('8025556320c7f1ae', '1d3c69a2f356aa53'),
+    ('avg-pool/16', 24, (-1.0, 1.0), 1.0, False):
+        ('f9730432e4e60887', '82c395cd94d1d3cb'),
+    ('avg-pool/16', 40, (0.0, 1.0), 0.5, False):
+        ('55a781495329dda8', 'fb54fcf22d81eba7'),
+    ('avg-pool/16', 40, (0.0, 1.0), 1.0, False):
+        ('ef11a1fdf2d146f6', 'a5a9d89c1690abc4'),
+    ('avg-pool/16', 40, (-1.0, 1.0), 0.5, False):
+        ('7c53949b264a71b9', 'a11d211ccfe5dbd7'),
+    ('avg-pool/16', 40, (-1.0, 1.0), 1.0, False):
+        ('3dd9a2a36697448c', 'c66d4b573472956f'),
     ('conv-sim', 2, (0.0, 1.0), 0.5, True):
         ('da5cbda7c33cfe17', 'da5cbda7c33cfe17'),
     ('conv-sim', 2, (0.0, 1.0), 1.0, True):
@@ -254,6 +319,10 @@ PINS = {
         ('cc077a5106fd65f4', '64e38a36f75dc2c0'),
     ('avg-pool', 2, (0.0, 1.0), 1.0, True):
         ('aa1e15ac153bfe3f', '6de2c004b799b3ee'),
+    ('avg-pool/16', 2, (0.0, 1.0), 0.5, True):
+        ('2558292ef1ab43cd', 'a0fe394cd5eb2858'),
+    ('avg-pool/16', 2, (0.0, 1.0), 1.0, True):
+        ('ea4dcd4f7e83fec9', 'b35e6551f88a6efe'),
 }
 
 

@@ -61,6 +61,10 @@ DSE_FRACTION = {
           "picks.json":
           "aa04eb75e2b186b8efe62d5aae34856f4eebc7ca88e5c516c4e8ddd79c026145"},
 }
+# the toy MLP with two hidden layers, 8 -> 32 -> 16 -> 3: the first
+# quantizer feeds a binarized layer, the second the full-precision one
+FPV_SWEEP_DEEP = \
+    "e4d50917c94aaa7b693d384cd5b3c966e857199ae18debfb8178268a6548905a"
 FPV_SWEEP_PO = \
     "82782a17b838de1dc3495391ca00997ba28374ac86a620fbd4aef96d0e6d1a81"
 # sim.json of the trained toy model on each preset
@@ -156,6 +160,18 @@ def test_fpv_sweep_po(tmp_path, toy_model):
     assert main(["fpv-sweep", "--model", str(toy_model), "--arch", "po",
                  "--out", str(out)]) == 0
     assert digest(out) == FPV_SWEEP_PO
+
+
+def test_fpv_sweep_two_hidden_layers(tmp_path):
+    deep = tmp_path / "deep.yaml"
+    deep.write_text(yaml.safe_dump({"training": {"hidden_sizes": [32, 16]}}))
+    model = tmp_path / "deep.mrbnn"
+    assert main(["train-toy", "--config", str(deep),
+                 "--out-model", str(model)]) == 0
+    out = tmp_path / "fpv.csv"
+    assert main(["fpv-sweep", "--config", str(deep), "--model", str(model),
+                 "--seeds", "3", "--out", str(out)]) == 0
+    assert digest(out) == FPV_SWEEP_DEEP
 
 
 @pytest.mark.parametrize("arch", sorted(SIMULATE))
