@@ -502,19 +502,29 @@ def build_photonic_mapping(model: QuantModel,
                            ids, np.asarray(comb)[ids % slots])
 
 
+def _nominal_transmission(design: MrDesign, lam: np.ndarray) -> np.ndarray:
+    """T(lambda_s; lambda_s), each MR on resonance at its signal wavelength:
+    the denominator of ``_perturbation_ratios``. It depends on the comb
+    alone, so an FPV sweep computes it once."""
+    return np.asarray(photonics.transmission(design, lam, lam))
+
+
 def _perturbation_ratios(design: MrDesign, lam: np.ndarray,
-                         deltas_nm: np.ndarray, residuals) -> np.ndarray:
+                         deltas_nm: np.ndarray, residuals,
+                         nominal: np.ndarray | None = None) -> np.ndarray:
     """rho = T(lambda_s; lambda_s + residual*delta) / T(lambda_s; lambda_s).
 
     ``lam`` and ``deltas_nm`` give each MR's signal wavelength and FPV shift.
     One residual gives one ratio per MR; a vector of F residuals gives
     [F, MRs] ratios, row j equal to the call with ``residuals[j]`` bit for
-    bit.
+    bit. ``nominal`` is ``_nominal_transmission(design, lam)``, computed
+    when not given.
     """
-    base = photonics.transmission(design, lam, lam)
+    if nominal is None:
+        nominal = _nominal_transmission(design, lam)
     shifted = photonics.transmission(
         design, lam, lam + np.multiply.outer(residuals, deltas_nm))
-    return np.asarray(shifted) / np.asarray(base)
+    return np.asarray(shifted) / nominal
 
 
 def _read_ids(model: QuantModel, mapping: PhotonicMapping) -> np.ndarray:
@@ -654,6 +664,9 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
     rails = {li: _dual_rail(layer) for li, layer in enumerate(model.layers)
              if layer.binarized}
     residuals = 1.0 - np.asarray(fractions, dtype=np.float64)
+    design = env.designs[RingClass.MULTI_BIT]
+    lam = mapping.lambda_nm[:ids.size]
+    nominal = _nominal_transmission(design, lam)
     # maps outside fractions, so one chip map is alive at a time
     accs = [[] for _ in fractions]
     # a row of ratios all 1 walks exact_dot on the clamped batch, whatever
@@ -661,9 +674,8 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
     ideal_acc = None
     for i in range(n_maps):
         chip_map = _read_map(env, ids, base_seed + i)
-        rho = _perturbation_ratios(
-            env.designs[RingClass.MULTI_BIT], mapping.lambda_nm[:ids.size],
-            chip_map.deltas_nm[0][ids], residuals)
+        rho = _perturbation_ratios(design, lam, chip_map.deltas_nm[0][ids],
+                                   residuals, nominal)
         for rho_act, per_map in zip(rho, accs):
             ideal = bool(np.all(rho_act == 1.0))
             if ideal and ideal_acc is not None:
