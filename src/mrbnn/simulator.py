@@ -555,15 +555,14 @@ def _dual_rail(layer) -> tuple[np.ndarray, np.ndarray]:
 
 def _photonic_logits(model: QuantModel, batch: np.ndarray,
                      mapping: PhotonicMapping, rho_act: np.ndarray,
-                     rails: dict) -> np.ndarray:
+                     rails: dict, ideal: bool) -> np.ndarray:
     """Logits of ``batch`` through the photonic array whose mapped
     activation MRs have the ratios ``rho_act``: ``bnn.forward`` with the
     binarized layers' dot products on ``_kernels.noisy_fc_forward``, which
     gets a quantizer's codes as the walk carries them. ``rails`` maps
     layer indices to their ``_dual_rail``, and a layer it lacks gets its
-    rails built when the walk reaches it."""
-    ideal = bool(np.all(rho_act == 1.0))
-
+    rails built when the walk reaches it. ``ideal`` says that every ratio
+    is exactly 1."""
     def photonic_dot(li, layer, v):
         if not layer.binarized:
             return exact_dot(li, layer, v)
@@ -634,7 +633,8 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
         env.designs[RingClass.MULTI_BIT], mapping.lambda_nm[:ids.size],
         chip_map.deltas_nm[0][ids], 1.0 - tuning_fraction)
     batch, single = as_batch(x)
-    logits = _photonic_logits(model, batch, mapping, rho_act, {})
+    logits = _photonic_logits(model, batch, mapping, rho_act, {},
+                              bool(np.all(rho_act == 1.0)))
     predictions = np.argmax(logits, axis=1)
     acc = _accuracy(predictions, y)
     if single:
@@ -676,13 +676,13 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
         chip_map = _read_map(env, ids, base_seed + i)
         rho = _perturbation_ratios(design, lam, chip_map.deltas_nm[0][ids],
                                    residuals, nominal)
-        for rho_act, per_map in zip(rho, accs):
-            ideal = bool(np.all(rho_act == 1.0))
+        for rho_act, ideal, per_map in zip(rho, (rho == 1.0).all(axis=1),
+                                           accs):
             if ideal and ideal_acc is not None:
                 per_map.append(ideal_acc)
                 continue
             logits = _photonic_logits(model, batch, mapping, rho_act,
-                                      rails)
+                                      rails, ideal)
             per_map.append(_accuracy(np.argmax(logits, axis=1), y))
             if ideal:
                 ideal_acc = per_map[-1]
