@@ -383,6 +383,20 @@ def as_batch(x) -> tuple[np.ndarray, bool]:
     return (a[None] if single else a), single
 
 
+def batch_labels(y, n: int, single: bool) -> np.ndarray:
+    """``y`` as the labels of a batch of ``n`` samples, one per sample:
+    shape [n], or a scalar for one unbatched sample (``single``). Any other
+    shape, which numpy would broadcast against the predictions, and an
+    empty batch, which has no accuracy, are a DomainError."""
+    labels = np.asarray(y)
+    if n < 1:
+        raise DomainError("an empty batch has no accuracy")
+    if labels.shape != (n,) and not (single and labels.shape == ()):
+        raise DomainError(f"labels of shape {labels.shape} for a batch of "
+                          f"{n} samples; they must have shape ({n},)")
+    return labels
+
+
 def reference_inference(model: QuantModel, x, folded: bool = False):
     """Exact floating-point forward pass.
 
@@ -500,8 +514,12 @@ def ste_gradient(model: QuantModel, x, y, loss: str = "xent"):
 
 
 def accuracy(model: QuantModel, x, y, folded: bool = False) -> float:
-    _, classes = reference_inference(model, x, folded=folded)
-    return float(np.mean(classes == np.asarray(y)))
+    """The share of the samples of ``x`` whose reference class is their
+    label in ``y`` (see ``batch_labels``)."""
+    a, single = as_batch(x)
+    labels = batch_labels(y, a.shape[0], single)
+    classes = np.argmax(forward(model, a, exact_dot, folded), axis=1)
+    return float(np.count_nonzero(classes == labels) / classes.size)
 
 
 # ---------------------------------------------------------------------------

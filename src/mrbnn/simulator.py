@@ -42,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels, photonics, tuning
-from .bnn import (Codes, QuantModel, as_batch, exact_dot, forward,
-                  to_values)
+from .bnn import (Codes, QuantModel, as_batch, batch_labels, exact_dot,
+                  forward, to_values)
 # Nothing here calls quantize_activation (bnn.forward does), but
 # bench/spans.py traces it at this binding.
 from .bnn import quantize_activation  # noqa: F401
@@ -585,9 +585,18 @@ def _check_fraction(tuning_fraction) -> None:
         raise DomainError("tuning_fraction must be in [0, 1]")
 
 
-def _accuracy(predictions: np.ndarray, y) -> float:
-    return float(np.mean(predictions == np.asarray(y))) if y is not None \
-        else float("nan")
+def _labels(y, batch: np.ndarray, single: bool) -> np.ndarray | None:
+    """``batch_labels`` of ``y``, or None without labels."""
+    return None if y is None else batch_labels(y, batch.shape[0], single)
+
+
+def _accuracy(predictions: np.ndarray, labels: np.ndarray | None) -> float:
+    """The share of the [n] ``predictions`` equal to ``labels``, or NaN
+    without labels. The count of matches is an exact integer, so its one
+    division gives the bits of ``np.mean`` over the matches."""
+    if labels is None:
+        return float("nan")
+    return float(np.count_nonzero(predictions == labels) / predictions.size)
 
 
 @dataclass(frozen=True)
@@ -620,6 +629,8 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
     chip map.
     """
     _check_fraction(tuning_fraction)
+    batch, single = as_batch(x)
+    labels = _labels(y, batch, single)
     mapping = build_photonic_mapping(model, cfg)
     ids = _read_ids(model, mapping)
     if chip_map is None:
@@ -632,11 +643,10 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
     rho_act = _perturbation_ratios(
         env.designs[RingClass.MULTI_BIT], mapping.lambda_nm[:ids.size],
         chip_map.deltas_nm[0][ids], 1.0 - tuning_fraction)
-    batch, single = as_batch(x)
     logits = _photonic_logits(model, batch, mapping, rho_act, {},
                               bool(np.all(rho_act == 1.0)))
     predictions = np.argmax(logits, axis=1)
-    acc = _accuracy(predictions, y)
+    acc = _accuracy(predictions, labels)
     if single:
         return NoisyInferenceResult(acc, logits[0], int(predictions[0]))
     return NoisyInferenceResult(acc, logits, predictions)
@@ -658,9 +668,10 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
         raise DomainError("n_maps must be >= 1")
     for f in fractions:
         _check_fraction(f)
+    batch, single = as_batch(x)
+    labels = _labels(y, batch, single)
     mapping = build_photonic_mapping(model, cfg)
     ids = _read_ids(model, mapping)
-    batch, _ = as_batch(x)
     rails = {li: _dual_rail(layer) for li, layer in enumerate(model.layers)
              if layer.binarized}
     residuals = 1.0 - np.asarray(fractions, dtype=np.float64)
@@ -683,7 +694,7 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
                 continue
             logits = _photonic_logits(model, batch, mapping, rho_act,
                                       rails, ideal)
-            per_map.append(_accuracy(np.argmax(logits, axis=1), y))
+            per_map.append(_accuracy(np.argmax(logits, axis=1), labels))
             if ideal:
                 ideal_acc = per_map[-1]
     return [(float(f), float(np.mean(a)), float(np.std(a)))

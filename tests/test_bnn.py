@@ -478,6 +478,43 @@ class TestSteTrain:
         assert runs[0][1] == runs[1][1]
 
 
+# labels whose shape is not [n] for a batch of n: numpy would broadcast them
+BAD_LABELS = {"class 0": lambda y: [0], "column": lambda y: y[:, None],
+              "short": lambda y: y[:-1], "none": lambda y: y[:0]}
+
+
+class TestAccuracyLabels:
+    @pytest.fixture(scope="class")
+    def toy(self):
+        data = make_blobs(40, 24, 8, 3, 0.3, seed=2)
+        return make_mlp([8, 16, 3], seed=1), data.x_test, data.y_test
+
+    @pytest.mark.parametrize("kind", BAD_LABELS)
+    def test_rejects_labels_that_do_not_match_the_batch(self, toy, kind):
+        model, x, y = toy
+        with pytest.raises(DomainError, match="labels of shape"):
+            accuracy(model, x, BAD_LABELS[kind](y))
+
+    def test_one_unbatched_sample(self, toy):
+        model, x, y = toy
+        _, want = reference_inference(model, x[0])
+        assert accuracy(model, x[0], y[0]) == float(want == y[0])
+        assert accuracy(model, x[0], [y[0]]) == float(want == y[0])
+        with pytest.raises(DomainError, match="labels of shape"):
+            accuracy(model, x[0], y[:2])
+
+    def test_empty_batch_has_no_accuracy(self, toy):
+        model, x, y = toy
+        with pytest.raises(DomainError, match="empty batch"):
+            accuracy(model, x[:0], y[:0])
+
+    def test_is_the_mean_of_the_matches(self, toy):
+        model, x, y = toy
+        _, classes = reference_inference(model, x)
+        got = accuracy(model, x, y)
+        assert type(got) is float and got == float(np.mean(classes == y))
+
+
 class TestSteGradient:
     def test_matches_finite_difference_of_identity_surrogate(self):
         # three-neuron net: 2 binarized hidden neurons + 1 full-precision

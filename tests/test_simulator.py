@@ -19,6 +19,7 @@ from mrbnn.simulator import (ChipFpvMap, LossBudget, _perturbation_ratios,
                              noisy_inference, path_loss_db, pipeline_time,
                              power_and_epb, required_bandwidth_gb_s,
                              tuning_power_budget)
+from test_bnn import BAD_LABELS
 from test_tuning import bank_budget
 
 
@@ -753,6 +754,52 @@ class TestAccuracySweep:
         with pytest.raises(DomainError, match="n_maps"):
             fpv_accuracy_sweep(toy_model, toy_data.x_test, toy_data.y_test,
                                eo_cfg, env, [1.0], n_maps=0, base_seed=50)
+
+
+class TestLabels:
+    """Labels must hold one entry per sample; numpy would broadcast any
+    other shape against the predictions."""
+
+    @pytest.mark.parametrize("kind", BAD_LABELS)
+    def test_noisy_inference_rejects(self, env, eo_cfg, toy_model, toy_data,
+                                     kind):
+        y = BAD_LABELS[kind](toy_data.y_test)
+        with pytest.raises(DomainError, match="labels of shape"):
+            noisy_inference(toy_model, toy_data.x_test, y, eo_cfg, env, 0.5,
+                            seed=0)
+
+    @pytest.mark.parametrize("kind", BAD_LABELS)
+    def test_sweep_rejects(self, env, eo_cfg, toy_model, toy_data, kind):
+        y = BAD_LABELS[kind](toy_data.y_test)
+        with pytest.raises(DomainError, match="labels of shape"):
+            fpv_accuracy_sweep(toy_model, toy_data.x_test, y, eo_cfg, env,
+                               [0.5], n_maps=1, base_seed=0)
+
+    def test_one_unbatched_sample(self, env, eo_cfg, toy_model, toy_data):
+        x, y = toy_data.x_test[0], toy_data.y_test[0]
+        _, want = reference_inference(toy_model, x)
+        for label in (y, [y]):
+            res = noisy_inference(toy_model, x, label, eo_cfg, env, 1.0,
+                                  seed=0)
+            assert res.accuracy == float(want == y)
+            [row] = fpv_accuracy_sweep(toy_model, x, label, eo_cfg, env,
+                                       [1.0], n_maps=1, base_seed=0)
+            assert row == (1.0, float(want == y), 0.0)
+        for call in (
+                lambda: noisy_inference(toy_model, x, [y, y], eo_cfg, env,
+                                        1.0, seed=0),
+                lambda: fpv_accuracy_sweep(toy_model, x, [y, y], eo_cfg,
+                                           env, [1.0], n_maps=1,
+                                           base_seed=0)):
+            with pytest.raises(DomainError, match="labels of shape"):
+                call()
+
+    def test_accuracy_is_the_mean_of_the_matches(self, env, eo_cfg,
+                                                 toy_model, toy_data):
+        res = noisy_inference(toy_model, toy_data.x_test, toy_data.y_test,
+                              eo_cfg, env, 0.5, seed=0)
+        want = float(np.mean(res.predictions == toy_data.y_test))
+        assert type(res.accuracy) is float and res.accuracy == want
 
 
 class TestDrawWhatIsRead:
