@@ -227,21 +227,28 @@ def to_values(a):
 def _quantize(v, bits, lo, hi, codes=True):
     """``quantize_activation`` of ``v``, as ``Codes`` if ``codes`` is set,
     the 2**bits levels are at most ``MAX_LEVELS`` and no input is NaN, and
-    otherwise as floats."""
+    otherwise as floats. Code c and its float are the same level, lo + c *
+    (hi - lo) / steps."""
     if bits < 1:
         raise DomainError("bits must be >= 1")
     if not lo < hi:
         raise DomainError("range must satisfy lo < hi")
     steps = float(2 ** bits - 1)
-    k = np.clip(np.asarray(v, dtype=np.float64), lo, hi)
-    if (lo, hi) != (0.0, 1.0):      # x - 0.0 and x / 1.0 are x
+    # an array even for a scalar v, so that the steps below run in place
+    k = np.asarray(np.clip(np.asarray(v, dtype=np.float64), lo, hi))
+    default = (lo, hi) == (0.0, 1.0)
+    if not default:                 # x - 0.0 and x / 1.0 are x
         k -= lo
         k /= hi - lo
     k *= steps
     k += 0.5        # >= 0.5, so the code floor(k) is also its truncation
     if codes and 2 ** bits <= MAX_LEVELS and not np.isnan(k.max(initial=0.0)):
         return Codes(k.astype(np.uint8), activation_levels(bits, lo, hi))
-    return lo + np.floor(k) * (hi - lo) / steps
+    np.floor(k, out=k)
+    if default:                     # 0.0 + x and x * 1.0 are x (x >= 0)
+        k /= steps
+        return k
+    return lo + k * (hi - lo) / steps
 
 
 def _c_fold(bn: Layer) -> np.ndarray:
@@ -281,6 +288,19 @@ def _apply_pool(x: np.ndarray, window: int, mode: str) -> np.ndarray:
     raise DomainError(f"unknown pool mode {mode!r}")
 
 
+def _codes_read(layers: Sequence[Layer], li: int) -> bool:
+    """Whether the quantizer of layer ``li`` feeds a binarized layer's dot
+    with at most max pooling between: the one reader that takes ``Codes``.
+    A full-precision layer, an average pool, a batch norm (folded or not),
+    a nonlinearity or the logits take floats."""
+    for layer in layers[li + 1:]:
+        if layer.weighted:
+            return layer.binarized
+        if layer.kind != LayerKind.POOL or layer.pool_mode != "max":
+            return False
+    return False
+
+
 def _keep_codes(a, fn):
     """``fn(a)``; of ``Codes``, the codes ``fn(a.codes)`` (``fn`` only
     moves, copies or takes maxima of elements)."""
@@ -317,9 +337,11 @@ def forward(model: QuantModel, a: np.ndarray, dot,
     ``v`` is [n, in] for FC layers and the im2col patches [n, positions,
     depth] for conv layers, and the result is [..., out]. Everything else
     (batch norm, nonlinearities, quantization, pooling) runs exactly here.
-    A quantizer hands on ``Codes`` where it can; max pooling, reshapes and
-    ``dot`` take them as they are, any other layer takes ``to_values``.
-    When ``folded`` is True, batch-norm layers are folded: mean/bias are
+    A quantizer hands on ``Codes`` only where a binarized layer's ``dot``
+    reads them (``_codes_read``), and only max pooling, reshapes and im2col
+    lie between; they take the codes as they are. Every other reader gets
+    the quantizer's floats, with the same bits as ``to_values`` of the
+    codes. When ``folded`` is True, batch-norm layers are folded: mean/bias are
     dropped and C_fold multiplies the activations after the following
     nonlinearity; the gains of BN layers with no nonlinearity, pooling or
     weighted layer between them multiply.
@@ -329,7 +351,6 @@ def forward(model: QuantModel, a: np.ndarray, dot,
     def flush_fold(val):
         nonlocal pending_fold
         if pending_fold is not None:
-            val = to_values(val)
             val = val * _per_channel(pending_fold, val)
             pending_fold = None
         return val
@@ -350,29 +371,27 @@ def forward(model: QuantModel, a: np.ndarray, dot,
                 pending_fold = _c_fold(layer) * (
                     1.0 if pending_fold is None else pending_fold)
             else:
-                a = to_values(a)
                 a = ((a - _per_channel(layer.bn_mean, a))
                      * _per_channel(_c_fold(layer), a)
                      + _per_channel(layer.bn_beta, a))
         elif layer.kind == LayerKind.ACTIVATION:
-            a = to_values(a)
             if layer.activation == "relu":
                 a = np.maximum(a, 0.0)
             elif layer.activation != "identity":
                 raise DomainError(f"unknown activation {layer.activation!r}")
             a = flush_fold(a)
             if layer.quantize:
-                a = _quantize(a, model.activation_bits, *layer.act_range)
+                a = _quantize(a, model.activation_bits, *layer.act_range,
+                              codes=_codes_read(model.layers, li))
         elif layer.kind == LayerKind.POOL:
             a = flush_fold(a)
             if len(a.shape) != 4:
                 raise DomainError("pool input must be [n, c, h, w]")
-            a = _keep_codes(a if layer.pool_mode == "max" else to_values(a),
-                            lambda x: _apply_pool(x, layer.pool_window,
-                                                  layer.pool_mode))
+            a = _keep_codes(a, lambda x: _apply_pool(x, layer.pool_window,
+                                                     layer.pool_mode))
         else:  # pragma: no cover
             raise DomainError(f"unhandled layer kind {layer.kind}")
-    a = to_values(flush_fold(a))
+    a = flush_fold(a)
     return a.reshape(a.shape[0], -1)
 
 
