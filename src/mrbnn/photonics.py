@@ -140,11 +140,18 @@ class FpvStatistics:
 @dataclass(frozen=True)
 class FpvMap:
     """A population of FPV resonance shifts (design-major order) plus
-    summary stats: ``delta_lambdas_nm`` is ``[n]``, in nm."""
+    summary stats, computed when read: ``delta_lambdas_nm`` is ``[n]``, in
+    nm."""
 
     delta_lambdas_nm: np.ndarray
-    delta_mean_nm: float
-    delta_std_nm: float
+
+    @property
+    def delta_mean_nm(self) -> float:
+        return float(np.mean(self.delta_lambdas_nm))
+
+    @property
+    def delta_std_nm(self) -> float:
+        return float(np.std(self.delta_lambdas_nm))
 
 
 # ---------------------------------------------------------------------------
@@ -272,4 +279,4 @@ def sample_fpv_map(designs: Sequence[MrDesign], stats: FpvStatistics,
         block = deltas[i * count:(i + 1) * count]
         block *= sigma
         block += mean
-    return FpvMap(deltas, float(np.mean(deltas)), float(np.std(deltas)))
+    return FpvMap(deltas)
