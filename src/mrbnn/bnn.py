@@ -7,8 +7,8 @@ pass, the trainer's forward pass and the photonic one of
 Weights of binarized layers are stored at full precision ("shadow" weights)
 and enter every computation through sign(); sign(0) = +1 by convention.
 Activations are uniformly quantized (mid-tread, round-half-up) to the model's
-activation bit width after each nonlinearity (``forward`` carries them as
-integer ``Codes`` while it can). Batch-norm folding replaces the
+activation bit width after each nonlinearity (``forward`` hands them to a
+binarized layer as integer ``Codes``). Batch-norm folding replaces the
 BN layer by the per-channel constant C_fold = gamma / sqrt(var + eps) applied
 AFTER the following nonlinearity; with a ReLU nonlinearity and positive gains
 this is exactly equivalent to the explicit zero-mean, zero-bias BN layer.

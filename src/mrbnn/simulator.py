@@ -19,16 +19,17 @@ so the ratio is never below 1: a rail in {0, 1} comes back unchanged, and
 weight-ring FPV costs tuning power but never changes a result. Only the
 activation rings' ratios are computed. With full tuning the ratio is
 exactly 1 and the photonic pass reproduces the reference forward pass.
-The layer walk carries a narrow quantizer's outputs as integer codes, and
-``_kernels.noisy_fc_forward`` may sum a layer fed by codes by level: one
-GEMM for the levels no ratio clamps, one per clamping level with many
-inputs, and direct sums for the rare ones. The identity is exact; only the
-summation order differs from the element-wise form, which a layer fed by
-values (the toy MLP's 8 raw features) runs, input-major with the same bits
-when it has few inputs.
-An FPV sweep computes each map's ratios for every tuning fraction in one
-call and walks the layers once per (map, fraction), as ``noisy_inference``
-does for one.
+The layer walk hands a narrow quantizer's outputs to a binarized layer as
+integer codes, and ``_kernels.noisy_fc_forward`` may sum such a layer by
+level: one GEMM for the levels no ratio clamps, one per clamping level with
+many inputs, and direct sums for the rare ones. The identity is exact; only
+the summation order differs from the element-wise form, which a layer fed
+by values (the toy MLP's 8 raw features) runs, input-major with the same
+bits when it has few inputs.
+An FPV sweep computes the comb's nominal transmission once, each map's
+ratios for every tuning fraction in one call, and one full-tuning test of
+all of a map's rows; it walks the layers once per (map, fraction), as
+``noisy_inference`` does for one, and the full-tuning row once.
 Layers that are not binarized are executed in the electronic control unit
 and see no optical noise.
 """
@@ -659,10 +660,12 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
     """(fraction, mean accuracy, std accuracy) over seeded FPV maps.
 
     Each accuracy is the one ``noisy_inference`` gives for that fraction
-    and map, bit for bit. Per map, the ratios of every fraction come from
-    one ``_perturbation_ratios`` call, and each fraction walks the layers
-    on its own row of them. A row of ratios that are all exactly 1 (full
-    tuning) does not read the map, so it is walked once per sweep.
+    and map, bit for bit. The nominal transmission of the comb is computed
+    once per sweep. Per map, the ratios of every fraction come from one
+    ``_perturbation_ratios`` call, one test finds the rows whose ratios are
+    all exactly 1 (full tuning), and each fraction walks the layers on its
+    own row. A full-tuning row does not read the map, so it is walked once
+    per sweep.
     """
     if n_maps < 1:
         raise DomainError("n_maps must be >= 1")
