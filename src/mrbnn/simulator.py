@@ -586,11 +586,6 @@ def _check_fraction(tuning_fraction) -> None:
         raise DomainError("tuning_fraction must be in [0, 1]")
 
 
-def _labels(y, batch: np.ndarray, single: bool) -> np.ndarray | None:
-    """``batch_labels`` of ``y``, or None without labels."""
-    return None if y is None else batch_labels(y, batch.shape[0], single)
-
-
 def _accuracy(predictions: np.ndarray, labels: np.ndarray | None) -> float:
     """The share of the [n] ``predictions`` equal to ``labels``, or NaN
     without labels. The count of matches is an exact integer, so its one
@@ -631,7 +626,7 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
     """
     _check_fraction(tuning_fraction)
     batch, single = as_batch(x)
-    labels = _labels(y, batch, single)
+    labels = None if y is None else batch_labels(y, len(batch), single)
     mapping = build_photonic_mapping(model, cfg)
     ids = _read_ids(model, mapping)
     if chip_map is None:
@@ -672,7 +667,7 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
     for f in fractions:
         _check_fraction(f)
     batch, single = as_batch(x)
-    labels = _labels(y, batch, single)
+    labels = None if y is None else batch_labels(y, len(batch), single)
     mapping = build_photonic_mapping(model, cfg)
     ids = _read_ids(model, mapping)
     rails = {li: _dual_rail(layer) for li, layer in enumerate(model.layers)
