@@ -183,6 +183,37 @@ class TestCodes:
                     a = bnn._apply_pool(a, 2, mode)
             assert logits.tobytes() == a.tobytes()
 
+    @pytest.mark.parametrize("binarized, between, folded, kind", [
+        (True, (), False, bnn.Codes),
+        (False, (), False, np.ndarray),     # a full-precision layer
+        (True, ("bn",), True, np.ndarray),  # the fold flush multiplies
+        (True, ("bn",), False, np.ndarray),
+        (True, ("act",), False, np.ndarray),
+    ])
+    def test_codes_reach_only_binarized_dots(self, binarized, between,
+                                             folded, kind):
+        rng = np.random.Generator(np.random.PCG64(9))
+        extra = {"bn": batch_norm_layer(np.ones(6), np.zeros(6), np.zeros(6),
+                                        np.ones(6)),
+                 "act": activation_layer(quantize=False)}
+        model = QuantModel((fc_layer(rng.normal(size=(6, 4))),
+                            activation_layer(),
+                            *(extra[b] for b in between),
+                            fc_layer(rng.normal(size=(2, 6)),
+                                     binarized=binarized)),
+                           activation_bits=3)
+        x = rng.uniform(0.0, 1.0, (5, 4))
+        seen = []
+
+        def dot(li, layer, v):
+            seen.append(type(v))
+            return bnn.exact_dot(li, layer, v)
+
+        logits = bnn.forward(model, x, dot, folded=folded)
+        assert seen == [np.ndarray, kind]
+        want, _ = reference_inference(model, x, folded=folded)
+        assert logits.tobytes() == want.tobytes()
+
     def test_trainer_tape_holds_values(self):
         model = make_mlp([3, 4, 2], seed=1)
         x = np.random.Generator(np.random.PCG64(8)).uniform(0, 1, (5, 3))
