@@ -69,8 +69,10 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     """FPV-perturbed fully connected forward pass (dual-rail weights).
 
     acts:          [n_samples, n_in] imprinted activation values, or with
-                   ``levels`` their integer codes
-    w_pos / w_neg: [n_out, n_in] rail occupancies in {0, 1}
+                   ``levels`` their integer codes (uint8, used as the
+                   level indices as they are)
+    w_pos / w_neg: [n_out, n_in] rail occupancies in {0, 1}, of any
+                   numeric dtype (int8 from the simulator)
     rho_act:       [n_out, n_in] per-MR activation perturbation ratios
     levels:        optional, the distinct values the codes stand for:
                    input (s, k) is levels[acts[s, k]]
@@ -111,16 +113,15 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     lo, hi = (rho_act.min(), rho_act.max()) if rho_act.size else (1.0, 1.0)
     if not (0.0 <= lo and hi < np.inf):        # a NaN fails both
         if levels is not None:
-            acts = levels.take(acts)
+            acts = levels[acts]
         return form(acts, rho_act, signed)     # ``signed`` is the rail
     signed *= rho_act
     if levels is not None:
-        idx = acts.astype(np.intp)
-        present = np.bincount(idx.ravel(), minlength=levels.size)
+        present = np.bincount(acts.ravel(), minlength=levels.size)
         present[levels <= 0.0] = 0   # clip(v * rho) = 0 for v <= 0
         if _table_pays(np.count_nonzero(present), n, n_out):
-            return _level_gemm(idx, levels, present, signed, hi)
-        acts = levels.take(idx)
+            return _level_gemm(acts, levels, present, signed, hi)
+        acts = levels[acts]
     if lo > 0.0 and (signed.all() or acts.max(initial=0.0) < np.inf):
         return form(acts, signed)
     return form(acts, rho_act, np.subtract(w_pos, w_neg))
@@ -159,6 +160,10 @@ def _level_gemm(idx, levels, present, signed, hi):
     ``signed`` the table rho * rail and ``hi`` the largest ratio, all
     ratios being finite and >= 0.
 
+    ``idx`` may be the quantizer's uint8 codes: it is only used as a
+    fancy index (which numpy casts in small buffers) and compared, never
+    copied whole to intp, as ``np.take`` would.
+
     A level v > 0 that no ratio clamps (v * hi <= 1; rounding is monotone)
     has clip(v * rho) * rail equal to v * signed bit for bit, so all such
     levels share one GEMM of their inputs against ``signed``. Any other
@@ -176,12 +181,14 @@ def _level_gemm(idx, levels, present, signed, hi):
                           idx.shape[1], n_out)
     if direct.any():
         _direct_sums(out, idx, levels, direct, signed)
-    buf = np.empty(idx.shape)
     if never.any():
-        np.take(np.where(never, levels, 0.0), idx, out=buf, mode="clip")
+        buf = np.where(never, levels, 0.0)[idx]
         out += buf @ signed.T
+    else:
+        buf = np.empty(idx.shape)
     table = np.empty_like(signed)
-    for l in np.flatnonzero(used & ~never & ~direct):
+    # Python ints, which compare with uint8 codes without a cast
+    for l in np.flatnonzero(used & ~never & ~direct).tolist():
         np.equal(idx, l, out=buf)
         np.multiply(signed, levels[l], out=table)
         np.clip(table, -1.0, 1.0, out=table)

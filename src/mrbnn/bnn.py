@@ -172,12 +172,18 @@ class QuantModel:
 # quantization primitives
 # ---------------------------------------------------------------------------
 
-def binarize(w):
-    """sign(w) with the sign(0) = +1 tie-break."""
+def positive_rail(w) -> np.ndarray:
+    """Where sign(w) is +1: w >= 0, the sign(0) = +1 tie-break. A
+    non-finite weight has no sign and is a DomainError."""
     arr = np.asarray(w, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DomainError("binarize requires finite weights")
-    out = np.where(arr >= 0.0, 1.0, -1.0)
+    return arr >= 0.0
+
+
+def binarize(w):
+    """sign(w) with the sign(0) = +1 tie-break."""
+    out = np.where(positive_rail(w), 1.0, -1.0)
     return float(out) if np.ndim(w) == 0 else out
 
 
@@ -224,18 +230,20 @@ def to_values(a):
                    out=np.empty_like(a.codes, dtype=np.float64))
 
 
-def _quantize(v, bits, lo, hi, codes=True):
+def _quantize(v, bits, lo, hi, codes=True, inplace=False):
     """``quantize_activation`` of ``v``, as ``Codes`` if ``codes`` is set,
     the 2**bits levels are at most ``MAX_LEVELS`` and no input is NaN, and
     otherwise as floats. Code c and its float are the same level, lo + c *
-    (hi - lo) / steps."""
+    (hi - lo) / steps. With ``inplace`` a float64 array ``v`` holds the
+    floats."""
     if bits < 1:
         raise DomainError("bits must be >= 1")
     if not lo < hi:
         raise DomainError("range must satisfy lo < hi")
     steps = float(2 ** bits - 1)
     # an array even for a scalar v, so that the steps below run in place
-    k = np.asarray(np.clip(np.asarray(v, dtype=np.float64), lo, hi))
+    v = np.asarray(v, dtype=np.float64)
+    k = np.asarray(np.clip(v, lo, hi, out=v if inplace else None))
     default = (lo, hi) == (0.0, 1.0)
     if not default:                 # x - 0.0 and x / 1.0 are x
         k -= lo
@@ -345,14 +353,21 @@ def forward(model: QuantModel, a: np.ndarray, dot,
     dropped and C_fold multiplies the activations after the following
     nonlinearity; the gains of BN layers with no nonlinearity, pooling or
     weighted layer between them multiply.
+
+    The fold, ReLU and the quantizer work in place only on an array the
+    walk itself allocated, never on the caller's batch or on what ``dot``
+    returned (a caller may keep it, as the STE tape does).
     """
     pending_fold = None
+    owned = False       # whether the walk allocated ``a`` itself
 
     def flush_fold(val):
-        nonlocal pending_fold
+        nonlocal pending_fold, owned
         if pending_fold is not None:
-            val = val * _per_channel(pending_fold, val)
+            val = np.multiply(val, _per_channel(pending_fold, val),
+                              out=val if owned else None)
             pending_fold = None
+            owned = True
         return val
 
     for li, layer in enumerate(model.layers):
@@ -363,9 +378,9 @@ def forward(model: QuantModel, a: np.ndarray, dot,
             if a.shape[1] != layer.weights.shape[1]:
                 raise DomainError(f"FC expects {layer.weights.shape[1]} "
                                   f"features, got {a.shape[1]}")
-            a = dot(li, layer, a)
+            a, owned = dot(li, layer, a), False
         elif layer.kind == LayerKind.CONV2D:
-            a = _conv(li, layer, flush_fold(a), dot)
+            a, owned = _conv(li, layer, flush_fold(a), dot), False
         elif layer.kind == LayerKind.BATCH_NORM:
             if folded:
                 pending_fold = _c_fold(layer) * (
@@ -374,21 +389,26 @@ def forward(model: QuantModel, a: np.ndarray, dot,
                 a = ((a - _per_channel(layer.bn_mean, a))
                      * _per_channel(_c_fold(layer), a)
                      + _per_channel(layer.bn_beta, a))
+                owned = True
         elif layer.kind == LayerKind.ACTIVATION:
             if layer.activation == "relu":
-                a = np.maximum(a, 0.0)
+                a = np.maximum(a, 0.0, out=a if owned else None)
+                owned = True
             elif layer.activation != "identity":
                 raise DomainError(f"unknown activation {layer.activation!r}")
             a = flush_fold(a)
             if layer.quantize:
                 a = _quantize(a, model.activation_bits, *layer.act_range,
-                              codes=_codes_read(model.layers, li))
+                              codes=_codes_read(model.layers, li),
+                              inplace=owned)
+                owned = True
         elif layer.kind == LayerKind.POOL:
             a = flush_fold(a)
             if len(a.shape) != 4:
                 raise DomainError("pool input must be [n, c, h, w]")
             a = _keep_codes(a, lambda x: _apply_pool(x, layer.pool_window,
                                                      layer.pool_mode))
+            owned = True
         else:  # pragma: no cover
             raise DomainError(f"unhandled layer kind {layer.kind}")
     a = flush_fold(a)

@@ -4,10 +4,12 @@ Every output element of a layer is a dot product; dot products are split
 into sub-vectors of at most ``n_a`` elements, summed by per-arm
 photodetectors and then across arms. The work plan (``build_work_plan``) is
 the one slicing rule: ``decompose_fc`` and ``decompose_conv`` cut their
-vectors at its ``offset`` column. Work-plan slices are assigned
-round-robin over (VDP unit, arm); the same wavelength comb is reused by
-every arm, so the unique wavelength count equals the per-arm activation MR
-count, independent of the number of arms and VDP units.
+vectors at its ``offset`` column. ``slice_arm`` is the one slot rule: the
+slices of a layer go round-robin over (VDP unit, arm), and both the plan and
+``simulator.build_photonic_mapping`` place them by it. The same wavelength
+comb is reused by every arm, so the unique wavelength count equals the
+per-arm activation MR count, independent of the number of arms and VDP
+units.
 
 Two readings of ``n_a`` coexist deliberately: throughput equations use
 ``n_a * n_wg`` weights per VDP per step, while physical per-arm MR counts
@@ -233,14 +235,22 @@ class WorkPlan:
         return "\n".join(lines) + "\n"
 
 
+def slice_arm(k, cfg: AcceleratorConfig, out=None) -> np.ndarray:
+    """The slot rule: slice ``k`` of a layer, numbered row by row
+    (``row * chunks + chunk``), fills slot ``k % (n_vdp * n_wg)`` of step
+    ``k // (n_vdp * n_wg)``. The slot is the flat arm id ``vdp * n_wg +
+    arm``. ``out`` may be ``k`` itself."""
+    return np.remainder(k, cfg.n_vdp * cfg.n_wg, out=out)
+
+
 def build_work_plan(model: QuantModel, cfg: AcceleratorConfig) -> WorkPlan:
     """Slice every weighted layer and schedule round-robin over the array.
 
-    Slice k of a layer fills slot ``k % (n_vdp * n_wg)`` of step
-    ``k // (n_vdp * n_wg)``; slot s is VDP ``s // n_wg``, arm ``s % n_wg``.
-    Each weight element appears in exactly one slice; slice length never
-    exceeds ``n_a``. ``c_fold`` is the output's folded BN gain
-    (``QuantModel.fold_gains``), 1 where no BN follows the layer.
+    Slice k of a layer fills the slot ``slice_arm`` gives it, slot s being
+    VDP ``s // n_wg``, arm ``s % n_wg``. Each weight element appears in
+    exactly one slice; slice length never exceeds ``n_a``. ``c_fold`` is
+    the output's folded BN gain (``QuantModel.fold_gains``), 1 where no BN
+    follows the layer.
     """
     slots_per_step = cfg.n_vdp * cfg.n_wg
     gains = model.fold_gains()
@@ -252,7 +262,7 @@ def build_work_plan(model: QuantModel, cfg: AcceleratorConfig) -> WorkPlan:
         rows, size = layer.weights.shape[0], layer.weights[0].size
         chunks_per_row = math.ceil(size / cfg.n_a)
         k = np.arange(rows * chunks_per_row)
-        slot = k % slots_per_step
+        slot = slice_arm(k, cfg)
         part = np.zeros(k.size, SLICE_DTYPE)
         part["layer"] = li
         part["output"] = k // chunks_per_row

@@ -44,13 +44,16 @@ import numpy as np
 
 from . import _kernels, photonics, tuning
 from .bnn import (Codes, QuantModel, as_batch, batch_labels, exact_dot,
-                  forward, to_values)
+                  forward, positive_rail, to_values)
 # Nothing here calls quantize_activation (bnn.forward does), but
 # bench/spans.py traces it at this binding.
 from .bnn import quantize_activation  # noqa: F401
 from .errors import DomainError, PhysicalConstraintError
 from .mapping import (AcceleratorConfig, ModelStructure, build_comb,
-                      build_work_plan)
+                      slice_arm)
+# Nothing here calls build_work_plan (build_photonic_mapping places slices
+# by mapping.slice_arm), but bench/spans.py traces it at this binding.
+from .mapping import build_work_plan  # noqa: F401
 from .photonics import FpvStatistics, MrDesign, RingClass
 
 
@@ -456,11 +459,11 @@ def tuning_power_budget(cfgs: Sequence[AcceleratorConfig],
 
 @dataclass(frozen=True)
 class PhotonicMapping:
-    """Per-layer MR index matrices derived from the work plan.
+    """Per-layer MR index matrices, placed by the work plan's slot rule.
 
     ``mr_ids`` holds, sorted, the flat MR ids the plan uses and
     ``lambda_nm`` the comb wavelength each of them carries. For each
-    weighted layer an [out, in] integer matrix holds, for each
+    weighted layer an [out, in] unsigned integer matrix holds, for each
     weight/activation element, the position in ``mr_ids`` of the MR that
     carries it.
     """
@@ -476,31 +479,40 @@ def build_photonic_mapping(model: QuantModel,
 
     Element ``col`` of a row sits in that row's slice ``col // n_a``, at
     position ``col % n_a`` of the slice, on activation MR
-    ``(col % n_a) % slots`` of the arm the plan gave the slice.
+    ``(col % n_a) % slots`` of the arm ``mapping.slice_arm`` gives the
+    slice, as the work plan places it: slice ``row * chunks + col // n_a``
+    of the layer, ``chunks`` slices to a row.
     """
     cfg.validate()
-    plan = build_work_plan(model, cfg)
     slots = cfg.arm_activation_mrs
     comb = build_comb(slots, cfg.channel_spacing_nm,
                       cfg.center_wavelength_nm, cfg.passband_nm)
-    # flat arm id (vdp * n_wg + arm) of every slice, in schedule order
-    slice_arm = plan.slices["vdp"] * cfg.n_wg + plan.slices["arm"]
+    arms = cfg.n_vdp * cfg.n_wg
+    used = np.zeros(arms * slots, dtype=bool)
     mr_index = {}
     for li, layer in enumerate(model.layers):
         if not layer.weighted:
             continue
-        rows = layer.weights.shape[0]
-        col = np.arange(layer.weights[0].size)
-        arm = slice_arm[plan.slices["layer"] == li].reshape(rows, -1)
-        mr_index[li] = (arm[:, col // cfg.n_a] * slots
-                        + (col % cfg.n_a) % slots)
-    used = np.zeros(cfg.n_vdp * cfg.n_wg * slots, dtype=bool)
-    for idx in mr_index.values():
+        rows, size = layer.weights.shape[0], layer.weights[0].size
+        chunks = math.ceil(size / cfg.n_a)
+        # the indices live through a whole noisy pass: the narrowest dtype
+        # that holds every MR id and every sum below
+        dt = np.min_scalar_type(max(used.size, arms + chunks))
+        col = np.arange(size)
+        # (row * chunks + col // n_a) % arms, the row term reduced first
+        idx = np.add.outer(slice_arm(np.arange(rows) * chunks, cfg).astype(dt),
+                           (col // cfg.n_a).astype(dt))
+        slice_arm(idx, cfg, out=idx)
+        idx *= slots
+        idx += ((col % cfg.n_a) % slots).astype(dt)
         used[idx] = True
+        mr_index[li] = idx
     ids = np.flatnonzero(used)
-    position = np.cumsum(used) - 1     # flat MR id -> position in ids
-    return PhotonicMapping({li: position[idx] for li, idx in mr_index.items()},
-                           ids, np.asarray(comb)[ids % slots])
+    if ids.size < used.size:           # else each MR id is its position
+        position = np.cumsum(used) - 1
+        mr_index = {li: position.astype(idx.dtype)[idx]
+                    for li, idx in mr_index.items()}
+    return PhotonicMapping(mr_index, ids, np.asarray(comb)[ids % slots])
 
 
 def _nominal_transmission(design: MrDesign, lam: np.ndarray) -> np.ndarray:
@@ -548,10 +560,10 @@ def _read_map(env: SimulationEnvironment, ids: np.ndarray,
 
 def _dual_rail(layer) -> tuple[np.ndarray, np.ndarray]:
     """(w_pos, w_neg), the rail occupancies of a binarized layer, each
-    [out, in] in {0, 1}."""
-    w = layer.effective_weights()
-    w = w.reshape(w.shape[0], -1)
-    return (w > 0).astype(np.float64), (w < 0).astype(np.float64)
+    [out, in] in {0, 1}: int8 views of the sign test, with no float
+    sign(W) built. A finite weight sits on exactly one rail."""
+    pos = positive_rail(layer.weights.reshape(layer.weights.shape[0], -1))
+    return pos.view(np.int8), (~pos).view(np.int8)
 
 
 def _photonic_logits(model: QuantModel, batch: np.ndarray,

@@ -677,6 +677,101 @@ class TestTrainerRunsInferenceWalk:
             ste_train(model, x, y, epochs=1, lr=0.1, loss="mse")
 
 
+def raw_input_models():
+    """{name: (model, batch)} of models whose first layers work on the raw
+    input: a batch norm and a ReLU ("fc", "conv"), or a quantizer alone
+    ("quantized-input"). Further on, ReLU, the fold and a quantizer follow
+    a dot output, and an identity quantizer reads one."""
+    rng = np.random.Generator(np.random.PCG64(73))
+
+    def bn(c):
+        return batch_norm_layer(rng.uniform(0.5, 1.5, c),
+                                rng.normal(0.0, 0.1, c),
+                                rng.normal(0.0, 0.1, c),
+                                rng.uniform(0.5, 1.5, c))
+    fc = QuantModel((
+        bn(8), activation_layer(),
+        fc_layer(rng.normal(size=(6, 8))), bn(6), activation_layer(),
+        fc_layer(rng.normal(size=(5, 6))), activation_layer("identity"),
+        fc_layer(rng.normal(size=(3, 5)), binarized=False)))
+    conv = QuantModel((
+        bn(3), activation_layer(),
+        conv_layer(rng.normal(size=(4, 3, 3, 3))), bn(4), activation_layer(),
+        pool_layer(2),
+        conv_layer(rng.normal(size=(5, 4, 2, 2))),
+        activation_layer("identity"),
+        fc_layer(rng.normal(size=(3, 20)), binarized=False)))
+    quantized = QuantModel((
+        activation_layer("identity"), fc_layer(rng.normal(size=(4, 8))),
+        activation_layer(), fc_layer(rng.normal(size=(3, 4)),
+                                     binarized=False)))
+    return {"fc": (fc, rng.uniform(-0.2, 1.2, (9, 8))),
+            "conv": (conv, rng.uniform(-0.2, 1.2, (5, 3, 8, 8))),
+            "quantized-input": (quantized, rng.uniform(-0.2, 1.2, (9, 8)))}
+
+
+class TestWalkKeepsItsInputs:
+    """The walk works in place only on arrays it allocated: never on the
+    caller's batch, nor on what a dot callback returned."""
+
+    @pytest.mark.parametrize("folded", [False, True])
+    @pytest.mark.parametrize("name", list(raw_input_models()))
+    def test_batch_and_dot_results(self, name, folded):
+        model, x = raw_input_models()[name]
+        before = x.tobytes()
+        returned = []
+
+        def dot(li, layer, v):
+            out = bnn.exact_dot(li, layer, v)
+            returned.append((out, out.tobytes()))
+            return out
+
+        logits = bnn.forward(model, x, dot, folded)
+        assert x.tobytes() == before
+        assert len(returned) == len(model.weighted_layers())
+        for out, bytes_at_return in returned:
+            assert out.tobytes() == bytes_at_return
+        ref, _ = reference_inference(model, x, folded=folded)
+        assert x.tobytes() == before
+        assert ref.tobytes() == logits.tobytes()
+
+    @pytest.mark.parametrize("order", TRAINABLE_ORDERS.values(),
+                             ids=TRAINABLE_ORDERS.keys())
+    def test_ste_gradient_equals_a_walk_on_copies(self, order):
+        # small inputs put pre-activations in (0, 1/30), which the 4-bit
+        # quantizer sends to 0: a tape whose FC outputs had been quantized
+        # in place would mask them out of the ReLU gradient
+        model = ordered_model(order, quantize=True)
+        x, y = order_data()
+        x = x / 20.0
+        before = x.tobytes()
+        kept, a = {}, x.copy()
+        for li, layer in enumerate(model.layers):
+            if layer.kind == LayerKind.FULLY_CONNECTED:
+                kept[li] = (a, a @ layer.effective_weights().T)
+                a = kept[li][1].copy()
+            else:
+                if layer.activation == "relu":
+                    a = np.maximum(a, 0.0)
+                a = quantize_activation(a, model.activation_bits)
+        _, g = bnn._loss_and_grad(a, y, "mse")
+        want = {}
+        for li in reversed(range(len(model.layers))):
+            layer = model.layers[li]
+            if layer.kind == LayerKind.FULLY_CONNECTED:
+                want[li] = g.T @ kept[li][0]
+                g = g @ layer.effective_weights()
+            elif layer.activation == "relu":
+                g = g * (kept[li - 1][1] > 0.0)
+        assert any(0.0 < v < 1 / 30 for h in kept.values()
+                   for v in h[1].ravel())
+        got = ste_gradient(model, x, y, loss="mse")
+        assert x.tobytes() == before
+        assert len(got) == len(want)
+        for g_got, li in zip(got, sorted(want)):
+            assert np.array_equal(g_got, want[li])
+
+
 class TestBlobs:
     def test_deterministic(self):
         a = make_blobs(100, 20, 5, 3, 0.2, 42)

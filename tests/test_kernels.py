@@ -461,6 +461,61 @@ class TestFold:
                     what
 
 
+class TestInt8Rails:
+    """The simulator hands the kernel int8 views of the sign tests as
+    rails; every path gives the bits that float rails give."""
+
+    @staticmethod
+    def assert_same_bits(acts, rail, ra, levels=None):
+        pos, neg = rail > 0, rail < 0
+        with np.errstate(invalid="ignore"):
+            got = _kernels.noisy_fc_forward(acts, pos.view(np.int8),
+                                            neg.view(np.int8), ra,
+                                            levels=levels)
+            want = _kernels.noisy_fc_forward(acts, pos * 1.0, neg * 1.0, ra,
+                                             levels=levels)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("k", [3, CROSSOVER + 5])
+    @pytest.mark.parametrize("major", [True, False],
+                             ids=["input-major", "blocked"])
+    def test_fold_and_rail_paths(self, monkeypatch, k, major):
+        # TestFold's corner cases take the fold (finite ratios > 0) or the
+        # rail product (zero, negative and infinite ratios); add NaN ones
+        monkeypatch.setattr(_kernels, "_input_major_pays",
+                            lambda *shape: major)
+        for n in (1, block_rows(3, k) + 1):
+            cases = list(TestFold.cases(n, k))
+            _, acts, rail, ra = cases[0]
+            nan_ratio = ra.copy()
+            nan_ratio[1, k // 2] = np.nan
+            cases.append(("NaN ratio", acts, rail, nan_ratio))
+            for what, acts, rail, ra in cases:
+                self.assert_same_bits(acts, rail, ra)
+
+    @pytest.mark.parametrize("ratios", [(0.9, 3.0), (1.0, 2.0)],
+                             ids=["clamping", "never-clamping"])
+    def test_level_path(self, level_calls, ratios):
+        n, o, k = 64, 64, 13
+        levels = bnn.activation_levels(2)
+        codes = rng.integers(0, levels.size, (n, k)).astype(np.uint8)
+        rail = np.sign(rng.normal(size=(o, k)))
+        self.assert_same_bits(codes, rail, rng.uniform(*ratios, (o, k)),
+                              levels)
+        assert level_calls == [(n, k)] * 2
+
+    def test_codes_on_the_rail_path(self):
+        # a NaN ratio sends codes through the rail product as their levels
+        levels = bnn.activation_levels(2)
+        codes = rng.integers(0, levels.size, (9, 5)).astype(np.uint8)
+        rail = np.sign(rng.normal(size=(4, 5)))
+        ra = rng.uniform(0.9, 3.0, (4, 5))
+        ra[2, 3] = np.nan
+        self.assert_same_bits(codes, rail, ra, levels)
+
+
 class TestDeterminism:
     def test_repeated_calls_bitwise_equal(self):
         cos_phi = np.cos(rng.uniform(0, 2 * np.pi, 1000))

@@ -19,7 +19,7 @@ from mrbnn.simulator import (ChipFpvMap, LossBudget, _perturbation_ratios,
                              noisy_inference, path_loss_db, pipeline_time,
                              power_and_epb, required_bandwidth_gb_s,
                              tuning_power_budget)
-from test_bnn import BAD_LABELS
+from test_bnn import BAD_LABELS, raw_input_models
 from test_tuning import bank_budget
 
 
@@ -445,6 +445,17 @@ def small_conv_model():
         fc_layer(rng.normal(size=(5, 16)))))
 
 
+def stride_2_model():
+    """A stride-2 conv, a full-precision conv and a binarized FC; on a
+    [3, 7, 9] input the FC reads 7 x 2 x 2 = 28 features."""
+    rng = np.random.Generator(np.random.PCG64(37))
+    return QuantModel((
+        bnn.conv_layer(rng.normal(size=(5, 3, 3, 3)), stride=2),
+        activation_layer(),
+        bnn.conv_layer(rng.normal(size=(7, 5, 2, 3)), binarized=False),
+        activation_layer(), fc_layer(rng.normal(size=(4, 28)))))
+
+
 class TestPhotonicMapping:
     def test_compact_indices(self, eo_cfg, toy_model):
         mapping = build_photonic_mapping(toy_model, eo_cfg)
@@ -456,11 +467,14 @@ class TestPhotonicMapping:
         assert np.array_equal(np.unique(seen), np.arange(ids.size))
 
     @pytest.mark.parametrize("arch", ["default", "eo", "po", "n_a=25"])
-    @pytest.mark.parametrize("kind", ["fc", "conv"])
+    @pytest.mark.parametrize("kind", ["fc", "conv", "stride-2"])
     def test_matches_looped_oracle(self, toolkit_config, toy_model, arch,
                                    kind):
+        # the toy MLP's 8 inputs and the stride-2 model's depths 27 and 28
+        # are no multiple of n_a; both hold a full-precision layer
         cfg = inventory_cfg(toolkit_config, arch)
-        model = toy_model if kind == "fc" else small_conv_model()
+        model = {"fc": toy_model, "conv": small_conv_model(),
+                 "stride-2": stride_2_model()}[kind]
         mapping = build_photonic_mapping(model, cfg)
         want_index, want_ids = looped_mapping(model, cfg)
         assert np.array_equal(mapping.mr_ids, want_ids)
@@ -472,6 +486,13 @@ class TestPhotonicMapping:
         assert np.array_equal(
             mapping.lambda_nm,
             [comb[i % cfg.arm_activation_mrs] for i in want_ids])
+        # every slice sits on the arm the plan schedules it on
+        s = build_work_plan(model, cfg).slices
+        for li, idx in mapping.mr_index.items():
+            mine = s[s["layer"] == li]
+            arm = (mapping.mr_ids[idx[mine["output"], mine["offset"]]]
+                   // cfg.arm_activation_mrs)
+            assert np.array_equal(arm, mine["vdp"] * cfg.n_wg + mine["arm"])
 
 
 class TestNoisyInference:
@@ -655,6 +676,58 @@ def dispatch_model(case, rng, bits=2):
         fc_layer(rng.normal(size=(5, 36)), binarized=False)),
         activation_bits=bits), \
         rng.uniform(0, 1, size=(6, 2, 11, 11))
+
+
+class TestWalkKeepsItsInputs:
+    """The noisy walk writes into neither the caller's batch nor what a
+    binarized or ECU layer's dot returned; a non-finite binarized weight
+    fails as ``bnn.binarize`` says."""
+
+    @pytest.fixture
+    def returned(self, monkeypatch):
+        """(array, its bytes) of every dot result, at its return."""
+        seen = []
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen.append((out, out.tobytes()))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(_kernels, "noisy_fc_forward",
+                            spy(_kernels.noisy_fc_forward))
+        monkeypatch.setattr(simulator, "exact_dot", spy(simulator.exact_dot))
+        return seen
+
+    @pytest.mark.parametrize("name", list(raw_input_models()))
+    def test_noisy_inference_and_sweep(self, env, eo_cfg, returned, name):
+        model, x = raw_input_models()[name]
+        y = np.arange(len(x)) % 3
+        before = x.tobytes()
+        for fraction in (0.5, 1.0):
+            noisy_inference(model, x, y, eo_cfg, env, fraction, seed=3)
+        fpv_accuracy_sweep(model, x, y, eo_cfg, env, (0.0, 0.5, 1.0), 2, 5)
+        assert x.tobytes() == before
+        assert len(returned) > 0
+        for out, bytes_at_return in returned:
+            assert out.tobytes() == bytes_at_return
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_binarized_weight(self, env, eo_cfg, toy_model,
+                                         toy_data, bad):
+        w = toy_model.layers[0].weights.copy()
+        w[1, 2] = bad
+        model = replace(toy_model, layers=(
+            replace(toy_model.layers[0], weights=w), *toy_model.layers[1:]))
+        x, y = toy_data.x_test, toy_data.y_test
+        for fraction in (0.5, 1.0):
+            with pytest.raises(DomainError,
+                               match="binarize requires finite weights"):
+                noisy_inference(model, x, y, eo_cfg, env, fraction, seed=3)
+        with pytest.raises(DomainError,
+                           match="binarize requires finite weights"):
+            fpv_accuracy_sweep(model, x, y, eo_cfg, env, (0.5, 1.0), 2, 5)
 
 
 class TestKernelDispatch:
