@@ -2,7 +2,8 @@
 
 All kernels are deterministic: results depend only on the inputs.
 
-``noisy_fc_forward`` reads one signed table rho * rail per call. A layer
+``noisy_fc_forward`` reads one signed table rho * rail per layer
+(``layer_table``), which a caller may build once for many calls. A layer
 fed by a quantizer's integer codes may be summed by level, a GEMM per
 group of levels (``_level_gemm``); a layer fed by values, or one where
 that does not pay, takes the element-wise form in blocks of bounded size,
@@ -13,12 +14,15 @@ differs from them only in summation order.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 __all__ = [
     "BACKEND",
     "all_pass_transmission",
     "channel_noise_powers",
+    "layer_table",
     "noisy_fc_forward",
 ]
 
@@ -65,7 +69,7 @@ def channel_noise_powers(lambdas_nm, q_factor, input_powers):
     return phi @ p
 
 
-def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
+def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None, table=None):
     """FPV-perturbed fully connected forward pass (dual-rail weights).
 
     acts:          [n_samples, n_in] imprinted activation values, or with
@@ -76,6 +80,9 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     rho_act:       [n_out, n_in] per-MR activation perturbation ratios
     levels:        optional, the distinct values the codes stand for:
                    input (s, k) is levels[acts[s, k]]
+    table:         optional, ``layer_table(w_pos, w_neg, rho_act)``, which
+                   a caller that runs a layer over several chunks of
+                   samples builds once; ``rho_act`` is then not read
 
     out[s, o] = sum_k clip(a[s,k] * rho_act[o,k])
                       * (w_pos[o,k] - w_neg[o,k])
@@ -90,7 +97,7 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
         clip(a * rho) * rail == clip(a * (rho * rail), -1, 1)
 
     bit for bit, and a negative input adds 0 either way. Every path reads
-    the one signed table, built once per call. The fold is not used where
+    the one signed table of ``layer_table``. The fold is not used where
     it does not hold: a negative or non-finite ratio, a zero ratio (-inf *
     0 is NaN, 0 * s is not), or an infinite input on a zero rail (inf * 0
     is NaN, clip(inf) * 0 is not). Those take the product as written.
@@ -106,25 +113,66 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None):
     (``_blocked_broadcast``, or ``_input_major`` below the input-count
     crossover ``_input_major_pays``, with the same bits).
     """
-    n, (n_out, n_in) = acts.shape[0], np.shape(rho_act)
+    if table is None:
+        table = layer_table(w_pos, w_neg, rho_act)
+    n, (n_out, n_in) = acts.shape[0], table.signed.shape
     form = (_input_major if _input_major_pays(n_in, n, n_out)
             else _blocked_broadcast)
-    signed = np.subtract(w_pos, w_neg, out=np.empty((n_out, n_in)))
-    lo, hi = (rho_act.min(), rho_act.max()) if rho_act.size else (1.0, 1.0)
-    if not (0.0 <= lo and hi < np.inf):        # a NaN fails both
+    if not table.folds:
         if levels is not None:
             acts = levels[acts]
-        return form(acts, rho_act, signed)     # ``signed`` is the rail
-    signed *= rho_act
+        return form(acts, table.rho, table.signed)  # ``signed`` is the rail
     if levels is not None:
-        present = np.bincount(acts.ravel(), minlength=levels.size)
+        present = _level_counts(acts, levels.size)
         present[levels <= 0.0] = 0   # clip(v * rho) = 0 for v <= 0
         if _table_pays(np.count_nonzero(present), n, n_out):
-            return _level_gemm(acts, levels, present, signed, hi)
+            return _level_gemm(acts, levels, present, table.signed, table.hi)
         acts = levels[acts]
-    if lo > 0.0 and (signed.all() or acts.max(initial=0.0) < np.inf):
-        return form(acts, signed)
-    return form(acts, rho_act, np.subtract(w_pos, w_neg))
+    if table.rho is None or (table.lo > 0.0
+                             and acts.max(initial=0.0) < np.inf):
+        return form(acts, table.signed)
+    return form(acts, table.rho, np.subtract(w_pos, w_neg))
+
+
+@dataclass(frozen=True)
+class LayerTable:
+    """What ``noisy_fc_forward`` derives from a layer's rails and ratios
+    alone (``layer_table``)."""
+
+    signed: np.ndarray          # rho * rail where ``folds``, else the rail
+    rho: np.ndarray | None      # None where ``signed`` serves every input
+    folds: bool                 # every ratio finite and >= 0
+    lo: float                   # the smallest and largest ratio
+    hi: float
+
+
+def layer_table(w_pos, w_neg, rho_act, rail=None) -> LayerTable:
+    """The signed table and ratio range of the rails ``w_pos``/``w_neg``
+    under the ratios ``rho_act`` (see ``noisy_fc_forward``). ``rail``:
+    w_pos - w_neg in float64, if the caller keeps it. The ratios are kept
+    for the inputs the fold does not hold for, and dropped when no input
+    can be one: every ratio > 0 and no zero in the table."""
+    own = rail is None
+    if own:
+        rail = np.subtract(w_pos, w_neg, out=np.empty(np.shape(rho_act)))
+    lo, hi = (rho_act.min(), rho_act.max()) if rho_act.size else (1.0, 1.0)
+    if not (0.0 <= lo and hi < np.inf):        # a NaN fails both
+        return LayerTable(rail, rho_act, False, lo, hi)
+    signed = np.multiply(rail, rho_act, out=rail if own else None)
+    return LayerTable(signed, None if lo > 0.0 and signed.all() else rho_act,
+                      True, lo, hi)
+
+
+def _level_counts(codes, size):
+    """``np.bincount(codes.ravel(), minlength=size)`` of [n, n_in] codes
+    below ``size``, a block of rows at a time: np.bincount copies its
+    input whole to intp."""
+    rows = max(1, BLOCK_BYTES // (8 * max(1, codes.shape[1])))
+    counts = np.zeros(size, dtype=np.intp)
+    for start in range(0, codes.shape[0], rows):
+        counts += np.bincount(codes[start:start + rows].ravel(),
+                              minlength=size)
+    return counts
 
 
 def _table_pays(n_levels, n, n_out):

@@ -2,7 +2,8 @@
 desk-scale straight-through-estimator training, batch-norm folding, and the
 layer walker (``forward``) behind the exact floating-point reference forward
 pass, the trainer's forward pass and the photonic one of
-``simulator.noisy_inference``.
+``simulator.noisy_inference``. Inference walks a batch in balanced chunks
+of samples (``walk``), so that its memory does not grow with the batch.
 
 Weights of binarized layers are stored at full precision ("shadow" weights)
 and enter every computation through sign(); sign(0) = +1 by convention.
@@ -21,6 +22,7 @@ checks this when a model is built (and so when one is loaded).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -29,6 +31,12 @@ import numpy as np
 
 from ._kernels import MAX_LEVELS
 from .errors import DomainError
+
+# Budget of the largest float64 array one chunk of a walk holds (``chunks``).
+# On conv-sim's model (70 KB of conv 1 patches per image) a chunk holds at
+# most 37 images: 64 images walk as 2 x 32 and larger batches in chunks of
+# 33 to 37, so a walk's peak barely grows past that of 64 images.
+CHUNK_BYTES = 5 << 19
 
 
 class LayerKind(Enum):
@@ -226,8 +234,10 @@ def to_values(a):
     codes are (so that sums over them add in the same order), or ``a``."""
     if not isinstance(a, Codes):
         return a
-    return np.take(a.levels, a.codes, mode="clip",
-                   out=np.empty_like(a.codes, dtype=np.float64))
+    # index the codes in their memory order, as a fancy index with uint8
+    # codes casts them in small buffers (np.take copies them whole to intp)
+    order = np.argsort([-s for s in a.codes.strides], kind="stable")
+    return a.levels[a.codes.transpose(order)].transpose(np.argsort(order))
 
 
 def _quantize(v, bits, lo, hi, codes=True, inplace=False):
@@ -415,6 +425,51 @@ def forward(model: QuantModel, a: np.ndarray, dot,
     return a.reshape(a.shape[0], -1)
 
 
+def _sample_size(layers: Sequence[Layer], shape: tuple[int, ...]) -> int:
+    """Elements of the largest array a walk holds per sample of ``shape``:
+    the sample, a conv layer's patches or a layer's output. A shape the
+    walk rejects counts as far as it goes."""
+    largest = math.prod(shape)
+    for layer in layers:
+        if layer.kind == LayerKind.CONV2D and len(shape) == 3:
+            oc, ic, kh, kw = layer.weights.shape
+            oh = (shape[1] - kh) // layer.stride + 1
+            ow = (shape[2] - kw) // layer.stride + 1
+            largest = max(largest, oh * ow * ic * kh * kw)
+            shape = (oc, oh, ow)
+        elif layer.kind == LayerKind.FULLY_CONNECTED:
+            shape = (layer.weights.shape[0],)
+        elif layer.kind == LayerKind.POOL and len(shape) == 3:
+            win = layer.pool_window
+            shape = (shape[0], shape[1] // win, shape[2] // win)
+        largest = max(largest, math.prod(shape))
+    return largest
+
+
+def chunks(model: QuantModel, a) -> list[slice]:
+    """The slices of the batch ``a`` that ``walk`` takes one at a time: as
+    few as keep the largest array of one (``_sample_size``, in float64)
+    within ``CHUNK_BYTES``, their sizes differing by at most 1. A batch
+    that fits is one chunk."""
+    n = a.shape[0]
+    most = CHUNK_BYTES // (8 * max(1, _sample_size(model.layers,
+                                                    a.shape[1:])))
+    count = max(1, -(-n // max(1, most)))
+    edges = [n * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def walk(model: QuantModel, a, dot, folded: bool = False,
+         parts: Sequence[slice] | None = None) -> np.ndarray:
+    """``forward`` over the batch ``a`` one chunk (``chunks``, or the
+    given ``parts``) at a time: the logits of the whole batch from the
+    arrays of one chunk. Each chunk is walked as a batch of its own."""
+    parts = chunks(model, a) if parts is None else parts
+    if len(parts) == 1:
+        return forward(model, a, dot, folded)
+    return np.concatenate([forward(model, a[s], dot, folded) for s in parts])
+
+
 def as_batch(x) -> tuple[np.ndarray, bool]:
     """``x`` as a float64 batch, and whether it was one unbatched sample."""
     a = np.asarray(x, dtype=np.float64)
@@ -437,7 +492,8 @@ def batch_labels(y, n: int, single: bool) -> np.ndarray:
 
 
 def reference_inference(model: QuantModel, x, folded: bool = False):
-    """Exact floating-point forward pass.
+    """Exact floating-point forward pass, one chunk of samples at a time
+    (``walk``).
 
     Parameters
     ----------
@@ -454,7 +510,7 @@ def reference_inference(model: QuantModel, x, folded: bool = False):
     (logits, classes) : logits [n, out] and argmax class indices [n].
     """
     a, single = as_batch(x)
-    logits = forward(model, a, exact_dot, folded)
+    logits = walk(model, a, exact_dot, folded)
     classes = np.argmax(logits, axis=1)
     if single:
         return logits[0], int(classes[0])
@@ -554,10 +610,11 @@ def ste_gradient(model: QuantModel, x, y, loss: str = "xent"):
 
 def accuracy(model: QuantModel, x, y, folded: bool = False) -> float:
     """The share of the samples of ``x`` whose reference class is their
-    label in ``y`` (see ``batch_labels``)."""
+    label in ``y`` (see ``batch_labels``), walked as
+    ``reference_inference`` walks them."""
     a, single = as_batch(x)
     labels = batch_labels(y, a.shape[0], single)
-    classes = np.argmax(forward(model, a, exact_dot, folded), axis=1)
+    classes = np.argmax(walk(model, a, exact_dot, folded), axis=1)
     return float(np.count_nonzero(classes == labels) / classes.size)
 
 

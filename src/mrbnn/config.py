@@ -49,8 +49,6 @@ import types
 import typing
 from dataclasses import dataclass, replace
 
-import yaml
-
 from .dse import SweepSpec
 from .errors import ConfigError, DomainError
 from .mapping import AcceleratorConfig, ModelStructure
@@ -295,6 +293,7 @@ def load_config(path: str | None) -> ToolkitConfig:
     """Defaults overlaid with a YAML file (when given)."""
     if path is None:
         return ToolkitConfig()
+    import yaml     # here, so that a run that reads no YAML never loads it
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -306,6 +305,7 @@ def load_config(path: str | None) -> ToolkitConfig:
 
 
 def dump_config(cfg: ToolkitConfig) -> str:
+    import yaml
     return yaml.safe_dump(config_to_dict(cfg), sort_keys=False,
                           default_flow_style=False)
 

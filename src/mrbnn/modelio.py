@@ -18,7 +18,6 @@ import io
 import zlib
 
 import numpy as np
-import yaml
 
 from .bnn import Layer, LayerKind, QuantModel
 from .errors import DataFormatError
@@ -85,6 +84,7 @@ def save_model(model: QuantModel, path: str,
         "tensors": tensor_headers,
         "payload_crc32": zlib.crc32(blob) & 0xFFFFFFFF,
     }
+    import yaml     # here, so that a run that reads no YAML never loads it
     header_bytes = yaml.safe_dump(header, sort_keys=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -122,6 +122,7 @@ def load_model(path: str) -> tuple[QuantModel, dict]:
     header_bytes = rest[nl + 1:nl + 1 + header_len]
     if len(header_bytes) != header_len:
         raise DataFormatError("truncated header")
+    import yaml
     try:
         header = yaml.safe_load(header_bytes.decode("utf-8"))
     except yaml.YAMLError as exc:

@@ -1,8 +1,13 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mrbnn import _kernels, bnn, config
 from mrbnn.photonics import RingClass
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +76,16 @@ def input_major_calls(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_input_major", spy)
     return calls
+
+
+@pytest.fixture(scope="session")
+def conv_sim():
+    """The model and the 64 images of the benchmark's conv-sim workload
+    (``bench/workloads.py``) at its default seed."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    workload = workloads.ConvSim(None, False)
+    return workload.model, workload.x

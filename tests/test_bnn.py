@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -705,9 +707,17 @@ def raw_input_models():
         activation_layer("identity"), fc_layer(rng.normal(size=(4, 8))),
         activation_layer(), fc_layer(rng.normal(size=(3, 4)),
                                      binarized=False)))
+    # binarized layers on values outside [0, 1]: a 1x1 conv whose patches
+    # are a view of the batch, and an FC on another FC's dot output
+    raw_conv = QuantModel((
+        conv_layer(rng.normal(size=(2, 1, 1, 1))),
+        fc_layer(rng.normal(size=(4, 72))), fc_layer(rng.normal(size=(3, 4))),
+        activation_layer("identity"),
+        fc_layer(rng.normal(size=(3, 3)), binarized=False)))
     return {"fc": (fc, rng.uniform(-0.2, 1.2, (9, 8))),
             "conv": (conv, rng.uniform(-0.2, 1.2, (5, 3, 8, 8))),
-            "quantized-input": (quantized, rng.uniform(-0.2, 1.2, (9, 8)))}
+            "quantized-input": (quantized, rng.uniform(-0.2, 1.2, (9, 8))),
+            "raw-conv": (raw_conv, rng.uniform(-0.2, 1.2, (5, 1, 6, 6)))}
 
 
 class TestWalkKeepsItsInputs:
@@ -770,6 +780,82 @@ class TestWalkKeepsItsInputs:
         assert len(got) == len(want)
         for g_got, li in zip(got, sorted(want)):
             assert np.array_equal(g_got, want[li])
+
+
+class TestToValues:
+    """``to_values`` lays the levels out in memory as the codes are, and
+    holds no more than its result while it reads them."""
+
+    @pytest.mark.parametrize("view", [
+        lambda c: c, lambda c: c.transpose(2, 0, 1), lambda c: c[:, ::2],
+        lambda c: c.transpose(1, 0, 2)[:, :, 1:]],
+        ids=["C", "transposed", "strided", "transposed-strided"])
+    def test_layout_and_values(self, view):
+        levels = bnn.activation_levels(3)
+        codes = view(np.random.Generator(np.random.PCG64(3)).integers(
+            0, levels.size, (4, 6, 5)).astype(np.uint8))
+        got = bnn.to_values(bnn.Codes(codes, levels))
+        want = np.empty_like(codes, dtype=np.float64)
+        want[...] = levels[codes]
+        assert got.strides == want.strides
+        assert np.array_equal(got, want)
+
+    def test_peak_is_the_result(self):
+        levels = bnn.activation_levels(4)
+        codes = np.random.Generator(np.random.PCG64(4)).integers(
+            0, levels.size, (3136, 144)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            bnn.to_values(bnn.Codes(codes, levels))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * codes.size * 8
+
+
+class TestChunks:
+    """A walk takes the batch in balanced chunks within ``CHUNK_BYTES``; a
+    batch that fits is one chunk."""
+
+    def test_toy_batch_is_one_chunk(self, toy_model, toy_data):
+        assert len(toy_data.x_test) == 256
+        assert bnn.chunks(toy_model, toy_data.x_test) == [slice(0, 256)]
+
+    def test_conv_sim_batch_is_two_halves(self, conv_sim):
+        model, x = conv_sim
+        assert len(x) == 64
+        assert bnn.chunks(model, x) == [slice(0, 32), slice(32, 64)]
+
+    @pytest.mark.parametrize("n", [0, 1, 37, 38, 65, 1024])
+    def test_balanced_within_budget(self, conv_sim, n):
+        model, x = conv_sim
+        batch = np.broadcast_to(x[:1], (n,) + x.shape[1:])
+        parts = bnn.chunks(model, batch)
+        sizes = [s.stop - s.start for s in parts]
+        assert parts[0].start == 0 and parts[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        assert max(sizes) - min(sizes) <= 1
+        # conv 1's patches, 18 * 18 positions of 27 inputs, are the
+        # largest array of a sample
+        assert len(parts) == 1 or \
+            max(sizes) * 18 * 18 * 27 * 8 <= bnn.CHUNK_BYTES
+
+    def test_walk_is_forward_per_chunk(self, conv_sim, monkeypatch):
+        model, x = conv_sim
+        whole = bnn.forward(model, x, bnn.exact_dot)
+        walked = []
+        original = bnn.forward
+
+        def spy(model, a, *args):
+            walked.append(len(a))
+            return original(model, a, *args)
+
+        monkeypatch.setattr(bnn, "forward", spy)
+        logits, _ = reference_inference(model, x)
+        assert walked == [32, 32]
+        np.testing.assert_allclose(logits, whole, rtol=1e-12, atol=1e-12)
+        assert accuracy(model, x, np.argmax(whole, axis=1)) == 1.0
+        assert walked == [32, 32] * 2
 
 
 class TestBlobs:

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import mrbnn
 from mrbnn import config
 from mrbnn.config import (ToolkitConfig, arch_config, build_designs,
                           build_environment, build_tuning_params,
@@ -281,3 +286,18 @@ class TestLoadConfig:
         p.write_text("fpv: [unclosed")
         with pytest.raises(ConfigError):
             load_config(str(p))
+
+    def test_imports_leave_yaml_unloaded(self):
+        # yaml is imported where a config or model file is read or written,
+        # so a process that reads none does not pay for its import
+        src = str(Path(mrbnn.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                               if p)
+        code = ("import sys\n"
+                "import mrbnn.bnn, mrbnn.simulator, mrbnn.dse\n"
+                "import mrbnn.config, mrbnn.modelio, mrbnn.cli\n"
+                "print('yaml' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout == "False\n"

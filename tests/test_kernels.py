@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -514,6 +516,87 @@ class TestInt8Rails:
         ra = rng.uniform(0.9, 3.0, (4, 5))
         ra[2, 3] = np.nan
         self.assert_same_bits(codes, rail, ra, levels)
+
+
+class TestLayerTable:
+    """A ``layer_table`` built once serves every call on the layer with
+    the bits of a call that builds its own, and drops the ratios only
+    where the folded table serves every input."""
+
+    @staticmethod
+    def cases(n, k):
+        yield from TestFold.cases(n, k)
+        _, acts, rail, ra = next(TestFold.cases(n, k))
+        nan_ratio = ra.copy()
+        nan_ratio[1, k // 2] = np.nan
+        yield "NaN ratio", acts, rail, nan_ratio
+
+    @pytest.mark.parametrize("kept_rail", [False, True],
+                             ids=["own-rail", "kept-rail"])
+    @pytest.mark.parametrize("k", [3, CROSSOVER + 5])
+    def test_given_table_keeps_the_bits(self, k, kept_rail):
+        for n in (1, 7):
+            for what, acts, rail, ra in self.cases(n, k):
+                wp, wn = (rail > 0).view(np.int8), (rail < 0).view(np.int8)
+                kept = np.subtract(wp, wn, dtype=np.float64)
+                table = _kernels.layer_table(wp, wn, ra,
+                                             kept if kept_rail else None)
+                with np.errstate(invalid="ignore"):
+                    got = _kernels.noisy_fc_forward(acts, wp, wn, None,
+                                                    table=table)
+                    want = _kernels.noisy_fc_forward(acts, wp, wn, ra)
+                assert np.array_equal(got, want, equal_nan=True), what
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+                assert np.array_equal(kept, rail), what
+                assert (table.rho is None) == (what in ("plain",
+                                                        "inf and NaN inputs"))
+
+    @pytest.mark.parametrize("ratios", [(0.9, 3.0), (1.0, 2.0)],
+                             ids=["clamping", "never-clamping"])
+    def test_level_path_over_chunks(self, level_calls, monkeypatch,
+                                    ratios):
+        counted = []
+        original = _kernels._level_counts
+
+        def spy(codes, size):
+            counted.append(codes.shape)
+            return original(codes, size)
+
+        monkeypatch.setattr(_kernels, "_level_counts", spy)
+        n, o, k = 64, 64, 13
+        levels = bnn.activation_levels(2)
+        codes = rng.integers(0, levels.size, (n, k)).astype(np.uint8)
+        rail = np.sign(rng.normal(size=(o, k)))
+        wp, wn = (rail > 0).view(np.int8), (rail < 0).view(np.int8)
+        ra = rng.uniform(*ratios, (o, k))
+        table = _kernels.layer_table(wp, wn, ra)
+        for rows in (slice(0, 40), slice(40, n)):
+            got = _kernels.noisy_fc_forward(codes[rows], wp, wn, None,
+                                            levels=levels, table=table)
+            want = _kernels.noisy_fc_forward(codes[rows], wp, wn, ra,
+                                             levels=levels)
+            assert np.array_equal(got, want)
+        assert level_calls == [(40, k)] * 2 + [(24, k)] * 2
+        assert counted == level_calls
+
+    @pytest.mark.parametrize("block", [8, 100, 1 << 20])
+    @pytest.mark.parametrize("shape", [(37, 5), (0, 5), (4, 0)])
+    def test_level_counts_are_bincounts(self, monkeypatch, block, shape):
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", block)
+        codes = rng.integers(0, 16, shape).astype(np.uint8)
+        got = _kernels._level_counts(codes, 16)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.bincount(codes.ravel(), minlength=16))
+
+    def test_level_counts_hold_one_block(self):
+        codes = rng.integers(0, 16, (3136, 144)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            _kernels._level_counts(codes, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * _kernels.BLOCK_BYTES
 
 
 class TestDeterminism:

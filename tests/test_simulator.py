@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -713,6 +714,23 @@ class TestWalkKeepsItsInputs:
         for out, bytes_at_return in returned:
             assert out.tobytes() == bytes_at_return
 
+    def test_full_tuning_clamps_a_copy(self, env, eo_cfg, returned):
+        # the 1x1 conv's patches are a view of the batch, and the last
+        # binarized FC reads the previous one's output: full tuning clamps
+        # both to [0, 1] without writing into either
+        model, x = raw_input_models()["raw-conv"]
+        assert np.shares_memory(bnn.im2col(x, 1, 1, 1)[0], x)
+        before = x.tobytes()
+        res = noisy_inference(model, x, None, eo_cfg, env, 1.0, seed=3)
+        assert x.tobytes() == before
+        for out, bytes_at_return in returned:
+            assert out.tobytes() == bytes_at_return
+        np.testing.assert_allclose(
+            res.logits, broadcast_logits(model, x, eo_cfg, env, 1.0, 3),
+            rtol=1e-12, atol=1e-12)
+        ref, _ = reference_inference(model, x, folded=True)
+        assert not np.allclose(res.logits, ref)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_binarized_weight(self, env, eo_cfg, toy_model,
                                          toy_data, bad):
@@ -740,9 +758,10 @@ class TestKernelDispatch:
         calls = []
         original = _kernels.noisy_fc_forward
 
-        def spy(acts, w_pos, w_neg, rho_act, levels=None):
+        def spy(acts, w_pos, w_neg, rho_act, levels=None, **kwargs):
             calls.append(levels is not None)
-            return original(acts, w_pos, w_neg, rho_act, levels=levels)
+            return original(acts, w_pos, w_neg, rho_act, levels=levels,
+                            **kwargs)
 
         monkeypatch.setattr(_kernels, "noisy_fc_forward", spy)
         return calls
@@ -794,6 +813,75 @@ class TestKernelDispatch:
         np.testing.assert_allclose(res.logits, want, rtol=1e-12, atol=1e-12)
         ref, _ = reference_inference(model, x, folded=True)
         assert not np.allclose(want, ref)
+
+
+class TestChunkedWalk:
+    """Noisy and reference passes walk the batch in chunks: their traced
+    peaks barely grow with the batch, and each chunk takes the kernel
+    paths the whole batch takes."""
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peaks_bounded_in_the_batch(self, env, eo_cfg, conv_sim):
+        model, x = conv_sim
+        peaks = {}
+        for n in (64, 1024):
+            batch = np.random.Generator(np.random.PCG64(n)).uniform(
+                0.0, 1.0, (n,) + x.shape[1:])
+            peaks[n] = (
+                self.traced_peak(lambda: noisy_inference(
+                    model, batch, None, eo_cfg, env, 0.8, seed=7)),
+                self.traced_peak(lambda: reference_inference(model, batch)))
+        for small, large in zip(peaks[64], peaks[1024]):
+            assert large <= 1.25 * small
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """(path, rows, inputs) of each noisy-kernel form called."""
+        calls = []
+        for name in ("_level_gemm", "_blocked_broadcast", "_input_major"):
+            def spy(acts, *args, _name=name,
+                    _original=getattr(_kernels, name)):
+                calls.append((_name, *acts.shape))
+                return _original(acts, *args)
+            monkeypatch.setattr(_kernels, name, spy)
+        return calls
+
+    def test_each_chunk_takes_the_batch_paths(self, env, eo_cfg, conv_sim,
+                                              paths, monkeypatch):
+        model, x = conv_sim
+        tables = []
+        original = _kernels.layer_table
+
+        def spy(w_pos, *args):
+            tables.append(w_pos.shape)
+            return original(w_pos, *args)
+
+        monkeypatch.setattr(_kernels, "layer_table", spy)
+        chunked = noisy_inference(model, x, None, eo_cfg, env, 0.8, seed=7)
+        # one table per binarized layer, whatever the chunks
+        assert tables == [(16, 27), (32, 144), (128, 1568)]
+        per_chunk = list(paths)
+        paths.clear()
+        monkeypatch.setattr(bnn, "CHUNK_BYTES", 1 << 40)
+        whole = noisy_inference(model, x, None, eo_cfg, env, 0.8, seed=7)
+        # conv 1 (27 inputs, 324 positions), conv 2 (144, 49), the FC
+        # (1,568, 1): the FC's 15 levels pay at 32 rows, not at 16
+        assert paths == [("_input_major", 64 * 324, 27),
+                         ("_level_gemm", 64 * 49, 144),
+                         ("_level_gemm", 64, 1568)]
+        assert per_chunk == [(p, rows // 2, k) for p, rows, k in paths] * 2
+        assert _kernels._table_pays(15, 32, 128)
+        assert not _kernels._table_pays(15, 16, 128)
+        np.testing.assert_allclose(chunked.logits, whole.logits,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestAccuracySweep:
