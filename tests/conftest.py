@@ -79,13 +79,19 @@ def input_major_calls(monkeypatch):
 
 
 @pytest.fixture(scope="session")
-def conv_sim():
-    """The model and the 64 images of the benchmark's conv-sim workload
-    (``bench/workloads.py``) at its default seed."""
+def workloads():
+    """The benchmark's workload module, ``bench/workloads.py``."""
     sys.path.insert(0, str(BENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(BENCH))
+    return workloads
+
+
+@pytest.fixture(scope="session")
+def conv_sim(workloads):
+    """The model and the 64 images of the conv-sim workload at its default
+    seed."""
     workload = workloads.ConvSim(None, False)
     return workload.model, workload.x

@@ -9,10 +9,8 @@ bits of one of the two kernels they were computed with.
 """
 
 import hashlib
-import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +19,6 @@ from mrbnn import config
 from mrbnn.bnn import LayerKind
 from mrbnn.simulator import noisy_inference
 from test_simulator import dispatch_model
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def gemm_digest():
@@ -338,16 +334,6 @@ def test_noisy_logits_keep_their_bits(env, eo_cfg, case):
         warnings.simplefilter("error")
         got = logits_digest(env, eo_cfg, *case)
     assert got == PINS[case][KERNEL]
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    sys.path.insert(0, str(BENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(BENCH))
-    return workloads
 
 
 # full-size workloads at their default seeds; fpv_rows and report render
