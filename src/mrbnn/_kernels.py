@@ -2,8 +2,8 @@
 
 All kernels are deterministic: results depend only on the inputs.
 
-``noisy_fc_forward`` reads one signed table rho * rail per layer
-(``layer_table``), which a caller may build once for many calls. A layer
+``noisy_fc_forward`` reads a layer's signed table rho * rail
+(``layer_table``), which its caller builds once for many calls. A layer
 fed by a quantizer's integer codes may be summed by level, a GEMM per
 group of levels (``_level_gemm``); a layer fed by values, or one where
 that does not pay, takes the element-wise form in blocks of bounded size,
@@ -14,7 +14,7 @@ differs from them only in summation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def channel_noise_powers(lambdas_nm, q_factor, input_powers):
     return phi @ p
 
 
-def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None, table=None):
+def noisy_fc_forward(acts, w_pos, w_neg, table, levels=None):
     """FPV-perturbed fully connected forward pass (dual-rail weights).
 
     acts:          [n_samples, n_in] imprinted activation values, or with
@@ -77,12 +77,11 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None, table=None):
                    level indices as they are)
     w_pos / w_neg: [n_out, n_in] rail occupancies in {0, 1}, of any
                    numeric dtype (int8 from the simulator)
-    rho_act:       [n_out, n_in] per-MR activation perturbation ratios
+    table:         ``layer_table(w_pos, w_neg, rho_act)`` of the
+                   [n_out, n_in] per-MR activation perturbation ratios
+                   rho_act
     levels:        optional, the distinct values the codes stand for:
                    input (s, k) is levels[acts[s, k]]
-    table:         optional, ``layer_table(w_pos, w_neg, rho_act)``, which
-                   a caller that runs a layer over several chunks of
-                   samples builds once; ``rho_act`` is then not read
 
     out[s, o] = sum_k clip(a[s,k] * rho_act[o,k])
                       * (w_pos[o,k] - w_neg[o,k])
@@ -113,8 +112,6 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None, table=None):
     (``_blocked_broadcast``, or ``_input_major`` below the input-count
     crossover ``_input_major_pays``, with the same bits).
     """
-    if table is None:
-        table = layer_table(w_pos, w_neg, rho_act)
     n, (n_out, n_in) = acts.shape[0], table.signed.shape
     form = (_input_major if _input_major_pays(n_in, n, n_out)
             else _blocked_broadcast)
@@ -134,8 +131,7 @@ def noisy_fc_forward(acts, w_pos, w_neg, rho_act, levels=None, table=None):
     return form(acts, table.rho, np.subtract(w_pos, w_neg))
 
 
-@dataclass(frozen=True)
-class LayerTable:
+class LayerTable(NamedTuple):
     """What ``noisy_fc_forward`` derives from a layer's rails and ratios
     alone (``layer_table``)."""
 
@@ -146,19 +142,16 @@ class LayerTable:
     hi: float
 
 
-def layer_table(w_pos, w_neg, rho_act, rail=None) -> LayerTable:
+def layer_table(w_pos, w_neg, rho_act) -> LayerTable:
     """The signed table and ratio range of the rails ``w_pos``/``w_neg``
-    under the ratios ``rho_act`` (see ``noisy_fc_forward``). ``rail``:
-    w_pos - w_neg in float64, if the caller keeps it. The ratios are kept
-    for the inputs the fold does not hold for, and dropped when no input
-    can be one: every ratio > 0 and no zero in the table."""
-    own = rail is None
-    if own:
-        rail = np.subtract(w_pos, w_neg, out=np.empty(np.shape(rho_act)))
+    under the ratios ``rho_act`` (see ``noisy_fc_forward``). The ratios
+    are kept for the inputs the fold does not hold for, and dropped when no
+    input can be one: every ratio > 0 and no zero in the table."""
+    rail = np.subtract(w_pos, w_neg, out=np.empty(np.shape(rho_act)))
     lo, hi = (rho_act.min(), rho_act.max()) if rho_act.size else (1.0, 1.0)
     if not (0.0 <= lo and hi < np.inf):        # a NaN fails both
         return LayerTable(rail, rho_act, False, lo, hi)
-    signed = np.multiply(rail, rho_act, out=rail if own else None)
+    signed = np.multiply(rail, rho_act, out=rail)
     return LayerTable(signed, None if lo > 0.0 and signed.all() else rho_act,
                       True, lo, hi)
 
@@ -218,29 +211,36 @@ def _level_gemm(idx, levels, present, signed, hi):
     level is clamped only at 1, where the product is clip(v * signed, -1,
     1). If it holds few inputs (``_direct_pays``), those products are
     added pair by pair (``_direct_sums``); otherwise it takes a GEMM of
-    its one-hot mask against that clamped table."""
-    n, n_out = idx.shape[0], signed.shape[0]
+    its one-hot mask against that clamped table.
+
+    The GEMMs take a ``BLOCK_BYTES`` block of rows at a time, so a call
+    holds one block of float inputs or masks, and builds each clamped
+    table once for all its rows."""
+    (n, n_in), n_out = idx.shape, signed.shape[0]
     out = np.zeros((n, n_out))
     used = present > 0
     if not used.any():
         return out
     never = used & (levels * hi <= 1.0)
     direct = _direct_pays(np.where(used & ~never, present, 0), n,
-                          idx.shape[1], n_out)
+                          n_in, n_out)
     if direct.any():
         _direct_sums(out, idx, levels, direct, signed)
+    step = max(1, BLOCK_BYTES // (8 * max(1, n_in)))
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
     if never.any():
-        buf = np.where(never, levels, 0.0)[idx]
-        out += buf @ signed.T
-    else:
-        buf = np.empty(idx.shape)
+        values = np.where(never, levels, 0.0)
+        for rows in blocks:
+            out[rows] += values[idx[rows]] @ signed.T
+    buf = np.empty((min(step, n), n_in))
     table = np.empty_like(signed)
     # Python ints, which compare with uint8 codes without a cast
     for l in np.flatnonzero(used & ~never & ~direct).tolist():
-        np.equal(idx, l, out=buf)
         np.multiply(signed, levels[l], out=table)
         np.clip(table, -1.0, 1.0, out=table)
-        out += buf @ table.T
+        for rows in blocks:
+            codes = idx[rows]
+            out[rows] += np.equal(codes, l, out=buf[:len(codes)]) @ table.T
     return out
 
 

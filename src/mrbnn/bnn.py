@@ -29,13 +29,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import MAX_LEVELS
+from ._kernels import BLOCK_BYTES, MAX_LEVELS
 from .errors import DomainError
 
 # Budget of the largest float64 array one chunk of a walk holds (``chunks``).
-# On conv-sim's model (70 KB of conv 1 patches per image) a chunk holds at
-# most 37 images: 64 images walk as 2 x 32 and larger batches in chunks of
-# 33 to 37, so a walk's peak barely grows past that of 64 images.
+# On conv-sim's model (70 KB of conv 1 patches per image) the convs take at
+# most 37 images at a time: 64 images walk them as 2 x 32 and larger
+# batches in chunks of 33 to 37, so a walk's peak barely grows past that of
+# 64 images. Its FC layers (12.5 KB of inputs per image) take up to 208.
 CHUNK_BYTES = 5 << 19
 
 
@@ -332,9 +333,19 @@ def _per_channel(v: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def exact_dot(li: int, layer: Layer, v) -> np.ndarray:
     """Exact dot products of ``v`` [..., in], values or ``Codes``, with the
-    layer's weight rows."""
+    layer's weight rows. Codes are read as values a ``BLOCK_BYTES`` block
+    of samples at a time, so that a call holds one block of their floats."""
     w = layer.effective_weights()
-    return to_values(v) @ w.reshape(w.shape[0], -1).T
+    w = w.reshape(w.shape[0], -1).T
+    if not isinstance(v, Codes):
+        return v @ w
+    out = np.empty(v.shape[:-1] + (w.shape[1],))
+    step = max(1, BLOCK_BYTES // (8 * max(1, math.prod(v.shape[1:]))))
+    for start in range(0, v.shape[0], step):
+        rows = slice(start, start + step)
+        np.matmul(to_values(Codes(v.codes[rows], v.levels)), w,
+                  out=out[rows])
+    return out
 
 
 def _conv(li: int, layer: Layer, a, dot) -> np.ndarray:
@@ -348,7 +359,8 @@ def _conv(li: int, layer: Layer, a, dot) -> np.ndarray:
 
 
 def forward(model: QuantModel, a: np.ndarray, dot,
-            folded: bool = False) -> np.ndarray:
+            folded: bool = False, start: int = 0,
+            stop: int | None = None) -> np.ndarray:
     """Walk the layers of ``model`` over the batch ``a``; return the logits.
 
     ``dot(li, layer, v)`` computes the dot products of weighted layer ``li``:
@@ -367,6 +379,10 @@ def forward(model: QuantModel, a: np.ndarray, dot,
     The fold, ReLU and the quantizer work in place only on an array the
     walk itself allocated, never on the caller's batch or on what ``dot``
     returned (a caller may keep it, as the STE tape does).
+
+    ``start`` and ``stop`` walk only the layers ``start:stop``, for a
+    ``stop`` at an FC layer (``walk``): the result is what that layer
+    reads, flattened per sample, as ``Codes`` where it takes codes.
     """
     pending_fold = None
     owned = False       # whether the walk allocated ``a`` itself
@@ -380,7 +396,8 @@ def forward(model: QuantModel, a: np.ndarray, dot,
             owned = True
         return val
 
-    for li, layer in enumerate(model.layers):
+    for li in range(start, len(model.layers) if stop is None else stop):
+        layer = model.layers[li]
         if layer.kind == LayerKind.FULLY_CONNECTED:
             a = flush_fold(a)
             if len(a.shape) > 2:
@@ -421,53 +438,96 @@ def forward(model: QuantModel, a: np.ndarray, dot,
             owned = True
         else:  # pragma: no cover
             raise DomainError(f"unhandled layer kind {layer.kind}")
-    a = flush_fold(a)
-    return a.reshape(a.shape[0], -1)
+    return _keep_codes(flush_fold(a), lambda x: x.reshape(x.shape[0], -1))
 
 
-def _sample_size(layers: Sequence[Layer], shape: tuple[int, ...]) -> int:
-    """Elements of the largest array a walk holds per sample of ``shape``:
-    the sample, a conv layer's patches or a layer's output. A shape the
-    walk rejects counts as far as it goes."""
-    largest = math.prod(shape)
-    for layer in layers:
-        if layer.kind == LayerKind.CONV2D and len(shape) == 3:
+def _sample_sizes(layers: Sequence[Layer],
+                  shape: tuple[int, ...]) -> tuple[int, int, int]:
+    """The index of the first FC layer (or the number of layers), and the
+    elements of the largest array a walk holds per sample of ``shape``
+    before that layer and from it on: the sample or what the layer reads,
+    a conv layer's patches or a layer's output. A shape the walk rejects
+    counts as far as it goes."""
+    split, sizes = len(layers), [math.prod(shape), 0]
+    for li, layer in enumerate(layers):
+        if layer.kind is LayerKind.FULLY_CONNECTED:
+            if split == len(layers):
+                split, sizes[1] = li, math.prod(shape)
+            shape = (layer.weights.shape[0],)
+            sizes[1] = max(sizes[1], shape[0])
+            continue
+        part = int(li >= split)
+        if layer.kind is LayerKind.CONV2D and len(shape) == 3:
             oc, ic, kh, kw = layer.weights.shape
             oh = (shape[1] - kh) // layer.stride + 1
             ow = (shape[2] - kw) // layer.stride + 1
-            largest = max(largest, oh * ow * ic * kh * kw)
+            sizes[part] = max(sizes[part], oh * ow * ic * kh * kw,
+                              oc * oh * ow)
             shape = (oc, oh, ow)
-        elif layer.kind == LayerKind.FULLY_CONNECTED:
-            shape = (layer.weights.shape[0],)
-        elif layer.kind == LayerKind.POOL and len(shape) == 3:
+        elif layer.kind is LayerKind.POOL and len(shape) == 3:
             win = layer.pool_window
             shape = (shape[0], shape[1] // win, shape[2] // win)
-        largest = max(largest, math.prod(shape))
-    return largest
+    if split == len(layers):     # no FC layer: the joined outputs
+        sizes[1] = math.prod(shape)
+    return split, sizes[0], sizes[1]
 
 
-def chunks(model: QuantModel, a) -> list[slice]:
-    """The slices of the batch ``a`` that ``walk`` takes one at a time: as
-    few as keep the largest array of one (``_sample_size``, in float64)
-    within ``CHUNK_BYTES``, their sizes differing by at most 1. A batch
-    that fits is one chunk."""
-    n = a.shape[0]
-    most = CHUNK_BYTES // (8 * max(1, _sample_size(model.layers,
-                                                    a.shape[1:])))
-    count = max(1, -(-n // max(1, most)))
-    edges = [n * i // count for i in range(count + 1)]
+def _balanced(start: int, stop: int, size: int) -> list[slice]:
+    """As few slices of ``start:stop`` as hold at most the ``size``
+    float64 elements per sample within ``CHUNK_BYTES``, their lengths
+    differing by at most 1."""
+    n = stop - start
+    count = -(-n // max(1, CHUNK_BYTES // (8 * max(1, size))))
+    if count <= 1:
+        return [slice(start, stop)]
+    edges = [start + n * i // count for i in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def walk(model: QuantModel, a, dot, folded: bool = False,
-         parts: Sequence[slice] | None = None) -> np.ndarray:
-    """``forward`` over the batch ``a`` one chunk (``chunks``, or the
-    given ``parts``) at a time: the logits of the whole batch from the
-    arrays of one chunk. Each chunk is walked as a batch of its own."""
-    parts = chunks(model, a) if parts is None else parts
-    if len(parts) == 1:
+def _plan(model: QuantModel, a) -> tuple[int, list[list[slice]]]:
+    """The index of the first FC layer, and ``chunks``."""
+    split, head, tail = _sample_sizes(model.layers, a.shape[1:])
+    slices = _balanced(0, a.shape[0], tail)
+    if head <= tail:    # every slice is one part
+        return split, [[s] for s in slices]
+    return split, [_balanced(s.start, s.stop, head) for s in slices]
+
+
+def chunks(model: QuantModel, a) -> list[list[slice]]:
+    """The chunks ``walk`` takes the batch ``a`` in: balanced slices that
+    the layers from the first FC layer on take one at a time, each cut in
+    balanced parts that the layers before it (the convs) take one at a
+    time. Each is as large as keeps the largest array its layers hold
+    (``_sample_sizes``, in float64) within ``CHUNK_BYTES``, so the size of
+    the FC layers' chunks, which steers their kernel path, does not
+    follow the convs' patches. A batch that fits is one part of one
+    slice."""
+    return _plan(model, a)[1]
+
+
+def _joined_heads(model: QuantModel, a, parts: Sequence[slice], dot,
+                  folded: bool, split: int):
+    """The layers before ``split`` walked over each part of the batch
+    ``a`` as a batch of its own, their outputs joined."""
+    heads = [forward(model, a[s], dot, folded, stop=split) for s in parts]
+    return _keep_codes(heads[0], lambda _: np.concatenate(
+        [getattr(h, "codes", h) for h in heads]))
+
+
+def walk(model: QuantModel, a, dot, folded: bool = False) -> np.ndarray:
+    """``forward`` over the batch ``a`` one chunk (``chunks``) at a time:
+    the logits of the whole batch from the arrays of one chunk. The
+    layers before the first FC layer walk each part of a chunk, and the
+    rest the chunk's joined outputs (``_joined_heads``)."""
+    split, plan = _plan(model, a)
+    if len(plan) == 1 and len(plan[0]) == 1:
         return forward(model, a, dot, folded)
-    return np.concatenate([forward(model, a[s], dot, folded) for s in parts])
+    logits = [forward(model, a[parts[0]], dot, folded) if len(parts) == 1
+              else forward(model, _joined_heads(model, a, parts, dot,
+                                                folded, split),
+                           dot, folded, start=split)
+              for parts in plan]
+    return np.concatenate(logits)
 
 
 def as_batch(x) -> tuple[np.ndarray, bool]:

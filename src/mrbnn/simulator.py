@@ -27,13 +27,12 @@ the summation order differs from the element-wise form, which a layer fed
 by values (the toy MLP's 8 raw features) runs, input-major with the same
 bits when it has few inputs.
 A walk takes the batch in balanced chunks of samples (``bnn.chunks``), so
-it holds one chunk's patches and activations, and builds each binarized
-layer's signed table once (``_kernels.layer_table``), not once per chunk.
+it holds one chunk's patches and activations, and builds each conv layer's
+signed table once (``_kernels.layer_table``), not once per chunk.
 An FPV sweep computes the comb's nominal transmission once, each map's
 ratios for every tuning fraction in one call, and one full-tuning test of
 all of a map's rows; it walks the layers once per (map, fraction), as
-``noisy_inference`` does for one, and the full-tuning row once. The rails
-and ratio indices every walk reads are built once per sweep.
+``noisy_inference`` does for one, and the full-tuning row once.
 Layers that are not binarized are executed in the electronic control unit
 and see no optical noise.
 """
@@ -47,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels, photonics, tuning
-from .bnn import (Codes, QuantModel, as_batch, batch_labels, chunks,
+from .bnn import (Codes, LayerKind, QuantModel, as_batch, batch_labels,
                   exact_dot, positive_rail, to_values, walk)
 # Nothing here calls quantize_activation (bnn.forward does), but
 # bench/spans.py traces it at this binding.
@@ -572,16 +571,17 @@ def _dual_rail(layer) -> tuple[np.ndarray, np.ndarray]:
 
 def _photonic_logits(model: QuantModel, batch: np.ndarray,
                      mapping: PhotonicMapping, rho_act: np.ndarray,
-                     ideal: bool, layers: dict | None = None,
-                     parts: Sequence[slice] | None = None) -> np.ndarray:
+                     rails: dict, ideal: bool) -> np.ndarray:
     """Logits of ``batch`` through the photonic array whose mapped
-    activation MRs have the ratios ``rho_act``: ``bnn.walk`` (over
-    ``parts``, or its own chunks) with the binarized layers' dot products
-    on ``_kernels.noisy_fc_forward``, which gets a quantizer's codes as the
-    walk carries them. Each binarized layer's ``_kernels.layer_table`` is
-    built once, when the first chunk reaches it, from what a sweep keeps of
-    the layer (``layers``, see ``_sweep_layers``) or else from ``mapping``
-    and ``_dual_rail``. ``ideal`` says that every ratio is exactly 1."""
+    activation MRs have the ratios ``rho_act``: ``bnn.walk`` with the
+    binarized layers' dot products on ``_kernels.noisy_fc_forward``, which
+    gets a quantizer's codes as the walk carries them. A conv layer's
+    ``_kernels.layer_table`` is built when the first part of the batch
+    reaches it and serves every part; an FC layer, which the walk calls
+    once per chunk, builds its own per call, so that its table is not
+    held while the convs walk the next chunk. ``rails`` maps layer indices
+    to their ``_dual_rail``, and a layer it lacks gets its rails built
+    then. ``ideal`` says that every ratio is exactly 1."""
     tables = {}
 
     def photonic_dot(li, layer, v):
@@ -597,37 +597,22 @@ def _photonic_logits(model: QuantModel, batch: np.ndarray,
                 vals = np.clip(vals, 0.0, 1.0,
                                out=None if vals is v else vals)
             return exact_dot(li, layer, vals)
-        if li not in tables:
-            if layers is None:
-                (w_pos, w_neg), rail = _dual_rail(layer), None
-                index = mapping.mr_index[li]
-            else:
-                w_pos, w_neg, rail, index = layers[li]
-            tables[li] = w_pos, w_neg, _kernels.layer_table(
-                w_pos, w_neg, rho_act[index], rail)
-        w_pos, w_neg, table = tables[li]
+        if li in tables:
+            w_pos, w_neg, table = tables[li]
+        else:
+            w_pos, w_neg = rails[li] if li in rails else _dual_rail(layer)
+            table = _kernels.layer_table(w_pos, w_neg,
+                                         rho_act[mapping.mr_index[li]])
+            if layer.kind is LayerKind.CONV2D:
+                tables[li] = w_pos, w_neg, table
         acts, levels = ((v.codes, v.levels) if isinstance(v, Codes)
                         else (v, None))
         out = _kernels.noisy_fc_forward(
-            acts.reshape(-1, acts.shape[-1]), w_pos, w_neg, None,
-            levels=levels, table=table)
+            acts.reshape(-1, acts.shape[-1]), w_pos, w_neg, table,
+            levels=levels)
         return out.reshape(*acts.shape[:-1], -1)
 
-    return walk(model, batch, photonic_dot, folded=True, parts=parts)
-
-
-def _sweep_layers(model: QuantModel, mapping: PhotonicMapping) -> dict:
-    """Layer index -> (w_pos, w_neg, rail, index) of each binarized layer:
-    its ``_dual_rail``, w_pos - w_neg in float64 and its ratios' positions
-    as an intp index, which every walk of a sweep reads."""
-    layers = {}
-    for li, layer in enumerate(model.layers):
-        if layer.binarized:
-            w_pos, w_neg = _dual_rail(layer)
-            layers[li] = (w_pos, w_neg,
-                          np.subtract(w_pos, w_neg, dtype=np.float64),
-                          mapping.mr_index[li].astype(np.intp))
-    return layers
+    return walk(model, batch, photonic_dot, folded=True)
 
 
 def _check_fraction(tuning_fraction) -> None:
@@ -688,7 +673,7 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
     rho_act = _perturbation_ratios(
         env.designs[RingClass.MULTI_BIT], mapping.lambda_nm[:ids.size],
         chip_map.deltas_nm[0][ids], 1.0 - tuning_fraction)
-    logits = _photonic_logits(model, batch, mapping, rho_act,
+    logits = _photonic_logits(model, batch, mapping, rho_act, {},
                               bool(np.all(rho_act == 1.0)))
     predictions = np.argmax(logits, axis=1)
     acc = _accuracy(predictions, labels)
@@ -719,8 +704,8 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
     labels = None if y is None else batch_labels(y, len(batch), single)
     mapping = build_photonic_mapping(model, cfg)
     ids = _read_ids(model, mapping)
-    layers = _sweep_layers(model, mapping)
-    parts = chunks(model, batch)
+    rails = {li: _dual_rail(layer) for li, layer in enumerate(model.layers)
+             if layer.binarized}
     residuals = 1.0 - np.asarray(fractions, dtype=np.float64)
     design = env.designs[RingClass.MULTI_BIT]
     lam = mapping.lambda_nm[:ids.size]
@@ -740,7 +725,7 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
                 per_map.append(ideal_acc)
                 continue
             logits = _photonic_logits(model, batch, mapping, rho_act,
-                                      ideal, layers, parts)
+                                      rails, ideal)
             per_map.append(_accuracy(np.argmax(logits, axis=1), labels))
             if ideal:
                 ideal_acc = per_map[-1]

@@ -814,31 +814,67 @@ class TestToValues:
 
 
 class TestChunks:
-    """A walk takes the batch in balanced chunks within ``CHUNK_BYTES``; a
-    batch that fits is one chunk."""
+    """A walk takes the batch in balanced chunks within ``CHUNK_BYTES``,
+    which the layers before the first FC layer take in balanced parts; a
+    batch that fits is one part of one chunk."""
 
     def test_toy_batch_is_one_chunk(self, toy_model, toy_data):
         assert len(toy_data.x_test) == 256
-        assert bnn.chunks(toy_model, toy_data.x_test) == [slice(0, 256)]
+        assert bnn.chunks(toy_model, toy_data.x_test) == [[slice(0, 256)]]
 
     def test_conv_sim_batch_is_two_halves(self, conv_sim):
         model, x = conv_sim
         assert len(x) == 64
-        assert bnn.chunks(model, x) == [slice(0, 32), slice(32, 64)]
+        assert bnn.chunks(model, x) == [[slice(0, 32), slice(32, 64)]]
 
-    @pytest.mark.parametrize("n", [0, 1, 37, 38, 65, 1024])
+    @staticmethod
+    def assert_balanced(parts, start, stop, largest):
+        """``parts`` tile ``start:stop`` in lengths that differ by at most
+        1, each within the budget for ``largest`` elements a sample, or
+        are one part."""
+        sizes = [s.stop - s.start for s in parts]
+        assert parts[0].start == start and parts[-1].stop == stop
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        assert max(sizes) - min(sizes) <= 1
+        assert len(parts) == 1 or max(sizes) * largest * 8 <= bnn.CHUNK_BYTES
+
+    @pytest.mark.parametrize("n", [0, 1, 37, 38, 65, 208, 209, 1024])
     def test_balanced_within_budget(self, conv_sim, n):
         model, x = conv_sim
         batch = np.broadcast_to(x[:1], (n,) + x.shape[1:])
-        parts = bnn.chunks(model, batch)
-        sizes = [s.stop - s.start for s in parts]
-        assert parts[0].start == 0 and parts[-1].stop == n
-        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
-        assert max(sizes) - min(sizes) <= 1
-        # conv 1's patches, 18 * 18 positions of 27 inputs, are the
-        # largest array of a sample
-        assert len(parts) == 1 or \
-            max(sizes) * 18 * 18 * 27 * 8 <= bnn.CHUNK_BYTES
+        split = bnn.chunks(model, batch)
+        # the FC layers' largest array of a sample is their 1,568 inputs
+        self.assert_balanced([slice(p[0].start, p[-1].stop) for p in split],
+                             0, n, 32 * 7 * 7)
+        # the convs' is conv 1's patches, 18 * 18 positions of 27 inputs
+        for parts in split:
+            self.assert_balanced(parts, parts[0].start, parts[-1].stop,
+                                 18 * 18 * 27)
+        assert len(split) == (1 if n <= 208 else -(-n // 208))
+
+    def test_fc_chunk_does_not_follow_the_patches(self, monkeypatch):
+        # 3 x 32 x 32 images: 194 KB of conv patches an image, so the conv
+        # takes 13 images at a time, and the FC all 64 (28.8 KB an image)
+        rng = np.random.Generator(np.random.PCG64(5))
+        model = QuantModel((
+            conv_layer(rng.normal(size=(16, 3, 3, 3))), activation_layer(),
+            pool_layer(2), fc_layer(rng.normal(size=(10, 16 * 15 * 15)))))
+        x = rng.uniform(0.0, 1.0, (64, 3, 32, 32))
+        split = bnn.chunks(model, x)
+        assert [[s.stop - s.start for s in p] for p in split] == \
+            [[12, 13, 13, 13, 13]]
+        rows = []
+        original = bnn.exact_dot
+
+        def spy(li, layer, v):
+            rows.append((li, v.shape[0]))
+            return original(li, layer, v)
+
+        monkeypatch.setattr(bnn, "exact_dot", spy)
+        logits = bnn.walk(model, x, bnn.exact_dot)
+        assert rows == [(0, 12), (0, 13), (0, 13), (0, 13), (0, 13), (3, 64)]
+        np.testing.assert_allclose(logits, bnn.forward(model, x, original),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_walk_is_forward_per_chunk(self, conv_sim, monkeypatch):
         model, x = conv_sim
@@ -846,16 +882,19 @@ class TestChunks:
         walked = []
         original = bnn.forward
 
-        def spy(model, a, *args):
-            walked.append(len(a))
-            return original(model, a, *args)
+        def spy(model, a, *args, **kwargs):
+            walked.append((a.shape[0], kwargs))
+            return original(model, a, *args, **kwargs)
 
         monkeypatch.setattr(bnn, "forward", spy)
         logits, _ = reference_inference(model, x)
-        assert walked == [32, 32]
+        # the convs walk the halves, the layers from the first FC (7) on
+        # the joined codes
+        calls = [(32, {"stop": 7}), (32, {"stop": 7}), (64, {"start": 7})]
+        assert walked == calls
         np.testing.assert_allclose(logits, whole, rtol=1e-12, atol=1e-12)
         assert accuracy(model, x, np.argmax(whole, axis=1)) == 1.0
-        assert walked == [32, 32] * 2
+        assert walked == calls * 2
 
 
 class TestBlobs:

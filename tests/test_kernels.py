@@ -9,6 +9,13 @@ from mrbnn import _kernels, bnn
 rng = np.random.Generator(np.random.PCG64(71))
 
 
+def noisy_fc(acts, w_pos, w_neg, rho_act, levels=None):
+    """``noisy_fc_forward`` on the layer table of ``rho_act``."""
+    return _kernels.noisy_fc_forward(
+        acts, w_pos, w_neg, _kernels.layer_table(w_pos, w_neg, rho_act),
+        levels=levels)
+
+
 class TestBackendEquivalence:
     """The vectorized kernels must agree tightly with scalar loop forms."""
 
@@ -44,7 +51,7 @@ class TestBackendEquivalence:
         wp = (w > 0).astype(float)
         wn = (w < 0).astype(float)
         ra = rng.uniform(0.8, 3.0, (o, k))
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra)
+        got = noisy_fc(acts, wp, wn, ra)
         rail = wp - wn
         expected = np.stack([np.clip(acts * ra[j], 0, 1) @ rail[j]
                              for j in range(o)], axis=1)
@@ -75,7 +82,7 @@ class TestNoisyFcSemantics:
         acts = rng.uniform(0, 1, (4, 5))
         wp, wn = dual_rail(3, 5)
         ra = rng.uniform(0.5, 4.0, (3, 5))
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra)
+        got = noisy_fc(acts, wp, wn, ra)
         assert np.allclose(got, loop_oracle(acts, wp, wn, ra), rtol=1e-12)
 
     def test_unit_ratios_reduce_to_matmul(self):
@@ -84,7 +91,7 @@ class TestNoisyFcSemantics:
         wp = (w > 0).astype(float)
         wn = (w < 0).astype(float)
         ones = np.ones((4, 8))
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ones)
+        got = noisy_fc(acts, wp, wn, ones)
         assert np.allclose(got, acts @ w.T, atol=1e-12)
 
     def test_clamps_apply(self):
@@ -92,7 +99,7 @@ class TestNoisyFcSemantics:
         wp = np.array([[1.0]])
         wn = np.array([[0.0]])
         big = np.array([[10.0]])
-        got = _kernels.noisy_fc_forward(acts, wp, wn, big)
+        got = noisy_fc(acts, wp, wn, big)
         assert got[0, 0] == pytest.approx(1.0)  # 0.9*10 clamped to 1
 
 
@@ -130,7 +137,7 @@ class TestLevelTable:
         codes[rng.uniform(size=(n, k)) < zeros] = 0     # level 0 is 0.0
         wp, wn = dual_rail(o, k)
         ra = rng.uniform(*ratios, (o, k))
-        got = _kernels.noisy_fc_forward(codes, wp, wn, ra, levels=levels)
+        got = noisy_fc(codes, wp, wn, ra, levels=levels)
         assert level_calls == [(n, k)]
         np.testing.assert_allclose(
             got, loop_oracle(levels[codes], wp, wn, ra),
@@ -144,7 +151,7 @@ class TestLevelTable:
         acts[4, 7] = levels[5] * 1.3
         wp, wn = dual_rail(5, 11)
         ra = rng.uniform(0.9, 3.0, (5, 11))
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra)
+        got = noisy_fc(acts, wp, wn, ra)
         assert level_calls == []
         np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
                                    rtol=1e-12, atol=1e-13)
@@ -160,7 +167,7 @@ class TestLevelTable:
         codes.flat[:levels.size - 1] = range(1, levels.size)  # every level > 0
         wp, wn = dual_rail(o, k)
         ra = rng.uniform(0.9, 3.0, (o, k))
-        got = _kernels.noisy_fc_forward(codes, wp, wn, ra, levels=levels)
+        got = noisy_fc(codes, wp, wn, ra, levels=levels)
         assert level_calls == []
         np.testing.assert_allclose(
             got, loop_oracle(levels[codes], wp, wn, ra),
@@ -174,13 +181,13 @@ class TestLevelTable:
         wp, wn = np.eye(2), np.zeros((2, 2))
         ra = np.array([[np.inf, 1.0], [1.0, 1.0]])
         with np.errstate(invalid="ignore"):
-            got = _kernels.noisy_fc_forward(codes, wp, wn, ra, levels=levels)
+            got = noisy_fc(codes, wp, wn, ra, levels=levels)
         assert level_calls == []
         np.testing.assert_array_equal(got, [[np.nan, 1.0], [1.0, 1.0]])
         # a negative ratio clamps every input to 0, which the signed table
         # of the level path would not
         ra[0, 0] = -0.5
-        got = _kernels.noisy_fc_forward(codes, wp, wn, ra, levels=levels)
+        got = noisy_fc(codes, wp, wn, ra, levels=levels)
         assert level_calls == []
         np.testing.assert_array_equal(got, [[0.0, 1.0], [0.0, 1.0]])
 
@@ -190,7 +197,7 @@ class TestLevelTable:
         wp, wn = dual_rail(o, k)
         ra = rng.uniform(0.5, 3.0, (o, k))
         monkeypatch.setattr(_kernels, "BLOCK_BYTES", 4 * o * k * 8)
-        got = _kernels.noisy_fc_forward(acts, wp, wn, ra)   # 4 + 4 + 3 rows
+        got = noisy_fc(acts, wp, wn, ra)   # 4 + 4 + 3 rows
         np.testing.assert_allclose(got, loop_oracle(acts, wp, wn, ra),
                                    rtol=1e-12, atol=1e-13)
         # each output sums over the input axis as one unblocked pass would
@@ -203,8 +210,8 @@ class TestLevelTable:
         for acts, levels in ((np.zeros((0, 4)), None),
                              (np.zeros((0, 4), np.uint8),
                               bnn.activation_levels(4))):
-            got = _kernels.noisy_fc_forward(acts, wp, wn, np.ones((3, 4)),
-                                            levels=levels)
+            got = noisy_fc(acts, wp, wn, np.ones((3, 4)),
+                           levels=levels)
             assert got.shape == (0, 3)
 
 
@@ -219,8 +226,8 @@ class TestLevelSplit:
         levels = bnn.activation_levels(4)
         codes = rng.integers(0, levels.size, (n, k)).astype(np.uint8)
         wp, wn = dual_rail(o, k)
-        got = _kernels.noisy_fc_forward(codes, wp, wn, np.ones((o, k)),
-                                        levels=levels)
+        got = noisy_fc(codes, wp, wn, np.ones((o, k)),
+                       levels=levels)
         assert level_calls == [(n, k)]
         np.testing.assert_array_equal(got, levels[codes] @ (wp - wn).T)
 
@@ -245,7 +252,7 @@ class TestLevelSplit:
 
         monkeypatch.setattr(_kernels, "_direct_sums", spy)
         monkeypatch.setattr(_kernels, "BLOCK_BYTES", 3 * o * 8)
-        got = _kernels.noisy_fc_forward(codes, wp, wn, ra, levels=levels)
+        got = noisy_fc(codes, wp, wn, ra, levels=levels)
         assert level_calls == [(n, k)] and pairs == [len(rows)]
         np.testing.assert_allclose(
             got, loop_oracle(levels[codes], wp, wn, ra),
@@ -285,7 +292,7 @@ class TestLevelSplit:
 
         monkeypatch.setattr(_kernels, "_table_pays", price)
         monkeypatch.setattr(_kernels, "_level_gemm", gemm)
-        got = _kernels.noisy_fc_forward(codes, wp, wn, ra, levels=levels)
+        got = noisy_fc(codes, wp, wn, ra, levels=levels)
         assert priced == [8] and len(present) == 1
         assert not present[0][levels <= 0.0].any()
         assert present[0][levels > 0.0].all()
@@ -295,14 +302,14 @@ class TestLevelSplit:
 
     def test_layer_without_inputs(self, level_calls):
         wp, wn = dual_rail(3, 0)
-        got = _kernels.noisy_fc_forward(np.zeros((5, 0), np.uint8), wp, wn,
-                                        np.ones((3, 0)),
-                                        levels=bnn.activation_levels(4))
+        got = noisy_fc(np.zeros((5, 0), np.uint8), wp, wn,
+                       np.ones((3, 0)),
+                       levels=bnn.activation_levels(4))
         assert level_calls == [(5, 0)]
         np.testing.assert_array_equal(got, np.zeros((5, 3)))
         # values take the broadcast, never the input-major form
-        got = _kernels.noisy_fc_forward(np.zeros((5, 0)), wp, wn,
-                                        np.ones((3, 0)))
+        got = noisy_fc(np.zeros((5, 0)), wp, wn,
+                       np.ones((3, 0)))
         np.testing.assert_array_equal(got, np.zeros((5, 3)))
 
 
@@ -358,7 +365,7 @@ class TestInputMajor:
         for k in (1, CROSSOVER, CROSSOVER + 1):
             acts = rng.uniform(0, 1, (n, k))
             wp, wn = dual_rail(o, k)
-            got = _kernels.noisy_fc_forward(acts, wp, wn, np.ones((o, k)))
+            got = noisy_fc(acts, wp, wn, np.ones((o, k)))
             np.testing.assert_array_equal(
                 got, _kernels._blocked_broadcast(acts, wp - wn))
         # one input runs the blocked broadcast, whose sum over an axis of
@@ -366,8 +373,8 @@ class TestInputMajor:
         assert input_major_calls == [(n, CROSSOVER)]
         assert not _kernels._input_major_pays(1, 1 << 40, 128)
         # a handful of products does not pay for an add per input
-        _kernels.noisy_fc_forward(np.ones((1, 8)), *dual_rail(1, 8),
-                                  np.ones((1, 8)))
+        noisy_fc(np.ones((1, 8)), *dual_rail(1, 8),
+                 np.ones((1, 8)))
         assert len(input_major_calls) == 1
 
 
@@ -454,7 +461,7 @@ class TestFold:
             for what, acts, rail, ra in self.cases(n, k):
                 wp, wn = (rail > 0) * 1.0, (rail < 0) * 1.0
                 with np.errstate(invalid="ignore"):
-                    got = _kernels.noisy_fc_forward(acts, wp, wn, ra)
+                    got = noisy_fc(acts, wp, wn, ra)
                     want = three_ops(acts, rail, ra)
                 assert np.array_equal(got, want, equal_nan=True), what
                 # NaNs of both signs on one output may sum to either sign
@@ -471,11 +478,11 @@ class TestInt8Rails:
     def assert_same_bits(acts, rail, ra, levels=None):
         pos, neg = rail > 0, rail < 0
         with np.errstate(invalid="ignore"):
-            got = _kernels.noisy_fc_forward(acts, pos.view(np.int8),
-                                            neg.view(np.int8), ra,
-                                            levels=levels)
-            want = _kernels.noisy_fc_forward(acts, pos * 1.0, neg * 1.0, ra,
-                                             levels=levels)
+            got = noisy_fc(acts, pos.view(np.int8),
+                           neg.view(np.int8), ra,
+                           levels=levels)
+            want = noisy_fc(acts, pos * 1.0, neg * 1.0, ra,
+                            levels=levels)
         assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -519,9 +526,9 @@ class TestInt8Rails:
 
 
 class TestLayerTable:
-    """A ``layer_table`` built once serves every call on the layer with
-    the bits of a call that builds its own, and drops the ratios only
-    where the folded table serves every input."""
+    """One ``layer_table`` serves every call on the layer, whatever rows
+    each takes, and drops the ratios only where the folded table serves
+    every input."""
 
     @staticmethod
     def cases(n, k):
@@ -531,25 +538,27 @@ class TestLayerTable:
         nan_ratio[1, k // 2] = np.nan
         yield "NaN ratio", acts, rail, nan_ratio
 
-    @pytest.mark.parametrize("kept_rail", [False, True],
-                             ids=["own-rail", "kept-rail"])
     @pytest.mark.parametrize("k", [3, CROSSOVER + 5])
-    def test_given_table_keeps_the_bits(self, k, kept_rail):
-        for n in (1, 7):
-            for what, acts, rail, ra in self.cases(n, k):
-                wp, wn = (rail > 0).view(np.int8), (rail < 0).view(np.int8)
-                kept = np.subtract(wp, wn, dtype=np.float64)
-                table = _kernels.layer_table(wp, wn, ra,
-                                             kept if kept_rail else None)
+    @pytest.mark.parametrize("major", [True, False],
+                             ids=["input-major", "blocked"])
+    def test_one_table_serves_every_call(self, monkeypatch, k, major):
+        monkeypatch.setattr(_kernels, "_input_major_pays",
+                            lambda *shape: major)
+        three_ops = three_op_input_major if major else three_op_blocked
+        for what, acts, rail, ra in self.cases(7, k):
+            wp, wn = (rail > 0).view(np.int8), (rail < 0).view(np.int8)
+            table = _kernels.layer_table(wp, wn, ra)
+            signed = table.signed.copy()
+            for rows in (slice(0, 3), slice(3, 7), slice(0, 7)):
                 with np.errstate(invalid="ignore"):
-                    got = _kernels.noisy_fc_forward(acts, wp, wn, None,
-                                                    table=table)
-                    want = _kernels.noisy_fc_forward(acts, wp, wn, ra)
+                    got = _kernels.noisy_fc_forward(acts[rows], wp, wn,
+                                                    table)
+                    want = three_ops(acts[rows], rail, ra)
                 assert np.array_equal(got, want, equal_nan=True), what
                 assert np.array_equal(np.signbit(got), np.signbit(want))
-                assert np.array_equal(kept, rail), what
-                assert (table.rho is None) == (what in ("plain",
-                                                        "inf and NaN inputs"))
+            assert np.array_equal(table.signed, signed, equal_nan=True)
+            assert (table.rho is None) == (what in ("plain",
+                                                    "inf and NaN inputs"))
 
     @pytest.mark.parametrize("ratios", [(0.9, 3.0), (1.0, 2.0)],
                              ids=["clamping", "never-clamping"])
@@ -571,11 +580,14 @@ class TestLayerTable:
         ra = rng.uniform(*ratios, (o, k))
         table = _kernels.layer_table(wp, wn, ra)
         for rows in (slice(0, 40), slice(40, n)):
-            got = _kernels.noisy_fc_forward(codes[rows], wp, wn, None,
-                                            levels=levels, table=table)
-            want = _kernels.noisy_fc_forward(codes[rows], wp, wn, ra,
-                                             levels=levels)
-            assert np.array_equal(got, want)
+            got = _kernels.noisy_fc_forward(codes[rows], wp, wn, table,
+                                            levels=levels)
+            # a fresh table gives the same bits: a call leaves it as it was
+            assert np.array_equal(got, noisy_fc(codes[rows], wp, wn, ra,
+                                                levels=levels))
+            np.testing.assert_allclose(
+                got, loop_oracle(levels[codes[rows]], wp, wn, ra),
+                rtol=1e-12, atol=1e-13)
         assert level_calls == [(40, k)] * 2 + [(24, k)] * 2
         assert counted == level_calls
 

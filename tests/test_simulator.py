@@ -758,10 +758,9 @@ class TestKernelDispatch:
         calls = []
         original = _kernels.noisy_fc_forward
 
-        def spy(acts, w_pos, w_neg, rho_act, levels=None, **kwargs):
+        def spy(acts, w_pos, w_neg, table, levels=None):
             calls.append(levels is not None)
-            return original(acts, w_pos, w_neg, rho_act, levels=levels,
-                            **kwargs)
+            return original(acts, w_pos, w_neg, table, levels=levels)
 
         monkeypatch.setattr(_kernels, "noisy_fc_forward", spy)
         return calls
@@ -873,11 +872,14 @@ class TestChunkedWalk:
         monkeypatch.setattr(bnn, "CHUNK_BYTES", 1 << 40)
         whole = noisy_inference(model, x, None, eo_cfg, env, 0.8, seed=7)
         # conv 1 (27 inputs, 324 positions), conv 2 (144, 49), the FC
-        # (1,568, 1): the FC's 15 levels pay at 32 rows, not at 16
+        # (1,568, 1)
         assert paths == [("_input_major", 64 * 324, 27),
                          ("_level_gemm", 64 * 49, 144),
                          ("_level_gemm", 64, 1568)]
-        assert per_chunk == [(p, rows // 2, k) for p, rows, k in paths] * 2
+        # the convs walk 2 x 32 images, the FC all 64: its 15 levels pay
+        # at 64 and 32 rows, not at 16
+        convs = [(p, rows // 2, k) for p, rows, k in paths[:2]]
+        assert per_chunk == convs * 2 + paths[2:]
         assert _kernels._table_pays(15, 32, 128)
         assert not _kernels._table_pays(15, 16, 128)
         np.testing.assert_allclose(chunked.logits, whole.logits,
