@@ -160,6 +160,19 @@ class QuantModel:
     def parameter_count(self) -> int:
         return sum(l.parameter_count for l in self.layers)
 
+    @functools.cached_property
+    def _tail(self) -> tuple[int, int]:
+        """The index of the first FC layer (the number of layers if none),
+        and the elements of the largest array a walk holds per sample from
+        that layer on: the widest input or output of its FC layers, whose
+        widths chain (a conv or pool layer after it cannot run)."""
+        for split, layer in enumerate(self.layers):
+            if layer.kind is LayerKind.FULLY_CONNECTED:
+                return split, max(max(l.weights.shape)
+                                  for l in self.layers[split:]
+                                  if l.kind is LayerKind.FULLY_CONNECTED)
+        return len(self.layers), 0
+
     def weighted_layers(self) -> list[Layer]:
         return [l for l in self.layers if l.weighted]
 
@@ -441,35 +454,23 @@ def forward(model: QuantModel, a: np.ndarray, dot,
     return _keep_codes(flush_fold(a), lambda x: x.reshape(x.shape[0], -1))
 
 
-def _sample_sizes(layers: Sequence[Layer],
-                  shape: tuple[int, ...]) -> tuple[int, int, int]:
-    """The index of the first FC layer (or the number of layers), and the
-    elements of the largest array a walk holds per sample of ``shape``
-    before that layer and from it on: the sample or what the layer reads,
-    a conv layer's patches or a layer's output. A shape the walk rejects
-    counts as far as it goes."""
-    split, sizes = len(layers), [math.prod(shape), 0]
-    for li, layer in enumerate(layers):
-        if layer.kind is LayerKind.FULLY_CONNECTED:
-            if split == len(layers):
-                split, sizes[1] = li, math.prod(shape)
-            shape = (layer.weights.shape[0],)
-            sizes[1] = max(sizes[1], shape[0])
-            continue
-        part = int(li >= split)
+def _head_size(layers: Sequence[Layer], shape: tuple[int, ...]) -> int:
+    """Elements of the largest array a walk of ``layers``, the layers
+    before the first FC layer, holds per sample of ``shape``: the sample,
+    a conv layer's patches or its output. A shape the walk rejects counts
+    as far as it goes."""
+    largest = math.prod(shape)
+    for layer in layers:
         if layer.kind is LayerKind.CONV2D and len(shape) == 3:
             oc, ic, kh, kw = layer.weights.shape
             oh = (shape[1] - kh) // layer.stride + 1
             ow = (shape[2] - kw) // layer.stride + 1
-            sizes[part] = max(sizes[part], oh * ow * ic * kh * kw,
-                              oc * oh * ow)
+            largest = max(largest, oh * ow * ic * kh * kw, oc * oh * ow)
             shape = (oc, oh, ow)
         elif layer.kind is LayerKind.POOL and len(shape) == 3:
             win = layer.pool_window
             shape = (shape[0], shape[1] // win, shape[2] // win)
-    if split == len(layers):     # no FC layer: the joined outputs
-        sizes[1] = math.prod(shape)
-    return split, sizes[0], sizes[1]
+    return largest
 
 
 def _balanced(start: int, stop: int, size: int) -> list[slice]:
@@ -485,11 +486,13 @@ def _balanced(start: int, stop: int, size: int) -> list[slice]:
 
 
 def _plan(model: QuantModel, a) -> tuple[int, list[list[slice]]]:
-    """The index of the first FC layer, and ``chunks``."""
-    split, head, tail = _sample_sizes(model.layers, a.shape[1:])
+    """The index of the first FC layer, and ``chunks``. A model without
+    FC layers walks the batch as one slice."""
+    split, tail = model._tail
     slices = _balanced(0, a.shape[0], tail)
-    if head <= tail:    # every slice is one part
+    if split == 0:      # the first FC layer reads the sample
         return split, [[s] for s in slices]
+    head = _head_size(model.layers[:split], a.shape[1:])
     return split, [_balanced(s.start, s.stop, head) for s in slices]
 
 
@@ -498,10 +501,10 @@ def chunks(model: QuantModel, a) -> list[list[slice]]:
     the layers from the first FC layer on take one at a time, each cut in
     balanced parts that the layers before it (the convs) take one at a
     time. Each is as large as keeps the largest array its layers hold
-    (``_sample_sizes``, in float64) within ``CHUNK_BYTES``, so the size of
-    the FC layers' chunks, which steers their kernel path, does not
-    follow the convs' patches. A batch that fits is one part of one
-    slice."""
+    (``QuantModel._tail``, ``_head_size``; in float64) within
+    ``CHUNK_BYTES``, so the size of the FC layers' chunks, which steers
+    their kernel path, does not follow the convs' patches. A batch that
+    fits is one part of one slice."""
     return _plan(model, a)[1]
 
 

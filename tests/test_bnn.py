@@ -842,15 +842,15 @@ class TestChunks:
     def test_balanced_within_budget(self, conv_sim, n):
         model, x = conv_sim
         batch = np.broadcast_to(x[:1], (n,) + x.shape[1:])
-        split = bnn.chunks(model, batch)
+        plan = bnn.chunks(model, batch)
         # the FC layers' largest array of a sample is their 1,568 inputs
-        self.assert_balanced([slice(p[0].start, p[-1].stop) for p in split],
+        self.assert_balanced([slice(p[0].start, p[-1].stop) for p in plan],
                              0, n, 32 * 7 * 7)
         # the convs' is conv 1's patches, 18 * 18 positions of 27 inputs
-        for parts in split:
+        for parts in plan:
             self.assert_balanced(parts, parts[0].start, parts[-1].stop,
                                  18 * 18 * 27)
-        assert len(split) == (1 if n <= 208 else -(-n // 208))
+        assert len(plan) == (1 if n <= 208 else -(-n // 208))
 
     def test_fc_chunk_does_not_follow_the_patches(self, monkeypatch):
         # 3 x 32 x 32 images: 194 KB of conv patches an image, so the conv
@@ -860,8 +860,8 @@ class TestChunks:
             conv_layer(rng.normal(size=(16, 3, 3, 3))), activation_layer(),
             pool_layer(2), fc_layer(rng.normal(size=(10, 16 * 15 * 15)))))
         x = rng.uniform(0.0, 1.0, (64, 3, 32, 32))
-        split = bnn.chunks(model, x)
-        assert [[s.stop - s.start for s in p] for p in split] == \
+        plan = bnn.chunks(model, x)
+        assert [[s.stop - s.start for s in p] for p in plan] == \
             [[12, 13, 13, 13, 13]]
         rows = []
         original = bnn.exact_dot

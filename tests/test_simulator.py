@@ -885,6 +885,27 @@ class TestChunkedWalk:
         np.testing.assert_allclose(chunked.logits, whole.logits,
                                    rtol=1e-12, atol=1e-12)
 
+    def test_fc_table_per_slice(self, env, eo_cfg, conv_sim, monkeypatch):
+        # a budget that cuts 64 images into 2 slices of 32 for the FC
+        # layers, each in 7 parts for the convs: the conv tables serve
+        # every part, the FC builds one per slice
+        model, x = conv_sim
+        whole = noisy_inference(model, x, None, eo_cfg, env, 0.8, seed=7)
+        monkeypatch.setattr(bnn, "CHUNK_BYTES", 32 * 1568 * 8)
+        assert [len(p) for p in bnn.chunks(model, x)] == [7, 7]
+        tables = []
+        original = _kernels.layer_table
+
+        def spy(w_pos, *args):
+            tables.append(w_pos.shape)
+            return original(w_pos, *args)
+
+        monkeypatch.setattr(_kernels, "layer_table", spy)
+        sliced = noisy_inference(model, x, None, eo_cfg, env, 0.8, seed=7)
+        assert tables == [(16, 27), (32, 144), (128, 1568), (128, 1568)]
+        np.testing.assert_allclose(sliced.logits, whole.logits,
+                                   rtol=1e-12, atol=1e-12)
+
 
 class TestAccuracySweep:
     def test_rows_and_reference_anchor(self, env, eo_cfg, toy_model,
