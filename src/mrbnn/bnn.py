@@ -485,17 +485,6 @@ def _balanced(start: int, stop: int, size: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _plan(model: QuantModel, a) -> tuple[int, list[list[slice]]]:
-    """The index of the first FC layer, and ``chunks``. A model without
-    FC layers walks the batch as one slice."""
-    split, tail = model._tail
-    slices = _balanced(0, a.shape[0], tail)
-    if split == 0:      # the first FC layer reads the sample
-        return split, [[s] for s in slices]
-    head = _head_size(model.layers[:split], a.shape[1:])
-    return split, [_balanced(s.start, s.stop, head) for s in slices]
-
-
 def chunks(model: QuantModel, a) -> list[list[slice]]:
     """The chunks ``walk`` takes the batch ``a`` in: balanced slices that
     the layers from the first FC layer on take one at a time, each cut in
@@ -504,8 +493,14 @@ def chunks(model: QuantModel, a) -> list[list[slice]]:
     (``QuantModel._tail``, ``_head_size``; in float64) within
     ``CHUNK_BYTES``, so the size of the FC layers' chunks, which steers
     their kernel path, does not follow the convs' patches. A batch that
-    fits is one part of one slice."""
-    return _plan(model, a)[1]
+    fits is one part of one slice; a model without FC layers walks the
+    batch as one slice."""
+    split, tail = model._tail
+    slices = _balanced(0, a.shape[0], tail)
+    if split == 0:      # the first FC layer reads the sample
+        return [[s] for s in slices]
+    head = _head_size(model.layers[:split], a.shape[1:])
+    return [_balanced(s.start, s.stop, head) for s in slices]
 
 
 def _joined_heads(model: QuantModel, a, parts: Sequence[slice], dot,
@@ -522,7 +517,7 @@ def walk(model: QuantModel, a, dot, folded: bool = False) -> np.ndarray:
     the logits of the whole batch from the arrays of one chunk. The
     layers before the first FC layer walk each part of a chunk, and the
     rest the chunk's joined outputs (``_joined_heads``)."""
-    split, plan = _plan(model, a)
+    plan, split = chunks(model, a), model._tail[0]
     if len(plan) == 1 and len(plan[0]) == 1:
         return forward(model, a, dot, folded)
     logits = [forward(model, a[parts[0]], dot, folded) if len(parts) == 1

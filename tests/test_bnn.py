@@ -784,7 +784,8 @@ class TestWalkKeepsItsInputs:
 
 class TestToValues:
     """``to_values`` lays the levels out in memory as the codes are, and
-    holds no more than its result while it reads them."""
+    holds no more than its result while it reads them; ``exact_dot`` reads
+    codes a block of samples at a time."""
 
     @pytest.mark.parametrize("view", [
         lambda c: c, lambda c: c.transpose(2, 0, 1), lambda c: c[:, ::2],
@@ -811,6 +812,34 @@ class TestToValues:
         finally:
             tracemalloc.stop()
         assert peak < 1.05 * codes.size * 8
+
+    @pytest.mark.parametrize("shape", [(37, 20), (9, 5, 12)],
+                             ids=["fc", "conv"])
+    def test_exact_dot_in_blocks(self, monkeypatch, shape):
+        rng = np.random.Generator(np.random.PCG64(8))
+        levels = bnn.activation_levels(3)
+        codes = rng.integers(0, levels.size, shape).astype(np.uint8)
+        layer = fc_layer(rng.normal(size=(6, shape[-1])))
+        want = levels[codes] @ layer.effective_weights().T
+        # blocks of 3 samples
+        monkeypatch.setattr(bnn, "BLOCK_BYTES", 3 * codes[0].size * 8)
+        got = bnn.exact_dot(0, layer, bnn.Codes(codes, levels))
+        assert got.shape == shape[:-1] + (6,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_exact_dot_holds_one_block(self):
+        rng = np.random.Generator(np.random.PCG64(9))
+        levels = bnn.activation_levels(4)
+        codes = rng.integers(0, levels.size, (512, 1568)).astype(np.uint8)
+        layer = fc_layer(rng.normal(size=(128, 1568)))
+        tracemalloc.start()
+        try:
+            bnn.exact_dot(0, layer, bnn.Codes(codes, levels))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the layer's float weights, the result and one block of values
+        assert peak <= (128 * 1568 + 512 * 128) * 8 + 1.25 * bnn.BLOCK_BYTES
 
 
 class TestChunks:
@@ -874,6 +903,19 @@ class TestChunks:
         logits = bnn.walk(model, x, bnn.exact_dot)
         assert rows == [(0, 12), (0, 13), (0, 13), (0, 13), (0, 13), (3, 64)]
         np.testing.assert_allclose(logits, bnn.forward(model, x, original),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_model_without_fc(self):
+        # one slice in 4 parts (13 images fit the budget), whose outputs
+        # are the logits
+        rng = np.random.Generator(np.random.PCG64(6))
+        model = QuantModel((conv_layer(rng.normal(size=(4, 3, 3, 3))),
+                            activation_layer()))
+        x = rng.uniform(0.0, 1.0, (40, 3, 32, 32))
+        assert [[s.stop - s.start for s in p]
+                for p in bnn.chunks(model, x)] == [[10, 10, 10, 10]]
+        np.testing.assert_allclose(bnn.walk(model, x, bnn.exact_dot),
+                                   bnn.forward(model, x, bnn.exact_dot),
                                    rtol=1e-12, atol=1e-12)
 
     def test_walk_is_forward_per_chunk(self, conv_sim, monkeypatch):

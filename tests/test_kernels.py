@@ -591,6 +591,41 @@ class TestLayerTable:
         assert level_calls == [(40, k)] * 2 + [(24, k)] * 2
         assert counted == level_calls
 
+    @pytest.mark.parametrize("ratios", [(0.9, 3.0), (1.0, 2.0)],
+                             ids=["clamping", "never-clamping"])
+    def test_level_gemm_in_blocks(self, level_calls, monkeypatch, ratios):
+        n, o, k = 50, 64, 13
+        levels = bnn.activation_levels(2)
+        codes = rng.integers(0, levels.size, (n, k)).astype(np.uint8)
+        wp, wn = dual_rail(o, k)
+        ra = rng.uniform(*ratios, (o, k))
+        monkeypatch.setattr(_kernels, "_direct_pays",
+                            lambda counts, *shape: np.zeros_like(counts, bool))
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", 7 * k * 8)  # 7 rows
+        got = noisy_fc(codes, wp, wn, ra, levels=levels)
+        assert level_calls == [(n, k)]
+        np.testing.assert_allclose(
+            got, loop_oracle(levels[codes], wp, wn, ra),
+            rtol=1e-12, atol=1e-13)
+
+    def test_level_gemm_holds_one_block(self, level_calls):
+        levels = bnn.activation_levels(4)
+        codes = rng.integers(0, levels.size, (512, 1568)).astype(np.uint8)
+        rail = np.sign(rng.normal(size=(128, 1568)))
+        wp, wn = (rail > 0).view(np.int8), (rail < 0).view(np.int8)
+        table = _kernels.layer_table(wp, wn, rng.uniform(0.9, 1.3,
+                                                         (128, 1568)))
+        tracemalloc.start()
+        try:
+            _kernels.noisy_fc_forward(codes, wp, wn, table, levels=levels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert level_calls == [(512, 1568)]
+        # one clamped table, the result and one block of masks
+        assert peak <= (128 * 1568 + 512 * 128) * 8 + \
+            1.25 * _kernels.BLOCK_BYTES
+
     @pytest.mark.parametrize("block", [8, 100, 1 << 20])
     @pytest.mark.parametrize("shape", [(37, 5), (0, 5), (4, 0)])
     def test_level_counts_are_bincounts(self, monkeypatch, block, shape):
