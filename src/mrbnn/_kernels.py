@@ -3,7 +3,7 @@
 All kernels are deterministic: results depend only on the inputs.
 
 ``noisy_fc_forward`` reads a layer's signed table rho * rail
-(``layer_table``), which its caller builds once for many calls. A layer
+(``layer_table``), which its caller may build once for many calls. A layer
 fed by a quantizer's integer codes may be summed by level, a GEMM per
 group of levels (``_level_gemm``); a layer fed by values, or one where
 that does not pay, takes the element-wise form in blocks of bounded size,
