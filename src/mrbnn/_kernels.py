@@ -10,16 +10,27 @@ that does not pay, takes the element-wise form in blocks of bounded size,
 laid out input-major below about 58 inputs (``_input_major``). The two
 element-wise forms give the same bits (but for NaN signs); the level split
 differs from them only in summation order.
+
+The blocks and index copies of those forms, the signed table of
+``layer_table`` when given ``out``, and the patches of ``bnn.im2col`` are
+scratch of one workspace that lasts across calls (``WORKSPACE``), so a walk
+that repeats does not fault its scratch in again. Scratch lives until the
+frame that lent it exits, so no inference pass returns any.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import mmap
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
+    "WORKSPACE",
+    "Windows",
     "all_pass_transmission",
     "channel_noise_powers",
     "layer_table",
@@ -36,6 +47,143 @@ BLOCK_BYTES = 1 << 20
 # level present costs the table at least 1/32 of the blocked broadcast
 # (see _table_pays), so 32 levels present never pay.
 MAX_LEVELS = 32
+
+# Most bytes of scratch the workspace lends at once (``Workspace``). On
+# conv-sim's model its FC layer (1,568 -> 128) takes the most: its signed
+# table and a block of direct-sum products, 2.65 MB at 64 rows and 2.77 MB
+# at the 205-row slices of a larger batch. A request that does not fit is
+# allocated as usual. Every byte kept adds to a process's peak RSS, so the
+# level path's clamped tables, as large as the signed one, stay heap
+# arrays, and a conv layer's float patches are never copied whole
+# (``Windows``).
+WORKSPACE_BYTES = 4 << 20
+
+# Smallest request the workspace lends: glibc's free lists serve smaller
+# ones at least as fast and with few faults. The noisy walk lends an FC
+# layer's scratch only when the layer's table is this large: the toy MLP's
+# 32 x 8 layer kept a 512 KiB block for no fault saved, at 1.5-2 % more
+# CPU per fpv-mc pass and 0.56 MB more peak RSS.
+SMALL_BYTES = 1 << 16
+
+_FLOAT, _INTP = np.dtype(np.float64), np.dtype(np.intp)
+
+
+class Workspace:
+    """Scratch arrays lent from one anonymous memory mapping of
+    ``WORKSPACE_BYTES``, made at first use and never unmapped.
+
+    A frame (``with WORKSPACE:``) takes back on exit whatever ``take`` lent
+    inside it, so the workspace holds what one layer needs at a time: a
+    stack of frames over one bump pointer, each request O(1). Outside any
+    frame, and for a request past the cap, ``take`` allocates a fresh
+    array. Pages once touched stay resident (``kept`` bytes), and the
+    mapping is no heap memory, so it moves none of the allocator's
+    thresholds. Lent arrays are uninitialized: every reader writes first.
+
+    The workspace is module-level and not thread-safe: two threads in
+    frames at once would hand out the same memory."""
+
+    def __init__(self):
+        self._memory = None
+        self._top = 0           # bytes lent and not yet taken back
+        self._frames = []       # ``_top`` at the entry of each open frame
+        self.kept = 0           # the most bytes ever lent at once
+
+    def __enter__(self):
+        self._frames.append(self._top)
+
+    def __exit__(self, *exc):
+        self._top = self._frames.pop()
+
+    def take(self, shape, dtype=_FLOAT) -> np.ndarray:
+        """An uninitialized C-ordered array of ``shape`` and ``dtype`` (a
+        numpy dtype), lent until the innermost frame exits (64-byte
+        aligned). One under ``SMALL_BYTES`` is allocated as usual."""
+        if not self._frames:
+            return np.empty(shape, dtype)
+        size = math.prod(shape) * dtype.itemsize
+        start = (self._top + 63) & -64
+        end = start + size
+        if size < SMALL_BYTES or end > WORKSPACE_BYTES:
+            return np.empty(shape, dtype)
+        if self._memory is None:
+            # private: a forked child copies the pages it writes
+            self._memory = mmap.mmap(-1, WORKSPACE_BYTES, **_PRIVATE)
+        self._top = end
+        if end > self.kept:
+            self.kept = end
+        return np.ndarray(shape, dtype, self._memory, start)
+
+
+class Windows:
+    """The [n * oh * ow, c * kh * kw] rows of a conv layer's im2col patches
+    left uncopied: ``view`` [n, oh, ow, c, kh, kw] is the sliding-window
+    view of the layer's input (``bnn.im2col``), and row (s, oy, ox) is its
+    window ``view[s, oy, ox]``. The element-wise forms of
+    ``noisy_fc_forward`` copy each block of rows straight from it, so a
+    layer's patches are never copied whole."""
+
+    __slots__ = ("view",)
+
+    def __init__(self, view: np.ndarray):
+        self.view = view
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n, oh, ow, *depth = self.view.shape
+        return n * oh * ow, math.prod(depth)
+
+    def max(self, initial):
+        return self.view.max(initial=initial)
+
+    def patches(self) -> np.ndarray:
+        """The [n, oh * ow, depth] patches. Of a 1x1 kernel they are the
+        input reshaped, a view of it where its strides allow (at stride
+        1); otherwise a copy that, inside a frame of ``WORKSPACE``, is its
+        scratch."""
+        n, oh, ow, *depth = self.view.shape
+        shape = (n, oh * ow, math.prod(depth))
+        if self.view.shape[4:] == (1, 1):
+            return self.view.reshape(shape)
+        cols = WORKSPACE.take(shape, self.view.dtype)
+        np.copyto(cols.reshape(self.view.shape), self.view)
+        return cols
+
+    def copy_rows(self, start, out):
+        """Copy rows ``start:start + len(out)`` into ``out`` [m, depth], of
+        any strides: at most five copies, of part of a row of windows, of
+        whole rows and of whole samples."""
+        n, oh, ow, *depth = self.view.shape
+        dst = out.reshape(len(out), *depth)     # splits an axis: a view
+        done = 0
+        while done < len(dst):
+            s, rest = divmod(start + done, oh * ow)
+            oy, ox = divmod(rest, ow)
+            left = len(dst) - done
+            if ox or left < ow:
+                src = self.view[s, oy, ox:ox + min(ow - ox, left)]
+            elif oy or left < oh * ow:
+                src = self.view[s, oy:oy + min(oh - oy, left // ow)]
+            else:
+                src = self.view[s:s + left // (oh * ow)]
+            size = math.prod(src.shape[:src.ndim - len(depth)])
+            np.copyto(dst[done:done + size].reshape(src.shape), src)
+            done += size
+
+
+def _framed(fn):
+    """``fn`` in a frame of its own: what it takes from ``WORKSPACE`` is
+    taken back when it returns."""
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        with WORKSPACE:
+            return fn(*args, **kwargs)
+    return call
+
+
+_PRIVATE = ({"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE")
+            else {})
+WORKSPACE = Workspace()
 
 
 def all_pass_transmission(cos_phi, r, a):
@@ -142,12 +290,14 @@ class LayerTable(NamedTuple):
     hi: float
 
 
-def layer_table(w_pos, w_neg, rho_act) -> LayerTable:
+def layer_table(w_pos, w_neg, rho_act, out=None) -> LayerTable:
     """The signed table and ratio range of the rails ``w_pos``/``w_neg``
     under the ratios ``rho_act`` (see ``noisy_fc_forward``). The ratios
     are kept for the inputs the fold does not hold for, and dropped when no
-    input can be one: every ratio > 0 and no zero in the table."""
-    rail = np.subtract(w_pos, w_neg, out=np.empty(np.shape(rho_act)))
+    input can be one: every ratio > 0 and no zero in the table. ``out``, a
+    float64 array of the ratios' shape, takes the table."""
+    rail = np.subtract(w_pos, w_neg,
+                       out=np.empty(np.shape(rho_act)) if out is None else out)
     lo, hi = (rho_act.min(), rho_act.max()) if rho_act.size else (1.0, 1.0)
     if not (0.0 <= lo and hi < np.inf):        # a NaN fails both
         return LayerTable(rail, rho_act, False, lo, hi)
@@ -156,16 +306,27 @@ def layer_table(w_pos, w_neg, rho_act) -> LayerTable:
                       True, lo, hi)
 
 
+@_framed
 def _level_counts(codes, size):
     """``np.bincount(codes.ravel(), minlength=size)`` of [n, n_in] codes
-    below ``size``, a block of rows at a time: np.bincount copies its
-    input whole to intp."""
-    rows = max(1, BLOCK_BYTES // (8 * max(1, codes.shape[1])))
+    below ``size``, a block of rows at a time (``_intp_blocks``)."""
     counts = np.zeros(size, dtype=np.intp)
-    for start in range(0, codes.shape[0], rows):
-        counts += np.bincount(codes[start:start + rows].ravel(),
-                              minlength=size)
+    for _, ints in _intp_blocks(codes):
+        counts += np.bincount(ints.ravel(), minlength=size)
     return counts
+
+
+def _intp_blocks(codes):
+    """(first row, the rows cast to intp) for each block of rows of the
+    [n, n_in] ``codes``, cast into one scratch block within ``BLOCK_BYTES /
+    8``: np.bincount and np.take copy any other index whole to intp."""
+    n, n_in = codes.shape
+    rows = max(1, BLOCK_BYTES // (64 * max(1, n_in)))
+    ints = WORKSPACE.take((min(rows, n), n_in), _INTP)
+    for start in range(0, n, rows):
+        block = ints[:len(codes[start:start + rows])]
+        np.copyto(block, codes[start:start + rows])
+        yield start, block
 
 
 def _table_pays(n_levels, n, n_out):
@@ -194,6 +355,7 @@ def _input_major_pays(n_in, n, n_out):
     return 1 < n_in and n_in * (1000 + n * n_out) < 58 * n * n_out
 
 
+@_framed
 def _level_gemm(idx, levels, present, signed, hi):
     """The noisy product of inputs on ``levels``, split by what the clamp
     does. ``idx`` holds each input's level index, ``present`` each level's
@@ -214,8 +376,8 @@ def _level_gemm(idx, levels, present, signed, hi):
     its one-hot mask against that clamped table.
 
     The GEMMs take a ``BLOCK_BYTES`` block of rows at a time, so a call
-    holds one block of float inputs or masks, and builds each clamped
-    table once for all its rows."""
+    holds one block of float inputs or masks (scratch), and builds each
+    clamped table once for all its rows."""
     (n, n_in), n_out = idx.shape, signed.shape[0]
     out = np.zeros((n, n_out))
     used = present > 0
@@ -225,14 +387,24 @@ def _level_gemm(idx, levels, present, signed, hi):
     direct = _direct_pays(np.where(used & ~never, present, 0), n,
                           n_in, n_out)
     if direct.any():
-        _direct_sums(out, idx, levels, direct, signed)
+        with WORKSPACE:
+            _direct_sums(out, idx, levels, direct, signed)
     step = max(1, BLOCK_BYTES // (8 * max(1, n_in)))
     blocks = [slice(start, start + step) for start in range(0, n, step)]
     if never.any():
         values = np.where(never, levels, 0.0)
-        for rows in blocks:
-            out[rows] += values[idx[rows]] @ signed.T
-    buf = np.empty((min(step, n), n_in))
+        with WORKSPACE:
+            vals = WORKSPACE.take((min(step, n), n_in))
+            for rows in blocks:
+                codes = idx[rows]
+                with WORKSPACE:
+                    for start, ints in _intp_blocks(codes):
+                        # mode "clip" writes into ``out`` unbuffered; no
+                        # code is out of range
+                        np.take(values, ints, mode="clip",
+                                out=vals[start:start + len(ints)])
+                out[rows] += vals[:len(codes)] @ signed.T
+    buf = WORKSPACE.take((min(step, n), n_in))
     table = np.empty_like(signed)
     # Python ints, which compare with uint8 codes without a cast
     for l in np.flatnonzero(used & ~never & ~direct).tolist():
@@ -267,11 +439,14 @@ def _direct_sums(out, idx, levels, direct, signed):
     (sample, input) pairs at a time, each block's [n_out, pairs] products
     within ``BLOCK_BYTES``."""
     flat = np.flatnonzero(direct[idx])     # grouped by sample
-    pairs = max(1, BLOCK_BYTES // (signed.shape[0] * 8))
+    n_out = signed.shape[0]
+    pairs = max(1, BLOCK_BYTES // (n_out * 8))
+    space = WORKSPACE.take((n_out * min(pairs, flat.size),))
     for start in range(0, flat.size, pairs):
         block = flat[start:start + pairs]
         rows, cols = np.divmod(block, idx.shape[1])
-        prod = np.take(signed, cols, axis=1)
+        prod = space[:n_out * block.size].reshape(n_out, block.size)
+        np.take(signed, cols, axis=1, out=prod, mode="clip")
         prod *= levels[np.take(idx, block)]
         np.clip(prod, -1.0, 1.0, out=prod)
         first = np.flatnonzero(np.diff(rows, prepend=-1))
@@ -292,13 +467,18 @@ def _blocked_broadcast(acts, table, rail=None):
     n = acts.shape[0]
     out = np.empty((n, table.shape[0]))
     rows = max(1, BLOCK_BYTES // max(1, table.size * 8))
-    buf = np.empty((min(rows, n),) + table.shape)
-    clamped = np.empty((min(rows, n), table.shape[1]))
+    buf = WORKSPACE.take((min(rows, n),) + table.shape)
+    clamped = WORKSPACE.take((min(rows, n), table.shape[1]))
     for start in range(0, n, rows):
-        block = acts[start:start + rows]
-        a_eff = buf[:block.shape[0]]
+        m = min(rows, n - start)
+        if isinstance(acts, Windows):
+            acts.copy_rows(start, clamped[:m])
+            block = clamped[:m]
+        else:
+            block = acts[start:start + m]
+        a_eff = buf[:m]
         if rail is None:
-            block = np.maximum(block, 0.0, out=clamped[:block.shape[0]])
+            block = np.maximum(block, 0.0, out=clamped[:m])
         np.einsum("sk,ok->sok", block, table, out=a_eff)
         _clip(a_eff, rail)
         np.sum(a_eff, axis=2, out=out[start:start + rows])
@@ -319,16 +499,21 @@ def _input_major(acts, table, rail=None):
     n_out, n_in = table.shape
     out = np.empty((n, n_out))
     rows = max(1, BLOCK_BYTES // max(1, table.size * 8))
-    buf = np.empty((n_in, n_out, min(rows, n)))
-    inputs = np.empty((n_in, min(rows, n)))
+    buf = WORKSPACE.take((n_in, n_out, min(rows, n)))
+    inputs = WORKSPACE.take((n_in, min(rows, n)))
     for start in range(0, n, rows):
-        block = acts[start:start + rows].T
-        a = inputs[:, :block.shape[1]]
+        m = min(rows, n - start)
+        a = inputs[:, :m]
+        if isinstance(acts, Windows):
+            acts.copy_rows(start, a.T)
+            block = a
+        else:
+            block = acts[start:start + m].T
         if rail is None:
             np.maximum(block, 0.0, out=a)
-        else:
+        elif block is not a:
             a[...] = block
-        a_eff = buf[:, :, :block.shape[1]]
+        a_eff = buf[:, :, :m]
         np.einsum("ks,ok->kos", a, table, out=a_eff)
         _clip(a_eff, None if rail is None else rail.T[:, :, None])
         _pairwise_sum(a_eff)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import BLOCK_BYTES, MAX_LEVELS
+from ._kernels import BLOCK_BYTES, MAX_LEVELS, WORKSPACE, Windows
 from .errors import DomainError
 
 # Budget of the largest float64 array one chunk of a walk holds (``chunks``).
@@ -295,17 +295,21 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, in
     """Unfold [n, c, h, w] into patch columns [n, positions, c*kh*kw].
 
     Valid padding; patch element order is (channel, ky, kx) row-major, the
-    same order used to flatten conv kernels.
+    same order used to flatten conv kernels. The patches of a 1x1 kernel
+    are ``x`` reshaped (a view at stride 1); others are a copy that, inside
+    a frame of ``_kernels.WORKSPACE``, is scratch lent until it exits.
     """
-    n, c, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    if oh <= 0 or ow <= 0:
+    win = _windows(x, kh, kw, stride)
+    return (win.patches(), *win.view.shape[1:3])
+
+
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> Windows:
+    """The sliding windows of ``im2col``'s patches, uncopied."""
+    if x.shape[2] < kh or x.shape[3] < kw:
         raise DomainError("kernel larger than input")
     win = np.lib.stride_tricks.sliding_window_view(
         x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, c * kh * kw)
-    return cols, oh, ow
+    return Windows(win.transpose(0, 2, 3, 1, 4, 5))
 
 
 def _apply_pool(x: np.ndarray, window: int, mode: str) -> np.ndarray:
@@ -362,13 +366,22 @@ def exact_dot(li: int, layer: Layer, v) -> np.ndarray:
 
 
 def _conv(li: int, layer: Layer, a, dot) -> np.ndarray:
+    """The conv layer ``li`` over ``a`` (see ``forward``)."""
     oc, ic, kh, kw = layer.weights.shape
     if len(a.shape) != 4 or a.shape[1] != ic:
         raise DomainError("conv input must be [n, in_c, h, w]")
-    cols, oh, ow = im2col(getattr(a, "codes", a), kh, kw, layer.stride)
-    cols = replace(a, codes=cols) if isinstance(a, Codes) else cols
-    return dot(li, layer, cols).transpose(0, 2, 1).reshape(a.shape[0], oc,
-                                                           oh, ow)
+    with WORKSPACE:
+        if getattr(dot, "windows", False) and not isinstance(a, Codes):
+            cols = _windows(a, kh, kw, layer.stride)
+            oh, ow = cols.view.shape[1:3]
+        else:
+            cols, oh, ow = im2col(getattr(a, "codes", a), kh, kw,
+                                  layer.stride)
+            cols = replace(a, codes=cols) if isinstance(a, Codes) else cols
+        out = dot(li, layer, cols)
+    n = a.shape[0]
+    return out.reshape(n, oh * ow, oc).transpose(0, 2, 1).reshape(n, oc,
+                                                                  oh, ow)
 
 
 def forward(model: QuantModel, a: np.ndarray, dot,
@@ -378,7 +391,11 @@ def forward(model: QuantModel, a: np.ndarray, dot,
 
     ``dot(li, layer, v)`` computes the dot products of weighted layer ``li``:
     ``v`` is [n, in] for FC layers and the im2col patches [n, positions,
-    depth] for conv layers, and the result is [..., out]. Everything else
+    depth] for conv layers, and the result is [..., out]. A ``dot`` with a
+    true ``windows`` attribute gets a conv layer's float inputs as their
+    uncopied ``_kernels.Windows`` instead, and may return [n * positions,
+    out]. Patches are scratch of ``_kernels.WORKSPACE`` until ``dot``
+    returns. Everything else
     (batch norm, nonlinearities, quantization, pooling) runs exactly here.
     A quantizer hands on ``Codes`` only where a binarized layer's ``dot``
     reads them (``_codes_read``), and only max pooling, reshapes and im2col
@@ -529,20 +546,22 @@ def walk(model: QuantModel, a, dot, folded: bool = False) -> np.ndarray:
 
 
 def as_batch(x) -> tuple[np.ndarray, bool]:
-    """``x`` as a float64 batch, and whether it was one unbatched sample."""
+    """``x`` as a float64 batch, and whether it was one unbatched sample.
+    An empty batch, which has neither logits nor accuracy, is a
+    DomainError."""
     a = np.asarray(x, dtype=np.float64)
     single = a.ndim in (1, 3)
+    if not single and a.shape[:1] == (0,):
+        raise DomainError("an empty batch has no logits or accuracy")
     return (a[None] if single else a), single
 
 
 def batch_labels(y, n: int, single: bool) -> np.ndarray:
     """``y`` as the labels of a batch of ``n`` samples, one per sample:
     shape [n], or a scalar for one unbatched sample (``single``). Any other
-    shape, which numpy would broadcast against the predictions, and an
-    empty batch, which has no accuracy, are a DomainError."""
+    shape, which numpy would broadcast against the predictions, is a
+    DomainError."""
     labels = np.asarray(y)
-    if n < 1:
-        raise DomainError("an empty batch has no accuracy")
     if labels.shape != (n,) and not (single and labels.shape == ()):
         raise DomainError(f"labels of shape {labels.shape} for a batch of "
                           f"{n} samples; they must have shape ({n},)")

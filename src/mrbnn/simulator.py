@@ -27,8 +27,11 @@ the summation order differs from the element-wise form, which a layer fed
 by values (the toy MLP's 8 raw features) runs, input-major with the same
 bits when it has few inputs.
 A walk takes the batch in balanced chunks of samples (``bnn.chunks``), so
-it holds one chunk's patches and activations, and builds each conv layer's
-signed table once (``_kernels.layer_table``), not once per chunk.
+it holds one chunk's activations, and builds each conv layer's signed
+table once (``_kernels.layer_table``), not once per chunk. The kernel
+reads a conv layer's float inputs straight from their sliding windows, and
+takes its blocks, codes patches and FC tables from a scratch workspace
+that lasts across calls (``_kernels.WORKSPACE``).
 An FPV sweep computes the comb's nominal transmission once, each map's
 ratios for every tuning fraction in one call, and one full-tuning test of
 all of a map's rows; it walks the layers once per (map, fraction), as
@@ -578,14 +581,21 @@ def _photonic_logits(model: QuantModel, batch: np.ndarray,
     gets a quantizer's codes as the walk carries them. A conv layer's
     ``_kernels.layer_table`` is built when the first part of the batch
     reaches it and serves every part; an FC layer, which the walk calls
-    once per chunk, builds its own per call, so that its table is not
-    held while the convs walk the next chunk. ``rails`` maps layer indices
-    to their ``_dual_rail``, and a layer it lacks gets its rails built
-    then. ``ideal`` says that every ratio is exactly 1."""
+    once per chunk, builds its own per call, so that its table is not held
+    while the convs walk the next chunk. The kernel's scratch comes from
+    ``_kernels.WORKSPACE`` in a conv layer's frame (see ``bnn.forward``)
+    and in one an FC layer opens for its table, unless that table is under
+    ``_kernels.SMALL_BYTES``: a small layer allocates as usual. The kernel
+    reads a conv layer's float inputs straight from their sliding windows
+    (``_kernels.Windows``), with no patches copied. ``rails`` maps layer
+    indices to their ``_dual_rail``, and a layer it lacks gets its rails
+    built then. ``ideal`` says that every ratio is exactly 1."""
     tables = {}
 
     def photonic_dot(li, layer, v):
         if not layer.binarized:
+            if isinstance(v, _kernels.Windows):
+                v = v.patches()
             return exact_dot(li, layer, v)
         if ideal:
             # clip(v * 1) * rail summed is clip(v) @ sign(W). Values in
@@ -598,20 +608,30 @@ def _photonic_logits(model: QuantModel, batch: np.ndarray,
                                out=None if vals is v else vals)
             return exact_dot(li, layer, vals)
         if li in tables:
-            w_pos, w_neg, table = tables[li]
-        else:
-            w_pos, w_neg = rails[li] if li in rails else _dual_rail(layer)
-            table = _kernels.layer_table(w_pos, w_neg,
-                                         rho_act[mapping.mr_index[li]])
-            if layer.kind is LayerKind.CONV2D:
-                tables[li] = w_pos, w_neg, table
+            return noisy(v, *tables[li])
+        w_pos, w_neg = rails[li] if li in rails else _dual_rail(layer)
+        if layer.kind is LayerKind.CONV2D:
+            tables[li] = w_pos, w_neg, _kernels.layer_table(
+                w_pos, w_neg, rho_act[mapping.mr_index[li]])
+            return noisy(v, *tables[li])
+        if 8 * w_pos.size < _kernels.SMALL_BYTES:     # too small to lend
+            return noisy(v, w_pos, w_neg, _kernels.layer_table(
+                w_pos, w_neg, rho_act[mapping.mr_index[li]]))
+        with _kernels.WORKSPACE:
+            return noisy(v, w_pos, w_neg, _kernels.layer_table(
+                w_pos, w_neg, rho_act[mapping.mr_index[li]],
+                _kernels.WORKSPACE.take(w_pos.shape)))
+
+    def noisy(v, w_pos, w_neg, table):
         acts, levels = ((v.codes, v.levels) if isinstance(v, Codes)
                         else (v, None))
-        out = _kernels.noisy_fc_forward(
-            acts.reshape(-1, acts.shape[-1]), w_pos, w_neg, table,
-            levels=levels)
-        return out.reshape(*acts.shape[:-1], -1)
+        if not isinstance(acts, _kernels.Windows):
+            acts = acts.reshape(-1, acts.shape[-1])
+        out = _kernels.noisy_fc_forward(acts, w_pos, w_neg, table,
+                                        levels=levels)
+        return out.reshape(*v.shape[:-1], -1)
 
+    photonic_dot.windows = not ideal    # the noisy kernel reads windows
     return walk(model, batch, photonic_dot, folded=True)
 
 

@@ -541,6 +541,13 @@ class TestAccuracyLabels:
         with pytest.raises(DomainError, match="empty batch"):
             accuracy(model, x[:0], y[:0])
 
+    @pytest.mark.parametrize("name", ["fc", "conv"])
+    def test_empty_batch_has_no_logits(self, name):
+        model, x = raw_input_models()[name]
+        for folded in (False, True):
+            with pytest.raises(DomainError, match="empty batch"):
+                reference_inference(model, x[:0], folded=folded)
+
     def test_is_the_mean_of_the_matches(self, toy):
         model, x, y = toy
         _, classes = reference_inference(model, x)
@@ -720,9 +727,25 @@ def raw_input_models():
             "raw-conv": (raw_conv, rng.uniform(-0.2, 1.2, (5, 1, 6, 6)))}
 
 
+def warm_up_walk():
+    """A reference walk of a conv model whose shapes no test model has, so
+    that the kernels' workspace holds its scratch from another model."""
+    rng = np.random.Generator(np.random.PCG64(79))
+    model = QuantModel((
+        conv_layer(rng.normal(size=(7, 2, 3, 3))), activation_layer(),
+        pool_layer(2), conv_layer(rng.normal(size=(9, 7, 2, 2))),
+        activation_layer(), fc_layer(rng.normal(size=(4, 324)))))
+    reference_inference(model, rng.uniform(0.0, 1.0, (23, 2, 16, 16)))
+
+
 class TestWalkKeepsItsInputs:
     """The walk works in place only on arrays it allocated: never on the
-    caller's batch, nor on what a dot callback returned."""
+    caller's batch, nor on what a dot callback returned; each test runs
+    after a walk of another model (``warm_up_walk``)."""
+
+    @pytest.fixture(autouse=True)
+    def warm_workspace(self):
+        warm_up_walk()
 
     @pytest.mark.parametrize("folded", [False, True])
     @pytest.mark.parametrize("name", list(raw_input_models()))

@@ -20,7 +20,7 @@ from mrbnn.simulator import (ChipFpvMap, LossBudget, _perturbation_ratios,
                              noisy_inference, path_loss_db, pipeline_time,
                              power_and_epb, required_bandwidth_gb_s,
                              tuning_power_budget)
-from test_bnn import BAD_LABELS, raw_input_models
+from test_bnn import BAD_LABELS, raw_input_models, warm_up_walk
 from test_tuning import bank_budget
 
 
@@ -682,7 +682,16 @@ def dispatch_model(case, rng, bits=2):
 class TestWalkKeepsItsInputs:
     """The noisy walk writes into neither the caller's batch nor what a
     binarized or ECU layer's dot returned; a non-finite binarized weight
-    fails as ``bnn.binarize`` says."""
+    fails as ``bnn.binarize`` says. Each test runs after noisy and
+    reference walks of other models, whose scratch the kernels' workspace
+    then holds."""
+
+    @pytest.fixture(autouse=True)
+    def warm_workspace(self, env, eo_cfg):
+        warm_up_walk()
+        model, x = dispatch_model("conv-sim",
+                                  np.random.Generator(np.random.PCG64(83)))
+        noisy_inference(model, x, None, eo_cfg, env, 0.5, seed=5)
 
     @pytest.fixture
     def returned(self, monkeypatch):
@@ -977,6 +986,18 @@ class TestLabels:
                                            base_seed=0)):
             with pytest.raises(DomainError, match="labels of shape"):
                 call()
+
+    @pytest.mark.parametrize("name", ["fc", "conv"])
+    def test_empty_batch(self, env, eo_cfg, name):
+        model, x = raw_input_models()[name]
+        y = np.zeros(0, dtype=int)
+        for labels in (None, y):
+            with pytest.raises(DomainError, match="empty batch"):
+                noisy_inference(model, x[:0], labels, eo_cfg, env, 0.5,
+                                seed=0)
+            with pytest.raises(DomainError, match="empty batch"):
+                fpv_accuracy_sweep(model, x[:0], labels, eo_cfg, env, [0.5],
+                                   n_maps=1, base_seed=0)
 
     def test_accuracy_is_the_mean_of_the_matches(self, env, eo_cfg,
                                                  toy_model, toy_data):
