@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,9 +88,13 @@ class Layer:
         """Weights seen by inference: sign(shadow) when binarized."""
         return binarize(self.weights) if self.binarized else self.weights
 
-    @property
-    def parameter_count(self) -> int:
-        return 0 if self.weights is None else int(self.weights.size)
+
+class LayerShape(NamedTuple):
+    """The dot products of one weighted layer (``QuantModel.shapes``)."""
+
+    li: int         # the layer's index in ``QuantModel.layers``
+    n_out: int      # its weight rows: FC outputs, conv output channels
+    n_in: int       # the length of a row: an FC input, a conv patch
 
 
 def fc_layer(weights, binarized=True) -> Layer:
@@ -156,9 +160,12 @@ class QuantModel:
                         f"channel mismatch: {channels} weighted-layer outputs "
                         f"vs BN vectors of shape {sorted(shapes)}")
 
-    @property
-    def parameter_count(self) -> int:
-        return sum(l.parameter_count for l in self.layers)
+    @functools.cached_property
+    def shapes(self) -> tuple[LayerShape, ...]:
+        """One ``LayerShape`` per weighted layer, in layer order."""
+        return tuple(LayerShape(li, l.weights.shape[0],
+                                math.prod(l.weights.shape[1:]))
+                     for li, l in enumerate(self.layers) if l.weighted)
 
     @functools.cached_property
     def _tail(self) -> tuple[int, int]:
@@ -166,12 +173,10 @@ class QuantModel:
         and the elements of the largest array a walk holds per sample from
         that layer on: the widest input or output of its FC layers, whose
         widths chain (a conv or pool layer after it cannot run)."""
-        for split, layer in enumerate(self.layers):
-            if layer.kind is LayerKind.FULLY_CONNECTED:
-                return split, max(max(l.weights.shape)
-                                  for l in self.layers[split:]
-                                  if l.kind is LayerKind.FULLY_CONNECTED)
-        return len(self.layers), 0
+        fcs = [s for s in self.shapes
+               if self.layers[s.li].kind is LayerKind.FULLY_CONNECTED]
+        return ((fcs[0].li, max(max(s.n_out, s.n_in) for s in fcs)) if fcs
+                else (len(self.layers), 0))
 
     def weighted_layers(self) -> list[Layer]:
         return [l for l in self.layers if l.weighted]

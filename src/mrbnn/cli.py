@@ -164,13 +164,13 @@ def cmd_simulate(args, cfg: cfgmod.ToolkitConfig) -> int:
     noisy = simulator.noisy_inference(model, data.x_test, data.y_test, arch,
                                       env, fraction, cfg.experiment.map_seed,
                                       chip_map=chip_map)
-    report = simulator.power_and_epb(model, arch, env,
+    structure = ModelStructure.from_model(model)
+    report = simulator.power_and_epb(structure, arch, env,
                                      tuning_fraction=fraction,
                                      seed=cfg.experiment.map_seed,
                                      noisy_accuracy=noisy.accuracy,
                                      chip_map=chip_map)
-    timing = simulator.pipeline_time(ModelStructure.from_model(model),
-                                     arch, env)
+    timing = simulator.pipeline_time(structure, arch, env)
     out = report.to_dict()
     out["pipeline_steps"] = timing.steps
     out["pipeline_buffered_steps"] = timing.buffered_steps

@@ -2,14 +2,14 @@
 
 Every output element of a layer is a dot product; dot products are split
 into sub-vectors of at most ``n_a`` elements, summed by per-arm
-photodetectors and then across arms. The work plan (``build_work_plan``) is
-the one slicing rule: ``decompose_fc`` and ``decompose_conv`` cut their
-vectors at its ``offset`` column. ``slice_arm`` is the one slot rule: the
-slices of a layer go round-robin over (VDP unit, arm), and both the plan and
-``simulator.build_photonic_mapping`` place them by it. The same wavelength
-comb is reused by every arm, so the unique wavelength count equals the
-per-arm activation MR count, independent of the number of arms and VDP
-units.
+photodetectors and then across arms. ``chunks_per_row`` is the one slicing
+rule: the work plan, the MR mapping (``simulator.build_photonic_mapping``)
+and ``decompose_fc`` / ``decompose_conv`` cut weight rows by it, a model's
+rows being those ``QuantModel.shapes`` lists. ``slice_arm`` is the one slot
+rule: the slices of a layer go round-robin over (VDP unit, arm), and the
+plan and the MR mapping place them by it. The same wavelength comb is reused
+by every arm, so the unique wavelength count equals the per-arm activation
+MR count, independent of the number of arms and VDP units.
 
 Two readings of ``n_a`` coexist deliberately: throughput equations use
 ``n_a * n_wg`` weights per VDP per step, while physical per-arm MR counts
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnn import Layer, QuantModel, conv_layer, fc_layer, im2col
+from .bnn import QuantModel, im2col
 from .errors import DomainError, PhysicalConstraintError
 from .photonics import RingClass
 
@@ -143,20 +143,23 @@ class DotDecomposition:
         return total
 
 
-def _decompose(layer: Layer, vectors: np.ndarray, grid: tuple[int, ...],
+def chunks_per_row(n_in: int, n_a: int) -> int:
+    """The slicing rule: a row of ``n_in`` elements takes ceil(n_in / n_a)
+    slices of at most ``n_a`` elements, slice c starting at c * n_a."""
+    return -(-n_in // n_a)
+
+
+def _decompose(w: np.ndarray, vectors: np.ndarray, grid: tuple[int, ...],
                granularity: int) -> list[DotDecomposition]:
-    """Pair every weight row of ``layer`` with every activation vector (one
-    per point of ``grid``), both split at the slice bounds the work plan
-    gives the layer at n_a = ``granularity``."""
+    """Pair every weight row of ``w`` [out, in] with every activation
+    vector (one per point of ``grid``), both cut into ``chunks_per_row``
+    slices at n_a = ``granularity``."""
     if granularity < 1:
         raise DomainError("granularity must be >= 1")
-    plan = build_work_plan(QuantModel((layer,)),
-                           AcceleratorConfig(granularity, 1, 1))
-    cuts = plan.slices["offset"][plan.slices["output"] == 0][1:]
-    rows = layer.weights.reshape(layer.weights.shape[0], -1)
+    cuts = granularity * np.arange(1, chunks_per_row(w.shape[1], granularity))
     return [DotDecomposition((r, *pos), tuple(np.split(row, cuts)),
                              tuple(np.split(vec, cuts)))
-            for r, row in enumerate(rows)
+            for r, row in enumerate(w)
             for pos, vec in zip(np.ndindex(*grid), vectors)]
 
 
@@ -166,7 +169,7 @@ def decompose_fc(weights, activations, granularity: int) -> list[DotDecompositio
     a = np.asarray(activations, dtype=np.float64)
     if w.ndim != 2 or a.ndim != 1 or w.shape[1] != a.size:
         raise DomainError("weights must be [out, in] matching activations")
-    return _decompose(fc_layer(w, binarized=False), a[None], (), granularity)
+    return _decompose(w, a[None], (), granularity)
 
 
 def decompose_conv(kernel, activations, granularity: int,
@@ -188,8 +191,8 @@ def decompose_conv(kernel, activations, granularity: int,
     if k.size == 0:
         raise DomainError("kernel must not be empty")
     cols, oh, ow = im2col(x[None], k.shape[2], k.shape[3], stride)
-    return _decompose(conv_layer(k, stride, binarized=False), cols[0],
-                      (oh, ow), granularity)
+    return _decompose(k.reshape(k.shape[0], -1), cols[0], (oh, ow),
+                      granularity)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +259,14 @@ def build_work_plan(model: QuantModel, cfg: AcceleratorConfig) -> WorkPlan:
     gains = model.fold_gains()
     parts = [np.zeros(0, SLICE_DTYPE)]
     steps: list[int] = []
-    for li, layer in enumerate(model.layers):
-        if not layer.weighted:
-            continue
-        rows, size = layer.weights.shape[0], layer.weights[0].size
-        chunks_per_row = math.ceil(size / cfg.n_a)
-        k = np.arange(rows * chunks_per_row)
+    for li, rows, size in model.shapes:
+        chunks = chunks_per_row(size, cfg.n_a)
+        k = np.arange(rows * chunks)
         slot = slice_arm(k, cfg)
         part = np.zeros(k.size, SLICE_DTYPE)
         part["layer"] = li
-        part["output"] = k // chunks_per_row
-        part["chunk"] = k % chunks_per_row
+        part["output"] = k // chunks
+        part["chunk"] = k % chunks
         part["offset"] = part["chunk"] * cfg.n_a
         part["length"] = np.minimum(cfg.n_a, size - part["offset"])
         part["vdp"] = slot // cfg.n_wg
@@ -319,5 +319,5 @@ class ModelStructure:
 
     @classmethod
     def from_model(cls, model: QuantModel, name: str = "model") -> "ModelStructure":
-        counts = tuple(l.parameter_count for l in model.weighted_layers())
+        counts = tuple(s.n_out * s.n_in for s in model.shapes)
         return cls(name, counts, activation_bits=model.activation_bits)

@@ -56,7 +56,7 @@ from .bnn import (Codes, LayerKind, QuantModel, as_batch, batch_labels,
 from .bnn import quantize_activation  # noqa: F401
 from .errors import DomainError, PhysicalConstraintError
 from .mapping import (AcceleratorConfig, ModelStructure, build_comb,
-                      slice_arm)
+                      chunks_per_row, slice_arm)
 # Nothing here calls build_work_plan (build_photonic_mapping places slices
 # by mapping.slice_arm), but bench/spans.py traces it at this binding.
 from .mapping import build_work_plan  # noqa: F401
@@ -281,7 +281,7 @@ def laser_power(n_lambda: int, total_loss_db: float,
 # pipeline timing
 # ---------------------------------------------------------------------------
 
-def pipeline_time(model, cfg: AcceleratorConfig,
+def pipeline_time(structure: ModelStructure, cfg: AcceleratorConfig,
                   env: SimulationEnvironment) -> PipelineTiming:
     """Total inference latency.
 
@@ -290,7 +290,7 @@ def pipeline_time(model, cfg: AcceleratorConfig,
     x = ceil(min(params, buffered params) / (N_w * N_VDP))
     delta_t = local buffer delay + vector distribution delay
     """
-    params = int(model.parameter_count)
+    params = structure.parameter_count
     per_step = cfg.weights_per_vdp_step * cfg.n_vdp
     steps = math.ceil(params / per_step) if params else 0
     buffered = min(params, env.delays.ecu_buffer_params)
@@ -487,7 +487,7 @@ def build_photonic_mapping(model: QuantModel,
     position ``col % n_a`` of the slice, on activation MR
     ``(col % n_a) % slots`` of the arm ``mapping.slice_arm`` gives the
     slice, as the work plan places it: slice ``row * chunks + col // n_a``
-    of the layer, ``chunks`` slices to a row.
+    of the layer, ``chunks`` (``mapping.chunks_per_row``) slices to a row.
     """
     cfg.validate()
     slots = cfg.arm_activation_mrs
@@ -496,11 +496,8 @@ def build_photonic_mapping(model: QuantModel,
     arms = cfg.n_vdp * cfg.n_wg
     used = np.zeros(arms * slots, dtype=bool)
     mr_index = {}
-    for li, layer in enumerate(model.layers):
-        if not layer.weighted:
-            continue
-        rows, size = layer.weights.shape[0], layer.weights[0].size
-        chunks = math.ceil(size / cfg.n_a)
+    for li, rows, size in model.shapes:
+        chunks = chunks_per_row(size, cfg.n_a)
         # the indices live through a whole noisy pass: the narrowest dtype
         # that holds every MR id and every sum below
         dt = np.min_scalar_type(max(used.size, arms + chunks))
@@ -831,19 +828,17 @@ def power_and_epb(model, cfg: AcceleratorConfig, env: SimulationEnvironment,
                   budget: ChipBudget | None = None) -> SimReport:
     """Full power/performance report for a model on a configuration.
 
-    ``model`` may be a QuantModel or a ModelStructure; only parameter counts
-    and bit widths are needed. A ``budget`` from ``chip_budget`` on the same
-    ``cfg`` takes the place of ``tuning_fraction``, ``seed`` and
-    ``chip_map``.
+    ``model`` is a ModelStructure, or a QuantModel taken as its
+    ``ModelStructure.from_model``, which ``pipeline_time`` reads. A
+    ``budget`` from ``chip_budget`` on the same ``cfg`` takes the place of
+    ``tuning_fraction``, ``seed`` and ``chip_map``.
     """
     if budget is None:
         budget = chip_budget(cfg, env, tuning_fraction, seed, chip_map)
     elif budget.cfg != cfg:
         raise DomainError("budget was computed for another configuration")
-    if isinstance(model, QuantModel):
-        structure = ModelStructure.from_model(model)
-    else:
-        structure = model
+    structure = (ModelStructure.from_model(model)
+                 if isinstance(model, QuantModel) else model)
     timing = pipeline_time(structure, cfg, env)
     total = sum(budget.power_breakdown_mw.values())
     bits = structure.total_bits

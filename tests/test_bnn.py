@@ -10,7 +10,7 @@ from mrbnn.bnn import (Layer, LayerKind, QuantModel, accuracy,
                        quantize_activation, reference_inference, ste_gradient,
                        ste_train)
 from mrbnn.errors import DomainError
-from mrbnn.mapping import AcceleratorConfig, build_work_plan
+from mrbnn.mapping import AcceleratorConfig, ModelStructure, build_work_plan
 
 
 def brute_conv2d(x, k, stride=1):
@@ -440,7 +440,7 @@ class TestModelConstruction:
     def test_parameter_count(self):
         model = QuantModel((fc_layer(np.ones((4, 2))), activation_layer(),
                             fc_layer(np.ones((3, 4)))))
-        assert model.parameter_count == 8 + 12
+        assert ModelStructure.from_model(model).parameter_count == 8 + 12
 
     def test_make_mlp_last_layer_full_precision(self):
         model = make_mlp([4, 8, 2], seed=0)

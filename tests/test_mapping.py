@@ -164,7 +164,8 @@ class TestWorkPlan:
             fc_layer(rng.normal(size=(3, 5)), binarized=False)))
         cfg = self.small_cfg()
         s = build_work_plan(model, cfg).slices
-        assert s["length"].sum() == model.parameter_count
+        assert (s["length"].sum()
+                == ModelStructure.from_model(model).parameter_count)
         assert np.array_equal(s["offset"], s["chunk"] * cfg.n_a)
         # count how often each weight of each layer is covered
         for li, layer in enumerate(model.layers):

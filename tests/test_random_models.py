@@ -7,7 +7,10 @@ without a quantizer of 1-6 bits over (0, 1) or (-1, 1), and 1-39 samples.
 At fraction 0.5, each model's logits walked in 4 KiB chunks and as one
 chunk, and the kernel's against the broadcast formula, agree within 1e-9.
 Each model runs with the kernels' workspace warm from the model before it,
-whose shapes differ.
+whose shapes differ. On every model, the photonic mapping matches the
+looped oracle under EO and PO, and the dots of a walk read and return the
+widths ``QuantModel.shapes`` gives. Full tuning reproduces the folded
+reference on the models whose binarized layers read inputs in [0, 1].
 """
 
 import numpy as np
@@ -16,8 +19,8 @@ import pytest
 from mrbnn import bnn, config
 from mrbnn.bnn import (QuantModel, activation_layer, batch_norm_layer,
                        conv_layer, fc_layer, pool_layer)
-from mrbnn.simulator import noisy_inference
-from test_simulator import broadcast_logits
+from mrbnn.simulator import build_photonic_mapping, noisy_inference
+from test_simulator import broadcast_logits, looped_mapping
 
 SEEDS = range(100)
 
@@ -100,3 +103,61 @@ def test_chunks_and_the_oracle_agree(env, eo_cfg, monkeypatch, seed):
     np.testing.assert_allclose(
         whole, broadcast_logits(model, x, eo_cfg, env, 0.5, 3),
         rtol=1e-9, atol=1e-9)
+
+
+def spied_walk(model, x):
+    """The folded exact logits of ``x`` (``bnn.walk`` with
+    ``bnn.exact_dot``), and for each weighted layer a list of (input width,
+    output width, smallest input, largest input), one per call of its dot."""
+    seen = {}
+
+    def dot(li, layer, v):
+        out = bnn.exact_dot(li, layer, v)
+        values = bnn.to_values(v)
+        seen.setdefault(li, []).append((v.shape[-1], out.shape[-1],
+                                        values.min(), values.max()))
+        return out
+
+    return bnn.walk(model, x, dot, folded=True), seen
+
+
+@pytest.mark.parametrize("arch", ["eo", "po"])
+def test_photonic_mapping_matches_looped_oracle(toolkit_config, arch):
+    # PO's n_a of 50 wraps each slice onto an arm's 5 activation rings
+    cfg = config.arch_config(toolkit_config, arch)
+    for seed in SEEDS:
+        model, _ = random_model(seed)
+        mapping = build_photonic_mapping(model, cfg)
+        want_index, want_ids = looped_mapping(model, cfg)
+        assert np.array_equal(mapping.mr_ids, want_ids), seed
+        assert mapping.mr_index.keys() == want_index.keys(), seed
+        for li, idx in want_index.items():
+            assert np.array_equal(mapping.mr_index[li], idx), (seed, li)
+
+
+def test_shapes_are_the_widths_the_walk_reads():
+    for seed in SEEDS:
+        model, x = random_model(seed)
+        _, seen = spied_walk(model, x)
+        assert seen.keys() == {s.li for s in model.shapes}, seed
+        for s in model.shapes:
+            assert {call[:2] for call in seen[s.li]} == {(s.n_in, s.n_out)}, \
+                (seed, s)
+
+
+def test_full_tuning_reproduces_the_folded_reference(env, eo_cfg):
+    # full tuning makes every ratio 1, and the optical clamp to [0, 1]
+    # leaves inputs in that range as they are
+    checked = 0
+    for seed in SEEDS:
+        model, x = random_model(seed)
+        ref, seen = spied_walk(model, x)
+        if not all(0.0 <= lo and hi <= 1.0
+                   for s in model.shapes if model.layers[s.li].binarized
+                   for _, _, lo, hi in seen[s.li]):
+            continue
+        noisy = noisy_inference(model, x, None, eo_cfg, env, 1.0, seed=seed)
+        np.testing.assert_allclose(noisy.logits, ref, rtol=1e-9, atol=1e-9,
+                                   err_msg=f"seed {seed}")
+        checked += 1
+    assert checked == 13
