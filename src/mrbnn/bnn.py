@@ -178,9 +178,6 @@ class QuantModel:
         return ((fcs[0].li, max(max(s.n_out, s.n_in) for s in fcs)) if fcs
                 else (len(self.layers), 0))
 
-    def weighted_layers(self) -> list[Layer]:
-        return [l for l in self.layers if l.weighted]
-
     def fold_gains(self) -> dict[int, np.ndarray]:
         """Weighted-layer index -> product of the C_fold of the BN layers
         between that layer and the next weighted one (layers with none are

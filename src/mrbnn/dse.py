@@ -13,10 +13,20 @@ folds and splits each bank once, TED-solves each (bank, rings per arm)
 group once on its longest head, and sums each configuration's prefix of
 those results; each configuration still gets the bits of a chip budget of
 its own.
+
+Each feasible configuration is then evaluated from its ``ChipBudget``
+alone: the power total is summed once, ``simulator.pipeline_time``
+evaluates the latency of every (configuration, model) pair as one
+[configurations, models] array, FPS and EPB come from the helper that
+``simulator.power_and_epb`` uses, and the means over models are one
+reduction of each row. Every value is, bit for bit, what a
+``power_and_epb`` report per pair gives. The Pareto filter compares blocks
+of points with all points as arrays, so its temporaries stay bounded.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -25,8 +35,11 @@ import numpy as np
 from .errors import DomainError, PhysicalConstraintError
 from .mapping import AcceleratorConfig, ModelStructure
 from . import simulator
-from .simulator import (ChipFpvMap, SimulationEnvironment, _fpv_bank,
-                        _tuned_chip_budget, power_and_epb)
+from .simulator import (ChipFpvMap, SimulationEnvironment, _fps_and_epb,
+                        _fpv_bank, _tuned_chip_budget)
+# Nothing here calls power_and_epb (a sweep reads each configuration's
+# ChipBudget), but bench/spans.py traces it at this binding.
+from .simulator import power_and_epb  # noqa: F401
 from .textio import render_csv
 
 
@@ -95,21 +108,32 @@ class ParetoResult:
         raise KeyError(key)
 
 
-def dominates(p: SweepPoint, q: SweepPoint) -> bool:
-    """p dominates q under (FPS max, power min, area min)."""
-    ge = (p.fps >= q.fps and p.power_mw <= q.power_mw
-          and p.area_mm2 <= q.area_mm2)
-    strict = (p.fps > q.fps or p.power_mw < q.power_mw
-              or p.area_mm2 < q.area_mm2)
-    return ge and strict
+# A dominance test compares a block of points with every point; the block
+# is sized so that each boolean temporary holds about this many cells.
+_PARETO_CELLS = 1 << 18
 
 
 def pareto_front(points: Sequence[SweepPoint]) -> list[bool]:
-    """Exact dominance filter (quadratic; sweeps are small)."""
-    flags = []
-    for q in points:
-        flags.append(not any(dominates(p, q) for p in points if p is not q))
-    return flags
+    """Exact dominance filter: True where no point is at least as good on
+    all of (FPS max, power min, area min) and strictly better on one.
+
+    Array comparisons of each block of points against all points keep
+    every temporary near ``_PARETO_CELLS`` booleans on any grid.
+    """
+    n = len(points)
+    fps, power, area = (
+        np.array([getattr(p, name) for p in points], dtype=np.float64)[:, None]
+        for name in ("fps", "power_mw", "area_mm2"))
+    dominated = np.zeros(n, dtype=bool)
+    block = max(1, _PARETO_CELLS // max(n, 1))
+    for lo in range(0, n, block):
+        # rows: every point p; columns: the block's points q
+        q = slice(lo, lo + block)
+        f, pw, a = fps[q, 0], power[q, 0], area[q, 0]
+        at_least = (fps >= f) & (power <= pw) & (area <= a)
+        better = (fps > f) | (power < pw) | (area < a)
+        dominated[q] = (at_least & better).any(axis=0)
+    return (~dominated).tolist()
 
 
 def _pick(points: Sequence[SweepPoint], objective) -> SweepPoint:
@@ -152,7 +176,6 @@ def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
     if not workload:
         raise DomainError("workload must contain at least one model")
     seed = spec.seed if seed is None else seed
-    points: list[SweepPoint] = []
     errors: list[tuple[tuple[int, int, int], str]] = []
     feasible = []
     for key in spec.grid():
@@ -169,25 +192,31 @@ def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
     # through the module, where bench/spans.py traces it
     tuned = simulator.tuning_power_budget(cfgs, env, chip_map,
                                           spec.tuning_fraction)
+    keys, budgets = [], []
     for (key, cfg), tuning_mw in zip(feasible, tuned):
         if isinstance(tuning_mw, PhysicalConstraintError):
             errors.append((key, str(tuning_mw)))
-            continue
-        budget = _tuned_chip_budget(cfg, env, tuning_mw)
-        reports = [power_and_epb(m, cfg, env, budget=budget)
-                   for m in workload]
-        fps = float(np.mean([r.fps for r in reports]))
-        epbs = [r.epb_pj_per_bit for r in reports
-                if r.epb_pj_per_bit is not None]
-        epb = float(np.mean(epbs)) if epbs else float("nan")
-        points.append(SweepPoint(
-            *key, fps=fps, epb_pj_per_bit=epb,
-            power_mw=reports[0].total_power_mw,
-            area_mm2=reports[0].area_mm2))
-    if not points:
+        else:
+            keys.append(key)
+            budgets.append(_tuned_chip_budget(cfg, env, tuning_mw))
+    if not budgets:
         raise DomainError("no feasible configuration in the sweep")
-    flags = pareto_front(points)
-    points = [replace(p, pareto=flag) for p, flag in zip(points, flags)]
+    # every (configuration, model) pair at once: [configurations, models]
+    power = [b.total_mw for b in budgets]
+    timing = simulator.pipeline_time(workload, [b.cfg for b in budgets], env)
+    bits = np.array([m.total_bits for m in workload], dtype=np.float64)
+    has_bits = bits > 0
+    fps, epb = _fps_and_epb(np.array(power)[:, None], timing.total_ns,
+                            np.where(has_bits, bits, np.nan))
+    # the mean over a row of a C-ordered array adds in the order np.mean
+    # of a list does (boolean indexing of columns returns another order)
+    fps = fps.mean(axis=1).tolist()
+    epb = (np.ascontiguousarray(epb[:, has_bits]).mean(axis=1).tolist()
+           if has_bits.any() else [math.nan] * len(budgets))
+    rows = [(*key, f, e, p, b.area_mm2)
+            for key, f, e, p, b in zip(keys, fps, epb, power, budgets)]
+    flags = pareto_front([SweepPoint(*row) for row in rows])
+    points = [SweepPoint(*row, pareto=flag) for row, flag in zip(rows, flags)]
     eo = _pick(points, lambda p: p.fps_per_watt)
     po = _pick(points, lambda p: p.fps)
     # SweepSpec repeats no value, so keys are unique and this is grid order

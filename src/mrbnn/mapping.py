@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,13 +78,14 @@ class AcceleratorConfig:
             return self.n_a
         return math.ceil(self.n_a / self.n_wg)
 
-    @property
+    @cached_property
     def arm_banks(self) -> tuple[tuple[RingClass, int], ...]:
         """What one arm carries: (ring class, rings per arm) of each bank.
 
         In order: the activation bank, the positive and the negative weight
         rail (each rail of a dual-rail binary weight on its own single-bit
-        ring, one per activation slot) and the broadband filter.
+        ring, one per activation slot) and the broadband filter. Kept after
+        the first read: a sweep reads it hundreds of times per pass.
         """
         slots = self.arm_activation_mrs
         return ((RingClass.MULTI_BIT, slots), (RingClass.SINGLE_BIT, slots),

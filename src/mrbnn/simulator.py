@@ -199,6 +199,8 @@ class SimReport:
 
 @dataclass(frozen=True)
 class PipelineTiming:
+    """One pair's latency, or a grid's as arrays (``pipeline_time``)."""
+
     total_ns: float
     steps: int                # X of the total-time equation
     buffered_steps: int       # x: steps covered by one ECU buffer fill
@@ -281,25 +283,37 @@ def laser_power(n_lambda: int, total_loss_db: float,
 # pipeline timing
 # ---------------------------------------------------------------------------
 
-def pipeline_time(structure: ModelStructure, cfg: AcceleratorConfig,
-                  env: SimulationEnvironment) -> PipelineTiming:
-    """Total inference latency.
+def pipeline_time(structure, cfg, env: SimulationEnvironment) -> PipelineTiming:
+    """Total inference latency of a ModelStructure on an AcceleratorConfig.
 
     total = T_del + delta_t * X + (ECU buffering delay) * x
     X = ceil(params / (N_w * N_VDP)),   N_w = n_a * n_wg
     x = ceil(min(params, buffered params) / (N_w * N_VDP))
     delta_t = local buffer delay + vector distribution delay
+
+    Given a sequence of structures and a sequence of configurations, it
+    evaluates the equation once over the [configurations, models] grid:
+    ``total_ns``, ``steps`` and ``buffered_steps`` are then arrays of that
+    shape, each entry bit for bit the value of that pair alone.
     """
-    params = structure.parameter_count
-    per_step = cfg.weights_per_vdp_step * cfg.n_vdp
-    steps = math.ceil(params / per_step) if params else 0
-    buffered = min(params, env.delays.ecu_buffer_params)
-    buffered_steps = math.ceil(buffered / per_step) if buffered else 0
+    grid = not isinstance(structure, ModelStructure)
+    structures = structure if grid else [structure]
+    cfgs = cfg if grid else [cfg]
+    params = np.array([s.parameter_count for s in structures],
+                      dtype=np.int64)
+    per_step = np.array([c.weights_per_vdp_step * c.n_vdp for c in cfgs],
+                        dtype=np.int64)[:, None]
+    buffered = np.minimum(params, env.delays.ecu_buffer_params)
+    steps = np.ceil(params / per_step).astype(np.int64)
+    buffered_steps = np.ceil(buffered / per_step).astype(np.int64)
     cycle = env.delays.cycle_ns
     delta_t = cycle + cycle
     t_del = env.delays.resolve_t_del(env.power, env.tuning_params)
     total = t_del + delta_t * steps + cycle * buffered_steps
-    return PipelineTiming(total, steps, buffered_steps, delta_t, t_del)
+    if grid:
+        return PipelineTiming(total, steps, buffered_steps, delta_t, t_del)
+    return PipelineTiming(float(total[0, 0]), int(steps[0, 0]),
+                          int(buffered_steps[0, 0]), delta_t, t_del)
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +797,10 @@ class ChipBudget:
     power_breakdown_mw: dict[str, float]
     area_mm2: float
 
+    @property
+    def total_mw(self) -> float:
+        return sum(self.power_breakdown_mw.values())
+
 
 def chip_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
                 tuning_fraction: float = 0.8, seed: int = 0,
@@ -821,6 +839,13 @@ def _tuned_chip_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
     return ChipBudget(cfg, breakdown, area_estimate(cfg, env))
 
 
+def _fps_and_epb(total_mw, total_ns, bits):
+    """Frames per second and energy per bit [pJ/bit] of an inference of
+    ``bits`` bits that takes ``total_ns`` at ``total_mw``; element-wise
+    over arrays, and NaN EPB where ``bits`` is NaN."""
+    return 1e9 / total_ns, total_mw * total_ns / bits
+
+
 def power_and_epb(model, cfg: AcceleratorConfig, env: SimulationEnvironment,
                   tuning_fraction: float = 0.8, seed: int = 0,
                   noisy_accuracy: float | None = None,
@@ -840,14 +865,13 @@ def power_and_epb(model, cfg: AcceleratorConfig, env: SimulationEnvironment,
     structure = (ModelStructure.from_model(model)
                  if isinstance(model, QuantModel) else model)
     timing = pipeline_time(structure, cfg, env)
-    total = sum(budget.power_breakdown_mw.values())
+    total = budget.total_mw
     bits = structure.total_bits
-    epb = total * timing.total_ns / bits if bits else None
-    fps = 1e9 / timing.total_ns
+    fps, epb = _fps_and_epb(total, timing.total_ns, bits or math.nan)
     return SimReport(
         fps=fps, total_power_mw=total,
         power_breakdown_mw=dict(budget.power_breakdown_mw),
-        epb_pj_per_bit=epb, area_mm2=budget.area_mm2,
+        epb_pj_per_bit=epb if bits else None, area_mm2=budget.area_mm2,
         inference_time_ns=timing.total_ns, noisy_accuracy=noisy_accuracy,
         required_bandwidth_gb_s=required_bandwidth_gb_s(
             cfg, env, structure.activation_bits))

@@ -444,7 +444,7 @@ class TestModelConstruction:
 
     def test_make_mlp_last_layer_full_precision(self):
         model = make_mlp([4, 8, 2], seed=0)
-        fcs = model.weighted_layers()
+        fcs = [l for l in model.layers if l.weighted]
         assert fcs[0].binarized and not fcs[1].binarized
 
 
@@ -452,10 +452,10 @@ class TestSteTrain:
     def test_zero_lr_keeps_weights(self):
         data = make_blobs(64, 16, 4, 2, 0.2, 1)
         model = make_mlp([4, 8, 2], seed=3)
-        before = [l.weights.copy() for l in model.weighted_layers()]
+        before = [l.weights.copy() for l in model.layers if l.weighted]
         trained, _ = ste_train(model, data.x_train, data.y_train,
                                epochs=5, lr=0.0)
-        after = [l.weights for l in trained.weighted_layers()]
+        after = [l.weights for l in trained.layers if l.weighted]
         for b, a in zip(before, after):
             assert np.array_equal(b, a)
 
@@ -487,7 +487,7 @@ class TestSteTrain:
         x = np.array([[1.0], [-1.0]])
         y = np.array([[1.0], [-1.0]])
         trained, _ = ste_train(model, x, y, epochs=1, lr=0.1, loss="mse")
-        w = trained.weighted_layers()[0].weights[0, 0]
+        w = next(l for l in trained.layers if l.weighted).weights[0, 0]
         assert w == pytest.approx(0.1, rel=1e-12)
         logits, _ = reference_inference(trained, x)
         assert np.array_equal(np.sign(logits[:, 0]), y[:, 0])
@@ -505,8 +505,8 @@ class TestSteTrain:
             model = make_mlp([4, 8, 2], seed=3)
             trained, losses = ste_train(model, data.x_train, data.y_train,
                                         epochs=10, lr=0.05)
-            runs.append((trained.weighted_layers()[0].weights.copy(),
-                         tuple(losses)))
+            first = next(l for l in trained.layers if l.weighted)
+            runs.append((first.weights.copy(), tuple(losses)))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
@@ -653,7 +653,7 @@ class TestTrainerRunsInferenceWalk:
         model = ordered_model(order, quantize=False)
         x, y = order_data()
         grads = ste_gradient(model, x, y, loss="mse")
-        base = [l.effective_weights() for l in model.weighted_layers()]
+        base = [l.effective_weights() for l in model.layers if l.weighted]
 
         def loss_at(weights):
             it = iter(weights)
@@ -761,7 +761,7 @@ class TestWalkKeepsItsInputs:
 
         logits = bnn.forward(model, x, dot, folded)
         assert x.tobytes() == before
-        assert len(returned) == len(model.weighted_layers())
+        assert len(returned) == sum(l.weighted for l in model.layers)
         for out, bytes_at_return in returned:
             assert out.tobytes() == bytes_at_return
         ref, _ = reference_inference(model, x, folded=folded)

@@ -65,7 +65,7 @@ class TestTrainToy:
     def test_metadata_and_checksum(self, model_path):
         model, meta = modelio.load_model(model_path)
         assert meta["train_accuracy"] >= 0.95
-        assert model.weighted_layers()
+        assert any(l.weighted for l in model.layers)
 
     def test_deterministic(self, tmp_path, capsys):
         outs = []

@@ -1,11 +1,13 @@
-from dataclasses import replace
+import math
+import tracemalloc
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from mrbnn import config
-from mrbnn.dse import (ParetoResult, SweepPoint, SweepSpec, dominates,
-                       pareto_front, run_sweep, scatter_export, summary_dict)
+from mrbnn import config, dse
+from mrbnn.dse import (ParetoResult, SweepPoint, SweepSpec, pareto_front,
+                       run_sweep, scatter_export, summary_dict)
 from mrbnn.simulator import chip_budget, chip_fpv_map, power_and_epb
 from mrbnn.errors import DomainError, PhysicalConstraintError
 from mrbnn.mapping import ModelStructure
@@ -41,18 +43,32 @@ def small_result(toolkit_config, env):
                      workload, seed=0)
 
 
+def random_points(n, seed, levels=None):
+    """n points with uniform objectives; ``levels`` draws each objective
+    from that many values, so that ties and duplicates are common."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def draw():
+        if levels is None:
+            return rng.uniform(1, 100, size=n)
+        return rng.integers(1, levels + 1, size=n).astype(float)
+
+    return [mk_point((i, 1, 1), f, p, a)
+            for i, (f, p, a) in enumerate(zip(draw(), draw(), draw()))]
+
+
 class TestDominance:
     def test_strict_domination(self):
         a = mk_point((1, 1, 1), fps=10, power=5, area=2)
         b = mk_point((2, 1, 1), fps=5, power=6, area=3)
-        assert dominates(a, b)
-        assert not dominates(b, a)
+        # a dominates b, and b does not dominate a, in either order
+        assert pareto_front([a, b]) == [True, False]
+        assert pareto_front([b, a]) == [False, True]
 
     def test_equal_points_do_not_dominate(self):
         a = mk_point((1, 1, 1), fps=10, power=5, area=2)
         b = mk_point((2, 1, 1), fps=10, power=5, area=2)
-        assert not dominates(a, b)
-        assert not dominates(b, a)
+        assert pareto_front([a, b]) == [True, True]
 
     def test_pareto_single_survivor(self):
         pts = [mk_point((1, 1, 1), 10, 5, 2), mk_point((2, 1, 1), 8, 6, 3)]
@@ -63,6 +79,140 @@ class TestDominance:
         pts = [mk_point((i, 1, 1), rng.uniform(1, 100), rng.uniform(1, 100),
                         rng.uniform(1, 100)) for i in range(200)]
         assert pareto_front(pts) == oracle_pareto(pts)
+
+    def test_empty_and_one_point(self):
+        assert pareto_front([]) == []
+        assert pareto_front([mk_point((1, 1, 1), 1, 1, 1)]) == [True]
+
+    @pytest.mark.parametrize("levels", [2, 3, 5])
+    def test_ties_and_duplicates_match_oracle(self, levels):
+        pts = random_points(150, levels, levels=levels)
+        # the same object twice, and two equal points, dominate nothing
+        pts += [pts[0], replace(pts[1], n_a=1000)]
+        assert pareto_front(pts) == oracle_pareto(pts)
+
+    @pytest.mark.parametrize("cells", [1, 7, 64, 1000])
+    def test_many_blocks_match_oracle(self, monkeypatch, cells):
+        # blocks of max(1, cells // n) points; the last block is short
+        monkeypatch.setattr(dse, "_PARETO_CELLS", cells)
+        for pts in (random_points(120, 23), random_points(120, 24, 4)):
+            assert pareto_front(pts) == oracle_pareto(pts)
+
+    def test_temporaries_stay_bounded(self):
+        pts = random_points(2000, 29)
+        full = oracle_pareto_arrays(pts)
+        tracemalloc.start()
+        try:
+            flags = pareto_front(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert flags == full
+        # one [2000, 2000] boolean temporary alone is 4 MB
+        assert peak < 3e6
+
+
+def oracle_pareto_arrays(points):
+    """The dominance test on full [n, n] arrays, for grids too large for
+    ``oracle_pareto``."""
+    f, p, a = (np.array([getattr(q, name) for q in points])
+               for name in ("fps", "power_mw", "area_mm2"))
+    at_least = ((f[:, None] >= f) & (p[:, None] <= p)
+                & (a[:, None] <= a))
+    better = (f[:, None] > f) | (p[:, None] < p) | (a[:, None] < a)
+    return (~(at_least & better).any(axis=0)).tolist()
+
+
+def oracle_pick(points, objective):
+    best = max(objective(p) for p in points)
+    cands = [p for p in points if objective(p) == best]
+    for attr in ("power_mw", "area_mm2"):
+        low = min(getattr(p, attr) for p in cands)
+        cands = [p for p in cands if getattr(p, attr) == low]
+    return min(cands, key=lambda p: p.key)
+
+
+def oracle_sweep(spec, base, env, workload, seed):
+    """``run_sweep`` one configuration at a time: a chip budget of its own
+    (its own chip map) and one ``power_and_epb`` report per model."""
+    points, errors = [], []
+    for key in spec.grid():
+        n_a, n_vdp, n_wg = key
+        cfg = replace(base, n_a=n_a, n_vdp=n_vdp, n_wg=n_wg, n_b=spec.n_b)
+        try:
+            budget = chip_budget(cfg, env, spec.tuning_fraction, seed)
+        except PhysicalConstraintError as exc:
+            errors.append((key, str(exc)))
+            continue
+        reports = [power_and_epb(m, cfg, env, budget=budget)
+                   for m in workload]
+        epbs = [r.epb_pj_per_bit for r in reports
+                if r.epb_pj_per_bit is not None]
+        points.append(SweepPoint(
+            *key, fps=float(np.mean([r.fps for r in reports])),
+            epb_pj_per_bit=float(np.mean(epbs)) if epbs else math.nan,
+            power_mw=reports[0].total_power_mw,
+            area_mm2=reports[0].area_mm2))
+    points = [replace(p, pareto=flag)
+              for p, flag in zip(points, oracle_pareto(points))]
+    return ParetoResult(tuple(points),
+                        oracle_pick(points, lambda p: p.fps_per_watt),
+                        oracle_pick(points, lambda p: p.fps), tuple(errors))
+
+
+def exact_fields(result):
+    """Every field of a ParetoResult, NaN written as a string so that
+    ``==`` compares it too."""
+    def point(p):
+        return tuple("nan" if isinstance(v, float) and math.isnan(v) else v
+                     for v in astuple(p))
+    return ([point(p) for p in result.points], point(result.eo_pick),
+            point(result.po_pick), list(result.errors))
+
+
+# ten models, nine of them with bits: np.mean adds eight or more values
+# in a pairwise order, which a reduction along a non-contiguous axis
+# would not keep
+MANY_MODELS = [ModelStructure(f"m{i}", (c, c // 7 + 1) if c else ())
+               for i, c in enumerate((60642, 1000, 13, 250000, 0, 7, 99991,
+                                      4096, 123456, 31))]
+
+
+class TestRunSweepOracle:
+    """``run_sweep`` against one chip budget and one report per
+    (configuration, model), field by field with ``==``."""
+
+    @pytest.mark.parametrize("eta,fraction,workload", [
+        (None, 0.8, None),
+        (0.3, 0.8, None),
+        (None, 0.0, None),
+        (None, 1.0, None),
+        (None, 0.8, [ModelStructure("one", (60642, 1064))]),
+        (None, 0.8, [ModelStructure("m", (60642,)),
+                     ModelStructure("zero", ())]),
+        (None, 0.8, [ModelStructure("zero", ()),
+                     ModelStructure("empty", (0, 0))]),
+        (None, 0.8, MANY_MODELS),
+    ], ids=["default", "dense", "fraction-0", "fraction-1", "one-model",
+            "zero-model", "all-zero", "ten-models"])
+    def test_equals_per_configuration_oracle(self, toolkit_config, eta,
+                                             fraction, workload):
+        cfg = toolkit_config if eta is None else replace(
+            toolkit_config, tuning=replace(toolkit_config.tuning,
+                                           crosstalk_eta=eta))
+        env = config.build_environment(cfg)
+        spec = replace(config.sweep_spec(cfg), tuning_fraction=fraction)
+        base = config.arch_config(cfg)
+        if workload is None:
+            workload = config.workload_structures(cfg)
+        got = run_sweep(spec, base, env, workload, seed=5)
+        want = oracle_sweep(spec, base, env, workload, 5)
+        assert exact_fields(got) == exact_fields(want)
+        assert scatter_export(got) == scatter_export(want)
+        assert bool(got.errors) == (eta is not None)
+        bits = [m.total_bits for m in workload]
+        assert all(math.isnan(p.epb_pj_per_bit) for p in got.points) \
+            == (not any(bits))
 
 
 class TestRunSweep:
