@@ -25,7 +25,7 @@ from . import bnn, config as cfgmod, dse as dsemod, modelio, photonics
 from . import simulator, tuning
 from .errors import (ConfigError, DataFormatError, DomainError, MrbnnError,
                      PhysicalConstraintError)
-from .mapping import ModelStructure, build_comb, build_work_plan
+from .mapping import build_comb, build_work_plan
 from .photonics import RingClass
 from .textio import render_csv
 
@@ -164,22 +164,18 @@ def cmd_simulate(args, cfg: cfgmod.ToolkitConfig) -> int:
     noisy = simulator.noisy_inference(model, data.x_test, data.y_test, arch,
                                       env, fraction, cfg.experiment.map_seed,
                                       chip_map=chip_map)
-    structure = ModelStructure.from_model(model)
-    report = simulator.power_and_epb(structure, arch, env,
+    report = simulator.power_and_epb(model, arch, env,
                                      tuning_fraction=fraction,
                                      seed=cfg.experiment.map_seed,
                                      noisy_accuracy=noisy.accuracy,
                                      chip_map=chip_map)
-    timing = simulator.pipeline_time(structure, arch, env)
     out = report.to_dict()
-    out["pipeline_steps"] = timing.steps
-    out["pipeline_buffered_steps"] = timing.buffered_steps
     out["tuning_fraction"] = fraction
     _write_text(args.out, _json_dump(out))
     breakdown_sum = sum(report.power_breakdown_mw.values())
     ok = abs(breakdown_sum - report.total_power_mw) <= 1e-6 * breakdown_sum
     sys.stdout.write(f"power_breakdown_sum_ok {str(ok).lower()}\n")
-    sys.stdout.write(f"pipeline_steps {timing.steps}\n")
+    sys.stdout.write(f"pipeline_steps {report.pipeline_steps}\n")
     if args.dump_plan:
         plan = build_work_plan(model, arch)
         _write_text(args.dump_plan, plan.dump())

@@ -6,22 +6,17 @@ minimize area). The energy-optimized pick maximizes FPS/Watt and the
 performance-optimized pick maximizes FPS, with ties broken by lower power,
 then lower area, then lexicographic configuration.
 
-The configurations of a sweep read one chip map: each bank is drawn once,
-at the largest size on the grid, and each configuration reads its head.
-Their tuning power is one ``simulator.tuning_power_budget`` call, which
-folds and splits each bank once, TED-solves each (bank, rings per arm)
-group once on its longest head, and sums each configuration's prefix of
-those results; each configuration still gets the bits of a chip budget of
-its own.
-
-Each feasible configuration is then evaluated from its ``ChipBudget``
-alone: the power total is summed once, ``simulator.pipeline_time``
-evaluates the latency of every (configuration, model) pair as one
-[configurations, models] array, FPS and EPB come from the helper that
-``simulator.power_and_epb`` uses, and the means over models are one
-reduction of each row. Every value is, bit for bit, what a
-``power_and_epb`` report per pair gives. The Pareto filter compares blocks
-of points with all points as arrays, so its temporaries stay bounded.
+The grid is scored by one ``simulator.evaluate`` call, the evaluator that
+``simulate`` uses for one pair: one chip map for every configuration (each
+bank drawn once, at the largest size on the grid), one tuning power
+budget, each configuration's power breakdown and area once, and the
+latency, FPS and EPB of every (configuration, model) pair as one
+[configurations, models] array. Every value is, bit for bit, what a
+``simulator.power_and_epb`` report per pair gives. This module keeps the
+grid's validation, the means over models (one reduction of each row), the
+Pareto filter and the picks. The filter compares blocks of points with all
+points as arrays, so its temporaries stay bounded. A grid whose every
+configuration is excluded raises ``PhysicalConstraintError``.
 """
 
 from __future__ import annotations
@@ -35,10 +30,9 @@ import numpy as np
 from .errors import DomainError, PhysicalConstraintError
 from .mapping import AcceleratorConfig, ModelStructure
 from . import simulator
-from .simulator import (ChipFpvMap, SimulationEnvironment, _fps_and_epb,
-                        _fpv_bank, _tuned_chip_budget)
-# Nothing here calls power_and_epb (a sweep reads each configuration's
-# ChipBudget), but bench/spans.py traces it at this binding.
+from .simulator import SimulationEnvironment
+# Nothing here calls power_and_epb (a sweep calls simulator.evaluate
+# once), but bench/spans.py traces it at this binding.
 from .simulator import power_and_epb  # noqa: F401
 from .textio import render_csv
 
@@ -142,25 +136,6 @@ def _pick(points: Sequence[SweepPoint], objective) -> SweepPoint:
                                       p.area_mm2, p.key))
 
 
-def _sweep_map(cfgs: Sequence[AcceleratorConfig],
-               env: SimulationEnvironment, seed: int) -> ChipFpvMap:
-    """One chip map that holds the rings of every configuration.
-
-    Bank k of every configuration is the head of one prefix-stable stream
-    (see ``simulator.ChipFpvMap``), so each bank is drawn once, at the
-    largest size any configuration needs, and each configuration reads its
-    head. Bank sizes are not monotone in n_a (the bank cap spreads a large
-    n_a over the arms), so the largest is taken over the whole grid. Every
-    arm carries the same ring classes in the same order.
-    """
-    if not cfgs:
-        return ChipFpvMap(())
-    return ChipFpvMap(tuple(
-        _fpv_bank(env, seed, k, ring_class,
-                  max(c.n_vdp * c.n_wg * c.arm_banks[k][1] for c in cfgs))
-        for k, (ring_class, _) in enumerate(cfgs[0].arm_banks)))
-
-
 def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
               env: SimulationEnvironment,
               workload: Sequence[ModelStructure],
@@ -169,7 +144,8 @@ def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
 
     Every configuration reads its head of one chip map drawn from ``seed``
     (``spec.seed`` when not given). Infeasible configurations (bank,
-    passband or crosstalk-dominance violations) are recorded and skipped;
+    passband or crosstalk-dominance violations) are recorded and skipped,
+    and a PhysicalConstraintError says how many when none is left;
     evaluation order never affects the result (the grid is sorted by
     configuration key).
     """
@@ -177,44 +153,31 @@ def run_sweep(spec: SweepSpec, base_cfg: AcceleratorConfig,
         raise DomainError("workload must contain at least one model")
     seed = spec.seed if seed is None else seed
     errors: list[tuple[tuple[int, int, int], str]] = []
-    feasible = []
+    keys, cfgs = [], []
     for key in spec.grid():
         n_a, n_vdp, n_wg = key
         cfg = replace(base_cfg, n_a=n_a, n_vdp=n_vdp, n_wg=n_wg, n_b=spec.n_b)
         try:
-            feasible.append((key, cfg.validate()))
+            cfgs.append(cfg.validate())
         except PhysicalConstraintError as exc:
             errors.append((key, str(exc)))
-    cfgs = [cfg for _, cfg in feasible]
-    chip_map = _sweep_map(cfgs, env, seed)
-    # one tuning solve per bank size for the whole grid, and one power
-    # budget per configuration, shared by every workload model; called
-    # through the module, where bench/spans.py traces it
-    tuned = simulator.tuning_power_budget(cfgs, env, chip_map,
-                                          spec.tuning_fraction)
-    keys, budgets = [], []
-    for (key, cfg), tuning_mw in zip(feasible, tuned):
-        if isinstance(tuning_mw, PhysicalConstraintError):
-            errors.append((key, str(tuning_mw)))
         else:
             keys.append(key)
-            budgets.append(_tuned_chip_budget(cfg, env, tuning_mw))
-    if not budgets:
-        raise DomainError("no feasible configuration in the sweep")
-    # every (configuration, model) pair at once: [configurations, models]
-    power = [b.total_mw for b in budgets]
-    timing = simulator.pipeline_time(workload, [b.cfg for b in budgets], env)
-    bits = np.array([m.total_bits for m in workload], dtype=np.float64)
-    has_bits = bits > 0
-    fps, epb = _fps_and_epb(np.array(power)[:, None], timing.total_ns,
-                            np.where(has_bits, bits, np.nan))
+    ev = simulator.evaluate(cfgs, workload, env, spec.tuning_fraction, seed)
+    errors += [(keys[i], str(exc)) for i, exc in ev.errors]
+    if not ev.tuned:
+        raise PhysicalConstraintError(
+            f"no feasible configuration in the sweep: all {len(errors)} "
+            f"configurations were excluded")
+    has_bits = np.array([m.total_bits > 0 for m in workload])
     # the mean over a row of a C-ordered array adds in the order np.mean
     # of a list does (boolean indexing of columns returns another order)
-    fps = fps.mean(axis=1).tolist()
-    epb = (np.ascontiguousarray(epb[:, has_bits]).mean(axis=1).tolist()
-           if has_bits.any() else [math.nan] * len(budgets))
-    rows = [(*key, f, e, p, b.area_mm2)
-            for key, f, e, p, b in zip(keys, fps, epb, power, budgets)]
+    fps = ev.fps.mean(axis=1).tolist()
+    epb = (np.ascontiguousarray(ev.epb_pj_per_bit[:, has_bits])
+           .mean(axis=1).tolist()
+           if has_bits.any() else [math.nan] * len(ev.tuned))
+    rows = [(*keys[i], f, e, p, a) for i, f, e, p, a
+            in zip(ev.tuned, fps, epb, ev.power_mw, ev.area_mm2)]
     flags = pareto_front([SweepPoint(*row) for row in rows])
     points = [SweepPoint(*row, pareto=flag) for row, flag in zip(rows, flags)]
     eo = _pick(points, lambda p: p.fps_per_watt)

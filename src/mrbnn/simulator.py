@@ -38,6 +38,10 @@ all of a map's rows; it walks the layers once per (map, fraction), as
 ``noisy_inference`` does for one, and the full-tuning row once.
 Layers that are not binarized are executed in the electronic control unit
 and see no optical noise.
+
+Power, area, latency, FPS and EPB have one evaluator, ``evaluate``, over a
+list of configurations and a list of models: ``power_and_epb`` (one pair,
+the ``simulate`` report) and ``dse.run_sweep`` (the grid) both call it.
 """
 
 from __future__ import annotations
@@ -185,6 +189,8 @@ class SimReport:
     epb_pj_per_bit: float | None
     area_mm2: float
     inference_time_ns: float
+    pipeline_steps: int
+    pipeline_buffered_steps: int
     noisy_accuracy: float | None
     required_bandwidth_gb_s: float
 
@@ -358,10 +364,10 @@ class ChipFpvMap:
     reader must get every row it indexes. ``noisy_inference`` reads bank 0
     at the mapped ids; ``tuning_power_budget`` reads the first
     ``n_vdp * n_wg * n`` rows of every bank. Both check that the rows are
-    there. A design sweep draws one map whose banks hold the rows of its
-    largest configuration, and every configuration reads its head:
-    ``tuning_power_budget`` budgets all of them in one call, one TED solve
-    per bank layout.
+    there. ``evaluate`` draws one map whose banks hold the rows of its
+    largest configuration (``_shared_map``), and every configuration reads
+    its head: ``tuning_power_budget`` budgets all of them in one call, one
+    TED solve per bank layout.
     """
 
     deltas_nm: tuple[np.ndarray, ...]
@@ -378,14 +384,30 @@ def _fpv_bank(env: SimulationEnvironment, seed: int, k: int,
                                     seed=seed * 4 + k).delta_lambdas_nm
 
 
+def _shared_map(cfgs: Sequence[AcceleratorConfig],
+                env: SimulationEnvironment, seed: int) -> ChipFpvMap:
+    """The chip map drawn from ``seed`` that holds the rings of every
+    configuration of ``cfgs``.
+
+    Each bank is drawn once, at the largest size any configuration needs,
+    and each configuration reads its head. Bank sizes are not monotone in
+    n_a (the bank cap spreads a large n_a over the arms), so the largest is
+    taken over all of ``cfgs``. Every arm carries the same ring classes in
+    the same order.
+    """
+    if not cfgs:
+        return ChipFpvMap(())
+    return ChipFpvMap(tuple(
+        _fpv_bank(env, seed, k, ring_class,
+                  max(c.n_vdp * c.n_wg * c.arm_banks[k][1] for c in cfgs))
+        for k, (ring_class, _) in enumerate(cfgs[0].arm_banks)))
+
+
 def chip_fpv_map(cfg: AcceleratorConfig, env: SimulationEnvironment,
                  seed: int) -> ChipFpvMap:
     """Sample one FPV map for every MR of the configured array; bank k is
     drawn from seed ``seed * 4 + k``."""
-    arms = cfg.n_vdp * cfg.n_wg
-    return ChipFpvMap(tuple(
-        _fpv_bank(env, seed, k, ring_class, arms * n)
-        for k, (ring_class, n) in enumerate(cfg.arm_banks)))
+    return _shared_map([cfg], env, seed)
 
 
 def tuning_power_budget(cfgs: Sequence[AcceleratorConfig],
@@ -784,94 +806,103 @@ def required_bandwidth_gb_s(cfg: AcceleratorConfig,
 
 
 @dataclass(frozen=True)
-class ChipBudget:
-    """The model-independent part of a report for one configuration.
+class Evaluation:
+    """What ``evaluate`` gives for a list of configurations and of models.
 
-    The device power breakdown (laser and tuning included) and the area
-    depend on the configuration, the environment, the tuning fraction and
-    the chip map, never on the model, so a sweep computes them once per
-    configuration.
+    ``tuned`` holds, in input order, the index of each configuration that
+    could be tuned, and ``errors`` the (index, error) of each that could
+    not. Row i of every other field is configuration ``tuned[i]``; the
+    arrays are [tuned configurations, models], with NaN EPB for a model of
+    no bits.
     """
 
-    cfg: AcceleratorConfig
-    power_breakdown_mw: dict[str, float]
-    area_mm2: float
+    tuned: tuple[int, ...]
+    errors: tuple[tuple[int, PhysicalConstraintError], ...]
+    power_breakdown_mw: tuple[dict[str, float], ...]
+    power_mw: tuple[float, ...]
+    area_mm2: tuple[float, ...]
+    timing: PipelineTiming
+    fps: np.ndarray
+    epb_pj_per_bit: np.ndarray
 
-    @property
-    def total_mw(self) -> float:
-        return sum(self.power_breakdown_mw.values())
 
+def evaluate(cfgs: Sequence[AcceleratorConfig],
+             structures: Sequence[ModelStructure],
+             env: SimulationEnvironment, tuning_fraction: float,
+             seed: int = 0, chip_map: ChipFpvMap | None = None) -> Evaluation:
+    """Power, area, latency, FPS and EPB of every validated configuration
+    of ``cfgs`` on every model of ``structures``, with ``tuning_fraction``
+    of every MR's FPV shift corrected.
 
-def chip_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
-                tuning_fraction: float = 0.8, seed: int = 0,
-                chip_map: ChipFpvMap | None = None) -> ChipBudget:
-    """Power and area of ``cfg`` with ``tuning_fraction`` of every MR's FPV
-    shift corrected; the map is drawn from ``seed`` unless given."""
-    cfg.validate()
+    The configurations read one chip map, drawn from ``seed`` unless given
+    (``_shared_map``), and their tuning power is one
+    ``tuning_power_budget`` call. Each tuned configuration's power
+    breakdown and area are built once, whatever the number of models, and
+    ``pipeline_time`` evaluates the latency of the [configurations, models]
+    grid in one call. Every value is, bit for bit, what a call with that
+    configuration and that model alone gives.
+    """
     if chip_map is None:
-        chip_map = chip_fpv_map(cfg, env, seed)
-    [tuning_mw] = tuning_power_budget([cfg], env, chip_map, tuning_fraction)
-    if isinstance(tuning_mw, PhysicalConstraintError):
-        raise tuning_mw
-    return _tuned_chip_budget(cfg, env, tuning_mw)
-
-
-def _tuned_chip_budget(cfg: AcceleratorConfig, env: SimulationEnvironment,
-                       tuning_mw: tuple[float, float]) -> ChipBudget:
-    """The budget of a validated ``cfg`` whose (eo_mw, to_mw) tuning power
-    ``tuning_power_budget`` gave."""
-    eo_mw, to_mw = tuning_mw
-    loss = loss_accounting(cfg, env)
-    laser = laser_power(cfg.n_lambda, loss.total_db,
-                        env.loss.detector_sensitivity_dbm)
-    arms = cfg.n_vdp * cfg.n_wg
+        chip_map = _shared_map(cfgs, env, seed)
+    tuning_mw = tuning_power_budget(cfgs, env, chip_map, tuning_fraction)
+    tuned, errors, breakdowns, areas = [], [], [], []
     p = env.power
-    breakdown = {
-        "laser": laser.mw,
-        "to_tuning": to_mw,
-        "eo_tuning": eo_mw,
-        "dac": cfg.dacs_per_vdp * cfg.n_vdp * p.dac.power_mw,
-        "adc": cfg.n_vdp * p.adc.power_mw,
-        "pd": (cfg.n_wg + 1) * cfg.n_vdp * p.photodetector.power_mw,
-        "tia": (cfg.n_wg + 1) * cfg.n_vdp * p.tia.power_mw,
-        "vcsel": arms * p.vcsel.power_mw,
-    }
-    return ChipBudget(cfg, breakdown, area_estimate(cfg, env))
-
-
-def _fps_and_epb(total_mw, total_ns, bits):
-    """Frames per second and energy per bit [pJ/bit] of an inference of
-    ``bits`` bits that takes ``total_ns`` at ``total_mw``; element-wise
-    over arrays, and NaN EPB where ``bits`` is NaN."""
-    return 1e9 / total_ns, total_mw * total_ns / bits
+    for i, (cfg, tuned_mw) in enumerate(zip(cfgs, tuning_mw)):
+        if isinstance(tuned_mw, PhysicalConstraintError):
+            errors.append((i, tuned_mw))
+            continue
+        tuned.append(i)
+        eo_mw, to_mw = tuned_mw
+        loss = loss_accounting(cfg, env)
+        laser = laser_power(cfg.n_lambda, loss.total_db,
+                            env.loss.detector_sensitivity_dbm)
+        breakdowns.append({
+            "laser": laser.mw,
+            "to_tuning": to_mw,
+            "eo_tuning": eo_mw,
+            "dac": cfg.dacs_per_vdp * cfg.n_vdp * p.dac.power_mw,
+            "adc": cfg.n_vdp * p.adc.power_mw,
+            "pd": (cfg.n_wg + 1) * cfg.n_vdp * p.photodetector.power_mw,
+            "tia": (cfg.n_wg + 1) * cfg.n_vdp * p.tia.power_mw,
+            "vcsel": cfg.n_vdp * cfg.n_wg * p.vcsel.power_mw,
+        })
+        areas.append(area_estimate(cfg, env))
+    power = [sum(b.values()) for b in breakdowns]
+    timing = pipeline_time(structures, [cfgs[i] for i in tuned], env)
+    bits = np.array([s.total_bits for s in structures], dtype=np.float64)
+    epb = (np.array(power, dtype=np.float64)[:, None] * timing.total_ns
+           / np.where(bits > 0, bits, np.nan))
+    return Evaluation(tuple(tuned), tuple(errors), tuple(breakdowns),
+                      tuple(power), tuple(areas), timing,
+                      1e9 / timing.total_ns, epb)
 
 
 def power_and_epb(model, cfg: AcceleratorConfig, env: SimulationEnvironment,
                   tuning_fraction: float = 0.8, seed: int = 0,
                   noisy_accuracy: float | None = None,
-                  chip_map: ChipFpvMap | None = None,
-                  budget: ChipBudget | None = None) -> SimReport:
-    """Full power/performance report for a model on a configuration.
+                  chip_map: ChipFpvMap | None = None) -> SimReport:
+    """Full power/performance report for a model on a configuration: the
+    one-pair case of ``evaluate``.
 
     ``model`` is a ModelStructure, or a QuantModel taken as its
-    ``ModelStructure.from_model``, which ``pipeline_time`` reads. A
-    ``budget`` from ``chip_budget`` on the same ``cfg`` takes the place of
-    ``tuning_fraction``, ``seed`` and ``chip_map``.
+    ``ModelStructure.from_model``. The chip map is drawn from ``seed``
+    unless given.
     """
-    if budget is None:
-        budget = chip_budget(cfg, env, tuning_fraction, seed, chip_map)
-    elif budget.cfg != cfg:
-        raise DomainError("budget was computed for another configuration")
+    cfg.validate()
     structure = (ModelStructure.from_model(model)
                  if isinstance(model, QuantModel) else model)
-    timing = pipeline_time(structure, cfg, env)
-    total = budget.total_mw
-    bits = structure.total_bits
-    fps, epb = _fps_and_epb(total, timing.total_ns, bits or math.nan)
+    ev = evaluate([cfg], [structure], env, tuning_fraction, seed, chip_map)
+    if ev.errors:
+        raise ev.errors[0][1]
     return SimReport(
-        fps=fps, total_power_mw=total,
-        power_breakdown_mw=dict(budget.power_breakdown_mw),
-        epb_pj_per_bit=epb if bits else None, area_mm2=budget.area_mm2,
-        inference_time_ns=timing.total_ns, noisy_accuracy=noisy_accuracy,
+        fps=float(ev.fps[0, 0]), total_power_mw=ev.power_mw[0],
+        power_breakdown_mw=ev.power_breakdown_mw[0],
+        epb_pj_per_bit=(float(ev.epb_pj_per_bit[0, 0])
+                        if structure.total_bits else None),
+        area_mm2=ev.area_mm2[0],
+        inference_time_ns=float(ev.timing.total_ns[0, 0]),
+        pipeline_steps=int(ev.timing.steps[0, 0]),
+        pipeline_buffered_steps=int(ev.timing.buffered_steps[0, 0]),
+        noisy_accuracy=noisy_accuracy,
         required_bandwidth_gb_s=required_bandwidth_gb_s(
             cfg, env, structure.activation_bits))

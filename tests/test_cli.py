@@ -452,3 +452,25 @@ class TestConfigHandling:
             cfg = replace(base, n_a=n_a, n_vdp=n_vdp, n_wg=n_wg)
             assert cfg.arm_activation_mrs in (10, 15)
             assert "layout too dense" in e["reason"]
+
+    @pytest.mark.parametrize("config_text,reason", [
+        # every configuration fails validation
+        ("accelerator:\n  passband_nm: 2.0\n", "passband"),
+        # every configuration validates, and none can be tuned
+        ("tuning:\n  crosstalk_eta: 0.9\n", "too dense"),
+    ], ids=["validation", "tuning"])
+    def test_dse_all_excluded_exit_4(self, tmp_path, capsys, model_path,
+                                     config_text, reason):
+        # as simulate does on the same configuration
+        p = tmp_path / "c.yaml"
+        p.write_text(config_text)
+        code, stdout, err = run_cli(
+            ["dse", "--config", str(p), "--out", str(tmp_path / "dse")],
+            capsys)
+        assert code == 4 and stdout == ""
+        assert err == ("error[physical]: no feasible configuration in the "
+                       "sweep: all 40 configurations were excluded\n")
+        code, _, err = run_cli(
+            ["simulate", "--model", model_path, "--config", str(p),
+             "--out", str(tmp_path / "x.json")], capsys)
+        assert code == 4 and reason in err

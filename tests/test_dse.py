@@ -8,7 +8,7 @@ import pytest
 from mrbnn import config, dse
 from mrbnn.dse import (ParetoResult, SweepPoint, SweepSpec, pareto_front,
                        run_sweep, scatter_export, summary_dict)
-from mrbnn.simulator import chip_budget, chip_fpv_map, power_and_epb
+from mrbnn.simulator import chip_fpv_map, power_and_epb
 from mrbnn.errors import DomainError, PhysicalConstraintError
 from mrbnn.mapping import ModelStructure
 
@@ -133,19 +133,19 @@ def oracle_pick(points, objective):
 
 
 def oracle_sweep(spec, base, env, workload, seed):
-    """``run_sweep`` one configuration at a time: a chip budget of its own
-    (its own chip map) and one ``power_and_epb`` report per model."""
+    """``run_sweep`` one configuration at a time: a chip map of its own
+    and one ``power_and_epb`` report per model."""
     points, errors = [], []
     for key in spec.grid():
         n_a, n_vdp, n_wg = key
         cfg = replace(base, n_a=n_a, n_vdp=n_vdp, n_wg=n_wg, n_b=spec.n_b)
+        chip_map = chip_fpv_map(cfg, env, seed)
         try:
-            budget = chip_budget(cfg, env, spec.tuning_fraction, seed)
+            reports = [power_and_epb(m, cfg, env, spec.tuning_fraction,
+                                     chip_map=chip_map) for m in workload]
         except PhysicalConstraintError as exc:
             errors.append((key, str(exc)))
             continue
-        reports = [power_and_epb(m, cfg, env, budget=budget)
-                   for m in workload]
         epbs = [r.epb_pj_per_bit for r in reports
                 if r.epb_pj_per_bit is not None]
         points.append(SweepPoint(
@@ -179,8 +179,8 @@ MANY_MODELS = [ModelStructure(f"m{i}", (c, c // 7 + 1) if c else ())
 
 
 class TestRunSweepOracle:
-    """``run_sweep`` against one chip budget and one report per
-    (configuration, model), field by field with ``==``."""
+    """``run_sweep`` against one chip map per configuration and one report
+    per (configuration, model), field by field with ``==``."""
 
     @pytest.mark.parametrize("eta,fraction,workload", [
         (None, 0.8, None),
@@ -262,8 +262,8 @@ class TestRunSweep:
 
     def test_matches_per_model_reports(self, toolkit_config, env,
                                        small_result):
-        # one budget per configuration gives exactly what a separate
-        # report per model, each drawing its own chip map, gives
+        # one evaluation of the grid gives exactly what a separate report
+        # per model, each drawing its own chip map, gives
         workload = config.workload_structures(toolkit_config)
         base = config.arch_config(toolkit_config)
         for p in small_result.points:
@@ -278,8 +278,8 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("eta", [None, 0.3])
     def test_equals_chip_budget_loop(self, toolkit_config, eta):
-        # one draw per bank, sliced per configuration, gives what a chip
-        # budget per configuration, each drawing its own map, gives. Bank
+        # one draw per bank, sliced per configuration, gives what reports
+        # per configuration, each on a map of its own, give. Bank
         # sizes are not monotone in n_a (15, 3 and 5 rings for n_a = 15, 25
         # and 50 on 10 arms); a crosstalk_eta of 0.3 makes the 10- and
         # 15-ring banks too dense to tune.
@@ -296,13 +296,14 @@ class TestRunSweep:
         for key in spec.grid():
             n_a, n_vdp, n_wg = key
             c = replace(base, n_a=n_a, n_vdp=n_vdp, n_wg=n_wg, n_b=spec.n_b)
+            chip_map = chip_fpv_map(c, env, 7)
             try:
-                budget = chip_budget(c, env, spec.tuning_fraction, 7)
+                reports = [power_and_epb(m, c, env, spec.tuning_fraction,
+                                         chip_map=chip_map)
+                           for m in workload]
             except PhysicalConstraintError as exc:
                 errors.append((key, str(exc)))
                 continue
-            reports = [power_and_epb(m, c, env, budget=budget)
-                       for m in workload]
             points.append((key, float(np.mean([r.fps for r in reports])),
                            float(np.mean([r.epb_pj_per_bit
                                           for r in reports])),
@@ -320,7 +321,8 @@ class TestRunSweep:
     ], ids=["default", "one-arm"])
     def test_power_equals_chip_budget(self, toolkit_config, env, spec):
         # the sweep solves each bank size once for the whole grid; every
-        # configuration's power is, bit for bit, a chip budget of its own
+        # configuration's power is, bit for bit, a report on a map of its
+        # own
         base = config.arch_config(toolkit_config)
         workload = [ModelStructure("m", (60642,))]
         cfgs = [replace(base, n_a=a, n_vdp=v, n_wg=w, n_b=spec.n_b)
@@ -331,7 +333,7 @@ class TestRunSweep:
                             env, workload)
             assert not res.errors
             assert [p.power_mw for p in res.points] == [
-                sum(chip_budget(c, env, fraction, chip_map=m)
+                sum(power_and_epb(workload[0], c, env, fraction, chip_map=m)
                     .power_breakdown_mw.values())
                 for c, m in zip(cfgs, maps)]
 

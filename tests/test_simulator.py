@@ -13,8 +13,7 @@ from mrbnn.mapping import (AcceleratorConfig, ModelStructure, build_comb,
                            build_work_plan)
 from mrbnn.photonics import RingClass
 from mrbnn.simulator import (ChipFpvMap, LossBudget, _perturbation_ratios,
-                             area_estimate,
-                             build_photonic_mapping, chip_budget,
+                             area_estimate, build_photonic_mapping,
                              chip_fpv_map, fpv_accuracy_sweep, laser_power,
                              loss_accounting, mr_footprint_um2,
                              noisy_inference, path_loss_db, pipeline_time,
@@ -332,25 +331,84 @@ class TestPowerAndEpb:
         assert rep.fps > 0
         assert rep.noisy_accuracy is None
 
-    @pytest.mark.parametrize("fraction", [0.0, 0.8])
-    def test_budget_matches_chip_map_path(self, env, eo_cfg, toy_model,
-                                          fraction):
-        m = chip_fpv_map(eo_cfg, env, 5)
-        budget = chip_budget(eo_cfg, env, fraction, chip_map=m)
-        for model in (toy_model, ModelStructure("m", (60642, 1000))):
-            got = power_and_epb(model, eo_cfg, env, noisy_accuracy=0.5,
-                                budget=budget)
-            want = power_and_epb(model, eo_cfg, env, tuning_fraction=fraction,
-                                 noisy_accuracy=0.5, chip_map=m)
-            assert got.to_dict() == want.to_dict()
-            assert list(got.power_breakdown_mw) \
-                == list(want.power_breakdown_mw)
 
-    def test_budget_of_other_config_rejected(self, env, eo_cfg, po_cfg):
-        budget = chip_budget(po_cfg, env)
-        with pytest.raises(DomainError, match="another configuration"):
-            power_and_epb(ModelStructure("m", (1000,)), eo_cfg, env,
-                          budget=budget)
+class TestEvaluate:
+    # two models with bits and, between them, one of none
+    MODELS = [ModelStructure("a", (60642,)), ModelStructure("none", ()),
+              ModelStructure("b", (1_000_000, 4096))]
+
+    @pytest.fixture(scope="class")
+    def dense_env(self, toolkit_config):
+        # at crosstalk_eta 0.3 a bank of 7 or more rings cannot be tuned
+        return config.build_environment(replace(
+            toolkit_config, tuning=replace(toolkit_config.tuning,
+                                           crosstalk_eta=0.3)))
+
+    def test_untunable_listed_by_index(self, dense_env, eo_cfg):
+        cfgs = [replace(eo_cfg, n_a=a, n_vdp=v)
+                for a, v in ((5, 2), (10, 2), (15, 1), (5, 3))]
+        ev = simulator.evaluate(cfgs, self.MODELS, dense_env, 0.8, seed=2)
+        assert ev.tuned == (0, 3)
+        assert [i for i, _ in ev.errors] == [1, 2]
+        assert all(isinstance(e, PhysicalConstraintError)
+                   and "too dense" in str(e) for _, e in ev.errors)
+        assert ev.fps.shape == ev.epb_pj_per_bit.shape == (2, 3)
+        assert len(ev.power_mw) == len(ev.area_mm2) == 2
+        # NaN EPB for the model of no bits only
+        assert np.isnan(ev.epb_pj_per_bit[:, 1]).all()
+        assert np.isfinite(ev.epb_pj_per_bit[:, [0, 2]]).all()
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.8])
+    def test_rows_equal_one_configuration_calls(self, dense_env, eo_cfg,
+                                                fraction):
+        # one shared map, sliced per configuration, gives the bits of a
+        # call per configuration on a map of its own
+        cfgs = [replace(eo_cfg, n_a=a, n_vdp=v, n_wg=w)
+                for a, v, w in ((5, 2, 4), (10, 1, 1), (25, 3, 2),
+                                (5, 1, 1), (50, 2, 10))]
+        ev = simulator.evaluate(cfgs, self.MODELS, dense_env, fraction, 6)
+        assert ev.errors and len(ev.tuned) >= 3
+        for row, i in enumerate(ev.tuned):
+            one = simulator.evaluate([cfgs[i]], self.MODELS, dense_env,
+                                     fraction, 6)
+            assert one.tuned == (0,) and not one.errors
+            assert ev.power_breakdown_mw[row] == one.power_breakdown_mw[0]
+            assert list(ev.power_breakdown_mw[row]) \
+                == list(one.power_breakdown_mw[0])
+            assert ev.power_mw[row] == one.power_mw[0]
+            assert ev.area_mm2[row] == one.area_mm2[0]
+            for name in ("total_ns", "steps", "buffered_steps"):
+                assert getattr(ev.timing, name)[row].tobytes() \
+                    == getattr(one.timing, name)[0].tobytes()
+            assert ev.fps[row].tobytes() == one.fps[0].tobytes()
+            assert ev.epb_pj_per_bit[row].tobytes() \
+                == one.epb_pj_per_bit[0].tobytes()
+        for i, exc in ev.errors:
+            one = simulator.evaluate([cfgs[i]], self.MODELS, dense_env,
+                                     fraction, 6)
+            assert not one.tuned and str(one.errors[0][1]) == str(exc)
+
+    def test_empty_list(self, env):
+        ev = simulator.evaluate([], self.MODELS, env, 0.8)
+        assert ev.tuned == ev.errors == ev.power_mw == ev.area_mm2 == ()
+        for a in (ev.fps, ev.epb_pj_per_bit, ev.timing.total_ns,
+                  ev.timing.steps, ev.timing.buffered_steps):
+            assert a.shape == (0, len(self.MODELS))
+
+    def test_report_is_the_one_pair_case(self, env, eo_cfg, toy_model):
+        # the report's latency and steps are pipeline_time's for the pair
+        m = chip_fpv_map(eo_cfg, env, 5)
+        s = ModelStructure.from_model(toy_model)
+        rep = power_and_epb(toy_model, eo_cfg, env, 0.3, chip_map=m)
+        t = pipeline_time(s, eo_cfg, env)
+        assert (rep.inference_time_ns, rep.pipeline_steps,
+                rep.pipeline_buffered_steps) \
+            == (t.total_ns, t.steps, t.buffered_steps)
+        assert type(rep.pipeline_steps) is int
+        ev = simulator.evaluate([eo_cfg], [s], env, 0.3, chip_map=m)
+        assert rep.fps == ev.fps[0, 0]
+        assert rep.epb_pj_per_bit == ev.epb_pj_per_bit[0, 0]
+        assert rep.power_breakdown_mw == ev.power_breakdown_mw[0]
 
 
 class TestPerturbationRatios:
@@ -1128,7 +1186,8 @@ class TestSimReport:
             simulator.SimReport(
                 fps=1.0, total_power_mw=5.0,
                 power_breakdown_mw={"laser": 1.0}, epb_pj_per_bit=None,
-                area_mm2=1.0, inference_time_ns=1.0, noisy_accuracy=None,
+                area_mm2=1.0, inference_time_ns=1.0, pipeline_steps=1,
+                pipeline_buffered_steps=1, noisy_accuracy=None,
                 required_bandwidth_gb_s=1.0)
 
     def test_to_dict_round_trip_fields(self, env, eo_cfg):
