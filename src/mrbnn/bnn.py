@@ -69,15 +69,29 @@ class Layer:
 
     def __post_init__(self):
         if self.kind == LayerKind.BATCH_NORM:
-            if self.bn_var is None or np.any(self.bn_var < 0):
+            if self.bn_var is None or not np.all(self.bn_var >= 0):
                 raise DomainError("batch-norm variance must be >= 0")
-            if self.bn_epsilon <= 0:
+            if not self.bn_epsilon > 0:
                 raise DomainError("batch-norm epsilon must be > 0")
         if self.weighted:
             rank = 4 if self.kind == LayerKind.CONV2D else 2
             if np.ndim(self.weights) != rank:
                 raise DomainError(
                     f"{self.kind.value} weights must have {rank} axes")
+        if self.kind == LayerKind.CONV2D and not self.stride >= 1:
+            raise DomainError(f"conv stride must be >= 1, not {self.stride}")
+        if self.kind == LayerKind.POOL and not self.pool_window >= 1:
+            raise DomainError(
+                f"pool window must be >= 1, not {self.pool_window}")
+        if self.kind == LayerKind.ACTIVATION:
+            try:
+                lo, hi = self.act_range
+                ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise DomainError("act_range must be two finite numbers "
+                                  f"lo < hi, not {self.act_range!r}")
 
     @property
     def weighted(self) -> bool:

@@ -10,6 +10,10 @@ Layout:
 The header lists layers, tensor shapes/offsets and a CRC32 of the payload,
 verified on load. Tensors are float32, little-endian, row-major, in layer
 order (weights first, then the four batch-norm vectors where present).
+
+``_SCHEMA`` gives each layer kind's header entries in file order, as (key,
+``Layer`` attribute or None when derived from a tensor, format), and its
+tensors in payload order. ``save_model`` and ``_parse`` both walk it.
 """
 
 from __future__ import annotations
@@ -26,39 +30,52 @@ MAGIC = b"MRBNN1\n"
 FORMAT_VERSION = 1
 _DTYPE = np.dtype("<f4")
 
+# format -> (what the reader accepts, the writer, the reader's check)
+_FORMATS = {
+    "bool": ("a boolean", bool, lambda v: type(v) is bool),
+    "int": ("an integer", int, lambda v: type(v) is int),
+    "float": ("a number", float, lambda v: type(v) in (int, float)),
+    "str": ("a string", str, lambda v: type(v) is str),
+    "range": ("a list of two numbers", lambda r: [float(x) for x in r],
+              lambda v: type(v) is list and len(v) == 2
+              and all(type(x) in (int, float) for x in v)),
+    "shape": ("a list of integers", lambda l: list(np.shape(l.weights)),
+              lambda v: type(v) is list and all(type(x) is int for x in v)),
+    "channels": ("an integer", lambda l: int(np.size(l.bn_gamma)),
+                 lambda v: type(v) is int),
+}
+_MODEL = (("activation_bits", "activation_bits", "int"),
+          ("last_layer_full_precision", "last_layer_full_precision", "bool"))
+_SCHEMA = {
+    LayerKind.FULLY_CONNECTED: ((("shape", None, "shape"),
+                                 ("binarized", "binarized", "bool")),
+                                ("weights",)),
+    LayerKind.CONV2D: ((("shape", None, "shape"), ("stride", "stride", "int"),
+                        ("binarized", "binarized", "bool")), ("weights",)),
+    LayerKind.BATCH_NORM: ((("channels", None, "channels"),
+                            ("epsilon", "bn_epsilon", "float")),
+                           ("bn_gamma", "bn_beta", "bn_mean", "bn_var")),
+    LayerKind.ACTIVATION: ((("activation", "activation", "str"),
+                            ("quantize", "quantize", "bool"),
+                            ("act_range", "act_range", "range")), ()),
+    LayerKind.POOL: ((("window", "pool_window", "int"),
+                      ("mode", "pool_mode", "str")), ()),
+}
 
-def _layer_header(layer: Layer) -> dict:
-    if layer.kind == LayerKind.FULLY_CONNECTED:
-        return {"kind": "fully_connected",
-                "shape": list(layer.weights.shape),
-                "binarized": bool(layer.binarized)}
-    if layer.kind == LayerKind.CONV2D:
-        return {"kind": "conv2d", "shape": list(layer.weights.shape),
-                "stride": int(layer.stride),
-                "binarized": bool(layer.binarized)}
-    if layer.kind == LayerKind.BATCH_NORM:
-        return {"kind": "batch_norm", "channels": int(layer.bn_gamma.size),
-                "epsilon": float(layer.bn_epsilon)}
-    if layer.kind == LayerKind.ACTIVATION:
-        return {"kind": "activation", "activation": layer.activation,
-                "quantize": bool(layer.quantize),
-                "act_range": [float(layer.act_range[0]),
-                              float(layer.act_range[1])]}
-    if layer.kind == LayerKind.POOL:
-        return {"kind": "pool", "window": int(layer.pool_window),
-                "mode": layer.pool_mode}
-    raise DataFormatError(f"unsupported layer kind {layer.kind}")
+
+def _write(obj, entries) -> dict:
+    return {key: _FORMATS[fmt][1](getattr(obj, attr) if attr else obj)
+            for key, attr, fmt in entries}
 
 
-def _layer_tensors(index: int, layer: Layer) -> list[tuple[str, np.ndarray]]:
-    if layer.weighted:
-        return [(f"layer{index}.weights", layer.weights)]
-    if layer.kind == LayerKind.BATCH_NORM:
-        return [(f"layer{index}.bn_gamma", layer.bn_gamma),
-                (f"layer{index}.bn_beta", layer.bn_beta),
-                (f"layer{index}.bn_mean", layer.bn_mean),
-                (f"layer{index}.bn_var", layer.bn_var)]
-    return []
+def _read(where: str, h: dict, entries) -> dict:
+    """The attributes of header mapping ``h``, its entries type-checked."""
+    for key, _, fmt in entries:
+        if not _FORMATS[fmt][2](h[key]):
+            raise DataFormatError(f"{where}header entry {key!r} is not "
+                                  f"{_FORMATS[fmt][0]}: {h[key]!r}")
+    return {attr: tuple(h[key]) if fmt == "range" else h[key]
+            for key, attr, fmt in entries if attr}
 
 
 def save_model(model: QuantModel, path: str,
@@ -67,20 +84,21 @@ def save_model(model: QuantModel, path: str,
     payload = io.BytesIO()
     tensor_headers = []
     for i, layer in enumerate(model.layers):
-        for name, arr in _layer_tensors(i, layer):
+        for name in _SCHEMA[layer.kind][1]:
+            arr = getattr(layer, name)
             data = np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
             tensor_headers.append({
-                "name": name, "dtype": "<f4",
+                "name": f"layer{i}.{name}", "dtype": "<f4",
                 "shape": list(np.asarray(arr).shape),
                 "byte_offset": payload.tell(), "byte_len": len(data)})
             payload.write(data)
     blob = payload.getvalue()
     header = {
         "format_version": FORMAT_VERSION,
-        "activation_bits": int(model.activation_bits),
-        "last_layer_full_precision": bool(model.last_layer_full_precision),
+        **_write(model, _MODEL),
         "metadata": dict(metadata or {}),
-        "layers": [_layer_header(l) for l in model.layers],
+        "layers": [{"kind": l.kind.value, **_write(l, _SCHEMA[l.kind][0])}
+                   for l in model.layers],
         "tensors": tensor_headers,
         "payload_crc32": zlib.crc32(blob) & 0xFFFFFFFF,
     }
@@ -150,39 +168,20 @@ def _parse(header: dict, blob: bytes) -> tuple[QuantModel, dict]:
         raise DataFormatError(
             f"payload checksum mismatch: {crc:#x} != "
             f"{header['payload_crc32']:#x}")
-
     tensors = {t["name"]: _read_tensor(blob, t) for t in header["tensors"]}
     layers: list[Layer] = []
     for i, lh in enumerate(header["layers"]):
-        kind = lh["kind"]
-        if kind == "fully_connected":
-            layers.append(Layer(LayerKind.FULLY_CONNECTED,
-                                weights=tensors[f"layer{i}.weights"],
-                                binarized=lh["binarized"]))
-        elif kind == "conv2d":
-            layers.append(Layer(LayerKind.CONV2D,
-                                weights=tensors[f"layer{i}.weights"],
-                                binarized=lh["binarized"],
-                                stride=lh["stride"]))
-        elif kind == "batch_norm":
-            layers.append(Layer(LayerKind.BATCH_NORM,
-                                bn_gamma=tensors[f"layer{i}.bn_gamma"],
-                                bn_beta=tensors[f"layer{i}.bn_beta"],
-                                bn_mean=tensors[f"layer{i}.bn_mean"],
-                                bn_var=tensors[f"layer{i}.bn_var"],
-                                bn_epsilon=lh["epsilon"]))
-        elif kind == "activation":
-            layers.append(Layer(LayerKind.ACTIVATION,
-                                activation=lh["activation"],
-                                quantize=lh["quantize"],
-                                act_range=tuple(lh["act_range"])))
-        elif kind == "pool":
-            layers.append(Layer(LayerKind.POOL, pool_window=lh["window"],
-                                pool_mode=lh["mode"]))
-        else:
-            raise DataFormatError(f"unknown layer kind {kind!r}")
-    model = QuantModel(tuple(layers),
-                       activation_bits=header["activation_bits"],
-                       last_layer_full_precision=header[
-                           "last_layer_full_precision"])
+        kind = next((k for k in _SCHEMA if k.value == lh["kind"]), None)
+        if kind is None:
+            raise DataFormatError(f"unknown layer kind {lh['kind']!r}")
+        entries, names = _SCHEMA[kind]
+        layers.append(Layer(kind, **_read(f"layer {i}: ", lh, entries),
+                            **{n: tensors[f"layer{i}.{n}"] for n in names}))
+    model = QuantModel(tuple(layers), **_read("", header, _MODEL))
+    # last, so that a payload that makes the model invalid reports that
+    for i, (lh, layer) in enumerate(zip(header["layers"], model.layers)):
+        for key, v in _write(layer, _SCHEMA[layer.kind][0]).items():
+            if lh[key] != v:    # only a derived entry can differ
+                raise DataFormatError(f"layer {i}: header entry {key!r} is "
+                                      f"{lh[key]!r}; the payload has {v!r}")
     return model, header.get("metadata", {})

@@ -56,7 +56,6 @@ class TuningParams:
     eo_max_shift_nm: float = 1.0
     eo_latency_ns: float = 20.0
     to_power_mw_per_fsr: float = 27.5
-    to_latency_us: float = 4.0
     # set from the tuned ring's design, never from a config file
     fsr_nm: float = field(default=_DEFAULT_FSR_NM, metadata={"derived": True})
     crosstalk_eta: float = 0.0946
@@ -64,7 +63,7 @@ class TuningParams:
 
     def __post_init__(self):
         for name in ("eo_power_uw_per_nm", "eo_max_shift_nm", "eo_latency_ns",
-                     "to_latency_us", "crosstalk_eta"):
+                     "crosstalk_eta"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be finite and >= 0")
         for name in ("to_power_mw_per_fsr", "crosstalk_decay_um"):

@@ -427,6 +427,47 @@ class TestModelConstruction:
         with pytest.raises(DomainError, match="axes"):
             Layer(kind, weights=weights)
 
+    @pytest.mark.parametrize("make", [
+        lambda: conv_layer(np.ones((1, 1, 2, 2)), stride=0),
+        lambda: conv_layer(np.ones((1, 1, 2, 2)), stride=-1),
+        lambda: pool_layer(0),
+        lambda: pool_layer(-2),
+        lambda: activation_layer(act_range=(0.0,)),
+        lambda: activation_layer(act_range=(0.0, 1.0, 2.0)),
+        lambda: activation_layer(act_range=(1.0, 0.0)),
+        lambda: activation_layer(act_range=(0.5, 0.5)),
+        lambda: activation_layer(act_range=(0.0, np.inf)),
+        lambda: activation_layer(act_range=(np.nan, 1.0)),
+        lambda: activation_layer(act_range=("0", "1")),
+        lambda: activation_layer(act_range=None),
+        lambda: batch_norm_layer([1.0], [0.0], [0.0], [1.0], epsilon=np.nan),
+        lambda: batch_norm_layer([1.0], [0.0], [0.0], [np.nan]),
+    ], ids=["stride-0", "stride-negative", "window-0", "window-negative",
+            "range-one-number", "range-three-numbers", "range-reversed",
+            "range-empty", "range-infinite", "range-nan", "range-strings",
+            "range-none", "bn-epsilon-nan", "bn-var-nan"])
+    def test_out_of_domain_fields(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    @pytest.mark.parametrize("layer, message", [
+        (activation_layer("tanh"), "unknown activation"),
+        (pool_layer(2, "median"), "unknown pool mode"),
+    ])
+    def test_names_are_checked_in_the_walk(self, layer, message):
+        model = QuantModel((layer,))
+        with pytest.raises(DomainError, match=message):
+            reference_inference(model, np.ones((1, 1, 4, 4)))
+
+    def test_smallest_fields_accepted(self):
+        x = np.arange(9.0).reshape(1, 1, 3, 3) / 9
+        model = QuantModel((conv_layer(np.ones((1, 1, 1, 1)), stride=1,
+                                       binarized=False), pool_layer(1),
+                            activation_layer("identity", quantize=False,
+                                             act_range=(-1e-9, 1e-9))))
+        logits, _ = reference_inference(model, x)
+        assert np.array_equal(logits.reshape(x.shape), x)
+
     def test_leading_bn_unchecked(self):
         # a BN ahead of every weighted layer normalizes the input
         model = QuantModel((zero_bn([1.0] * 3, [1.0] * 3),

@@ -189,9 +189,23 @@ class TestMalformedModel:
         (lambda h: _edit(h, ["tensors", 0, "shape"], [6, 1, 1, 2]),
          "channel mismatch"),
         (lambda h: _edit(h, ["tensors", 0, "shape"], [4, 3]), "4 axes"),
+        (lambda h: _edit(h, ["layers", 0, "stride"], 0),
+         "conv stride must be >= 1"),
+        (lambda h: _edit(h, ["layers", 0, "binarized"], "no"),
+         "layer 0: header entry 'binarized' is not a boolean"),
+        (lambda h: _edit(h, ["layers", 2, "act_range"], [0.0]),
+         "layer 2: header entry 'act_range' is not a list of two numbers"),
+        (lambda h: _edit(h, ["layers", 0, "shape"], [4, 1, 1, 2]),
+         "layer 0: header entry 'shape' is [4, 1, 1, 2]"),
+        (lambda h: _edit(h, ["layers", 1, "channels"], 3),
+         "layer 1: header entry 'channels' is 3"),
+        (lambda h: _edit(h, ["layers", 1, "epsilon"], float("nan")),
+         "epsilon must be > 0"),
     ], ids=["header-not-mapping", "no-tensors", "layer-without-kind",
             "missing-tensor", "activation-bits-0", "bn-channel-mismatch",
-            "conv-weights-rank"])
+            "conv-weights-rank", "stride-0", "binarized-string",
+            "act-range-one-number", "conv-shape-mismatch",
+            "bn-channels-mismatch", "bn-epsilon-nan"])
     def test_exit_3(self, mutate, message, tmp_path, capsys):
         rng = np.random.Generator(np.random.PCG64(3))
         path = tmp_path / "m.mrbnn"

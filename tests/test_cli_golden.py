@@ -72,6 +72,14 @@ SIMULATE = {
     "eo": "082e98669bcc5ef059f4f61450f1c0a9c81e74928788c231e776eca9989ce234",
     "po": "4fc4dddf380cf44bfab99d74a8e4c1601b6fa8d7738787ffda246d119f7cf86d",
 }
+# the model file train-toy writes, by config: the default and
+# ``hidden_sizes: [32, 16]``
+TOY_MODEL = {
+    "default":
+        "bca6aeaa988650a25f78ff5a9e3f12e622f74fc2790b0a17398c11a08f59fc35",
+    "two-hidden":
+        "2a13d603b40a86006ac15d5071772cadc8c979025ccbbee2a311742619953863",
+}
 BN_PLAN = "40bd9222604765f728c6467b515453370904e67a153436bac436861d7d3bb458"
 
 
@@ -144,6 +152,17 @@ def toy_model(tmp_path):
     model = tmp_path / "toy.mrbnn"
     assert main(["train-toy", "--out-model", str(model)]) == 0
     return model
+
+
+@pytest.mark.parametrize("name, training", [
+    ("default", {}), ("two-hidden", {"hidden_sizes": [32, 16]})])
+def test_toy_model_file(tmp_path, name, training):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"training": training}))
+    model = tmp_path / "toy.mrbnn"
+    assert main(["train-toy", "--config", str(cfg),
+                 "--out-model", str(model)]) == 0
+    assert digest(model) == TOY_MODEL[name]
 
 
 def test_fpv_sweep(tmp_path, toy_model):

@@ -78,7 +78,7 @@ class TestSchema:
     @pytest.mark.parametrize("section, keys", [
         ("fpv", ("mean_nm", "sigma_nm")),
         ("tuning", ("eo_power_uw_per_nm", "eo_max_shift_nm", "eo_latency_ns",
-                    "to_power_mw_per_fsr", "to_latency_us", "crosstalk_eta",
+                    "to_power_mw_per_fsr", "crosstalk_eta",
                     "crosstalk_decay_um")),
         ("loss", ("propagation_db_per_cm", "splitter_db", "combiner_db",
                   "mr_through_db", "mr_modulation_db", "eo_tuning_db_per_cm",
@@ -119,6 +119,7 @@ class TestSchema:
         ("delays", "local_buffer_ns"),
         ("sweep", "n_b"),
         ("fpv", "seed"),
+        ("tuning", "to_latency_us"),
     ])
     def test_derived_values_are_not_keys(self, section, key):
         data = {key: 1.0}

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,51 @@ class TestRoundTrip:
         loaded, _ = modelio.load_model(path)
         assert loaded.activation_bits == 6
         assert loaded.last_layer_full_precision is False
+
+
+# a model that uses every layer kind with fields off their defaults
+EVERY_KIND = "4100218f5fb9df6cf19e54d5764f238cf0bbbbf6ab86744e939e552d8e1c0ea2"
+
+
+def every_kind_model():
+    rng = np.random.Generator(np.random.PCG64(61))
+    return QuantModel((
+        conv_layer(rng.normal(size=(2, 1, 3, 3)), stride=2),
+        batch_norm_layer(rng.uniform(0.5, 2, 2), rng.normal(size=2),
+                         rng.normal(size=2), rng.uniform(0.1, 1, 2),
+                         epsilon=1e-3),
+        activation_layer("identity", quantize=False, act_range=(-1.0, 1.0)),
+        pool_layer(2, "avg"),
+        fc_layer(rng.normal(size=(3, 2)), binarized=False)),
+        activation_bits=5, last_layer_full_precision=False)
+
+
+class TestFileBytes:
+    """The bytes of a model file are pinned: a change to the format moves
+    this digest on purpose and says why."""
+
+    def test_every_kind_digest(self, tmp_path):
+        path = tmp_path / "m.mrbnn"
+        modelio.save_model(every_kind_model(), str(path),
+                           {"note": "every kind"})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == EVERY_KIND
+        loaded, meta = modelio.load_model(str(path))
+        again = tmp_path / "again.mrbnn"
+        modelio.save_model(loaded, str(again), meta)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_every_kind_fields_survive(self, tmp_path):
+        path = str(tmp_path / "m.mrbnn")
+        modelio.save_model(every_kind_model(), path)
+        loaded, _ = modelio.load_model(path)
+        conv, bn, act, pool, fc = loaded.layers
+        assert (conv.stride, conv.binarized, fc.binarized) == (2, True, False)
+        assert bn.bn_epsilon == 1e-3
+        assert (act.activation, act.quantize, act.act_range) == (
+            "identity", False, (-1.0, 1.0))
+        assert (pool.pool_window, pool.pool_mode) == (2, "avg")
+        assert (loaded.activation_bits,
+                loaded.last_layer_full_precision) == (5, False)
 
 
 class TestCorruption:
