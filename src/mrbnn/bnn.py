@@ -73,6 +73,11 @@ class Layer:
                 raise DomainError("batch-norm variance must be >= 0")
             if not self.bn_epsilon > 0:
                 raise DomainError("batch-norm epsilon must be > 0")
+            shapes = {np.shape(v) for v in (self.bn_gamma, self.bn_beta,
+                                             self.bn_mean, self.bn_var)}
+            if shapes != {(np.size(self.bn_gamma),)}:
+                raise DomainError("channel mismatch: BN vectors of shape "
+                                  f"{sorted(shapes)}, not 1-D of one length")
         if self.weighted:
             rank = 4 if self.kind == LayerKind.CONV2D else 2
             if np.ndim(self.weights) != rank:
@@ -166,13 +171,11 @@ class QuantModel:
                 prev_out = None  # spatial dims unknown until inference
             if layer.weighted:
                 channels = layer.weights.shape[0]
-            elif layer.kind == LayerKind.BATCH_NORM and channels is not None:
-                shapes = {np.shape(v) for v in (layer.bn_gamma, layer.bn_beta,
-                                                layer.bn_mean, layer.bn_var)}
-                if shapes != {(channels,)}:
-                    raise DomainError(
-                        f"channel mismatch: {channels} weighted-layer outputs "
-                        f"vs BN vectors of shape {sorted(shapes)}")
+            elif (layer.kind == LayerKind.BATCH_NORM and channels is not None
+                  and np.shape(layer.bn_gamma) != (channels,)):
+                raise DomainError(
+                    f"channel mismatch: {channels} weighted-layer outputs "
+                    f"vs BN vectors of shape {[np.shape(layer.bn_gamma)]}")
 
     @functools.cached_property
     def shapes(self) -> tuple[LayerShape, ...]:

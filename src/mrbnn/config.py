@@ -344,7 +344,7 @@ def sweep_spec(cfg: ToolkitConfig) -> SweepSpec:
 
 
 def workload_structures(cfg: ToolkitConfig) -> list[ModelStructure]:
-    return [ModelStructure(w.name, w.layer_parameter_counts)
+    return [ModelStructure.from_counts(w.layer_parameter_counts)
             for w in cfg.workload]
 
 

@@ -2,14 +2,16 @@
 
 Every output element of a layer is a dot product; dot products are split
 into sub-vectors of at most ``n_a`` elements, summed by per-arm
-photodetectors and then across arms. ``chunks_per_row`` is the one slicing
-rule: the work plan, the MR mapping (``simulator.build_photonic_mapping``)
-and ``decompose_fc`` / ``decompose_conv`` cut weight rows by it, a model's
-rows being those ``QuantModel.shapes`` lists. ``slice_arm`` is the one slot
-rule: the slices of a layer go round-robin over (VDP unit, arm), and the
-plan and the MR mapping place them by it. The same wavelength comb is reused
-by every arm, so the unique wavelength count equals the per-arm activation
-MR count, independent of the number of arms and VDP units.
+photodetectors and then across arms. This module places every slice and
+element. ``chunks_per_row`` is the one slicing rule: the work plan, the MR
+mapping (``build_photonic_mapping``) and ``decompose_fc`` /
+``decompose_conv`` cut weight rows by it, a model's rows being those
+``QuantModel.shapes`` lists (``ModelStructure`` holds the same records, or
+one per DSE workload count). ``slice_arm`` is the one slot rule: the slices
+of a layer go round-robin over (VDP unit, arm), and the plan and the MR
+mapping place them by it. The same wavelength comb is reused by every arm,
+so the unique wavelength count equals the per-arm activation MR count,
+independent of the number of arms and VDP units.
 
 Two readings of ``n_a`` coexist deliberately: throughput equations use
 ``n_a * n_wg`` weights per VDP per step, while physical per-arm MR counts
@@ -26,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bnn import QuantModel, im2col
+from .bnn import LayerShape, QuantModel, im2col
 from .errors import DomainError, PhysicalConstraintError
 from .photonics import RingClass
 
@@ -198,7 +200,7 @@ def decompose_conv(kernel, activations, granularity: int,
 
 
 # ---------------------------------------------------------------------------
-# work plan
+# work plan and MR placement
 # ---------------------------------------------------------------------------
 
 SLICE_DTYPE = np.dtype([
@@ -280,6 +282,57 @@ def build_work_plan(model: QuantModel, cfg: AcceleratorConfig) -> WorkPlan:
     return WorkPlan(np.concatenate(parts), tuple(steps), cfg)
 
 
+@dataclass(frozen=True)
+class PhotonicMapping:
+    """Per-layer MR index matrices, placed by the work plan's slot rule.
+
+    ``mr_ids`` holds, sorted, the flat MR ids the plan uses and
+    ``lambda_nm`` the comb wavelength each of them carries. For each
+    weighted layer an [out, in] unsigned integer matrix holds, for each
+    weight/activation element, the position in ``mr_ids`` of the MR that
+    carries it.
+    """
+
+    mr_index: dict[int, np.ndarray]
+    mr_ids: np.ndarray
+    lambda_nm: np.ndarray
+
+
+def build_photonic_mapping(model: QuantModel,
+                           cfg: AcceleratorConfig) -> PhotonicMapping:
+    """Place every weight/activation element on an MR of its slice's arm:
+    element ``col`` of a row is in slice ``row * chunks + col // n_a`` of
+    its layer (``chunks_per_row``), on the arm ``slice_arm`` gives it, as
+    in ``build_work_plan``, at activation MR ``(col % n_a) % slots``."""
+    cfg.validate()
+    slots = cfg.arm_activation_mrs
+    comb = build_comb(slots, cfg.channel_spacing_nm,
+                      cfg.center_wavelength_nm, cfg.passband_nm)
+    arms = cfg.n_vdp * cfg.n_wg
+    used = np.zeros(arms * slots, dtype=bool)
+    mr_index = {}
+    for li, rows, size in model.shapes:
+        chunks = chunks_per_row(size, cfg.n_a)
+        # the indices live through a whole noisy pass: the narrowest dtype
+        # that holds every MR id and every sum below
+        dt = np.min_scalar_type(max(used.size, arms + chunks))
+        col = np.arange(size)
+        # (row * chunks + col // n_a) % arms, the row term reduced first
+        idx = np.add.outer(slice_arm(np.arange(rows) * chunks, cfg).astype(dt),
+                           (col // cfg.n_a).astype(dt))
+        slice_arm(idx, cfg, out=idx)
+        idx *= slots
+        idx += ((col % cfg.n_a) % slots).astype(dt)
+        used[idx] = True
+        mr_index[li] = idx
+    ids = np.flatnonzero(used)
+    if ids.size < used.size:           # else each MR id is its position
+        position = np.cumsum(used) - 1
+        mr_index = {li: position.astype(idx.dtype)[idx]
+                    for li, idx in mr_index.items()}
+    return PhotonicMapping(mr_index, ids, np.asarray(comb)[ids % slots])
+
+
 # ---------------------------------------------------------------------------
 # wavelength reuse
 # ---------------------------------------------------------------------------
@@ -303,15 +356,15 @@ def build_comb(count: int, spacing_nm: float, center_nm: float,
 
 @dataclass(frozen=True)
 class ModelStructure:
-    """Parameter-count skeleton of a network, enough for pipeline/power math."""
+    """A network's weighted layers as ``bnn.LayerShape`` records, from a
+    trained model (``from_model``) or DSE workload counts (``from_counts``)."""
 
-    name: str
-    layer_parameter_counts: tuple[int, ...]
+    shapes: tuple[LayerShape, ...]
     activation_bits: int = 4
 
     @property
     def parameter_count(self) -> int:
-        return int(sum(self.layer_parameter_counts))
+        return sum(s.n_out * s.n_in for s in self.shapes)
 
     @property
     def total_bits(self) -> int:
@@ -320,6 +373,11 @@ class ModelStructure:
         return self.parameter_count * (1 + self.activation_bits)
 
     @classmethod
-    def from_model(cls, model: QuantModel, name: str = "model") -> "ModelStructure":
-        counts = tuple(s.n_out * s.n_in for s in model.shapes)
-        return cls(name, counts, activation_bits=model.activation_bits)
+    def from_model(cls, model: QuantModel) -> "ModelStructure":
+        return cls(model.shapes, model.activation_bits)
+
+    @classmethod
+    def from_counts(cls, counts) -> "ModelStructure":
+        """Layer i of ``c`` parameters as ``LayerShape(i, 1, c)``: one row
+        of c takes ceil(c / (n_a * n_vdp * n_wg)) steps, as a count did."""
+        return cls(tuple(LayerShape(i, 1, c) for i, c in enumerate(counts)))

@@ -40,8 +40,10 @@ Layers that are not binarized are executed in the electronic control unit
 and see no optical noise.
 
 Power, area, latency, FPS and EPB have one evaluator, ``evaluate``, over a
-list of configurations and a list of models: ``power_and_epb`` (one pair,
-the ``simulate`` report) and ``dse.run_sweep`` (the grid) both call it.
+list of configurations and a list of models (``mapping.ModelStructure``):
+``power_and_epb`` (one pair, the ``simulate`` report) and ``dse.run_sweep``
+(the grid) both call it. A noisy pass reads the ratios of the MRs that
+``mapping.build_photonic_mapping`` places the elements on.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ from .bnn import (Codes, LayerKind, QuantModel, as_batch, batch_labels,
 # bench/spans.py traces it at this binding.
 from .bnn import quantize_activation  # noqa: F401
 from .errors import DomainError, PhysicalConstraintError
-from .mapping import (AcceleratorConfig, ModelStructure, build_comb,
-                      chunks_per_row, slice_arm)
+from .mapping import (AcceleratorConfig, ModelStructure, PhotonicMapping,
+                      build_photonic_mapping)
 # Nothing here calls build_work_plan (build_photonic_mapping places slices
 # by mapping.slice_arm), but bench/spans.py traces it at this binding.
 from .mapping import build_work_plan  # noqa: F401
@@ -498,61 +500,6 @@ def tuning_power_budget(cfgs: Sequence[AcceleratorConfig],
 # ---------------------------------------------------------------------------
 # noisy photonic inference
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PhotonicMapping:
-    """Per-layer MR index matrices, placed by the work plan's slot rule.
-
-    ``mr_ids`` holds, sorted, the flat MR ids the plan uses and
-    ``lambda_nm`` the comb wavelength each of them carries. For each
-    weighted layer an [out, in] unsigned integer matrix holds, for each
-    weight/activation element, the position in ``mr_ids`` of the MR that
-    carries it.
-    """
-
-    mr_index: dict[int, np.ndarray]
-    mr_ids: np.ndarray
-    lambda_nm: np.ndarray
-
-
-def build_photonic_mapping(model: QuantModel,
-                           cfg: AcceleratorConfig) -> PhotonicMapping:
-    """Place every weight/activation element on an MR of its slice's arm.
-
-    Element ``col`` of a row sits in that row's slice ``col // n_a``, at
-    position ``col % n_a`` of the slice, on activation MR
-    ``(col % n_a) % slots`` of the arm ``mapping.slice_arm`` gives the
-    slice, as the work plan places it: slice ``row * chunks + col // n_a``
-    of the layer, ``chunks`` (``mapping.chunks_per_row``) slices to a row.
-    """
-    cfg.validate()
-    slots = cfg.arm_activation_mrs
-    comb = build_comb(slots, cfg.channel_spacing_nm,
-                      cfg.center_wavelength_nm, cfg.passband_nm)
-    arms = cfg.n_vdp * cfg.n_wg
-    used = np.zeros(arms * slots, dtype=bool)
-    mr_index = {}
-    for li, rows, size in model.shapes:
-        chunks = chunks_per_row(size, cfg.n_a)
-        # the indices live through a whole noisy pass: the narrowest dtype
-        # that holds every MR id and every sum below
-        dt = np.min_scalar_type(max(used.size, arms + chunks))
-        col = np.arange(size)
-        # (row * chunks + col // n_a) % arms, the row term reduced first
-        idx = np.add.outer(slice_arm(np.arange(rows) * chunks, cfg).astype(dt),
-                           (col // cfg.n_a).astype(dt))
-        slice_arm(idx, cfg, out=idx)
-        idx *= slots
-        idx += ((col % cfg.n_a) % slots).astype(dt)
-        used[idx] = True
-        mr_index[li] = idx
-    ids = np.flatnonzero(used)
-    if ids.size < used.size:           # else each MR id is its position
-        position = np.cumsum(used) - 1
-        mr_index = {li: position.astype(idx.dtype)[idx]
-                    for li, idx in mr_index.items()}
-    return PhotonicMapping(mr_index, ids, np.asarray(comb)[ids % slots])
-
 
 def _nominal_transmission(design: MrDesign, lam: np.ndarray) -> np.ndarray:
     """T(lambda_s; lambda_s), each MR on resonance at its signal wavelength:

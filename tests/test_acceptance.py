@@ -244,7 +244,7 @@ def test_criterion_09_pipeline_and_bandwidth(toolkit_config, env):
 
 def __structure(params):
     from mrbnn.mapping import ModelStructure
-    return ModelStructure("s", (int(params),))
+    return ModelStructure.from_counts((int(params),))
 
 
 def test_criterion_10_dse_orderings(toolkit_config, env):

@@ -400,22 +400,31 @@ class TestModelConstruction:
             QuantModel((fc_layer(np.ones((4, 2))),
                         fc_layer(np.ones((3, 5)))))
 
+    # each case builds its layers inside the check: a BN layer whose own
+    # vectors disagree fails as it is built
     @pytest.mark.parametrize("layers", [
         # the 1-channel BN broadcasts over 4 outputs in the explicit pass
-        (fc_layer(np.ones((4, 3))), zero_bn([1.0], [1.0]),
-         activation_layer()),
-        (conv_layer(np.ones((2, 1, 2, 2))), activation_layer(),
-         pool_layer(2), zero_bn([1.0] * 3, [1.0] * 3)),
-        (fc_layer(np.ones((4, 3))), zero_bn([1.0] * 4, [1.0] * 4),
-         activation_layer(), fc_layer(np.ones((2, 4))),
-         zero_bn([1.0] * 4, [1.0] * 4)),
+        lambda: (fc_layer(np.ones((4, 3))), zero_bn([1.0], [1.0]),
+                 activation_layer()),
+        lambda: (conv_layer(np.ones((2, 1, 2, 2))), activation_layer(),
+                 pool_layer(2), zero_bn([1.0] * 3, [1.0] * 3)),
+        lambda: (fc_layer(np.ones((4, 3))), zero_bn([1.0] * 4, [1.0] * 4),
+                 activation_layer(), fc_layer(np.ones((2, 4))),
+                 zero_bn([1.0] * 4, [1.0] * 4)),
         # beta alone is short
-        (fc_layer(np.ones((2, 3))),
-         batch_norm_layer([1.0, 1.0], [0.0], [0.0, 0.0], [1.0, 1.0])),
-    ])
+        lambda: (fc_layer(np.ones((2, 3))),
+                 batch_norm_layer([1.0, 1.0], [0.0], [0.0, 0.0],
+                                  [1.0, 1.0])),
+        # a leading BN, with no weighted layer before it to chain from
+        lambda: (batch_norm_layer([1.0] * 3, [0.0], [0.0] * 3, [1.0] * 3),
+                 fc_layer(np.ones((2, 3)))),
+        # vectors of one shape that is not 1-D
+        lambda: (batch_norm_layer(*[np.ones((2, 2))] * 4),),
+        lambda: (batch_norm_layer(*[np.ones(())] * 4),),
+    ], ids=[f"layers{i}" for i in range(7)])
     def test_bn_channel_check(self, layers):
         with pytest.raises(DomainError, match="channel mismatch"):
-            QuantModel(layers)
+            QuantModel(layers())
 
     @pytest.mark.parametrize("kind, shape", [
         (LayerKind.FULLY_CONNECTED, (6,)),

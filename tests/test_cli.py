@@ -201,11 +201,16 @@ class TestMalformedModel:
          "layer 1: header entry 'channels' is 3"),
         (lambda h: _edit(h, ["layers", 1, "epsilon"], float("nan")),
          "epsilon must be > 0"),
+        # beta's 16 bytes read as two float64s: a 2-wide beta under a
+        # 4-wide gamma, in a payload of unchanged length and checksum
+        (lambda h: _edit(_edit(h, ["tensors", 2, "dtype"], "<f8"),
+                         ["tensors", 2, "shape"], [2]),
+         "channel mismatch: BN vectors of shape [(2,), (4,)]"),
     ], ids=["header-not-mapping", "no-tensors", "layer-without-kind",
             "missing-tensor", "activation-bits-0", "bn-channel-mismatch",
             "conv-weights-rank", "stride-0", "binarized-string",
             "act-range-one-number", "conv-shape-mismatch",
-            "bn-channels-mismatch", "bn-epsilon-nan"])
+            "bn-channels-mismatch", "bn-epsilon-nan", "bn-beta-short"])
     def test_exit_3(self, mutate, message, tmp_path, capsys):
         rng = np.random.Generator(np.random.PCG64(3))
         path = tmp_path / "m.mrbnn"

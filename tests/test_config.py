@@ -15,6 +15,7 @@ from mrbnn.config import (ToolkitConfig, arch_config, build_designs,
                           load_config, population_design, sweep_spec,
                           workload_structures)
 from mrbnn.errors import ConfigError, DomainError
+from mrbnn.mapping import ModelStructure
 from mrbnn.photonics import RingClass, fwhm_and_q
 
 
@@ -48,7 +49,10 @@ class TestDefaults:
 
     def test_workload(self, toolkit_config):
         structures = workload_structures(toolkit_config)
-        counts = {s.name: s.parameter_count for s in structures}
+        assert structures == [ModelStructure.from_counts(
+            w.layer_parameter_counts) for w in toolkit_config.workload]
+        counts = {w.name: s.parameter_count
+                  for w, s in zip(toolkit_config.workload, structures)}
         assert counts["net60k"] == 60642
         assert counts["net13m6"] == 13570186
 

@@ -173,9 +173,9 @@ def exact_fields(result):
 # ten models, nine of them with bits: np.mean adds eight or more values
 # in a pairwise order, which a reduction along a non-contiguous axis
 # would not keep
-MANY_MODELS = [ModelStructure(f"m{i}", (c, c // 7 + 1) if c else ())
-               for i, c in enumerate((60642, 1000, 13, 250000, 0, 7, 99991,
-                                      4096, 123456, 31))]
+MANY_MODELS = [ModelStructure.from_counts((c, c // 7 + 1) if c else ())
+               for c in (60642, 1000, 13, 250000, 0, 7, 99991, 4096, 123456,
+                         31)]
 
 
 class TestRunSweepOracle:
@@ -187,11 +187,11 @@ class TestRunSweepOracle:
         (0.3, 0.8, None),
         (None, 0.0, None),
         (None, 1.0, None),
-        (None, 0.8, [ModelStructure("one", (60642, 1064))]),
-        (None, 0.8, [ModelStructure("m", (60642,)),
-                     ModelStructure("zero", ())]),
-        (None, 0.8, [ModelStructure("zero", ()),
-                     ModelStructure("empty", (0, 0))]),
+        (None, 0.8, [ModelStructure.from_counts((60642, 1064))]),
+        (None, 0.8, [ModelStructure.from_counts((60642,)),
+                     ModelStructure.from_counts(())]),
+        (None, 0.8, [ModelStructure.from_counts(()),
+                     ModelStructure.from_counts((0, 0))]),
         (None, 0.8, MANY_MODELS),
     ], ids=["default", "dense", "fraction-0", "fraction-1", "one-model",
             "zero-model", "all-zero", "ten-models"])
@@ -220,7 +220,7 @@ class TestRunSweep:
         spec = SweepSpec(n_a_values=(10,), n_vdp_values=(50,),
                          n_wg_values=(10,))
         res = run_sweep(spec, config.arch_config(toolkit_config), env,
-                        [ModelStructure("m", (60642,))])
+                        [ModelStructure.from_counts((60642,))])
         assert len(res.points) == 1
         p = res.points[0]
         assert p.pareto
@@ -247,7 +247,7 @@ class TestRunSweep:
         spec = SweepSpec(n_a_values=(10, 21), n_vdp_values=(2,),
                          n_wg_values=(1,))
         res = run_sweep(spec, config.arch_config(toolkit_config), env,
-                        [ModelStructure("m", (1000,))])
+                        [ModelStructure.from_counts((1000,))])
         assert len(res.points) == 1
         assert len(res.errors) == 1
         assert res.errors[0][0] == (21, 2, 1)
@@ -324,7 +324,7 @@ class TestRunSweep:
         # configuration's power is, bit for bit, a report on a map of its
         # own
         base = config.arch_config(toolkit_config)
-        workload = [ModelStructure("m", (60642,))]
+        workload = [ModelStructure.from_counts((60642,))]
         cfgs = [replace(base, n_a=a, n_vdp=v, n_wg=w, n_b=spec.n_b)
                 for a, v, w in spec.grid()]
         maps = [chip_fpv_map(c, env, spec.seed) for c in cfgs]
@@ -341,7 +341,7 @@ class TestRunSweep:
         spec = SweepSpec(n_a_values=(10,), n_vdp_values=(50,),
                          n_wg_values=(10,), seed=3)
         args = (config.arch_config(toolkit_config), env,
-                [ModelStructure("m", (60642,))])
+                [ModelStructure.from_counts((60642,))])
         assert run_sweep(spec, *args) == run_sweep(spec, *args, seed=3)
         assert run_sweep(spec, *args) != run_sweep(spec, *args, seed=0)
 

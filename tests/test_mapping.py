@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from mrbnn import bnn
-from mrbnn.bnn import QuantModel, activation_layer, conv_layer, fc_layer
+from mrbnn.bnn import (LayerShape, QuantModel, activation_layer, conv_layer,
+                       fc_layer)
 from mrbnn.errors import DomainError, PhysicalConstraintError
 from mrbnn.mapping import (AcceleratorConfig, ModelStructure, build_comb,
                            build_work_plan, decompose_conv, decompose_fc)
@@ -290,13 +293,31 @@ class TestWavelengths:
 
 class TestModelStructure:
     def test_counts(self):
-        s = ModelStructure("m", (59508, 1064, 70))
+        s = ModelStructure.from_counts((59508, 1064, 70))
+        assert s.shapes == (LayerShape(0, 1, 59508), LayerShape(1, 1, 1064),
+                            LayerShape(2, 1, 70))
         assert s.parameter_count == 60642
         assert s.total_bits == 60642 * 5
+        assert ModelStructure.from_counts(()).shapes == ()
 
     def test_from_model(self):
         model = QuantModel((fc_layer(np.ones((4, 8))), activation_layer(),
                             fc_layer(np.ones((2, 4)), binarized=False)))
         s = ModelStructure.from_model(model)
-        assert s.layer_parameter_counts == (32, 8)
+        assert s.shapes == (LayerShape(0, 4, 8), LayerShape(2, 2, 4))
+        assert s.parameter_count == 40
         assert s.activation_bits == 4
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_count_keeps_its_steps(self, seed):
+        # an FC layer of one row and c inputs takes ceil(c / (n_a * slots))
+        # steps, slots = n_vdp * n_wg: what a workload count c stands for
+        rng = np.random.Generator(np.random.PCG64(seed))
+        cfg = AcceleratorConfig(n_a=int(rng.integers(1, 60)),
+                                n_vdp=int(rng.integers(1, 12)),
+                                n_wg=int(rng.integers(1, 12)))
+        c = int(rng.integers(1, 5000))
+        model = QuantModel((fc_layer(np.ones((1, c))),))
+        assert build_work_plan(model, cfg).steps_per_layer == (
+            math.ceil(c / (cfg.n_a * cfg.n_vdp * cfg.n_wg)),)
+        assert ModelStructure.from_counts((c,)).shapes == model.shapes

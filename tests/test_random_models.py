@@ -8,8 +8,9 @@ At fraction 0.5, each model's logits walked in 4 KiB chunks and as one
 chunk, and the kernel's against the broadcast formula, agree within 1e-9.
 Each model runs with the kernels' workspace warm from the model before it,
 whose shapes differ. On every model, the photonic mapping matches the
-looped oracle under EO and PO, and the dots of a walk read and return the
-widths ``QuantModel.shapes`` gives. Full tuning reproduces the folded
+looped oracle under EO and PO, the dots of a walk read and return the
+widths ``QuantModel.shapes`` gives, and ``ModelStructure.from_model`` keeps
+those records and counts every weight. Full tuning reproduces the folded
 reference on the models whose binarized layers read inputs in [0, 1].
 """
 
@@ -19,6 +20,7 @@ import pytest
 from mrbnn import bnn, config
 from mrbnn.bnn import (QuantModel, activation_layer, batch_norm_layer,
                        conv_layer, fc_layer, pool_layer)
+from mrbnn.mapping import ModelStructure
 from mrbnn.simulator import build_photonic_mapping, noisy_inference
 from test_simulator import broadcast_logits, looped_mapping
 
@@ -143,6 +145,15 @@ def test_shapes_are_the_widths_the_walk_reads():
         for s in model.shapes:
             assert {call[:2] for call in seen[s.li]} == {(s.n_in, s.n_out)}, \
                 (seed, s)
+
+
+def test_structure_is_the_models_layer_records():
+    for seed in SEEDS:
+        model, _ = random_model(seed)
+        structure = ModelStructure.from_model(model)
+        assert structure.shapes == model.shapes, seed
+        assert structure.parameter_count == sum(
+            l.weights.size for l in model.layers if l.weighted), seed
 
 
 def test_full_tuning_reproduces_the_folded_reference(env, eo_cfg):

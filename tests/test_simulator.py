@@ -135,20 +135,21 @@ class TestLaserPower:
 
 class TestPipeline:
     def test_zero_params(self, env, eo_cfg):
-        t = pipeline_time(ModelStructure("empty", ()), eo_cfg, env)
+        t = pipeline_time(ModelStructure.from_counts(()), eo_cfg, env)
         assert t.steps == 0
         assert t.total_ns == pytest.approx(t.t_del_ns)
 
     def test_exact_capacity_single_step(self, env, po_cfg):
-        s = ModelStructure("m", (100_000,))
+        s = ModelStructure.from_counts((100_000,))
         t = pipeline_time(s, po_cfg, env)
         assert t.steps == 1 and t.buffered_steps == 1
 
     def test_table_model_steps(self, env, po_cfg):
-        assert pipeline_time(ModelStructure("m1", (59508, 1064, 70)),
+        assert pipeline_time(ModelStructure.from_counts((59508, 1064, 70)),
                              po_cfg, env).steps == 1
-        assert pipeline_time(ModelStructure("m3", (13500000, 70000, 186)),
-                             po_cfg, env).steps == 136
+        assert pipeline_time(
+            ModelStructure.from_counts((13500000, 70000, 186)), po_cfg,
+            env).steps == 136
 
     def test_affine_in_steps(self, env, po_cfg):
         # past the ECU buffer the buffered term is constant, so total(X)
@@ -156,7 +157,7 @@ class TestPipeline:
         per_step = po_cfg.weights_per_vdp_step * po_cfg.n_vdp
         xs, totals = [], []
         for mult in (2, 3, 5):
-            s = ModelStructure("m", (per_step * mult,))
+            s = ModelStructure.from_counts((per_step * mult,))
             t = pipeline_time(s, po_cfg, env)
             xs.append(t.steps)
             totals.append(t.total_ns)
@@ -166,7 +167,7 @@ class TestPipeline:
         assert totals[2] == pytest.approx(predicted, rel=1e-12)
 
     def test_t_del_is_full_path(self, env, eo_cfg):
-        t = pipeline_time(ModelStructure("m", (10,)), eo_cfg, env)
+        t = pipeline_time(ModelStructure.from_counts((10,)), eo_cfg, env)
         p = env.power
         expected = (p.dac.latency_ns + env.tuning_params.eo_latency_ns
                     + p.photodetector.latency_ns + p.tia.latency_ns
@@ -298,7 +299,7 @@ class TestTuningBudget:
 
 class TestPowerAndEpb:
     def test_breakdown_sums(self, env, eo_cfg):
-        rep = power_and_epb(ModelStructure("m", (60642,)), eo_cfg, env)
+        rep = power_and_epb(ModelStructure.from_counts((60642,)), eo_cfg, env)
         assert sum(rep.power_breakdown_mw.values()) \
             == pytest.approx(rep.total_power_mw, rel=1e-9)
         assert set(rep.power_breakdown_mw) == {
@@ -306,18 +307,18 @@ class TestPowerAndEpb:
             "vcsel"}
 
     def test_epb_fps_identity(self, env, eo_cfg):
-        s = ModelStructure("m", (60642,))
+        s = ModelStructure.from_counts((60642,))
         rep = power_and_epb(s, eo_cfg, env)
         assert rep.epb_pj_per_bit * rep.fps == pytest.approx(
             rep.total_power_mw * 1e9 / s.total_bits, rel=1e-9)
 
     def test_zero_param_model(self, env, eo_cfg):
-        rep = power_and_epb(ModelStructure("empty", ()), eo_cfg, env)
+        rep = power_and_epb(ModelStructure.from_counts(()), eo_cfg, env)
         assert rep.epb_pj_per_bit is None
         assert rep.total_power_mw > 0  # static device floor remains
 
     def test_doubling_vdps(self, env, eo_cfg):
-        s = ModelStructure("m", (1_000_000,))
+        s = ModelStructure.from_counts((1_000_000,))
         rep1 = power_and_epb(s, eo_cfg, env)
         cfg2 = replace(eo_cfg, n_vdp=eo_cfg.n_vdp * 2)
         rep2 = power_and_epb(s, cfg2, env)
@@ -334,8 +335,8 @@ class TestPowerAndEpb:
 
 class TestEvaluate:
     # two models with bits and, between them, one of none
-    MODELS = [ModelStructure("a", (60642,)), ModelStructure("none", ()),
-              ModelStructure("b", (1_000_000, 4096))]
+    MODELS = [ModelStructure.from_counts(c)
+              for c in ((60642,), (), (1_000_000, 4096))]
 
     @pytest.fixture(scope="class")
     def dense_env(self, toolkit_config):
@@ -1191,7 +1192,7 @@ class TestSimReport:
                 required_bandwidth_gb_s=1.0)
 
     def test_to_dict_round_trip_fields(self, env, eo_cfg):
-        rep = power_and_epb(ModelStructure("m", (1000,)), eo_cfg, env)
+        rep = power_and_epb(ModelStructure.from_counts((1000,)), eo_cfg, env)
         d = rep.to_dict()
         assert d["total_power_mw"] == rep.total_power_mw
         assert set(d["power_breakdown_mw"]) == set(rep.power_breakdown_mw)
