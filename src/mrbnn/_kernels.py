@@ -9,7 +9,10 @@ group of levels (``_level_gemm``); a layer fed by values, or one where
 that does not pay, takes the element-wise form in blocks of bounded size,
 laid out input-major below about 58 inputs (``_input_major``). The two
 element-wise forms give the same bits (but for NaN signs); the level split
-differs from them only in summation order.
+differs from them only in summation order. The level split reads the codes
+in one-byte passes: each level is counted by a byte compare
+(``_level_counts``), and the inputs it adds pair by pair are found by one
+wrapping byte range test per run of their levels (``_direct_sums``).
 
 The blocks and index copies of those forms, the signed table of
 ``layer_table`` when given ``out``, and the patches of ``bnn.im2col`` are
@@ -54,7 +57,8 @@ MAX_LEVELS = 32
 # at the 205-row slices of a larger batch. A request that does not fit is
 # allocated as usual. Every byte kept adds to a process's peak RSS, so the
 # level path's clamped tables, as large as the signed one, stay heap
-# arrays, and a conv layer's float patches are never copied whole
+# arrays (only the direct sums' clamped columns, within one block, are
+# lent), and a conv layer's float patches are never copied whole
 # (``Windows``).
 WORKSPACE_BYTES = 4 << 20
 
@@ -66,6 +70,7 @@ WORKSPACE_BYTES = 4 << 20
 SMALL_BYTES = 1 << 16
 
 _FLOAT, _INTP = np.dtype(np.float64), np.dtype(np.intp)
+_BOOL, _BYTE = np.dtype(bool), np.dtype(np.uint8)
 
 
 class Workspace:
@@ -308,18 +313,26 @@ def layer_table(w_pos, w_neg, rho_act, out=None) -> LayerTable:
 
 @_framed
 def _level_counts(codes, size):
-    """``np.bincount(codes.ravel(), minlength=size)`` of [n, n_in] codes
-    below ``size``, a block of rows at a time (``_intp_blocks``)."""
+    """``np.bincount(codes.ravel(), minlength=size)`` of [n, n_in] uint8
+    codes below ``size``: per level, one byte compare of a block of rows
+    into a bool scratch block within ``BLOCK_BYTES`` and ``np.count_nonzero``
+    of it, so no code is cast to intp."""
+    n, n_in = codes.shape
     counts = np.zeros(size, dtype=np.intp)
-    for _, ints in _intp_blocks(codes):
-        counts += np.bincount(ints.ravel(), minlength=size)
+    rows = max(1, BLOCK_BYTES // max(1, n_in))
+    hits = WORKSPACE.take((min(rows, n), n_in), _BOOL)
+    for start in range(0, n, rows):
+        block = codes[start:start + rows]
+        on = hits[:len(block)]
+        for l in range(size):
+            counts[l] += np.count_nonzero(np.equal(block, l, out=on))
     return counts
 
 
 def _intp_blocks(codes):
     """(first row, the rows cast to intp) for each block of rows of the
     [n, n_in] ``codes``, cast into one scratch block within ``BLOCK_BYTES /
-    8``: np.bincount and np.take copy any other index whole to intp."""
+    8``: np.take copies any other index whole to intp."""
     n, n_in = codes.shape
     rows = max(1, BLOCK_BYTES // (64 * max(1, n_in)))
     ints = WORKSPACE.take((min(rows, n), n_in), _INTP)
@@ -437,20 +450,74 @@ def _direct_sums(out, idx, levels, direct, signed):
     """Add to ``out`` the products clip(v * signed, -1, 1) of the inputs
     on the ``direct`` levels, ``signed`` being rho * rail, a block of
     (sample, input) pairs at a time, each block's [n_out, pairs] products
-    within ``BLOCK_BYTES``."""
-    flat = np.flatnonzero(direct[idx])     # grouped by sample
-    n_out = signed.shape[0]
+    within ``BLOCK_BYTES``; each row adds its pairs' products in input
+    order (``np.add.reduceat``).
+
+    The pairs are found on the uint8 codes as they are (``_on_levels``).
+    Where the clamped columns clip(v * signed[:, k], -1, 1) of the direct
+    levels pay (``_columns_pay``), they are built once and each pair
+    gathers its column; otherwise each block multiplies and clips its
+    pairs' columns of ``signed``. Either way a product is the one multiply
+    and clip, so the bits are the same."""
+    n_in, n_out = idx.shape[1], signed.shape[0]
+    with WORKSPACE:
+        flat = np.flatnonzero(_on_levels(idx, direct))    # grouped by sample
+    chosen = np.flatnonzero(direct)
+    table = None
+    if _columns_pay(chosen.size, n_in, n_out, flat.size):
+        table = WORKSPACE.take((n_out, chosen.size, n_in))
+        np.multiply(signed[:, None, :], levels[chosen, None], out=table)
+        np.clip(table, -1.0, 1.0, out=table)
+        table = table.reshape(n_out, -1)
+        column = np.zeros(levels.size, _INTP)     # of input 0 on each level
+        column[chosen] = n_in * np.arange(chosen.size)
     pairs = max(1, BLOCK_BYTES // (n_out * 8))
     space = WORKSPACE.take((n_out * min(pairs, flat.size),))
     for start in range(0, flat.size, pairs):
         block = flat[start:start + pairs]
-        rows, cols = np.divmod(block, idx.shape[1])
+        rows, cols = np.divmod(block, n_in)
+        codes = np.take(idx, block)
         prod = space[:n_out * block.size].reshape(n_out, block.size)
-        np.take(signed, cols, axis=1, out=prod, mode="clip")
-        prod *= levels[np.take(idx, block)]
-        np.clip(prod, -1.0, 1.0, out=prod)
+        if table is None:
+            np.take(signed, cols, axis=1, out=prod, mode="clip")
+            prod *= levels[codes]
+            np.clip(prod, -1.0, 1.0, out=prod)
+        else:
+            cols += column[codes]
+            np.take(table, cols, axis=1, out=prod, mode="clip")
         first = np.flatnonzero(np.diff(rows, prepend=-1))
         out[rows[first]] += np.add.reduceat(prod, first, axis=1).T
+
+
+def _columns_pay(n_levels, n_in, n_out, n_pairs):
+    """Whether ``_direct_sums`` builds the [n_out, n_levels * n_in] clamped
+    columns of its levels once rather than forming the products of its
+    ``n_pairs`` pairs: when they are no more entries than those products
+    and fit one ``BLOCK_BYTES`` block. On conv-sim's conv 2 (8 x 144
+    columns of 32 for about 19,000 pairs) they pay; its FC's 8 x 1,568
+    columns of 128, for about 2,200 pairs, took about four times as long
+    as the products (``columns_rule`` in BENCH_codes_passes.json)."""
+    return (n_levels * n_in <= n_pairs
+            and 8 * n_levels * n_in * n_out <= BLOCK_BYTES)
+
+
+def _on_levels(codes, chosen):
+    """The bool mask of the uint8 ``codes`` on the ``chosen`` levels (a bool
+    per level), scratch of the caller's frame: one wrapping byte test
+    (code - lo) <= hi - lo per run lo..hi of chosen levels, or-ed."""
+    runs = []
+    for l in np.flatnonzero(chosen).tolist():
+        if runs and runs[-1][1] == l - 1:
+            runs[-1][1] = l
+        else:
+            runs.append([l, l])
+    mask, hit = (WORKSPACE.take(codes.shape, _BYTE) for _ in range(2))
+    mask.fill(0)
+    for lo, hi in runs:
+        np.subtract(codes, np.uint8(lo), out=hit)     # wraps below lo
+        np.less_equal(hit, np.uint8(hi - lo), out=hit.view(bool))
+        mask |= hit
+    return mask.view(bool)
 
 
 def _blocked_broadcast(acts, table, rail=None):

@@ -343,6 +343,23 @@ def _apply_pool(x: np.ndarray, window: int, mode: str) -> np.ndarray:
     raise DomainError(f"unknown pool mode {mode!r}")
 
 
+def _max_pool_codes(codes: np.ndarray, window: int) -> np.ndarray:
+    """``_apply_pool(codes, window, "max")`` of integer codes, as the
+    elementwise maxima of the window's strided views: integer maxima are
+    exact in any order. The result is laid out as the reduction lays out
+    its own (in the order of the codes' strides). Floats keep the
+    reduction, whose maxima differ in the signs of zeros and NaNs."""
+    oh, ow = codes.shape[2] // window, codes.shape[3] // window
+    views = [codes[:, :, i:i + oh * window:window, j:j + ow * window:window]
+             for i in range(window) for j in range(window)]
+    if window == 1:
+        return views[0].copy(order="K")
+    out = np.maximum(views[0], views[1])
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
+    return out
+
+
 def _codes_read(layers: Sequence[Layer], li: int) -> bool:
     """Whether the quantizer of layer ``li`` feeds a binarized layer's dot
     with at most max pooling between: the one reader that takes ``Codes``.
@@ -358,7 +375,7 @@ def _codes_read(layers: Sequence[Layer], li: int) -> bool:
 
 def _keep_codes(a, fn):
     """``fn(a)``; of ``Codes``, the codes ``fn(a.codes)`` (``fn`` only
-    moves, copies or takes maxima of elements)."""
+    moves or copies elements)."""
     return replace(a, codes=fn(a.codes)) if isinstance(a, Codes) else fn(a)
 
 
@@ -482,8 +499,11 @@ def forward(model: QuantModel, a: np.ndarray, dot,
             a = flush_fold(a)
             if len(a.shape) != 4:
                 raise DomainError("pool input must be [n, c, h, w]")
-            a = _keep_codes(a, lambda x: _apply_pool(x, layer.pool_window,
-                                                     layer.pool_mode))
+            if isinstance(a, Codes):    # only max pools pass codes on
+                a = replace(a, codes=_max_pool_codes(a.codes,
+                                                     layer.pool_window))
+            else:
+                a = _apply_pool(a, layer.pool_window, layer.pool_mode)
             owned = True
         else:  # pragma: no cover
             raise DomainError(f"unhandled layer kind {layer.kind}")

@@ -8,8 +8,9 @@ Layout:
     <binary payload>
 
 The header lists layers, tensor shapes/offsets and a CRC32 of the payload,
-verified on load. Tensors are float32, little-endian, row-major, in layer
-order (weights first, then the four batch-norm vectors where present).
+verified on load. Tensors are float32 (``<f4``), little-endian, row-major,
+in layer order (weights first, then the four batch-norm vectors where
+present), each starting where the one before it ends.
 
 ``_SCHEMA`` gives each layer kind's header entries in file order, as (key,
 ``Layer`` attribute or None when derived from a tensor, format), and its
@@ -111,12 +112,20 @@ def save_model(model: QuantModel, path: str,
         fh.write(blob)
 
 
-def _read_tensor(blob: bytes, th: dict) -> np.ndarray:
-    start = th["byte_offset"]
+def _read_tensor(blob: bytes, th: dict, start: int) -> np.ndarray:
+    """The tensor of header entry ``th``, which must be float32 and start
+    at byte ``start``, where the tensors before it end."""
+    if th["dtype"] != _DTYPE.str:
+        raise DataFormatError(f"tensor {th['name']} has dtype "
+                              f"{th['dtype']!r}, not {_DTYPE.str!r}")
+    if th["byte_offset"] != start:
+        raise DataFormatError(f"tensor {th['name']} starts at byte "
+                              f"{th['byte_offset']!r}, not at byte {start}, "
+                              f"where the tensors before it end")
     end = start + th["byte_len"]
     if end > len(blob):
         raise DataFormatError(f"tensor {th['name']} overruns the payload")
-    arr = np.frombuffer(blob[start:end], dtype=np.dtype(th["dtype"]))
+    arr = np.frombuffer(blob[start:end], dtype=_DTYPE)
     expect = int(np.prod(th["shape"])) if th["shape"] else 1
     if arr.size != expect:
         raise DataFormatError(f"tensor {th['name']} size mismatch")
@@ -168,7 +177,10 @@ def _parse(header: dict, blob: bytes) -> tuple[QuantModel, dict]:
         raise DataFormatError(
             f"payload checksum mismatch: {crc:#x} != "
             f"{header['payload_crc32']:#x}")
-    tensors = {t["name"]: _read_tensor(blob, t) for t in header["tensors"]}
+    tensors, start = {}, 0
+    for t in header["tensors"]:     # they tile the payload in header order
+        tensors[t["name"]] = _read_tensor(blob, t, start)
+        start += t["byte_len"]
     layers: list[Layer] = []
     for i, lh in enumerate(header["layers"]):
         kind = next((k for k in _SCHEMA if k.value == lh["kind"]), None)

@@ -915,6 +915,64 @@ class TestToValues:
         assert peak <= (128 * 1568 + 512 * 128) * 8 + 1.25 * bnn.BLOCK_BYTES
 
 
+def layout(a):
+    """The strides of ``a``'s axes longer than 1: its memory layout (the
+    stride of a length-1 axis is never stepped)."""
+    return [(size, step) for size, step in zip(a.shape, a.strides)
+            if size > 1]
+
+
+class TestMaxPoolCodes:
+    """The walk max-pools codes by elementwise maxima of the window's
+    strided views (``_max_pool_codes``), with the values and the memory
+    layout of ``_apply_pool``'s reduction; floats keep the reduction."""
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize("h, w", [(7, 5), (6, 9), (3, 4)])
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (0, 2, 3, 1)],
+                             ids=["C", "channel-last"])
+    def test_equals_the_reduction(self, window, h, w, order):
+        rng = np.random.Generator(np.random.PCG64(11))
+        shape = np.array([3, 4, h, w])
+        codes = rng.integers(0, 16, shape[list(order)]).astype(np.uint8)
+        codes = codes.transpose(np.argsort(order))
+        got = bnn._max_pool_codes(codes, window)
+        want = bnn._apply_pool(codes, window, "max")
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert layout(got) == layout(want)
+        # so the levels are laid out alike, and later sums add alike
+        levels = bnn.activation_levels(4)
+        assert layout(bnn.to_values(bnn.Codes(got, levels))) == layout(
+            bnn.to_values(bnn.Codes(want, levels)))
+
+    def test_the_walk_pools_codes_by_views(self, monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(12))
+        model = QuantModel((
+            conv_layer(rng.normal(size=(3, 2, 1, 1))), activation_layer(),
+            pool_layer(2), conv_layer(rng.normal(size=(4, 3, 2, 2))),
+            activation_layer(quantize=False), pool_layer(2),
+            fc_layer(rng.normal(size=(2, 4)))), activation_bits=3)
+        seen = []
+        views, reduce = bnn._max_pool_codes, bnn._apply_pool
+        monkeypatch.setattr(bnn, "_max_pool_codes", lambda x, *args: (
+            seen.append(("views", x.dtype)), views(x, *args))[1])
+        monkeypatch.setattr(bnn, "_apply_pool", lambda x, *args: (
+            seen.append(("reduce", x.dtype)), reduce(x, *args))[1])
+        bnn.forward(model, rng.uniform(0.0, 1.0, (2, 2, 6, 6)),
+                    bnn.exact_dot)
+        assert seen == [("views", np.uint8), ("reduce", np.float64)]
+
+    def test_floats_keep_the_reduction(self):
+        # strided maxima of floats differ from the reduction in the signs
+        # of zeros and NaNs
+        rng = np.random.Generator(np.random.PCG64(13))
+        x = rng.choice([0.0, -0.0, np.nan, -np.nan, 1.0, -1.0],
+                       (4, 3, 7, 5))
+        got = bnn.forward(QuantModel((pool_layer(2),)), x, bnn.exact_dot)
+        want = x[:, :, :6, :4].reshape(4, 3, 3, 2, 2, 2).max(axis=(3, 5))
+        assert got.tobytes() == want.reshape(4, -1).tobytes()
+
+
 class TestChunks:
     """A walk takes the batch in balanced chunks within ``CHUNK_BYTES``,
     which the layers before the first FC layer take in balanced parts; a

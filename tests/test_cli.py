@@ -1,4 +1,5 @@
 import json
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -174,43 +175,73 @@ def _edit(header, path, value=None):
     return header
 
 
+def _in_header(edit):
+    """A model-file edit of the header alone: ``edit(header)``."""
+    return lambda header, payload: (edit(header), payload)
+
+
+def _short_beta(header, payload):
+    """The test model's file with beta (tensor 2) cut to its first two
+    floats, the tensors after it moved up and the checksum redone: a 2-wide
+    beta under a 4-wide gamma."""
+    beta = header["tensors"][2]
+    cut = beta["byte_offset"] + 8
+    payload = payload[:cut] + payload[cut + 8:]
+    beta.update(shape=[2], byte_len=8)
+    for t in header["tensors"][3:]:
+        t["byte_offset"] -= 8
+    header["payload_crc32"] = zlib.crc32(payload) & 0xFFFFFFFF
+    return header, payload
+
+
 class TestMalformedModel:
     """A model file whose header does not describe a valid model fails as a
     data error (exit 3) before anything runs."""
 
     @pytest.mark.parametrize("mutate, message", [
-        (lambda h: [1, 2], "not a mapping"),
-        (lambda h: _edit(h, ["tensors"]), "'tensors'"),
-        (lambda h: _edit(h, ["layers", 1, "kind"]), "'kind'"),
-        (lambda h: _edit(h, ["tensors", 0, "name"], "layer9.weights"),
+        (_in_header(lambda h: [1, 2]), "not a mapping"),
+        (_in_header(lambda h: _edit(h, ["tensors"])), "'tensors'"),
+        (_in_header(lambda h: _edit(h, ["layers", 1, "kind"])), "'kind'"),
+        (_in_header(lambda h: _edit(h, ["tensors", 0, "name"],
+                                    "layer9.weights")),
          "'layer0.weights'"),
-        (lambda h: _edit(h, ["activation_bits"], 0), "activation_bits"),
+        (_in_header(lambda h: _edit(h, ["activation_bits"], 0)),
+         "activation_bits"),
         # the same 12 kernel floats as 6 channels ahead of the 4-channel BN
-        (lambda h: _edit(h, ["tensors", 0, "shape"], [6, 1, 1, 2]),
+        (_in_header(lambda h: _edit(h, ["tensors", 0, "shape"],
+                                    [6, 1, 1, 2])),
          "channel mismatch"),
-        (lambda h: _edit(h, ["tensors", 0, "shape"], [4, 3]), "4 axes"),
-        (lambda h: _edit(h, ["layers", 0, "stride"], 0),
+        (_in_header(lambda h: _edit(h, ["tensors", 0, "shape"], [4, 3])),
+         "4 axes"),
+        (_in_header(lambda h: _edit(h, ["layers", 0, "stride"], 0)),
          "conv stride must be >= 1"),
-        (lambda h: _edit(h, ["layers", 0, "binarized"], "no"),
+        (_in_header(lambda h: _edit(h, ["layers", 0, "binarized"], "no")),
          "layer 0: header entry 'binarized' is not a boolean"),
-        (lambda h: _edit(h, ["layers", 2, "act_range"], [0.0]),
+        (_in_header(lambda h: _edit(h, ["layers", 2, "act_range"], [0.0])),
          "layer 2: header entry 'act_range' is not a list of two numbers"),
-        (lambda h: _edit(h, ["layers", 0, "shape"], [4, 1, 1, 2]),
+        (_in_header(lambda h: _edit(h, ["layers", 0, "shape"],
+                                    [4, 1, 1, 2])),
          "layer 0: header entry 'shape' is [4, 1, 1, 2]"),
-        (lambda h: _edit(h, ["layers", 1, "channels"], 3),
+        (_in_header(lambda h: _edit(h, ["layers", 1, "channels"], 3)),
          "layer 1: header entry 'channels' is 3"),
-        (lambda h: _edit(h, ["layers", 1, "epsilon"], float("nan")),
+        (_in_header(lambda h: _edit(h, ["layers", 1, "epsilon"],
+                                    float("nan"))),
          "epsilon must be > 0"),
-        # beta's 16 bytes read as two float64s: a 2-wide beta under a
-        # 4-wide gamma, in a payload of unchanged length and checksum
-        (lambda h: _edit(_edit(h, ["tensors", 2, "dtype"], "<f8"),
-                         ["tensors", 2, "shape"], [2]),
-         "channel mismatch: BN vectors of shape [(2,), (4,)]"),
+        (_short_beta, "channel mismatch: BN vectors of shape [(2,), (4,)]"),
+        # beta's 16 bytes read as two float64s, in a payload of unchanged
+        # length and checksum
+        (_in_header(lambda h: _edit(_edit(h, ["tensors", 2, "dtype"], "<f8"),
+                                    ["tensors", 2, "shape"], [2])),
+         "tensor layer1.bn_beta has dtype '<f8', not '<f4'"),
+        # beta pointed at the conv weights' first 16 bytes, its own unread
+        (_in_header(lambda h: _edit(h, ["tensors", 2, "byte_offset"], 0)),
+         "tensor layer1.bn_beta starts at byte 0, not at byte 64"),
     ], ids=["header-not-mapping", "no-tensors", "layer-without-kind",
             "missing-tensor", "activation-bits-0", "bn-channel-mismatch",
             "conv-weights-rank", "stride-0", "binarized-string",
             "act-range-one-number", "conv-shape-mismatch",
-            "bn-channels-mismatch", "bn-epsilon-nan", "bn-beta-short"])
+            "bn-channels-mismatch", "bn-epsilon-nan", "bn-beta-short",
+            "bn-beta-f8", "bn-beta-on-weights"])
     def test_exit_3(self, mutate, message, tmp_path, capsys):
         rng = np.random.Generator(np.random.PCG64(3))
         path = tmp_path / "m.mrbnn"
@@ -221,10 +252,11 @@ class TestMalformedModel:
             bnn.activation_layer())), str(path))
         raw = path.read_bytes()[len(modelio.MAGIC):]
         length, rest = raw.split(b"\n", 1)
-        header = mutate(yaml.safe_load(rest[:int(length)]))
+        header, payload = mutate(yaml.safe_load(rest[:int(length)]),
+                                 rest[int(length):])
         text = yaml.safe_dump(header, sort_keys=False).encode()
         path.write_bytes(modelio.MAGIC + f"{len(text)}\n".encode() + text
-                         + rest[int(length):])
+                         + payload)
         out = tmp_path / "report.json"
         code, _, err = run_cli(["simulate", "--model", str(path),
                                 "--out", str(out)], capsys)

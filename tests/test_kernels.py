@@ -313,6 +313,95 @@ class TestLevelSplit:
         np.testing.assert_array_equal(got, np.zeros((5, 3)))
 
 
+def bincount_counts(codes, size):
+    """The level counts of ``codes`` as a bincount of them cast to intp."""
+    return np.bincount(codes.ravel().astype(np.intp), minlength=size)
+
+
+def pairwise_direct_sums(out, idx, levels, direct, signed):
+    """``_direct_sums`` in its plain form: the pairs by a bool fancy index
+    of the codes, and each block's products by a multiply and a clip of
+    the pairs' columns of ``signed``."""
+    flat = np.flatnonzero(direct[idx])
+    n_out = signed.shape[0]
+    pairs = max(1, _kernels.BLOCK_BYTES // (n_out * 8))
+    for start in range(0, flat.size, pairs):
+        block = flat[start:start + pairs]
+        rows, cols = np.divmod(block, idx.shape[1])
+        prod = np.take(signed, cols, axis=1)
+        prod *= levels[np.take(idx, block)]
+        np.clip(prod, -1.0, 1.0, out=prod)
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[rows[first]] += np.add.reduceat(prod, first, axis=1).T
+
+
+# no rows, no inputs, one row, one input, and a few of each
+SHAPES = [(0, 7), (9, 0), (1, 7), (9, 1), (37, 11)]
+
+
+def level_codes(shape):
+    """Random codes of the 32 levels of a 5-bit quantizer, the first and
+    last of them 0 and 31."""
+    codes = rng.integers(0, 32, shape).astype(np.uint8)
+    if codes.size > 1:
+        codes.flat[[0, -1]] = 0, 31
+    return codes
+
+
+class TestOneBytePasses:
+    """The level counts and the direct sums read the uint8 codes in
+    one-byte passes, with the bits of their plain forms."""
+
+    @pytest.mark.parametrize("block", [8, 100, 1 << 20])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_level_counts(self, monkeypatch, block, shape):
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", block)
+        codes = level_codes(shape)
+        got = _kernels._level_counts(codes, _kernels.MAX_LEVELS)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, bincount_counts(codes,
+                                                   _kernels.MAX_LEVELS))
+
+    @pytest.mark.parametrize("pairs", [4, None], ids=["4-pair-blocks",
+                                                      "one-block"])
+    @pytest.mark.parametrize("columns", [True, False],
+                             ids=["columns", "products"])
+    @pytest.mark.parametrize("chosen", [
+        (), (20,), (3, 4, 9, 17, 18, 19), (28, 29, 30, 31), range(1, 32)],
+        ids=["none", "one", "runs", "to-the-top", "all-but-0"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_direct_sums(self, monkeypatch, shape, chosen, columns, pairs):
+        (n, k), o = shape, 6
+        levels = bnn.activation_levels(5)
+        codes = level_codes(shape)
+        direct = np.zeros(levels.size, bool)
+        direct[list(chosen)] = True
+        signed = np.sign(rng.normal(size=(o, k))) * rng.uniform(0.9, 3.0,
+                                                                (o, k))
+        out = rng.normal(size=(n, o))
+        want = out.copy()
+        if pairs:
+            monkeypatch.setattr(_kernels, "BLOCK_BYTES", pairs * o * 8)
+        pairwise_direct_sums(want, codes, levels, direct, signed)
+        monkeypatch.setattr(_kernels, "_columns_pay",
+                            lambda *shape: columns)
+        with _kernels.WORKSPACE:
+            _kernels._direct_sums(out, codes, levels, direct, signed)
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+    def test_columns_pay(self):
+        # conv-sim's conv 2 builds its 8 levels' columns; its FC's would
+        # outgrow a block and outnumber its pairs' products
+        assert _kernels._columns_pay(8, 144, 32, 19_000)
+        assert not _kernels._columns_pay(8, 1568, 128, 2_200)
+        # no more columns than pairs, and at most one block of entries
+        assert _kernels._columns_pay(4, 5, 6, 20)
+        assert not _kernels._columns_pay(4, 5, 6, 19)
+        block = _kernels.BLOCK_BYTES // 8
+        assert _kernels._columns_pay(1, 4, block // 4, 4)
+        assert not _kernels._columns_pay(1, 4, block // 4 + 1, 4)
+
+
 # the most inputs that take the input-major form, at any batch size
 CROSSOVER = max(k for k in range(1, 129)
                 if _kernels._input_major_pays(k, 1 << 40, 1))
