@@ -324,6 +324,10 @@ def build_tuning_params(cfg: ToolkitConfig) -> TuningParams:
 
 
 def build_environment(cfg: ToolkitConfig) -> SimulationEnvironment:
+    # the pipeline latency and the interface bandwidth divide by T_del
+    if not cfg.delays.resolve_t_del(cfg.power_table, cfg.tuning) > 0:
+        raise ConfigError("delays: T_del, the sum of the device latencies, "
+                          "is 0 ns; it must be > 0")
     return SimulationEnvironment(
         designs=build_designs(cfg), loss=cfg.loss, power=cfg.power_table,
         tuning_params=build_tuning_params(cfg), delays=cfg.delays,

@@ -10,7 +10,8 @@ Layout:
 The header lists layers, tensor shapes/offsets and a CRC32 of the payload,
 verified on load. Tensors are float32 (``<f4``), little-endian, row-major,
 in layer order (weights first, then the four batch-norm vectors where
-present), each starting where the one before it ends.
+present), each starting where the one before it ends. The header lists
+exactly those tensors (``layer<i>.<attribute>``), each once, in that order.
 
 ``_SCHEMA`` gives each layer kind's header entries in file order, as (key,
 ``Layer`` attribute or None when derived from a tensor, format), and its
@@ -182,13 +183,20 @@ def _parse(header: dict, blob: bytes) -> tuple[QuantModel, dict]:
         tensors[t["name"]] = _read_tensor(blob, t, start)
         start += t["byte_len"]
     layers: list[Layer] = []
+    read = []                       # the tensors the layers read, in order
     for i, lh in enumerate(header["layers"]):
         kind = next((k for k in _SCHEMA if k.value == lh["kind"]), None)
         if kind is None:
             raise DataFormatError(f"unknown layer kind {lh['kind']!r}")
         entries, names = _SCHEMA[kind]
+        read += [f"layer{i}.{n}" for n in names]
         layers.append(Layer(kind, **_read(f"layer {i}: ", lh, entries),
                             **{n: tensors[f"layer{i}.{n}"] for n in names}))
+    # a name listed twice would load its later bytes, and one that no layer
+    # reads would load unchecked
+    if [t["name"] for t in header["tensors"]] != read:
+        raise DataFormatError(f"the header's tensors are not {read}, each "
+                              f"listed once, in layer order")
     model = QuantModel(tuple(layers), **_read("", header, _MODEL))
     # last, so that a payload that makes the model invalid reports that
     for i, (lh, layer) in enumerate(zip(header["layers"], model.layers)):

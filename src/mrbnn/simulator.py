@@ -32,10 +32,11 @@ table once (``_kernels.layer_table``), not once per chunk. The kernel
 reads a conv layer's float inputs straight from their sliding windows, and
 takes its blocks, codes patches and FC tables from a scratch workspace
 that lasts across calls (``_kernels.WORKSPACE``).
-An FPV sweep computes the comb's nominal transmission once, each map's
-ratios for every tuning fraction in one call, and one full-tuning test of
-all of a map's rows; it walks the layers once per (map, fraction), as
-``noisy_inference`` does for one, and the full-tuning row once.
+``noisy_inference`` and ``fpv_accuracy_sweep`` run one noisy pass over
+chip maps and tuning fractions (``_noisy_logits``); ``noisy_inference`` is
+its one-map, one-fraction case. It walks the layers once per (map,
+fraction) and a full-tuning row once, and builds the rails up front when
+it walks more than once, at use when it walks once.
 Layers that are not binarized are executed in the electronic control unit
 and see no optical noise.
 
@@ -134,8 +135,8 @@ class PipelineDelays:
             raise DomainError("clock_ghz must be finite and > 0")
         if self.ecu_buffer_params < 0:
             raise DomainError("ecu_buffer_params must be >= 0")
-        if self.t_del_ns is not None and not 0 <= self.t_del_ns < math.inf:
-            raise DomainError("t_del_ns must be finite and >= 0")
+        if self.t_del_ns is not None and not 0 < self.t_del_ns < math.inf:
+            raise DomainError("t_del_ns must be finite and > 0")
 
     @property
     def cycle_ns(self) -> float:
@@ -363,8 +364,8 @@ class ChipFpvMap:
 
     A bank may therefore hold only its first rows, and a map only its first
     banks: the head of a bank is the same whatever length was drawn. A
-    reader must get every row it indexes. ``noisy_inference`` reads bank 0
-    at the mapped ids; ``tuning_power_budget`` reads the first
+    reader must get every row it indexes. The noisy pass (``_noisy_logits``)
+    reads bank 0 at the mapped ids; ``tuning_power_budget`` reads the first
     ``n_vdp * n_wg * n`` rows of every bank. Both check that the rows are
     there. ``evaluate`` draws one map whose banks hold the rows of its
     largest configuration (``_shared_map``), and every configuration reads
@@ -501,13 +502,6 @@ def tuning_power_budget(cfgs: Sequence[AcceleratorConfig],
 # noisy photonic inference
 # ---------------------------------------------------------------------------
 
-def _nominal_transmission(design: MrDesign, lam: np.ndarray) -> np.ndarray:
-    """T(lambda_s; lambda_s), each MR on resonance at its signal wavelength:
-    the denominator of ``_perturbation_ratios``. It depends on the comb
-    alone, so an FPV sweep computes it once."""
-    return np.asarray(photonics.transmission(design, lam, lam))
-
-
 def _perturbation_ratios(design: MrDesign, lam: np.ndarray,
                          deltas_nm: np.ndarray, residuals,
                          nominal: np.ndarray | None = None) -> np.ndarray:
@@ -516,32 +510,15 @@ def _perturbation_ratios(design: MrDesign, lam: np.ndarray,
     ``lam`` and ``deltas_nm`` give each MR's signal wavelength and FPV shift.
     One residual gives one ratio per MR; a vector of F residuals gives
     [F, MRs] ratios, row j equal to the call with ``residuals[j]`` bit for
-    bit. ``nominal`` is ``_nominal_transmission(design, lam)``, computed
-    when not given.
+    bit. ``nominal`` is the denominator, T(lambda_s; lambda_s), each MR on
+    resonance at its signal wavelength; it depends on the comb alone, and
+    is computed when not given.
     """
     if nominal is None:
-        nominal = _nominal_transmission(design, lam)
+        nominal = np.asarray(photonics.transmission(design, lam, lam))
     shifted = photonics.transmission(
         design, lam, lam + np.multiply.outer(residuals, deltas_nm))
     return np.asarray(shifted) / nominal
-
-
-def _read_ids(model: QuantModel, mapping: PhotonicMapping) -> np.ndarray:
-    """The mapped activation MR ids whose FPV shifts inference reads: all
-    of them, or none when no layer is binarized (only those run
-    optically)."""
-    if any(layer.binarized for layer in model.layers):
-        return mapping.mr_ids
-    return mapping.mr_ids[:0]
-
-
-def _read_map(env: SimulationEnvironment, ids: np.ndarray,
-              seed: int) -> ChipFpvMap:
-    """The head of ``seed``'s chip map that holds ``ids``: bank 0 of
-    ``arm_banks`` (the activation MRs), up to the largest of the sorted
-    ``ids``."""
-    rows = int(ids[-1]) + 1 if ids.size else 0
-    return ChipFpvMap((_fpv_bank(env, seed, 0, RingClass.MULTI_BIT, rows),))
 
 
 def _dual_rail(layer) -> tuple[np.ndarray, np.ndarray]:
@@ -615,6 +592,51 @@ def _photonic_logits(model: QuantModel, batch: np.ndarray,
     return walk(model, batch, photonic_dot, folded=True)
 
 
+def _noisy_logits(model: QuantModel, batch: np.ndarray,
+                  cfg: AcceleratorConfig, env: SimulationEnvironment,
+                  fractions: Sequence[float], maps: Sequence):
+    """The logits of ``batch`` on each chip of ``maps`` at each of the
+    tuning ``fractions``, map by map.
+
+    A map is a ``ChipFpvMap``, whose activation bank must hold every MR id
+    the mapping reads, or a seed, whose activation bank is drawn up to the
+    largest of those ids in its turn, so that one map is alive at a time.
+    Only binarized layers run optically: without one, no id is read and
+    nothing is drawn. The comb's nominal transmission is computed once,
+    each map's ratios at every fraction in one ``_perturbation_ratios``
+    call. A row of ratios all exactly 1 (full tuning) reads no map, so it
+    is walked once and its logits serve every map. The rails are built up
+    front when the pass walks more than one (map, fraction), and at use
+    (``_photonic_logits``) when it walks one, so that a single walk holds
+    no rails of a layer it has not reached.
+    """
+    mapping = build_photonic_mapping(model, cfg)
+    ids = (mapping.mr_ids if any(layer.binarized for layer in model.layers)
+           else mapping.mr_ids[:0])
+    rows = int(ids[-1]) + 1 if ids.size else 0     # ids are sorted
+    design = env.designs[RingClass.MULTI_BIT]
+    lam = mapping.lambda_nm[:ids.size]
+    nominal = np.asarray(photonics.transmission(design, lam, lam))
+    residuals = 1.0 - np.asarray(fractions, dtype=np.float64)
+    rails = ({li: _dual_rail(layer) for li, layer in enumerate(model.layers)
+              if layer.binarized}
+             if len(fractions) * len(maps) > 1 else {})
+    ideal_logits = None
+    for chip_map in maps:
+        bank = (chip_map.deltas_nm[0] if isinstance(chip_map, ChipFpvMap)
+                else _fpv_bank(env, chip_map, 0, RingClass.MULTI_BIT, rows))
+        if bank.size < rows:
+            raise DomainError(f"chip map activation bank of {bank.size} "
+                              f"rings, the mapping reads MR {rows - 1}")
+        rho = _perturbation_ratios(design, lam, bank[ids], residuals, nominal)
+        for rho_act, ideal in zip(rho, (rho == 1.0).all(axis=1)):
+            if ideal and ideal_logits is None:
+                ideal_logits = _photonic_logits(model, batch, mapping,
+                                                rho_act, rails, True)
+            yield (ideal_logits if ideal else _photonic_logits(
+                model, batch, mapping, rho_act, rails, False))
+
+
 def _check_fraction(tuning_fraction) -> None:
     if not (0.0 <= tuning_fraction <= 1.0):
         raise DomainError("tuning_fraction must be in [0, 1]")
@@ -657,24 +679,13 @@ def noisy_inference(model: QuantModel, x, y, cfg: AcceleratorConfig,
     layers run ``bnn.exact_dot`` on the clamped inputs). Without
     ``chip_map``, only the FPV shifts it reads are drawn from ``seed``'s
     chip map.
+    It is the one-map, one-fraction case of ``_noisy_logits``.
     """
     _check_fraction(tuning_fraction)
     batch, single = as_batch(x)
     labels = None if y is None else batch_labels(y, len(batch), single)
-    mapping = build_photonic_mapping(model, cfg)
-    ids = _read_ids(model, mapping)
-    if chip_map is None:
-        chip_map = _read_map(env, ids, seed)
-    elif ids.size and chip_map.deltas_nm[0].size <= ids[-1]:
-        raise DomainError(f"chip map activation bank of "
-                          f"{chip_map.deltas_nm[0].size} rings, the mapping "
-                          f"reads MR {ids[-1]}")
-    # ratios of the activation MRs (bank 0 of arm_banks) the mapping uses
-    rho_act = _perturbation_ratios(
-        env.designs[RingClass.MULTI_BIT], mapping.lambda_nm[:ids.size],
-        chip_map.deltas_nm[0][ids], 1.0 - tuning_fraction)
-    logits = _photonic_logits(model, batch, mapping, rho_act, {},
-                              bool(np.all(rho_act == 1.0)))
+    [logits] = _noisy_logits(model, batch, cfg, env, [tuning_fraction],
+                             [seed if chip_map is None else chip_map])
     predictions = np.argmax(logits, axis=1)
     acc = _accuracy(predictions, labels)
     if single:
@@ -688,13 +699,9 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
                        base_seed: int) -> list[tuple[float, float, float]]:
     """(fraction, mean accuracy, std accuracy) over seeded FPV maps.
 
-    Each accuracy is the one ``noisy_inference`` gives for that fraction
-    and map, bit for bit. The nominal transmission of the comb is computed
-    once per sweep. Per map, the ratios of every fraction come from one
-    ``_perturbation_ratios`` call, one test finds the rows whose ratios are
-    all exactly 1 (full tuning), and each fraction walks the layers on its
-    own row. A full-tuning row does not read the map, so it is walked once
-    per sweep.
+    ``_noisy_logits`` on the chips of seeds ``base_seed`` to ``base_seed +
+    n_maps - 1``, each logits reduced to its accuracy: the one
+    ``noisy_inference`` gives for that fraction and map, bit for bit.
     """
     if n_maps < 1:
         raise DomainError("n_maps must be >= 1")
@@ -702,35 +709,13 @@ def fpv_accuracy_sweep(model: QuantModel, x, y, cfg: AcceleratorConfig,
         _check_fraction(f)
     batch, single = as_batch(x)
     labels = None if y is None else batch_labels(y, len(batch), single)
-    mapping = build_photonic_mapping(model, cfg)
-    ids = _read_ids(model, mapping)
-    rails = {li: _dual_rail(layer) for li, layer in enumerate(model.layers)
-             if layer.binarized}
-    residuals = 1.0 - np.asarray(fractions, dtype=np.float64)
-    design = env.designs[RingClass.MULTI_BIT]
-    lam = mapping.lambda_nm[:ids.size]
-    nominal = _nominal_transmission(design, lam)
-    # maps outside fractions, so one chip map is alive at a time
-    accs = [[] for _ in fractions]
-    # a row of ratios all 1 walks exact_dot on the clamped batch, whatever
-    # the map, so its accuracy is computed once
-    ideal_acc = None
-    for i in range(n_maps):
-        chip_map = _read_map(env, ids, base_seed + i)
-        rho = _perturbation_ratios(design, lam, chip_map.deltas_nm[0][ids],
-                                   residuals, nominal)
-        for rho_act, ideal, per_map in zip(rho, (rho == 1.0).all(axis=1),
-                                           accs):
-            if ideal and ideal_acc is not None:
-                per_map.append(ideal_acc)
-                continue
-            logits = _photonic_logits(model, batch, mapping, rho_act,
-                                      rails, ideal)
-            per_map.append(_accuracy(np.argmax(logits, axis=1), labels))
-            if ideal:
-                ideal_acc = per_map[-1]
+    accs = np.reshape([_accuracy(np.argmax(logits, axis=1), labels)
+                       for logits in _noisy_logits(
+                           model, batch, cfg, env, fractions,
+                           range(base_seed, base_seed + n_maps))],
+                      (n_maps, len(fractions)))
     return [(float(f), float(np.mean(a)), float(np.std(a)))
-            for f, a in zip(fractions, accs)]
+            for f, a in zip(fractions, accs.T)]
 
 
 # ---------------------------------------------------------------------------

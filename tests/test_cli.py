@@ -194,6 +194,21 @@ def _short_beta(header, payload):
     return header, payload
 
 
+def _appended(name, shape):
+    """The test model's file with a tensor entry ``name`` of ``shape``
+    listed last over that many floats 9.0 appended to the payload, and the
+    checksum redone."""
+    def mutate(header, payload):
+        extra = np.full(shape, 9.0, dtype="<f4").tobytes()
+        header["tensors"].append({
+            "name": name, "dtype": "<f4", "shape": shape,
+            "byte_offset": len(payload), "byte_len": len(extra)})
+        payload += extra
+        header["payload_crc32"] = zlib.crc32(payload) & 0xFFFFFFFF
+        return header, payload
+    return mutate
+
+
 class TestMalformedModel:
     """A model file whose header does not describe a valid model fails as a
     data error (exit 3) before anything runs."""
@@ -236,12 +251,20 @@ class TestMalformedModel:
         # beta pointed at the conv weights' first 16 bytes, its own unread
         (_in_header(lambda h: _edit(h, ["tensors", 2, "byte_offset"], 0)),
          "tensor layer1.bn_beta starts at byte 0, not at byte 64"),
+        # a second entry of the conv weights, or one that no layer reads:
+        # each would load without its bytes being checked against a layer
+        (_appended("layer0.weights", [4, 1, 1, 3]),
+         "the header's tensors are not ['layer0.weights', 'layer1.bn_gamma', "
+         "'layer1.bn_beta', 'layer1.bn_mean', 'layer1.bn_var'], each listed "
+         "once, in layer order"),
+        (_appended("layer2.weights", [4]), "the header's tensors are not"),
     ], ids=["header-not-mapping", "no-tensors", "layer-without-kind",
             "missing-tensor", "activation-bits-0", "bn-channel-mismatch",
             "conv-weights-rank", "stride-0", "binarized-string",
             "act-range-one-number", "conv-shape-mismatch",
             "bn-channels-mismatch", "bn-epsilon-nan", "bn-beta-short",
-            "bn-beta-f8", "bn-beta-on-weights"])
+            "bn-beta-f8", "bn-beta-on-weights", "weights-listed-twice",
+            "unread-tensor"])
     def test_exit_3(self, mutate, message, tmp_path, capsys):
         rng = np.random.Generator(np.random.PCG64(3))
         path = tmp_path / "m.mrbnn"
@@ -402,6 +425,32 @@ class TestConfigHandling:
         assert err.startswith("error[") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "dse"])
+    @pytest.mark.parametrize("config_text, message", [
+        ("delays:\n  t_del_ns: 0\n",
+         "delays: t_del_ns must be finite and > 0"),
+        ("power_table:\n" + "".join(
+            f"  {d}:\n    latency_ns: 0\n"
+            for d in ("vcsel", "tia", "photodetector", "dac", "adc"))
+         + "tuning:\n  eo_latency_ns: 0\n",
+         "delays: T_del, the sum of the device latencies, is 0 ns"),
+    ], ids=["t-del-0", "latencies-0"])
+    def test_zero_t_del_exit_2(self, command, config_text, message,
+                               tmp_path, capsys, model_path):
+        # the pipeline latency and the bandwidth divide by T_del: both
+        # commands fail before they write anything
+        p = tmp_path / "c.yaml"
+        p.write_text(config_text)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(p), "--out", str(out)]
+        if command == "simulate":
+            argv += ["--model", model_path]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith(f"error[config]: {message}")
+        assert err.count("\n") == 1
+        assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("config_text, argv", [
         ("device_classes:\n  broadband:\n    group_index_ng: -4.2\n",

@@ -160,6 +160,18 @@ class TestSchema:
         assert env.fpv is toolkit_config.fpv
         assert env.area is toolkit_config.area
 
+    def test_zero_resolved_t_del_rejected(self):
+        # every latency of the optical path 0 resolves T_del to 0, which
+        # the pipeline latency and the interface bandwidth divide by
+        zero = {"power_table": {d: {"latency_ns": 0} for d in
+                                ("vcsel", "tia", "photodetector", "dac",
+                                 "adc")},
+                "tuning": {"eo_latency_ns": 0}}
+        with pytest.raises(ConfigError, match="^delays: T_del"):
+            build_environment(config_from_dict(zero))
+        given = config_from_dict({**zero, "delays": {"t_del_ns": 1.0}})
+        assert build_environment(given).delays.t_del_ns == 1.0
+
     @pytest.mark.parametrize("key, value", [
         ("fpv.sigma_nm", [1.0, -1.0, 1.0]),
         ("tuning.to_power_mw_per_fsr", 0),
@@ -198,6 +210,7 @@ class TestSchema:
         ("accelerator.passband_nm", math.nan),
         ("delays.clock_ghz", math.inf),
         ("tuning.crosstalk_decay_um", 0),
+        ("delays.t_del_ns", 0),
     ])
     def test_bad_values_rejected_at_load(self, key, value):
         data = value

@@ -5,7 +5,8 @@ A module-level ``def`` or ``class``, or a ``def`` (a method or a property)
 in the body of a module-level class, whose name does not start with ``_``
 is used when its name appears in ``src/mrbnn`` as a name, an attribute, an
 imported name or an identifier string (a ``getattr`` key, say), in a
-``bench/*.py`` file the same way, or as a word of ``README.md``. Its own
+``bench/*.py`` file the same way, or as a word of the code in
+``README.md`` (its inline code spans and fenced blocks). Its own
 ``def`` line does not count. A method is listed as ``Class.method`` and
 found by its own name, on whatever object it is read. Code whose only
 users are tests is deleted rather than kept; the allowlist holds the few
@@ -30,6 +31,9 @@ ALLOWED = {
         "read by tests/test_acceptance.py's criterion 4 (FPV statistics)",
     "FpvMap.delta_std_nm":
         "read by tests/test_acceptance.py's criterion 4 (FPV statistics)",
+    "ParetoResult.point":
+        "read by tests/test_acceptance.py's criterion 10 (DSE orderings) "
+        "and tests/test_dse.py",
 }
 
 
@@ -71,9 +75,18 @@ def referenced_names(paths):
     return names
 
 
+def readme_code_words():
+    """The words of README.md's fenced blocks and inline code spans; its
+    prose does not count, so an English word is not a use."""
+    text = (ROOT / "README.md").read_text()
+    fence = re.compile(r"^```.*?^```", re.M | re.S)
+    code = fence.findall(text) + re.findall(r"`([^`]+)`", fence.sub("", text))
+    return set(re.findall(r"\w+", "\n".join(code)))
+
+
 def unused_names():
     used = referenced_names([*SRC, *sorted((ROOT / "bench").glob("*.py"))])
-    used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    used |= readme_code_words()
     return {name: module for name, module in public_definitions().items()
             if name.rsplit(".", 1)[-1] not in used}
 

@@ -20,6 +20,7 @@ from mrbnn.simulator import (ChipFpvMap, LossBudget, _perturbation_ratios,
                              power_and_epb, required_bandwidth_gb_s,
                              tuning_power_budget)
 from test_bnn import BAD_LABELS, raw_input_models, warm_up_walk
+from test_random_configs import SEEDS as CONFIG_SEEDS, random_config
 from test_tuning import bank_budget
 
 
@@ -39,7 +40,10 @@ def zero_chip_map(cfg):
 
 
 def inventory_cfg(toolkit_config, arch):
-    # "n_a=25": 3 MRs per arm, which do not divide a 25-element slice
+    # "n_a=25": 3 MRs per arm, which do not divide a 25-element slice;
+    # "random-<seed>": test_random_configs.random_config(seed)
+    if arch.startswith("random-"):
+        return random_config(int(arch[len("random-"):]))
     return (AcceleratorConfig(n_a=25, n_vdp=4, n_wg=10) if arch == "n_a=25"
             else config.arch_config(toolkit_config, arch))
 
@@ -51,7 +55,8 @@ class TestRingInventory:
     BANKS = (RingClass.MULTI_BIT, RingClass.SINGLE_BIT,
              RingClass.SINGLE_BIT, RingClass.BROADBAND)
 
-    @pytest.mark.parametrize("arch", ["default", "eo", "po", "n_a=25"])
+    @pytest.mark.parametrize("arch", ["default", "eo", "po", "n_a=25",
+                                      *(f"random-{s}" for s in CONFIG_SEEDS)])
     def test_map_and_area_count_the_inventory(self, env, toolkit_config,
                                               arch):
         cfg = inventory_cfg(toolkit_config, arch)
@@ -1007,6 +1012,35 @@ class TestAccuracySweep:
             fpv_accuracy_sweep(toy_model, toy_data.x_test, toy_data.y_test,
                                eo_cfg, env, [1.0], n_maps=0, base_seed=50)
 
+    def test_rails_built_once_per_sweep(self, env, eo_cfg, conv_sim,
+                                        monkeypatch):
+        # a pass of several walks builds each binarized layer's rails up
+        # front; one walk builds a conv layer's when it reaches it and an
+        # FC layer's per call, so that it holds none it has not reached
+        model, x = conv_sim[0], conv_sim[1][:8]
+        built = []
+        original = simulator._dual_rail
+
+        def spy(layer):
+            built.append(layer.weights.shape[0])
+            return original(layer)
+
+        monkeypatch.setattr(simulator, "_dual_rail", spy)
+        # the FC layer walks 2 slices of 4 images, the convs 1 at a time
+        monkeypatch.setattr(bnn, "CHUNK_BYTES", 4 * 1568 * 8)
+        assert [len(p) for p in bnn.chunks(model, x)] == [4, 4]
+        fpv_accuracy_sweep(model, x, None, eo_cfg, env, [0.0, 1.0],
+                           n_maps=2, base_seed=3)
+        assert built == [16, 32, 128]
+        del built[:]
+        noisy_inference(model, x, None, eo_cfg, env, 0.8, seed=7)
+        assert built == [16, 32, 128, 128]
+        del built[:]
+        # one map and one fraction is one walk, whichever entry point
+        fpv_accuracy_sweep(model, x, None, eo_cfg, env, [0.8], n_maps=1,
+                           base_seed=7)
+        assert built == [16, 32, 128, 128]
+
 
 class TestLabels:
     """Labels must hold one entry per sample; numpy would broadcast any
@@ -1100,26 +1134,49 @@ class TestDrawWhatIsRead:
             assert drawn.logits.tobytes() == full.logits.tobytes()
 
     @staticmethod
-    def sweep_case(case, toy_model, toy_data):
+    def sweep_case(case, toy_model, toy_data, conv_sim):
         """A model and data whose first binarized layer takes the given
         form of the noisy kernel: the toy MLP's 8 raw features run
-        input-major, 64 run the blocked broadcast."""
+        input-major, 64 run the blocked broadcast; 8 conv-sim images run
+        the conv layers' forms on windows and codes."""
         if case == "input-major":
             return toy_model, toy_data.x_test, toy_data.y_test
-        model = bnn.make_mlp([64, 16, 3], seed=5)
-        x = np.random.Generator(np.random.PCG64(5)).uniform(0, 1, (64, 64))
+        if case == "conv":
+            model, x = conv_sim[0], conv_sim[1][:8]
+        else:
+            model = bnn.make_mlp([64, 16, 3], seed=5)
+            x = np.random.Generator(np.random.PCG64(5)).uniform(0, 1,
+                                                                (64, 64))
         return model, x, reference_inference(model, x, folded=True)[1]
 
     @pytest.mark.parametrize("arch", ["eo", "po"])
     def test_accuracy_sweep_equals_full_maps(self, env, toolkit_config,
-                                             toy_model, toy_data, arch,
-                                             draws, input_major_calls):
+                                             toy_model, toy_data, conv_sim,
+                                             arch, draws, input_major_calls,
+                                             monkeypatch):
         cfg = config.arch_config(toolkit_config, arch)
         fractions = [0.0, 0.5, 0.8, 1.0]
         maps = [chip_fpv_map(cfg, env, 11 + i) for i in range(3)]
-        for case in ("input-major", "blocked"):
-            model, x, y = self.sweep_case(case, toy_model, toy_data)
+        walks = {}      # the logits of each walk, by its ratios
+        original = simulator._photonic_logits
+
+        def spy(model, batch, mapping, rho_act, *rest):
+            logits = original(model, batch, mapping, rho_act, *rest)
+            walks.setdefault(rho_act.tobytes(), []).append(logits.tobytes())
+            return logits
+
+        monkeypatch.setattr(simulator, "_photonic_logits", spy)
+        for case in ("input-major", "blocked", "conv"):
+            model, x, y = self.sweep_case(case, toy_model, toy_data,
+                                          conv_sim)
+            if case == "conv":
+                # the FC layer walks 2 slices of 4 images, the convs
+                # each slice in parts
+                monkeypatch.setattr(bnn, "CHUNK_BYTES", 4 * 1568 * 8)
+                parts = bnn.chunks(model, x)
+                assert len(parts) == 2 and all(len(p) >= 2 for p in parts)
             mapping = build_photonic_mapping(model, cfg)
+            walks.clear()
             accs = [[noisy_inference(model, x, y, cfg, env, f, 0,
                                      chip_map=m).accuracy
                      for m in maps]
@@ -1130,10 +1187,17 @@ class TestDrawWhatIsRead:
             assert draws == [(1, int(mapping.mr_ids[-1]) + 1)] * 3
             assert rows == [(f, float(np.mean(a)), float(np.std(a)))
                             for f, a in zip(fractions, accs)]
+            # each sweep walk gave the logits noisy_inference gave on the
+            # same ratios, bit for bit; full tuning is one ratio row
+            assert len(walks) == 3 * 3 + 1
+            assert all(len(w) >= 2 and len(set(w)) == 1
+                       for w in walks.values())
             # three maps by three noisy fractions; full tuning runs
             # exact_dot
-            assert input_major_calls == ([(len(x), 8)] * 9
-                                         if case == "input-major" else [])
+            if case != "conv":
+                assert input_major_calls == ([(len(x), 8)] * 9
+                                             if case == "input-major"
+                                             else [])
             # one ratio call per map gives each fraction's row bit for bit
             design = env.designs[RingClass.MULTI_BIT]
             for m in maps:
